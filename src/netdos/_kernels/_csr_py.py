@@ -10,7 +10,8 @@ The loop is reached through ``scipy.sparse._sparsetools.csr_matvecs``, which
 writes straight into ``out`` with no scratch at all. That name is private
 scipy API, so it is used only if it imports and passes a small self-check at
 import time; otherwise the public ``csr_array @ x`` product is computed and
-copied into ``out``.
+copied into ``out``. With ``accumulate=True`` the product is added to
+``out`` instead: the private loop simply skips zeroing ``out`` first.
 """
 
 import numpy as np
@@ -22,20 +23,24 @@ except ImportError:
     _csr_matvecs = None
 
 
-def _public_matvec(indptr, indices, data, x, out):
-    """out = A @ x through the public scipy product (one (rows, k) temporary)."""
+def _public_matvec(indptr, indices, data, x, out, accumulate=False):
+    """out (+)= A @ x through the public scipy product (one (rows, k) temporary)."""
     a = sparse.csr_array((data, indices, indptr),
                          shape=(indptr.shape[0] - 1, x.shape[0]))
-    out[...] = a @ x
+    if accumulate:
+        out += a @ x
+    else:
+        out[...] = a @ x
 
 
-def _sparsetools_matvec(indptr, indices, data, x, out):
-    """out = A @ x accumulated in place by scipy's csr_matvecs (no scratch)."""
+def _sparsetools_matvec(indptr, indices, data, x, out, accumulate=False):
+    """out (+)= A @ x accumulated in place by scipy's csr_matvecs (no scratch)."""
     if not out.flags.c_contiguous:
         # out.ravel() would copy, and the result would never reach `out`
-        _public_matvec(indptr, indices, data, x, out)
+        _public_matvec(indptr, indices, data, x, out, accumulate)
         return
-    out.fill(0.0)
+    if not accumulate:
+        out.fill(0.0)
     _csr_matvecs(indptr.shape[0] - 1, x.shape[0], x.shape[1],
                  indptr, indices, data, x.ravel(), out.ravel())
 
@@ -60,10 +65,11 @@ def _select_matvec():
 _matvec = _select_matvec()
 
 
-def csr_matvec(indptr, indices, data, x, out, threads=1):
-    """out = A @ x for CSR arrays; x is (cols, k), out is (rows, k).
+def csr_matvec(indptr, indices, data, x, out, threads=1, accumulate=False):
+    """out = A @ x for CSR arrays, or out += A @ x with `accumulate`;
+    x is (cols, k), out is (rows, k).
 
     `threads` is ignored: the scipy loop is serial.
     """
-    _matvec(indptr, indices, data, x, out)
+    _matvec(indptr, indices, data, x, out, accumulate)
     return None

@@ -46,7 +46,7 @@ def _add_common_args(p, moments_default=500):
                    default=OperatorKind.NORMALIZED_ADJACENCY.value)
     p.add_argument("--moments", type=int, default=moments_default)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--range", default=None, metavar="LO,HI",
+    p.add_argument("--range", type=_range_arg, default=None, metavar="LO,HI",
                    help="spectral range override (default: estimated)")
     p.add_argument("--range-steps", type=int, default=100)
     p.add_argument("--range-margin", type=float, default=0.01)
@@ -54,14 +54,23 @@ def _add_common_args(p, moments_default=500):
     p.add_argument("--out", default=None, help="output path (default: stdout)")
 
 
-def _parse_range(text):
-    if text is None:
-        return None
+def _range_arg(text):
     try:
         lo, hi = (float(x) for x in text.split(","))
     except ValueError:
-        raise NetdosError(f"--range expects LO,HI, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expects LO,HI, got {text!r}")
     return (lo, hi)
+
+
+def _join_range_values(argv):
+    """`--range -4,4` -> `--range=-4,4`: argparse takes "-4,4" for an option."""
+    out = []
+    for tok in argv:
+        if out and out[-1] == "--range" and not tok.startswith("--"):
+            out[-1] = f"--range={tok}"
+        else:
+            out.append(tok)
+    return out
 
 
 def _load_graph(args):
@@ -98,7 +107,7 @@ def _cmd_dos(args):
         probe_kind=args.probe_kind, seed=args.seed, bins=args.bins,
         damping=not args.no_damping,
         filter_kinds=_parse_filter_kinds(args.filter_motifs),
-        range_=_parse_range(args.range), range_steps=args.range_steps,
+        range_=args.range, range_steps=args.range_steps,
         range_margin=args.range_margin, reinsert_spikes=not args.no_spikes,
         negativity_tol=args.negativity_tol, threads=threads)
     meta = {"method": "kpm", "operator": args.operator, "n": g.n,
@@ -125,7 +134,7 @@ def _cmd_pdos(args):
     moments, sop = pipeline.kpm_pdos(
         g, operator=args.operator, m_max=args.moments, nz=args.probes,
         probe_kind=args.probe_kind, seed=args.seed,
-        range_=_parse_range(args.range), range_steps=args.range_steps,
+        range_=args.range, range_steps=args.range_steps,
         range_margin=args.range_margin, threads=threads)
     meta = {"method": "kpm", "operator": args.operator, "n": g.n,
             "node_ids": node_ids.tolist(),
@@ -147,7 +156,7 @@ def _cmd_gql(args):
     hist = pipeline.gql_dos_pipeline(
         g, operator=args.operator, steps=args.moments, nz=args.probes,
         probe_kind=args.probe_kind, seed=args.seed, bins=args.bins,
-        range_=_parse_range(args.range), range_steps=args.range_steps,
+        range_=args.range, range_steps=args.range_steps,
         range_margin=args.range_margin, threads=threads)
     meta = {"method": "gql", "operator": args.operator, "n": g.n,
             "steps": args.moments, "nz": args.probes,
@@ -167,7 +176,7 @@ def _cmd_nd_pdos(args):
     tree = load_partition(args.partition, n=g.n) if args.partition else None
     moments, sop, tree = pipeline.nd_pdos_pipeline(
         g, operator=args.operator, m_max=args.moments, seed=args.seed,
-        leaf_size=args.leaf_size, tree=tree, range_=_parse_range(args.range),
+        leaf_size=args.leaf_size, tree=tree, range_=args.range,
         range_steps=args.range_steps, range_margin=args.range_margin,
         threads=threads)
     if args.save_partition:
@@ -204,7 +213,7 @@ def _cmd_exact(args):
     payload = {"record": "exact", "operator": args.operator, "n": g.n,
                "eigenvalues": spec.eigenvalues.tolist()}
     if args.bins:
-        rng = _parse_range(args.range)
+        rng = args.range
         if rng is None:
             if OperatorKind(args.operator) is OperatorKind.NORMALIZED_ADJACENCY:
                 rng = (-1.0, 1.0)
@@ -321,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--operator", choices=_OPERATORS,
                    default=OperatorKind.NORMALIZED_ADJACENCY.value)
     p.add_argument("--bins", type=int, default=None)
-    p.add_argument("--range", default=None, metavar="LO,HI")
+    p.add_argument("--range", type=_range_arg, default=None, metavar="LO,HI")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_exact)
 
@@ -349,7 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser().parse_args(_join_range_values(argv))
     try:
         return args.fn(args)
     except NetdosError as exc:

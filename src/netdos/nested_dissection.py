@@ -9,15 +9,28 @@ blocks at degree m, which a pre-order traversal has just produced; the
 cross block T_m(I_s', I_s) is read from the ancestor's block by symmetry.
 Leaf blocks and separator columns expose the exact diagonal entries, so the
 result carries no stochastic error.
+
+Each tree node holds one CSR block of 2·H over the rows I_p and the columns
+[I_p; the ancestor separators that I_p touches], and two dense buffers of
+that many rows by |I_s| columns. A step copies the ancestors' T_m rows into
+the bottom of the current buffer, negates the top of the previous one and
+advances the node with a single in-place accumulate,
+prev += (2·H block) @ cur, before the two buffers swap roles. Memory is
+therefore at most 2·(|I_p| + Σ|ancestor I_s|)·|I_s| floats per tree node,
+and time and memory grow with the separator sizes: a graph without small
+separators (an expander, a small world) costs close to dense.
+
+The tree is built from level sets of breadth-first searches on the induced
+subgraph of each piece, computed with ``scipy.sparse.csgraph``.
 """
 
 from __future__ import annotations
 
 import warnings
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from . import _kernels
 from .errors import PartitionError
@@ -75,6 +88,7 @@ class PartitionTree:
         covered = np.concatenate([t.sep for t in self.nodes])
         if covered.shape[0] != n or np.unique(covered).shape[0] != n:
             raise PartitionError("separators and leaf blocks do not partition the nodes")
+        mask = np.zeros(n, dtype=bool)
         for t in self.nodes:
             if t.parent >= t.node_id:
                 raise PartitionError("tree node ids must order parents before children")
@@ -82,51 +96,63 @@ class PartitionTree:
             if np.unique(pieces).shape[0] != pieces.shape[0]:
                 raise PartitionError(f"tree node {t.node_id} has overlapping pieces")
             if t.left.size and t.right.size:
-                mask = np.zeros(n, dtype=bool)
+                # every edge leaving `left`, scanned in row order
+                take, counts = _row_entries(indptr, t.left)
+                nbrs = indices[take]
                 mask[t.right] = True
-                for u in t.left.tolist():
-                    nbrs = indices[indptr[u]:indptr[u + 1]]
-                    hits = mask[nbrs]
-                    if np.any(hits):
-                        v = int(nbrs[hits][0])
-                        raise PartitionError(
-                            f"edge ({u}, {v}) crosses the separator of tree "
-                            f"node {t.node_id}")
+                hits = np.flatnonzero(mask[nbrs])
+                mask[t.right] = False
+                if hits.size:
+                    u = int(np.repeat(t.left, counts)[hits[0]])
+                    raise PartitionError(
+                        f"edge ({u}, {int(nbrs[hits[0]])}) crosses the separator "
+                        f"of tree node {t.node_id}")
 
 
-def _bfs_levels(g, members_mask, start):
-    """BFS level per node inside the induced subgraph; -1 outside/unreached."""
-    levels = np.full(g.n, -1, dtype=np.int64)
-    levels[start] = 0
-    queue = deque([start])
-    order = [start]
-    while queue:
-        u = queue.popleft()
-        for v in g.neighbors(u).tolist():
-            if members_mask[v] and levels[v] < 0:
-                levels[v] = levels[u] + 1
-                queue.append(v)
-                order.append(v)
-    return levels, order
+def _row_entries(indptr, rows):
+    """Positions of the stored entries of `rows`, row after row, and the
+    number of entries in each row."""
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    take = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    return take + np.arange(take.shape[0]), counts
+
+
+def _induced_subgraph(g, members):
+    """Adjacency of the subgraph induced by sorted `members`, in member-local ids.
+
+    Rows keep their stored column order, so traversals visit neighbours in
+    the same order as a walk over ``g`` itself would.
+    """
+    take, counts = _row_entries(g.row_ptr, members)
+    cols = g.col_idx[take]
+    local = np.minimum(np.searchsorted(members, cols), members.shape[0] - 1)
+    keep = members[local] == cols
+    rows = np.repeat(np.arange(members.shape[0]), counts)[keep]
+    indptr = np.zeros(members.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=members.shape[0]), out=indptr[1:])
+    return csr_array((np.ones(rows.shape[0]), local[keep], indptr),
+                     shape=(members.shape[0], members.shape[0]))
 
 
 def _split_component(g, members):
     """Level-set separator from a pseudo-peripheral BFS; None if inseparable."""
-    mask = np.zeros(g.n, dtype=bool)
-    mask[members] = True
-    _, order = _bfs_levels(g, mask, int(members[0]))
-    levels, _ = _bfs_levels(g, mask, order[-1])
-    depth = int(levels[members].max())
+    # imported here: csgraph adds ~20 ms to the start-up of every command
+    from scipy.sparse.csgraph import breadth_first_order, shortest_path
+
+    sub = _induced_subgraph(g, members)
+    order = breadth_first_order(sub, 0, directed=True,
+                                return_predecessors=False)
+    lv = shortest_path(sub, unweighted=True,
+                       indices=int(order[-1])).astype(np.int64)
+    depth = int(lv.max())
     if depth < 2:
         return None
-    counts = np.bincount(levels[members], minlength=depth + 1)
+    counts = np.bincount(lv, minlength=depth + 1)
     below = np.cumsum(counts)
-    best, best_cost = 1, None
-    for lvl in range(1, depth):
-        cost = max(int(below[lvl - 1]), int(below[depth] - below[lvl]))
-        if best_cost is None or cost < best_cost:
-            best, best_cost = lvl, cost
-    lv = levels[members]
+    # most balanced interior level; the first one wins ties
+    cost = np.maximum(below[:depth - 1], below[depth] - below[1:depth])
+    best = 1 + int(np.argmin(cost))
     sep = members[lv == best]
     left = members[lv < best]
     right = members[lv > best]
@@ -134,16 +160,15 @@ def _split_component(g, members):
 
 
 def _components(g, members):
-    mask = np.zeros(g.n, dtype=bool)
-    mask[members] = True
-    out = []
-    for u in members.tolist():
-        if mask[u]:
-            _, order = _bfs_levels(g, mask, u)
-            comp = np.array(sorted(order), dtype=np.int64)
-            mask[comp] = False
-            out.append(comp)
-    return out
+    """Connected pieces of the induced subgraph, sorted, by smallest member."""
+    from scipy.sparse.csgraph import connected_components
+
+    _, labels = connected_components(_induced_subgraph(g, members),
+                                     directed=False)
+    order = np.argsort(labels, kind="stable")
+    comps = np.split(members[order], np.cumsum(np.bincount(labels))[:-1])
+    comps.sort(key=lambda c: int(c[0]))
+    return comps
 
 
 def build_partition_tree(g: GraphCSR, leaf_size=256) -> PartitionTree:
@@ -250,13 +275,9 @@ def load_partition(path, n=None) -> PartitionTree:
 
 def _submatrix(indptr, indices, data, rows, col_lookup):
     """CSR block (rows x mapped-columns); preserves in-row column order."""
-    counts = (indptr[rows + 1] - indptr[rows]).astype(np.int64)
-    total = int(counts.sum())
+    take, counts = _row_entries(indptr, rows)
     sub_ptr = np.zeros(rows.shape[0] + 1, dtype=np.int64)
     np.cumsum(counts, out=sub_ptr[1:])
-    if total == 0:
-        return sub_ptr, np.zeros(0, dtype=np.int64), np.zeros(0)
-    take = np.repeat(indptr[rows] - sub_ptr[:-1], counts) + np.arange(total)
     cols = col_lookup[indices[take]]
     vals = data[take]
     keep = cols >= 0
@@ -274,7 +295,63 @@ def _submatrix(indptr, indices, data, rows, col_lookup):
 
 
 class _BlockState:
-    __slots__ = ("part", "sep", "pos_self", "a_pp", "cross", "prev", "cur", "scratch")
+    """One tree node's share of the recurrence.
+
+    `block` is 2·H restricted to the rows of the node's part and the columns
+    [part; touched ancestor separators], so one accumulate advances all of
+    the node's columns. `prev` and `cur` each hold T(part, sep) in their top
+    rows; before every step the rows below receive T_m(anc_sep, sep) for
+    each ancestor in `gathers`, copied from the ancestor's own block.
+    """
+
+    __slots__ = ("sep", "npart", "diag", "block", "gathers", "prev", "cur")
+
+
+def _node_state(t, tree, states, indptr, indices, data, lookup):
+    st = _BlockState()
+    part = t.part
+    st.sep = t.sep
+    st.npart = part.shape[0]
+    ns = st.sep.shape[0]
+    pos_self = np.searchsorted(part, st.sep)
+    st.diag = pos_self * ns + np.arange(ns)
+
+    ancs = [a for a in tree.ancestors(t.node_id) if states[a] is not None]
+    bounds = np.cumsum([st.npart] + [states[a].sep.shape[0] for a in ancs])
+    lookup[part] = np.arange(st.npart)
+    for a, lo in zip(ancs, bounds[:-1]):
+        lookup[states[a].sep] = np.arange(lo, lo + states[a].sep.shape[0])
+    ptr, cols, vals = _submatrix(indptr, indices, data, part, lookup)
+    lookup[part] = -1
+    for a in ancs:
+        lookup[states[a].sep] = -1
+
+    # drop the ancestor separators that no row of the part touches; the
+    # kept column segments close up over the dropped ones
+    seg = np.searchsorted(bounds, cols, side="right")
+    used = np.bincount(seg, minlength=bounds.shape[0]) > 0
+    used[0] = True
+    shift = np.cumsum(np.diff(bounds, prepend=0) * ~used)
+    st.block = (ptr, cols - shift[seg], 2.0 * vals)
+    st.gathers = []
+    lo = st.npart
+    for a, keep in zip(ancs, used[1:]):
+        if keep:
+            # T_m(anc_sep, sep) is, by symmetry, the transpose of rows
+            # `sep` of the ancestor's T_m(anc_part, anc_sep)
+            anc_pos = np.searchsorted(tree.nodes[a].part, st.sep)
+            k = states[a].sep.shape[0]
+            st.gathers.append((a, anc_pos, lo, lo + k))
+            lo += k
+
+    st.prev = np.zeros((lo, ns))
+    st.prev.reshape(-1)[st.diag] = 1.0
+    st.cur = np.zeros((lo, ns))
+    lookup[st.sep] = np.arange(ns)
+    sub = _submatrix(indptr, indices, data, part, lookup)
+    lookup[st.sep] = -1
+    st.cur[np.repeat(np.arange(st.npart), np.diff(sub[0])), sub[1]] = sub[2]
+    return st
 
 
 def nd_pdos_moments(sop: ScaledOperator, tree: PartitionTree, m_max,
@@ -290,61 +367,33 @@ def nd_pdos_moments(sop: ScaledOperator, tree: PartitionTree, m_max,
     tree.validate_arrays(n, indptr, indices)
 
     lookup = np.full(n, -1, dtype=np.int64)
-    states = []
+    states = [None] * len(tree.nodes)
     for t in tree.nodes:
-        st = _BlockState()
-        st.part = t.part
-        st.sep = t.sep
-        st.pos_self = np.searchsorted(st.part, st.sep)
-        lookup[st.part] = np.arange(st.part.shape[0])
-        st.a_pp = _submatrix(indptr, indices, data, st.part, lookup)
-        lookup[st.part] = -1
-        st.cross = []
-        for anc in tree.ancestors(t.node_id):
-            anc_sep = tree.nodes[anc].sep
-            if anc_sep.size == 0:
-                continue
-            lookup[anc_sep] = np.arange(anc_sep.shape[0])
-            blk = _submatrix(indptr, indices, data, st.part, lookup)
-            lookup[anc_sep] = -1
-            if blk[1].size:
-                anc_pos = np.searchsorted(states[anc].part, st.sep)
-                st.cross.append((anc, anc_pos, blk))
-        states.append(st)
+        # a node with an empty separator owns no columns and feeds no one
+        if t.sep.size:
+            states[t.node_id] = _node_state(t, tree, states, indptr, indices,
+                                            data, lookup)
+    active = [st for st in states if st is not None]
 
     moments = np.empty((n, m_max + 1))
     moments[:, 0] = 1.0
-    for st in states:
-        ns, npart = st.sep.shape[0], st.part.shape[0]
-        st.prev = np.zeros((npart, ns))
-        st.prev[st.pos_self, np.arange(ns)] = 1.0
-        dense = np.zeros((npart, ns))
-        lookup[st.sep] = np.arange(ns)
-        sub = _submatrix(indptr, indices, data, st.part, lookup)
-        lookup[st.sep] = -1
-        rows = np.repeat(np.arange(npart), np.diff(sub[0]))
-        dense[rows, sub[1]] = sub[2]
-        st.cur = dense
-        st.scratch = np.empty_like(dense)
-        if m_max >= 1:
-            moments[st.sep, 1] = st.cur[st.pos_self, np.arange(ns)]
+    if m_max >= 1:
+        for st in active:
+            moments[st.sep, 1] = np.take(st.cur, st.diag)
 
     for m in range(1, m_max):
-        for st in states:
-            ns = st.sep.shape[0]
-            ptr, idx, val = st.a_pp
-            nxt = _kernels.csr_matvec(ptr, idx, val, st.cur, out=st.scratch,
-                                      threads=threads)
-            nxt *= 2.0
-            nxt -= st.prev
-            for anc, anc_pos, (bptr, bidx, bval) in st.cross:
-                # T_m(anc_sep, sep) read from the ancestor's block by symmetry;
-                # pre-order means the ancestor's prev slot already holds T_m.
-                tm_cross = np.ascontiguousarray(states[anc].prev[anc_pos].T)
-                nxt += 2.0 * _kernels.csr_matvec(bptr, bidx, bval, tm_cross,
-                                                 threads=threads)
-            st.prev, st.cur, st.scratch = st.cur, nxt, st.prev
-            moments[st.sep, m + 1] = st.cur[st.pos_self, np.arange(ns)]
+        for st in active:
+            # pre-order: every ancestor has already stepped, so its `prev`
+            # now holds T_m
+            for a, anc_pos, lo, hi in st.gathers:
+                st.cur[lo:hi] = states[a].prev[anc_pos].T
+            top = st.prev[:st.npart]
+            np.negative(top, out=top)
+            ptr, idx, val = st.block
+            _kernels.csr_matvec(ptr, idx, val, st.cur, out=top,
+                                threads=threads, accumulate=True)
+            st.prev, st.cur = st.cur, st.prev
+            moments[st.sep, m + 1] = np.take(st.cur, st.diag)
 
     return ChebMoments(mode=MODE_PER_NODE, values=moments,
                        scale_map=sop.scale_map,

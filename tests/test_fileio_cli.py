@@ -202,6 +202,39 @@ def test_cli_error_paths(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+def _write_cycle(path, n=30):
+    with open(path, "w") as fh:
+        for i in range(n):
+            fh.write(f"{i} {(i + 1) % n}\n")
+
+
+def test_cli_range_accepts_negative_lo(tmp_path):
+    gpath = str(tmp_path / "cycle.txt")
+    _write_cycle(gpath)  # adjacency spectrum in [-2, 2]
+    blobs = []
+    for name, rng in [("split", ["--range", "-4,4"]), ("joined", ["--range=-4,4"])]:
+        out = str(tmp_path / f"nd-{name}.json")
+        assert main(["nd-pdos", "--input", gpath, "--operator", "adjacency",
+                     *rng, "--moments", "12", "--leaf-size", "8",
+                     "--out", out]) == 0
+        blobs.append(open(out, "rb").read())
+    assert blobs[0] == blobs[1]
+    out = str(tmp_path / "exact.json")
+    assert main(["exact", "--input", gpath, "--operator", "adjacency",
+                 "--bins", "8", "--range", "-4,4", "--out", out]) == 0
+    assert json.loads(open(out).read())["edges"][0] == -4.0
+
+
+def test_cli_range_without_hi_is_usage_error(tmp_path, capsys):
+    gpath = str(tmp_path / "cycle.txt")
+    _write_cycle(gpath)
+    with pytest.raises(SystemExit) as exc:
+        main(["nd-pdos", "--input", gpath, "--range", "-4",
+              "--out", str(tmp_path / "nd.json")])
+    assert exc.value.code == 2
+    assert "argument --range: expects LO,HI, got '-4'" in capsys.readouterr().err
+
+
 def test_cli_csv_output(tmp_path):
     gpath = str(tmp_path / "g.txt")
     main(["generate", "--model", "er", "--n", "50", "--p", "0.15", "--seed", "6",

@@ -1,6 +1,7 @@
 """SpMV kernel checks: every backend matches the dense product to 1e-12,
-the active one gives the same bits at any thread count, and the scipy
-fallback's scratch stays within O(rows * k)."""
+with and without accumulating into `out`, the active one gives the same
+bits at any thread count, and the scipy fallback's scratch stays within
+O(rows * k)."""
 
 import tracemalloc
 
@@ -69,10 +70,9 @@ def test_empty_rows_and_empty_matrix():
     assert np.array_equal(out2, np.zeros((3, 2)))
 
 
-def test_fuzz_rectangular_blocks_with_empty_rows():
-    # submatrix extraction feeds rectangular CSR blocks whose trailing rows
-    # are often empty; both backends must agree with the dense product
-    rng = np.random.default_rng(3)
+def _fuzz_blocks(seed):
+    """Rectangular CSR blocks, often with empty trailing rows, and an x."""
+    rng = np.random.default_rng(seed)
     for _ in range(200):
         nrow = int(rng.integers(1, 12))
         ncol_mat = int(rng.integers(1, 12))
@@ -88,15 +88,63 @@ def test_fuzz_rectangular_blocks_with_empty_rows():
         idx = np.concatenate(cols).astype(np.int64)
         val = np.concatenate(vals)
         x = np.ascontiguousarray(rng.standard_normal((ncol_mat, k)))
+        yield indptr, idx, val, dense, x
+
+
+def test_fuzz_rectangular_blocks_with_empty_rows():
+    # submatrix extraction feeds rectangular CSR blocks whose trailing rows
+    # are often empty; both backends must agree with the dense product
+    for indptr, idx, val, dense, x in _fuzz_blocks(3):
         want = dense @ x
         got = _kernels.csr_matvec(indptr, idx, val, x)
-        out = np.empty((nrow, k))
+        out = np.empty_like(want)
         _csr_py.csr_matvec(indptr, idx, val, x, out)
-        out_public = np.empty((nrow, k))
+        out_public = np.empty_like(want)
         _csr_py._public_matvec(indptr, idx, val, x, out_public)
         assert np.allclose(got, want, atol=1e-12)
         assert np.allclose(out, want, atol=1e-12)
         assert np.allclose(out_public, want, atol=1e-12)
+
+
+_ACCUMULATE_PATHS = {
+    "sparsetools": lambda p, i, v, x, out: _csr_py._sparsetools_matvec(
+        p, i, v, x, out, accumulate=True),
+    "public-scipy": lambda p, i, v, x, out: _csr_py._public_matvec(
+        p, i, v, x, out, accumulate=True),
+    "active": lambda p, i, v, x, out: _kernels.csr_matvec(
+        p, i, v, x, out=out, accumulate=True),
+}
+
+
+@pytest.mark.parametrize("path", sorted(_ACCUMULATE_PATHS))
+def test_accumulate_adds_the_product(path):
+    if path == "sparsetools" and _csr_py._csr_matvecs is None:
+        pytest.skip("scipy has no _sparsetools.csr_matvecs")
+    kernel = _ACCUMULATE_PATHS[path]
+    rng = np.random.default_rng(5)
+    for indptr, idx, val, dense, x in _fuzz_blocks(3):
+        out0 = rng.standard_normal((dense.shape[0], x.shape[1]))
+        out = out0.copy()
+        kernel(indptr, idx, val, x, out)
+        assert np.allclose(out, out0 + dense @ x, atol=1e-12)
+
+
+def test_accumulate_thread_count_does_not_change_bits():
+    rng = np.random.default_rng(6)
+    indptr, idx, val, dense = _random_csr(rng, 64, 0.15)
+    x = rng.standard_normal((64, 9))
+    out0 = rng.standard_normal((64, 9))
+    y1, y4 = out0.copy(), out0.copy()
+    _kernels.csr_matvec(indptr, idx, val, x, out=y1, threads=1, accumulate=True)
+    _kernels.csr_matvec(indptr, idx, val, x, out=y4, threads=4, accumulate=True)
+    assert np.array_equal(y1, y4)
+    assert np.allclose(y1, out0 + dense @ x, atol=1e-12)
+
+
+def test_accumulate_needs_out():
+    indptr, idx, val, _ = _random_csr(np.random.default_rng(7), 5, 0.5)
+    with pytest.raises(ValueError, match="out"):
+        _kernels.csr_matvec(indptr, idx, val, np.ones((5, 2)), accumulate=True)
 
 
 def test_thread_count_does_not_change_bits():

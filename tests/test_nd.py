@@ -1,11 +1,18 @@
+import tracemalloc
+import warnings
+from collections import deque
+
 import numpy as np
 import pytest
 
 from netdos import (PartitionError, ProbeKind, build_csr, build_operator,
                     build_partition_tree, dos_moments, load_partition,
                     make_probes, nd_pdos_moments, save_partition)
+from netdos import nested_dissection
+from netdos.nested_dissection import PartitionNode, PartitionTree
 from netdos.pipeline import scaled_operator_for
-from netdos.testkit import chebyshev_values, erdos_renyi, exact_spectrum
+from netdos.testkit import (chebyshev_values, erdos_renyi, exact_spectrum,
+                            preferential_attachment)
 
 from conftest import grid_graph
 
@@ -155,3 +162,139 @@ def test_exactness_with_isolated_nodes():
     sop, want = _oracle_node_moments(g, "normalized-adjacency", 20)
     got = nd_pdos_moments(sop, tree, 20)
     assert np.abs(got.values - want).max() < 1e-10
+
+
+# Reference splitter: breadth-first searches written out in Python, one
+# neighbour at a time in stored order. The tree builder must pick exactly
+# the separators this reference picks.
+
+def _bfs_levels(g, members_mask, start):
+    levels = np.full(g.n, -1, dtype=np.int64)
+    levels[start] = 0
+    queue = deque([start])
+    order = [start]
+    while queue:
+        u = queue.popleft()
+        for v in g.neighbors(u).tolist():
+            if members_mask[v] and levels[v] < 0:
+                levels[v] = levels[u] + 1
+                queue.append(v)
+                order.append(v)
+    return levels, order
+
+
+def _reference_split_component(g, members):
+    mask = np.zeros(g.n, dtype=bool)
+    mask[members] = True
+    _, order = _bfs_levels(g, mask, int(members[0]))
+    levels, _ = _bfs_levels(g, mask, order[-1])
+    depth = int(levels[members].max())
+    if depth < 2:
+        return None
+    counts = np.bincount(levels[members], minlength=depth + 1)
+    below = np.cumsum(counts)
+    best, best_cost = 1, None
+    for lvl in range(1, depth):
+        cost = max(int(below[lvl - 1]), int(below[depth] - below[lvl]))
+        if best_cost is None or cost < best_cost:
+            best, best_cost = lvl, cost
+    lv = levels[members]
+    return members[lv == best], members[lv < best], members[lv > best]
+
+
+def _reference_components(g, members):
+    mask = np.zeros(g.n, dtype=bool)
+    mask[members] = True
+    out = []
+    for u in members.tolist():
+        if mask[u]:
+            _, order = _bfs_levels(g, mask, u)
+            comp = np.array(sorted(order), dtype=np.int64)
+            mask[comp] = False
+            out.append(comp)
+    return out
+
+
+def _disconnected_graph():
+    # a path, a star, a triangle, a 5x4 grid and two isolated nodes
+    edges = [(i, i + 1) for i in range(30)]
+    edges += [(31, 31 + k) for k in range(1, 9)]
+    edges += [(40, 41), (41, 42), (40, 42)]
+    grid = grid_graph(5, 4)
+    u, v, _ = grid.edge_list()
+    edges += [(43 + a, 43 + b) for a, b in zip(u.tolist(), v.tolist())]
+    return build_csr(edges, n=65)
+
+
+@pytest.mark.parametrize("make_graph, leaf_size", [
+    (lambda: grid_graph(64, 64), 256),
+    (lambda: grid_graph(20, 20), 50),
+    (_disconnected_graph, 6),
+    (lambda: erdos_renyi(300, 0.012, seed=5), 24),
+    (lambda: preferential_attachment(500, 1, seed=2), 20),
+], ids=["grid-64", "grid-20", "disconnected", "er", "pa-tree"])
+def test_partition_matches_reference_splitter(monkeypatch, make_graph, leaf_size):
+    g = make_graph()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got = build_partition_tree(g, leaf_size=leaf_size)
+        monkeypatch.setattr(nested_dissection, "_split_component",
+                            _reference_split_component)
+        monkeypatch.setattr(nested_dissection, "_components",
+                            _reference_components)
+        want = build_partition_tree(g, leaf_size=leaf_size)
+    assert len(got.nodes) == len(want.nodes) > 1
+    for a, b in zip(got.nodes, want.nodes):
+        assert a.parent == b.parent
+        for name in ("sep", "left", "right"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), (a.node_id, name)
+
+
+def test_crossing_edge_is_named():
+    # 6x6 grid, root separator = column 2; tree node 1 splits columns 0-1
+    # into {1, 6, 7} and rows 2-5, so edges (6, 12) and (7, 13) cross it
+    g = grid_graph(6, 6)
+
+    def ids(*xs):
+        return np.array(sorted(xs), dtype=np.int64)
+
+    def cols(*cs):
+        return ids(*(r * 6 + c for r in range(6) for c in cs))
+
+    below = ids(12, 13, 18, 19, 24, 25, 30, 31)
+    nodes = [
+        PartitionNode(0, -1, cols(2), cols(0, 1), cols(3, 4, 5)),
+        PartitionNode(1, 0, ids(0), ids(1, 6, 7), below),
+        PartitionNode(2, 1, ids(1, 6, 7), ids(), ids()),
+        PartitionNode(3, 1, below, ids(), ids()),
+        PartitionNode(4, 0, cols(3, 4, 5), ids(), ids()),
+    ]
+    tree = PartitionTree(n=g.n, nodes=nodes)
+    msg = r"edge \(6, 12\) crosses the separator of tree node 1"
+    with pytest.raises(PartitionError, match=msg):
+        tree.validate(g)
+    with pytest.raises(PartitionError, match=msg):
+        nd_pdos_moments(scaled_operator_for(g, "adjacency"), tree, 3)
+
+
+def test_moment_memory_stays_within_two_buffers_per_node():
+    g = grid_graph(40, 40)
+    sop = scaled_operator_for(g, "laplacian", seed=0)
+    tree = build_partition_tree(g, leaf_size=64)
+    m_max = 30
+    buffers = largest = 0
+    for t in tree.nodes:
+        rows = t.part.size + sum(tree.nodes[a].sep.size
+                                 for a in tree.ancestors(t.node_id))
+        buffers += 2 * rows * t.sep.size * 8
+        largest = max(largest, rows * t.sep.size * 8)
+    moments = g.n * (m_max + 1) * 8
+    # slack: one transient block, and the operator and its blocks in CSR
+    slack = largest + 32 * g.nnz
+    tracemalloc.start()
+    try:
+        nd_pdos_moments(sop, tree, m_max)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < buffers + moments + slack, (peak, buffers, moments, slack)
