@@ -6,7 +6,6 @@ or an exact nested-dissection recurrence, with motif detection/deflation to
 tame spectral spikes, plus a dense oracle and metrics for validation.
 """
 
-from ._kernels import BACKEND as KERNEL_BACKEND
 from .density import (SmoothedDensity, SpectralHistogram, evaluate_density,
                       histogram_from_moments)
 from .errors import (FileFormatError, GraphError, MotifError, NetdosError,
@@ -34,8 +33,8 @@ from .testkit import (ExactSpectrum, check_interlacing, erdos_renyi,
 __version__ = "0.1.0"
 
 __all__ = [
-    "KERNEL_BACKEND", "GraphCSR", "build_csr", "OperatorKind", "ScaleMap",
-    "ScaledOperator", "SymmetricCSROperator", "build_operator",
+    "GraphCSR", "build_csr", "OperatorKind", "ScaleMap", "ScaledOperator",
+    "SymmetricCSROperator", "build_operator",
     "estimate_spectral_range", "rescale_operator", "ProbeKind", "ProbeMatrix",
     "make_probes", "estimate_trace", "estimate_diagonal", "ChebMoments",
     "chebyshev_values", "dos_moments", "pdos_moments", "jackson_coefficients",

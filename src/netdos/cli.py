@@ -9,7 +9,6 @@ error (message on stderr), 2 usage error.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -28,13 +27,6 @@ _PROBE_KINDS = [k.value for k in ProbeKind]
 _MOTIF_KINDS = [k.value for k in MotifKind if k is not MotifKind.CUSTOM]
 
 
-def _default_threads():
-    env = os.environ.get("NETDOS_THREADS", "").strip()
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
 def _add_graph_args(p):
     p.add_argument("--input", required=True, help="graph file")
     p.add_argument("--format", choices=["edgelist", "matrix-market"], default=None)
@@ -50,8 +42,20 @@ def _add_common_args(p, moments_default=500):
                    help="spectral range override (default: estimated)")
     p.add_argument("--range-steps", type=int, default=100)
     p.add_argument("--range-margin", type=float, default=0.01)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=_positive_int, default=None,
+                   help="accepted for compatibility; has no effect, because "
+                        "the sparse kernel is serial")
     p.add_argument("--out", default=None, help="output path (default: stdout)")
+
+
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _range_arg(text):
@@ -99,9 +103,18 @@ def _emit(text):
         print(text)
 
 
+def _csv_written(args, hist):
+    """Write `hist` as CSV if --out-format csv asks for it; True if written."""
+    if args.out_format != "csv":
+        return False
+    if args.out is None:
+        raise NetdosError("--out-format csv requires --out")
+    fileio.write_histogram_csv(hist, args.out)
+    return True
+
+
 def _cmd_dos(args):
     g, _ = _load_graph(args)
-    threads = args.threads or _default_threads()
     result = pipeline.kpm_dos(
         g, operator=args.operator, m_max=args.moments, nz=args.probes,
         probe_kind=args.probe_kind, seed=args.seed, bins=args.bins,
@@ -109,15 +122,12 @@ def _cmd_dos(args):
         filter_kinds=_parse_filter_kinds(args.filter_motifs),
         range_=args.range, range_steps=args.range_steps,
         range_margin=args.range_margin, reinsert_spikes=not args.no_spikes,
-        negativity_tol=args.negativity_tol, threads=threads)
+        negativity_tol=args.negativity_tol)
     meta = {"method": "kpm", "operator": args.operator, "n": g.n,
             "bins": args.bins, "damping": not args.no_damping,
             "lambda_min": result.scaled_op.lambda_min,
             "lambda_max": result.scaled_op.lambda_max}
-    if args.out_format == "csv":
-        if args.out is None:
-            raise NetdosError("--out-format csv requires --out")
-        fileio.write_histogram_csv(result.histogram, args.out)
+    if _csv_written(args, result.histogram):
         return 0
     payload = fileio.moments_payload(result.moments, meta, result.adjustment)
     payload.update({k: v for k, v in
@@ -130,12 +140,11 @@ def _cmd_dos(args):
 
 def _cmd_pdos(args):
     g, node_ids = _load_graph(args)
-    threads = args.threads or _default_threads()
     moments, sop = pipeline.kpm_pdos(
         g, operator=args.operator, m_max=args.moments, nz=args.probes,
         probe_kind=args.probe_kind, seed=args.seed,
         range_=args.range, range_steps=args.range_steps,
-        range_margin=args.range_margin, threads=threads)
+        range_margin=args.range_margin)
     meta = {"method": "kpm", "operator": args.operator, "n": g.n,
             "node_ids": node_ids.tolist(),
             "lambda_min": sop.lambda_min, "lambda_max": sop.lambda_max}
@@ -145,10 +154,9 @@ def _cmd_pdos(args):
 
 def _cmd_gql(args):
     g, _ = _load_graph(args)
-    threads = args.threads or _default_threads()
     if args.node is not None:
         op = build_operator(g, OperatorKind(args.operator))
-        quad = gql_pdos(op, args.node, args.moments, threads=threads)
+        quad = gql_pdos(op, args.node, args.moments)
         meta = {"method": "gql", "operator": args.operator, "n": g.n,
                 "node": args.node, "steps": args.moments}
         _emit(fileio.write_json(fileio.quadrature_payload(quad, meta), args.out))
@@ -157,14 +165,11 @@ def _cmd_gql(args):
         g, operator=args.operator, steps=args.moments, nz=args.probes,
         probe_kind=args.probe_kind, seed=args.seed, bins=args.bins,
         range_=args.range, range_steps=args.range_steps,
-        range_margin=args.range_margin, threads=threads)
+        range_margin=args.range_margin)
     meta = {"method": "gql", "operator": args.operator, "n": g.n,
             "steps": args.moments, "nz": args.probes,
             "probe_kind": args.probe_kind, "seed": args.seed, "bins": args.bins}
-    if args.out_format == "csv":
-        if args.out is None:
-            raise NetdosError("--out-format csv requires --out")
-        fileio.write_histogram_csv(hist, args.out)
+    if _csv_written(args, hist):
         return 0
     _emit(fileio.write_json(fileio.histogram_payload(hist, meta), args.out))
     return 0
@@ -172,13 +177,11 @@ def _cmd_gql(args):
 
 def _cmd_nd_pdos(args):
     g, node_ids = _load_graph(args)
-    threads = args.threads or _default_threads()
     tree = load_partition(args.partition, n=g.n) if args.partition else None
     moments, sop, tree = pipeline.nd_pdos_pipeline(
         g, operator=args.operator, m_max=args.moments, seed=args.seed,
         leaf_size=args.leaf_size, tree=tree, range_=args.range,
-        range_steps=args.range_steps, range_margin=args.range_margin,
-        threads=threads)
+        range_steps=args.range_steps, range_margin=args.range_margin)
     if args.save_partition:
         save_partition(tree, args.save_partition)
     meta = {"method": "nd", "operator": args.operator, "n": g.n,
@@ -193,15 +196,8 @@ def _cmd_motifs(args):
     kinds = _parse_filter_kinds(args.kinds or "all")
     instances = detect_motifs(g, kinds={MotifKind(k) for k in kinds},
                               seed=args.seed, operator=OperatorKind(args.operator))
-    remapped = []
-    for inst in instances:
-        obj = {"kind": inst.kind.value,
-               "nodes": [int(node_ids[x]) for x in inst.nodes],
-               "eigenvalue": float(inst.eigenvalue),
-               "multiplicity": inst.multiplicity}
-        remapped.append(obj)
-    payload = {"record": "motifs", "operator": args.operator, "n": g.n,
-               "instances": remapped}
+    meta = {"operator": args.operator, "n": g.n}
+    payload = fileio.motifs_payload(instances, meta, node_ids=node_ids)
     _emit(fileio.write_json(payload, args.out))
     return 0
 
@@ -257,10 +253,7 @@ def _cmd_hist(args):
             "damping": not args.no_damping}
     if "node_ids" in payload:
         meta["node_ids"] = payload["node_ids"]
-    if args.out_format == "csv":
-        if args.out is None:
-            raise NetdosError("--out-format csv requires --out")
-        fileio.write_histogram_csv(hist, args.out)
+    if _csv_written(args, hist):
         return 0
     _emit(fileio.write_json(fileio.histogram_payload(hist, meta), args.out))
     return 0

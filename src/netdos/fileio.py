@@ -193,11 +193,17 @@ def quadrature_payload(quad: RitzQuadrature, meta=None) -> dict:
     return out
 
 
-def motifs_payload(instances, meta=None) -> dict:
-    out = dict(meta or {})
-    out["record"] = "motifs"
+def motifs_payload(instances, meta=None, node_ids=None) -> dict:
+    """Motif instances as a record; `node_ids` maps compact node ids back to
+    the input file's ids."""
+    def node(x):
+        return int(x if node_ids is None else node_ids[x])
+
+    # the record type leads, as in the motifs.json the CLI has always written
+    out = {"record": "motifs"}
+    out.update((k, v) for k, v in (meta or {}).items() if k != "record")
     out["instances"] = [
-        {"kind": inst.kind.value, "nodes": list(inst.nodes),
+        {"kind": inst.kind.value, "nodes": [node(x) for x in inst.nodes],
          "eigenvalue": float(inst.eigenvalue), "multiplicity": inst.multiplicity}
         for inst in instances]
     return out

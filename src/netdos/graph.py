@@ -2,8 +2,8 @@
 
 GraphCSR is the ground-truth object every other module consumes. It stores
 both directions of each undirected edge, keeps column indices sorted within
-each row, and is immutable after construction, so it is safe to share across
-worker threads.
+each row, and is immutable after construction, so callers may share it
+freely.
 """
 
 from __future__ import annotations

@@ -70,19 +70,19 @@ def chebyshev_values(m_max: int, x) -> np.ndarray:
     return out
 
 
-def _recurrence(sop, z, m_max, collect, threads):
+def _recurrence(sop, z, m_max, collect):
     """Drive T_m(H) z for m = 0..m_max, invoking collect(m, t_m) per degree."""
     # Copy: the rotation recycles this buffer, and z must stay intact.
     t_prev = np.array(z, dtype=np.float64, order="C", copy=True)
     collect(0, t_prev)
     if m_max == 0:
         return
-    t_cur = sop.apply(t_prev, threads=threads)
+    t_cur = sop.apply(t_prev)
     collect(1, t_cur)
     scratch = np.empty_like(t_cur)
     with np.errstate(over="ignore", invalid="ignore"):
         for m in range(2, m_max + 1):
-            t_next = sop.apply(t_cur, out=scratch, threads=threads)
+            t_next = sop.apply(t_cur, out=scratch)
             t_next *= 2.0
             t_next -= t_prev
             collect(m, t_next)
@@ -90,7 +90,7 @@ def _recurrence(sop, z, m_max, collect, threads):
 
 
 def dos_moments(sop, probes: ProbeMatrix, m_max: int,
-                effective_dim=None, threads=1) -> ChebMoments:
+                effective_dim=None) -> ChebMoments:
     """Global moments d_m = tr(T_m(H)) / N via stochastic trace estimation.
 
     With deflated probes pass effective_dim = N - r so the moments describe
@@ -107,7 +107,7 @@ def dos_moments(sop, probes: ProbeMatrix, m_max: int,
     def collect(m, t_m):
         contrib[m] = np.einsum("ij,ij->j", z, t_m)
 
-    _recurrence(sop, z, m_max, collect, threads)
+    _recurrence(sop, z, m_max, collect)
     if not np.all(np.isfinite(contrib)):
         raise RecurrenceBlowupError(
             "Chebyshev recurrence overflowed; re-estimate the spectral range "
@@ -118,7 +118,7 @@ def dos_moments(sop, probes: ProbeMatrix, m_max: int,
 
 
 def pdos_moments(sop, probes: ProbeMatrix, m_max: int,
-                 normalized=True, threads=1) -> ChebMoments:
+                 normalized=True) -> ChebMoments:
     """Per-node moments c_mk ~= T_m(H)_kk via stochastic diagonal estimation.
 
     The normalized estimator divides by the per-entry probe mass sum_j z_kj^2
@@ -135,7 +135,7 @@ def pdos_moments(sop, probes: ProbeMatrix, m_max: int,
     def collect(m, t_m):
         num[m] = np.einsum("ij,ij->i", z, t_m)
 
-    _recurrence(sop, z, m_max, collect, threads)
+    _recurrence(sop, z, m_max, collect)
     if not np.all(np.isfinite(num)):
         raise RecurrenceBlowupError(
             "Chebyshev recurrence overflowed; re-estimate the spectral range "

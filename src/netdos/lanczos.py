@@ -43,7 +43,7 @@ class LanczosFactorization:
         return eigh_tridiagonal(self.alphas, self.betas, eigvals_only=True)
 
 
-def lanczos_factorize(op, z, steps, keep_basis=False, threads=1) -> LanczosFactorization:
+def lanczos_factorize(op, z, steps, keep_basis=False) -> LanczosFactorization:
     """Run `steps` Lanczos iterations from z with full reorthogonalization."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -63,7 +63,7 @@ def lanczos_factorize(op, z, steps, keep_basis=False, threads=1) -> LanczosFacto
     k = 0
     for j in range(steps):
         q = basis[:, j]
-        w = op.apply(q, threads=threads)
+        w = op.apply(q)
         alphas[j] = float(q @ w)
         if not np.isfinite(alphas[j]):
             raise SpectralRangeError("NaN in Lanczos coefficients", iterations=j + 1)
@@ -101,13 +101,13 @@ class RitzQuadrature:
     exhausted: bool = False
 
 
-def lanczos_quadrature(op, z, steps, threads=1) -> RitzQuadrature:
+def lanczos_quadrature(op, z, steps) -> RitzQuadrature:
     """M-step Gauss rule for the spectral measure of H weighted by z.
 
     Exact for polynomials of degree <= 2M - 1; on breakdown the truncated
     rule is returned (exact, Krylov space exhausted).
     """
-    fact = lanczos_factorize(op, z, steps, keep_basis=False, threads=threads)
+    fact = lanczos_factorize(op, z, steps, keep_basis=False)
     if fact.steps == 1:
         nodes = fact.alphas.copy()
         weights = np.ones(1)
@@ -118,15 +118,15 @@ def lanczos_quadrature(op, z, steps, threads=1) -> RitzQuadrature:
                           z_norm_sq=fact.z_norm ** 2, exhausted=fact.exhausted)
 
 
-def gql_dos(op, probes: ProbeMatrix, steps, bins=50, spectral_range=None,
-            threads=1) -> SpectralHistogram:
+def gql_dos(op, probes: ProbeMatrix, steps, bins=50,
+            spectral_range=None) -> SpectralHistogram:
     """Average per-probe Ritz point masses into a histogram of the density."""
     if op.n != probes.n:
         raise ValueError("probe dimension does not match operator")
     all_nodes = []
     all_weights = []
     for j in range(probes.nz):
-        quad = lanczos_quadrature(op, probes.columns[:, j], steps, threads=threads)
+        quad = lanczos_quadrature(op, probes.columns[:, j], steps)
         all_nodes.append(quad.nodes)
         all_weights.append(quad.weights / probes.nz)
     nodes = np.concatenate(all_nodes)
@@ -141,13 +141,13 @@ def gql_dos(op, probes: ProbeMatrix, steps, bins=50, spectral_range=None,
                              normalization=float(weights.sum()))
 
 
-def gql_pdos(op, node, steps, threads=1) -> RitzQuadrature:
+def gql_pdos(op, node, steps) -> RitzQuadrature:
     """Quadrature for the per-node density (start vector e_node)."""
     if not 0 <= node < op.n:
         raise ValueError(f"node {node} out of range")
     z = np.zeros(op.n)
     z[node] = 1.0
-    return lanczos_quadrature(op, z, steps, threads=threads)
+    return lanczos_quadrature(op, z, steps)
 
 
 def quadrature_to_cheb_moments(quad: RitzQuadrature, m_max, scale_map=None,

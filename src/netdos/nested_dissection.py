@@ -354,8 +354,8 @@ def _node_state(t, tree, states, indptr, indices, data, lookup):
     return st
 
 
-def nd_pdos_moments(sop: ScaledOperator, tree: PartitionTree, m_max,
-                    threads=1) -> ChebMoments:
+def nd_pdos_moments(sop: ScaledOperator, tree: PartitionTree,
+                    m_max) -> ChebMoments:
     """Exact per-node moments c_mk = T_m(H)_kk via the partition tree."""
     if m_max < 0:
         raise ValueError("m_max must be >= 0")
@@ -390,8 +390,7 @@ def nd_pdos_moments(sop: ScaledOperator, tree: PartitionTree, m_max,
             top = st.prev[:st.npart]
             np.negative(top, out=top)
             ptr, idx, val = st.block
-            _kernels.csr_matvec(ptr, idx, val, st.cur, out=top,
-                                threads=threads, accumulate=True)
+            _kernels.csr_matvec(ptr, idx, val, st.cur, out=top, accumulate=True)
             st.prev, st.cur = st.cur, st.prev
             moments[st.sep, m + 1] = np.take(st.cur, st.diag)
 

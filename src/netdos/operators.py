@@ -57,9 +57,9 @@ class SymmetricCSROperator:
         self.data = np.ascontiguousarray(data, dtype=np.float64)
         self.kind = kind
 
-    def apply(self, x, out=None, threads=1):
+    def apply(self, x, out=None):
         return _kernels.csr_matvec(self.indptr, self.indices, self.data, x,
-                                   out=out, threads=threads)
+                                   out=out)
 
     def csr_arrays(self):
         return self.indptr, self.indices, self.data
@@ -139,8 +139,8 @@ class ScaledOperator:
     def scale_map(self) -> ScaleMap:
         return ScaleMap(self.shift, self.scale)
 
-    def apply(self, x, out=None, threads=1):
-        y = self.base.apply(x, out=out, threads=threads)
+    def apply(self, x, out=None):
+        y = self.base.apply(x, out=out)
         if self.shift != 0.0:
             y -= self.shift * x
         if self.scale != 1.0:

@@ -22,26 +22,6 @@ from .probes import ProbeKind, make_probes
 
 
 @dataclass
-class RunConfig:
-    """Knobs shared by the estimation pipelines (defaults follow the
-    reproduction presets: 500 moments, 20 hadamard probes, 50 bins)."""
-
-    operator: OperatorKind = OperatorKind.NORMALIZED_ADJACENCY
-    moments: int = 500
-    probes: int = 20
-    probe_kind: ProbeKind = ProbeKind.HADAMARD
-    bins: int = 50
-    seed: int = 0
-    damping: bool = True
-    filter_motifs: tuple = ()
-    method: str = "kpm"
-    range_steps: int = 100
-    range_margin: float = 0.01
-    leaf_size: int = 256
-    threads: int = 1
-
-
-@dataclass
 class DosResult:
     histogram: SpectralHistogram
     moments: ChebMoments
@@ -63,7 +43,7 @@ def kpm_dos(g, operator=OperatorKind.NORMALIZED_ADJACENCY, m_max=500, nz=20,
             probe_kind=ProbeKind.HADAMARD, seed=0, bins=50, damping=True,
             filter_kinds=(), custom_instances=(), range_=None, range_steps=100,
             range_margin=0.01, reinsert_spikes=True, edges=None,
-            negativity_tol=None, threads=1) -> DosResult:
+            negativity_tol=None) -> DosResult:
     """Full KPM pipeline: scale, (optionally) deflate motifs, estimate
     moments, integrate into a histogram with spike re-insertion."""
     sop = scaled_operator_for(g, operator, seed=seed, range_=range_,
@@ -81,8 +61,7 @@ def kpm_dos(g, operator=OperatorKind.NORMALIZED_ADJACENCY, m_max=500, nz=20,
         probes, adjustment = filter_probes(probes, instances)
         effective_dim = g.n - adjustment.deflated_dim
 
-    moments = dos_moments(sop, probes, m_max, effective_dim=effective_dim,
-                          threads=threads)
+    moments = dos_moments(sop, probes, m_max, effective_dim=effective_dim)
     hist = histogram_from_moments(
         moments, bins=bins, damping=damping, edges=edges,
         filter_adjustment=adjustment if reinsert_spikes else None,
@@ -93,16 +72,16 @@ def kpm_dos(g, operator=OperatorKind.NORMALIZED_ADJACENCY, m_max=500, nz=20,
 
 def kpm_pdos(g, operator=OperatorKind.NORMALIZED_ADJACENCY, m_max=500, nz=20,
              probe_kind=ProbeKind.HADAMARD, seed=0, range_=None,
-             range_steps=100, range_margin=0.01, threads=1):
+             range_steps=100, range_margin=0.01):
     sop = scaled_operator_for(g, operator, seed=seed, range_=range_,
                               range_steps=range_steps, range_margin=range_margin)
     probes = make_probes(g.n, nz, kind=probe_kind, seed=seed)
-    return pdos_moments(sop, probes, m_max, threads=threads), sop
+    return pdos_moments(sop, probes, m_max), sop
 
 
 def gql_dos_pipeline(g, operator=OperatorKind.NORMALIZED_ADJACENCY, steps=50,
                      nz=20, probe_kind=ProbeKind.HADAMARD, seed=0, bins=50,
-                     range_=None, range_steps=100, range_margin=0.01, threads=1):
+                     range_=None, range_steps=100, range_margin=0.01):
     """Histogram from averaged per-probe Ritz quadratures (no rescaling
     needed, but a range pins the bin edges)."""
     op = build_operator(g, OperatorKind(operator))
@@ -110,18 +89,17 @@ def gql_dos_pipeline(g, operator=OperatorKind.NORMALIZED_ADJACENCY, steps=50,
         range_ = estimate_spectral_range(op, probe_seed=seed, steps=range_steps,
                                          margin=range_margin)
     probes = make_probes(g.n, nz, kind=probe_kind, seed=seed)
-    return _gql_dos(op, probes, steps, bins=bins, spectral_range=range_,
-                    threads=threads)
+    return _gql_dos(op, probes, steps, bins=bins, spectral_range=range_)
 
 
 def nd_pdos_pipeline(g, operator=OperatorKind.NORMALIZED_ADJACENCY, m_max=50,
                      seed=0, leaf_size=256, tree=None, range_=None,
-                     range_steps=100, range_margin=0.01, threads=1):
+                     range_steps=100, range_margin=0.01):
     sop = scaled_operator_for(g, operator, seed=seed, range_=range_,
                               range_steps=range_steps, range_margin=range_margin)
     if tree is None:
         tree = build_partition_tree(g, leaf_size=leaf_size)
-    return nd_pdos_moments(sop, tree, m_max, threads=threads), sop, tree
+    return nd_pdos_moments(sop, tree, m_max), sop, tree
 
 
 def spike_bins(masses, factor=3.0, min_mass=0.01):

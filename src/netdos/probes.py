@@ -96,16 +96,16 @@ def with_columns(probes: ProbeMatrix, columns: np.ndarray) -> ProbeMatrix:
     return replace(probes, columns=np.ascontiguousarray(columns))
 
 
-def estimate_trace(op, probes: ProbeMatrix, threads=1) -> float:
+def estimate_trace(op, probes: ProbeMatrix) -> float:
     """Hutchinson trace estimate; exact for standard-basis probes at nz = n."""
     z = probes.columns
     if op.n != probes.n:
         raise ValueError("probe dimension does not match operator")
-    hz = op.apply(z, threads=threads)
+    hz = op.apply(z)
     return float(np.einsum("ij,ij->", z, hz) * probes.trace_scale)
 
 
-def estimate_diagonal(op, probes: ProbeMatrix, normalized=True, threads=1):
+def estimate_diagonal(op, probes: ProbeMatrix, normalized=True):
     """Stochastic diagonal estimate diag(H).
 
     The default normalized form divides elementwise by sum_j z_j^2, which is
@@ -115,7 +115,7 @@ def estimate_diagonal(op, probes: ProbeMatrix, normalized=True, threads=1):
     z = probes.columns
     if op.n != probes.n:
         raise ValueError("probe dimension does not match operator")
-    hz = op.apply(z, threads=threads)
+    hz = op.apply(z)
     num = np.einsum("ij,ij->i", z, hz)
     if not normalized:
         return num * probes.trace_scale

@@ -25,7 +25,7 @@ def test_criterion_01_kpm_histogram_matches_oracle():
     t0 = time.perf_counter()
     res = pipeline.kpm_dos(g, operator="normalized-adjacency", m_max=500,
                            nz=20, probe_kind=ProbeKind.HADAMARD, seed=7,
-                           bins=50, damping=True, threads=1)
+                           bins=50, damping=True)
     elapsed = time.perf_counter() - t0
     ev = testkit.exact_spectrum(nd.build_operator(g, "normalized-adjacency")).eigenvalues
     oracle = testkit.oracle_histogram(ev, res.histogram.edges)

@@ -124,6 +124,23 @@ def test_per_node_histograms():
     assert np.allclose(hist.masses.sum(axis=1), hist.normalization, atol=1e-8)
 
 
+def test_per_node_default_check_uses_node_average():
+    from netdos import pdos_moments
+    from netdos.testkit import preferential_attachment
+    g = preferential_attachment(300, 2, seed=1)
+    sop = scaled_operator_for(g, "normalized-adjacency")
+    mom = pdos_moments(sop, make_probes(g.n, 20, ProbeKind.HADAMARD, 0), 100)
+    hist = histogram_from_moments(mom, bins=50)
+    assert hist.masses.min() < -1e-3  # probe noise in single rows
+    assert hist.masses.mean(axis=0).min() > -1e-3
+    with pytest.raises(ValueError, match="^bin mass"):
+        histogram_from_moments(mom, bins=50, negativity_tol=1e-3)
+    bad = ChebMoments(mom.mode, mom.values.copy(), mom.scale_map, {})
+    bad.values[:, 1] += 1.0  # a bias shared by every row shows in the average
+    with pytest.raises(ValueError, match="node-averaged bin mass"):
+        histogram_from_moments(bad, bins=50)
+
+
 def test_delta_density_peak_height():
     sd = SmoothedDensity(_point_mass_moments(0.0, 800), sigma=0.1)
     peak = evaluate_density(sd, [0.0])[0]

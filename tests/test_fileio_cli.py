@@ -258,15 +258,18 @@ def test_histogram_payload_filter_block():
 
 
 def test_runconfig_reproduction_defaults():
-    from netdos.pipeline import RunConfig
-    cfg = RunConfig()
-    assert (cfg.moments, cfg.probes, cfg.bins) == (500, 20, 50)
-    assert cfg.probe_kind.value == "hadamard"
-    # the CLI mirrors the presets
+    # the reproduction presets live in the CLI and in the pipeline keywords;
+    # both must stay at 500 moments, 20 hadamard probes, 50 bins
+    import inspect
+
     from netdos.cli import build_parser
+    from netdos.pipeline import kpm_dos
     args = build_parser().parse_args(["dos", "--input", "x"])
     assert (args.moments, args.probes, args.bins) == (500, 20, 50)
     assert args.probe_kind == "hadamard"
+    params = inspect.signature(kpm_dos).parameters
+    lib = tuple(params[k].default for k in ("m_max", "nz", "bins", "probe_kind"))
+    assert lib == (args.moments, args.probes, args.bins, args.probe_kind)
 
 
 def test_write_spectral_output_dispatcher(tmp_path):
@@ -301,3 +304,31 @@ def test_cli_threads_flag_matches_serial(tmp_path):
                      "--seed", "2", "--threads", threads, "--out", out]) == 0
         outs.append(open(out, "rb").read())
     assert outs[0] == outs[1]
+    # --threads has no effect, but a count below 1 is still a usage error
+    for bad in ("0", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            main(["dos", "--input", gpath, "--threads", bad,
+                  "--out", str(tmp_path / "bad.json")])
+        assert exc.value.code == 2
+    assert not (tmp_path / "bad.json").exists()
+
+
+def test_cli_hist_on_per_node_moments(tmp_path, capsys):
+    # single pdos rows carry probe noise below -1e-3; the default check
+    # applies to their node average, an explicit tolerance to every row
+    gpath = str(tmp_path / "g.txt")
+    assert main(["generate", "--model", "pa", "--n", "300", "--m", "2",
+                 "--seed", "1", "--out", gpath]) == 0
+    pdos_out = str(tmp_path / "pdos.json")
+    assert main(["pdos", "--input", gpath, "--moments", "100", "--probes", "20",
+                 "--out", pdos_out]) == 0
+    hist_out = str(tmp_path / "hist.json")
+    assert main(["hist", "--moments-file", pdos_out, "--bins", "50",
+                 "--out", hist_out]) == 0
+    masses = np.array(json.loads(open(hist_out).read())["masses"])
+    assert masses.shape == (300, 50)
+    assert masses.min() < -1e-3 < masses.mean(axis=0).min()
+    capsys.readouterr()
+    assert main(["hist", "--moments-file", pdos_out, "--bins", "50",
+                 "--negativity-tol", "1e-3", "--out", hist_out]) == 1
+    assert "bin mass" in capsys.readouterr().err

@@ -1,15 +1,16 @@
-"""SpMV kernel checks: every backend matches the dense product to 1e-12,
-with and without accumulating into `out`, the active one gives the same
-bits at any thread count, and the scipy fallback's scratch stays within
-O(rows * k)."""
+"""SpMV kernel checks: both scipy routes (the in-place private ``csr_matvecs``
+loop and the public ``csr_array @ x`` product) and the ``csr_matvec`` entry
+point match the dense product to 1e-12, with and without accumulating into
+`out`; the scratch of a matvec stays within O(rows * k); and every estimator
+reaches the kernel through the one ``_kernels.csr_matvec`` attribute."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from netdos import _kernels
-from netdos._kernels import _csr_py
+from netdos import _kernels, pipeline, testkit
+from netdos.operators import build_operator, estimate_spectral_range
 
 
 def _random_csr(rng, n, density):
@@ -30,17 +31,26 @@ def _random_csr(rng, n, density):
             np.concatenate(vals), dense)
 
 
+def _routes():
+    """(name, kernel(indptr, indices, data, x, out, accumulate)) per route."""
+    routes = [("public-scipy", _kernels._public_matvec)]
+    if _kernels._csr_matvecs is not None:
+        routes.append(("sparsetools", _kernels._sparsetools_matvec))
+    return routes
+
+
 def test_backends_match_dense():
     rng = np.random.default_rng(0)
     for n, density in [(5, 0.5), (40, 0.1), (73, 0.05)]:
         indptr, idx, val, dense = _random_csr(rng, n, density)
         x = rng.standard_normal((n, 7))
         want = dense @ x
-        got_active = _kernels.csr_matvec(indptr, idx, val, x)
-        out = np.empty((n, 7))
-        _csr_py.csr_matvec(indptr, idx, val, np.ascontiguousarray(x), out)
-        assert np.array_equal(got_active, want) or np.allclose(got_active, want, atol=1e-12)
-        assert np.allclose(out, want, atol=1e-12)
+        got = _kernels.csr_matvec(indptr, idx, val, x)
+        assert np.allclose(got, want, atol=1e-12)
+        for name, kernel in _routes():
+            out = np.full((n, 7), np.nan)
+            kernel(indptr, idx, val, np.ascontiguousarray(x), out)
+            assert np.allclose(out, want, atol=1e-12), name
 
 
 def test_one_dimensional_input():
@@ -59,15 +69,15 @@ def test_empty_rows_and_empty_matrix():
     x = np.array([[1.0], [3.0], [5.0]])
     y = _kernels.csr_matvec(indptr, idx, val, x)
     assert np.array_equal(y, np.array([[0.0], [2.0], [0.0]]))
-    out = np.empty((3, 1))
-    _csr_py.csr_matvec(indptr, idx, val, x, out)
-    assert np.array_equal(out, np.array([[0.0], [2.0], [0.0]]))
-
     empty_ptr = np.zeros(4, dtype=np.int64)
-    out2 = np.empty((3, 2))
-    _csr_py.csr_matvec(empty_ptr, np.zeros(0, dtype=np.int64), np.zeros(0),
-                       np.ones((3, 2)), out2)
-    assert np.array_equal(out2, np.zeros((3, 2)))
+    for name, kernel in _routes():
+        out = np.full((3, 1), np.nan)
+        kernel(indptr, idx, val, x, out)
+        assert np.array_equal(out, np.array([[0.0], [2.0], [0.0]])), name
+        out2 = np.full((3, 2), np.nan)
+        kernel(empty_ptr, np.zeros(0, dtype=np.int64), np.zeros(0),
+               np.ones((3, 2)), out2)
+        assert np.array_equal(out2, np.zeros((3, 2))), name
 
 
 def _fuzz_blocks(seed):
@@ -93,23 +103,21 @@ def _fuzz_blocks(seed):
 
 def test_fuzz_rectangular_blocks_with_empty_rows():
     # submatrix extraction feeds rectangular CSR blocks whose trailing rows
-    # are often empty; both backends must agree with the dense product
+    # are often empty; every route must agree with the dense product
     for indptr, idx, val, dense, x in _fuzz_blocks(3):
         want = dense @ x
         got = _kernels.csr_matvec(indptr, idx, val, x)
-        out = np.empty_like(want)
-        _csr_py.csr_matvec(indptr, idx, val, x, out)
-        out_public = np.empty_like(want)
-        _csr_py._public_matvec(indptr, idx, val, x, out_public)
         assert np.allclose(got, want, atol=1e-12)
-        assert np.allclose(out, want, atol=1e-12)
-        assert np.allclose(out_public, want, atol=1e-12)
+        for name, kernel in _routes():
+            out = np.full_like(want, np.nan)
+            kernel(indptr, idx, val, x, out)
+            assert np.allclose(out, want, atol=1e-12), name
 
 
 _ACCUMULATE_PATHS = {
-    "sparsetools": lambda p, i, v, x, out: _csr_py._sparsetools_matvec(
+    "sparsetools": lambda p, i, v, x, out: _kernels._sparsetools_matvec(
         p, i, v, x, out, accumulate=True),
-    "public-scipy": lambda p, i, v, x, out: _csr_py._public_matvec(
+    "public-scipy": lambda p, i, v, x, out: _kernels._public_matvec(
         p, i, v, x, out, accumulate=True),
     "active": lambda p, i, v, x, out: _kernels.csr_matvec(
         p, i, v, x, out=out, accumulate=True),
@@ -118,7 +126,7 @@ _ACCUMULATE_PATHS = {
 
 @pytest.mark.parametrize("path", sorted(_ACCUMULATE_PATHS))
 def test_accumulate_adds_the_product(path):
-    if path == "sparsetools" and _csr_py._csr_matvecs is None:
+    if path == "sparsetools" and _kernels._csr_matvecs is None:
         pytest.skip("scipy has no _sparsetools.csr_matvecs")
     kernel = _ACCUMULATE_PATHS[path]
     rng = np.random.default_rng(5)
@@ -129,38 +137,23 @@ def test_accumulate_adds_the_product(path):
         assert np.allclose(out, out0 + dense @ x, atol=1e-12)
 
 
-def test_accumulate_thread_count_does_not_change_bits():
-    rng = np.random.default_rng(6)
-    indptr, idx, val, dense = _random_csr(rng, 64, 0.15)
-    x = rng.standard_normal((64, 9))
-    out0 = rng.standard_normal((64, 9))
-    y1, y4 = out0.copy(), out0.copy()
-    _kernels.csr_matvec(indptr, idx, val, x, out=y1, threads=1, accumulate=True)
-    _kernels.csr_matvec(indptr, idx, val, x, out=y4, threads=4, accumulate=True)
-    assert np.array_equal(y1, y4)
-    assert np.allclose(y1, out0 + dense @ x, atol=1e-12)
-
-
 def test_accumulate_needs_out():
     indptr, idx, val, _ = _random_csr(np.random.default_rng(7), 5, 0.5)
     with pytest.raises(ValueError, match="out"):
         _kernels.csr_matvec(indptr, idx, val, np.ones((5, 2)), accumulate=True)
 
 
-def test_thread_count_does_not_change_bits():
-    rng = np.random.default_rng(2)
-    indptr, idx, val, _ = _random_csr(rng, 64, 0.15)
-    x = rng.standard_normal((64, 9))
-    y1 = _kernels.csr_matvec(indptr, idx, val, x, threads=1)
-    y4 = _kernels.csr_matvec(indptr, idx, val, x, threads=4)
-    assert np.array_equal(y1, y4)
+_SCRATCH_KERNELS = {
+    "csr_matvec": lambda p, i, v, x, out: _kernels.csr_matvec(p, i, v, x, out=out),
+    "public-scipy": _kernels._public_matvec,
+}
 
 
-@pytest.mark.parametrize("kernel", [_csr_py.csr_matvec, _csr_py._public_matvec],
-                         ids=["fallback", "public-scipy"])
-def test_fallback_scratch_stays_within_two_blocks(kernel):
+@pytest.mark.parametrize("name", sorted(_SCRATCH_KERNELS))
+def test_scratch_stays_within_two_blocks(name):
     # the moment loop promises O(n * nz) memory; a kernel whose scratch
     # scales with nnz * k (a gather of x[indices]) breaks that at 1e6 edges
+    kernel = _SCRATCH_KERNELS[name]
     rng = np.random.default_rng(4)
     n, nnz, k = 20_000, 200_000, 20
     indptr = np.zeros(n + 1, dtype=np.int64)
@@ -181,3 +174,31 @@ def test_fallback_scratch_stays_within_two_blocks(kernel):
     want = np.zeros((n, k))
     np.add.at(want, rows, val[:, None] * x[idx])
     assert np.allclose(out, want, atol=1e-12)
+
+
+def test_every_estimator_calls_the_kernel_entry_point(monkeypatch):
+    # the benchmark's traced run counts matvecs by wrapping this attribute;
+    # a module that imported the function by name would bypass the count
+    calls = []
+    inner = _kernels.csr_matvec
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(_kernels, "csr_matvec", counting)
+    g = testkit.preferential_attachment(60, 2, seed=3)
+    runs = {
+        "kpm_dos": lambda: pipeline.kpm_dos(g, m_max=8, nz=4, bins=10),
+        "kpm_pdos": lambda: pipeline.kpm_pdos(g, m_max=8, nz=4),
+        "gql_dos_pipeline": lambda: pipeline.gql_dos_pipeline(
+            g, steps=5, nz=4, bins=10),
+        "nd_pdos_pipeline": lambda: pipeline.nd_pdos_pipeline(
+            g, m_max=8, leaf_size=16),
+        "estimate_spectral_range": lambda: estimate_spectral_range(
+            build_operator(g, "laplacian"), steps=10),
+    }
+    for name, run in runs.items():
+        calls.clear()
+        run()
+        assert calls, f"{name} never called _kernels.csr_matvec"

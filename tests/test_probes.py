@@ -11,7 +11,7 @@ class _DenseOp:
         self.h = np.asarray(h, dtype=np.float64)
         self.n = self.h.shape[0]
 
-    def apply(self, x, out=None, threads=1):
+    def apply(self, x, out=None):
         return self.h @ x
 
 
