@@ -21,9 +21,9 @@ from .motifs import (FilterAdjustment, MotifInstance, MotifKind, detect_motifs,
                      filter_probes, motif_eigenvalue, motif_eigenvectors)
 from .nested_dissection import (PartitionTree, build_partition_tree,
                                 load_partition, nd_pdos_moments, save_partition)
-from .operators import (OperatorKind, ScaledOperator, ScaleMap,
-                        SymmetricCSROperator, build_operator,
-                        estimate_spectral_range, rescale_operator)
+from .operators import (OperatorKind, ScaleMap, SymmetricCSROperator,
+                        build_operator, estimate_spectral_range,
+                        rescale_operator)
 from .probes import (ProbeKind, ProbeMatrix, estimate_diagonal, estimate_trace,
                      make_probes)
 from .testkit import (ExactSpectrum, check_interlacing, erdos_renyi,
@@ -33,7 +33,7 @@ from .testkit import (ExactSpectrum, check_interlacing, erdos_renyi,
 __version__ = "0.1.0"
 
 __all__ = [
-    "GraphCSR", "build_csr", "OperatorKind", "ScaleMap", "ScaledOperator",
+    "GraphCSR", "build_csr", "OperatorKind", "ScaleMap",
     "SymmetricCSROperator", "build_operator",
     "estimate_spectral_range", "rescale_operator", "ProbeKind", "ProbeMatrix",
     "make_probes", "estimate_trace", "estimate_diagonal", "ChebMoments",

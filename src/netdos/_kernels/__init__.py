@@ -74,15 +74,14 @@ def csr_matvec(indptr, indices, data, x, out=None, accumulate=False):
     """y = A @ x for CSR arrays, or out += A @ x with ``accumulate=True``.
 
     Accepts x of shape (n,) or (n, k). Arrays must be int64/float64; `out`,
-    when given, must be a C-contiguous (n, k) float64 buffer, and it is
-    required when accumulating.
+    when given, must be a C-contiguous float64 buffer of shape (rows,) or
+    (rows, k) like x, and it is required when accumulating. Returns `out`.
     """
-    one_d = x.ndim == 1
-    x2 = x[:, None] if one_d else x
-    x2 = np.ascontiguousarray(x2, dtype=np.float64)
+    x2 = np.ascontiguousarray(x[:, None] if x.ndim == 1 else x, dtype=np.float64)
     if out is None:
         if accumulate:
             raise ValueError("accumulate=True needs an `out` buffer")
-        out = np.empty((indptr.shape[0] - 1, x2.shape[1]))
-    _matvec(indptr, indices, data, x2, out, accumulate)
-    return out[:, 0] if one_d else out
+        out = np.empty((indptr.shape[0] - 1,) + x.shape[1:])
+    _matvec(indptr, indices, data, x2, out[:, None] if out.ndim == 1 else out,
+            accumulate)
+    return out

@@ -19,7 +19,7 @@ from .errors import NetdosError
 from .lanczos import gql_pdos
 from .motifs import MotifKind, detect_motifs
 from .nested_dissection import build_partition_tree, load_partition, save_partition
-from .operators import OperatorKind, build_operator, estimate_spectral_range
+from .operators import RANGE_MARGIN, RANGE_STEPS, OperatorKind, build_operator
 from .probes import ProbeKind
 
 _OPERATORS = [k.value for k in OperatorKind]
@@ -40,8 +40,8 @@ def _add_common_args(p, moments_default=500):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--range", type=_range_arg, default=None, metavar="LO,HI",
                    help="spectral range override (default: estimated)")
-    p.add_argument("--range-steps", type=int, default=100)
-    p.add_argument("--range-margin", type=float, default=0.01)
+    p.add_argument("--range-steps", type=int, default=RANGE_STEPS)
+    p.add_argument("--range-margin", type=float, default=RANGE_MARGIN)
     p.add_argument("--threads", type=_positive_int, default=None,
                    help="accepted for compatibility; has no effect, because "
                         "the sparse kernel is serial")
@@ -125,8 +125,8 @@ def _cmd_dos(args):
         negativity_tol=args.negativity_tol)
     meta = {"method": "kpm", "operator": args.operator, "n": g.n,
             "bins": args.bins, "damping": not args.no_damping,
-            "lambda_min": result.scaled_op.lambda_min,
-            "lambda_max": result.scaled_op.lambda_max}
+            "lambda_min": result.scaled_op.spectral_range[0],
+            "lambda_max": result.scaled_op.spectral_range[1]}
     if _csv_written(args, result.histogram):
         return 0
     payload = fileio.moments_payload(result.moments, meta, result.adjustment)
@@ -147,7 +147,8 @@ def _cmd_pdos(args):
         range_margin=args.range_margin)
     meta = {"method": "kpm", "operator": args.operator, "n": g.n,
             "node_ids": node_ids.tolist(),
-            "lambda_min": sop.lambda_min, "lambda_max": sop.lambda_max}
+            "lambda_min": sop.spectral_range[0],
+            "lambda_max": sop.spectral_range[1]}
     _emit(fileio.write_json(fileio.moments_payload(moments, meta), args.out))
     return 0
 
@@ -186,7 +187,8 @@ def _cmd_nd_pdos(args):
         save_partition(tree, args.save_partition)
     meta = {"method": "nd", "operator": args.operator, "n": g.n,
             "leaf_size": args.leaf_size, "node_ids": node_ids.tolist(),
-            "lambda_min": sop.lambda_min, "lambda_max": sop.lambda_max}
+            "lambda_min": sop.spectral_range[0],
+            "lambda_max": sop.spectral_range[1]}
     _emit(fileio.write_json(fileio.moments_payload(moments, meta), args.out))
     return 0
 

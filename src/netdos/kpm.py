@@ -1,10 +1,12 @@
 """Chebyshev moment computation for global and per-node spectral densities.
 
-Moments are taken against the scaled operator (spectrum inside [-1, 1]):
-the global sequence is d_m = trace(T_m(H)) / N and the per-node sequence is
-c_mk = T_m(H)_kk, both estimated through probe vectors with the three-term
-recurrence T_{m+1} = 2 H T_m - T_{m-1}. Only two recurrence blocks are kept,
-so memory is O(n * nz) independent of the number of moments.
+Moments are taken against H from `operators.rescale_operator`, a CSR
+operator whose arrays already hold (op - shift·I) / scale, so each step is
+one kernel call. The global sequence is d_m = trace(T_m(H)) / N and the
+per-node sequence is c_mk = T_m(H)_kk, both estimated through probe vectors
+with the three-term recurrence T_{m+1} = 2 H T_m - T_{m-1} in one checked
+loop. Only two recurrence blocks are kept, so memory is O(n * nz)
+independent of the number of moments.
 """
 
 from __future__ import annotations
@@ -70,23 +72,38 @@ def chebyshev_values(m_max: int, x) -> np.ndarray:
     return out
 
 
-def _recurrence(sop, z, m_max, collect):
-    """Drive T_m(H) z for m = 0..m_max, invoking collect(m, t_m) per degree."""
+def _recurrence(sop, probes: ProbeMatrix, m_max, subscripts):
+    """Rows r_m = einsum(subscripts, z, T_m(H) z) for m = 0..m_max.
+
+    Raises RecurrenceBlowupError when a row is not finite, which means the
+    spectrum of H is not inside [-1, 1].
+    """
+    if m_max < 0:
+        raise ValueError("m_max must be >= 0")
+    if sop.n != probes.n:
+        raise ValueError("probe dimension does not match operator")
+    z = probes.columns
     # Copy: the rotation recycles this buffer, and z must stay intact.
     t_prev = np.array(z, dtype=np.float64, order="C", copy=True)
-    collect(0, t_prev)
-    if m_max == 0:
-        return
-    t_cur = sop.apply(t_prev)
-    collect(1, t_cur)
-    scratch = np.empty_like(t_cur)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for m in range(2, m_max + 1):
-            t_next = sop.apply(t_cur, out=scratch)
-            t_next *= 2.0
-            t_next -= t_prev
-            collect(m, t_next)
-            t_prev, t_cur, scratch = t_cur, t_next, t_prev
+    first = np.einsum(subscripts, z, t_prev)
+    rows = np.empty((m_max + 1,) + first.shape)
+    rows[0] = first
+    if m_max >= 1:
+        t_cur = sop.apply(t_prev)
+        rows[1] = np.einsum(subscripts, z, t_cur)
+        scratch = np.empty_like(t_cur)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for m in range(2, m_max + 1):
+                t_next = sop.apply(t_cur, out=scratch)
+                t_next *= 2.0
+                t_next -= t_prev
+                rows[m] = np.einsum(subscripts, z, t_next)
+                t_prev, t_cur, scratch = t_cur, t_next, t_prev
+    if not np.all(np.isfinite(rows)):
+        raise RecurrenceBlowupError(
+            "Chebyshev recurrence overflowed; re-estimate the spectral range "
+            "with a larger margin")
+    return rows
 
 
 def dos_moments(sop, probes: ProbeMatrix, m_max: int,
@@ -96,22 +113,8 @@ def dos_moments(sop, probes: ProbeMatrix, m_max: int,
     With deflated probes pass effective_dim = N - r so the moments describe
     the density over the complement subspace.
     """
-    if m_max < 0:
-        raise ValueError("m_max must be >= 0")
-    if sop.n != probes.n:
-        raise ValueError("probe dimension does not match operator")
-    z = probes.columns
+    contrib = _recurrence(sop, probes, m_max, "ij,ij->j")
     denom = float(effective_dim) if effective_dim is not None else float(sop.n)
-    contrib = np.empty((m_max + 1, probes.nz))
-
-    def collect(m, t_m):
-        contrib[m] = np.einsum("ij,ij->j", z, t_m)
-
-    _recurrence(sop, z, m_max, collect)
-    if not np.all(np.isfinite(contrib)):
-        raise RecurrenceBlowupError(
-            "Chebyshev recurrence overflowed; re-estimate the spectral range "
-            "with a larger margin")
     values = contrib.sum(axis=1) * (probes.trace_scale / denom)
     return ChebMoments(mode=MODE_GLOBAL, values=values,
                        scale_map=sop.scale_map, probe_meta=probes.meta())
@@ -125,21 +128,8 @@ def pdos_moments(sop, probes: ProbeMatrix, m_max: int,
     (exact diagonal recovery for +-1 probes and for standard-basis probes at
     nz = n); normalized=False gives the raw 1/nz average.
     """
-    if m_max < 0:
-        raise ValueError("m_max must be >= 0")
-    if sop.n != probes.n:
-        raise ValueError("probe dimension does not match operator")
+    num = _recurrence(sop, probes, m_max, "ij,ij->i")
     z = probes.columns
-    num = np.empty((m_max + 1, sop.n))
-
-    def collect(m, t_m):
-        num[m] = np.einsum("ij,ij->i", z, t_m)
-
-    _recurrence(sop, z, m_max, collect)
-    if not np.all(np.isfinite(num)):
-        raise RecurrenceBlowupError(
-            "Chebyshev recurrence overflowed; re-estimate the spectral range "
-            "with a larger margin")
     if normalized:
         den = np.einsum("ij,ij->i", z, z)
         if np.any(den == 0.0):

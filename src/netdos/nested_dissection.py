@@ -8,7 +8,9 @@ partition or in ancestor separators, the update needs the ancestors' column
 blocks at degree m, which a pre-order traversal has just produced; the
 cross block T_m(I_s', I_s) is read from the ancestor's block by symmetry.
 Leaf blocks and separator columns expose the exact diagonal entries, so the
-result carries no stochastic error.
+result carries no stochastic error. H comes from `rescale_operator` with
+the map onto [-1, 1] already folded into its CSR arrays, which the blocks
+below are cut from directly.
 
 Each tree node holds one CSR block of 2·H over the rows I_p and the columns
 [I_p; the ancestor separators that I_p touches], and two dense buffers of
@@ -36,7 +38,7 @@ from . import _kernels
 from .errors import PartitionError
 from .graph import GraphCSR
 from .kpm import MODE_PER_NODE, ChebMoments
-from .operators import ScaledOperator
+from .operators import SymmetricCSROperator
 
 
 @dataclass
@@ -354,16 +356,16 @@ def _node_state(t, tree, states, indptr, indices, data, lookup):
     return st
 
 
-def nd_pdos_moments(sop: ScaledOperator, tree: PartitionTree,
+def nd_pdos_moments(sop: SymmetricCSROperator, tree: PartitionTree,
                     m_max) -> ChebMoments:
-    """Exact per-node moments c_mk = T_m(H)_kk via the partition tree."""
+    """Exact per-node moments c_mk = T_m(H)_kk via the partition tree, for
+    H = `sop` as returned by `rescale_operator`."""
     if m_max < 0:
         raise ValueError("m_max must be >= 0")
     n = sop.n
     if tree.n != n:
         raise PartitionError("partition tree built for a different graph")
-    scaled = sop.to_csr()
-    indptr, indices, data = scaled.csr_arrays()
+    indptr, indices, data = sop.indptr, sop.indices, sop.data
     tree.validate_arrays(n, indptr, indices)
 
     lookup = np.full(n, -1, dtype=np.int64)

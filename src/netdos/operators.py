@@ -1,10 +1,15 @@
-"""Symmetric graph operators and affine rescaling onto [-1, 1].
+"""Symmetric graph operators and their affine rescaling onto [-1, 1].
 
 Four matrix families are supported: the adjacency A, the combinatorial
 Laplacian L = D - A, the degree-normalized adjacency D^{-1/2} A D^{-1/2},
 and the normalized Laplacian I - D^{-1/2} A D^{-1/2}. Each is materialized
 as explicit CSR arrays so a single sparse kernel serves every family, and
 block extraction (needed by the nested-dissection recurrence) is cheap.
+
+The Chebyshev recurrences need H = (op - shift·I) / scale, with spectrum in
+[-1, 1]. `rescale_operator` folds that map into the CSR arrays once, so KPM,
+nested dissection, probes and Lanczos all see the same operator type, and a
+matvec costs the same with or without a shift.
 
 Isolated nodes under the normalized kinds use the convention D^{-1/2} = 0:
 the node contributes eigenvalue 0 to the normalized adjacency and
@@ -46,26 +51,36 @@ class ScaleMap:
 
 IDENTITY_MAP = ScaleMap(0.0, 1.0)
 
+# Defaults of the spectral-range estimate: Lanczos steps, and the widening of
+# the Ritz interval as a fraction of its spread.
+RANGE_STEPS = 100
+RANGE_MARGIN = 0.01
+
 
 class SymmetricCSROperator:
-    """Explicit symmetric sparse matrix with an O(|E|) matvec."""
+    """Explicit symmetric sparse matrix with an O(|E|) matvec.
 
-    def __init__(self, n, indptr, indices, data, kind):
+    `scale_map` takes the graph operator's eigenvalues to this matrix's, and
+    `spectral_range` is the (lo, hi) it was built from (None when unscaled).
+    """
+
+    def __init__(self, n, indptr, indices, data, kind, scale_map=IDENTITY_MAP,
+                 spectral_range=None):
         self.n = int(n)
         self.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
         self.indices = np.ascontiguousarray(indices, dtype=np.int64)
         self.data = np.ascontiguousarray(data, dtype=np.float64)
         self.kind = kind
+        self.scale_map = scale_map
+        self.spectral_range = spectral_range
 
     def apply(self, x, out=None):
         return _kernels.csr_matvec(self.indptr, self.indices, self.data, x,
                                    out=out)
 
-    def csr_arrays(self):
-        return self.indptr, self.indices, self.data
 
-
-def _assemble(n, rows, cols, vals, kind):
+def _assemble(n, rows, cols, vals, kind, scale_map=IDENTITY_MAP,
+              spectral_range=None):
     order = np.lexsort((cols, rows))
     rows, cols, vals = rows[order], cols[order], vals[order]
     if rows.size:
@@ -79,7 +94,8 @@ def _assemble(n, rows, cols, vals, kind):
     np.add.at(indptr, rows + 1, 1)
     np.cumsum(indptr, out=indptr)
     return SymmetricCSROperator(n, indptr, np.ascontiguousarray(cols),
-                                np.ascontiguousarray(vals), kind)
+                                np.ascontiguousarray(vals), kind, scale_map,
+                                spectral_range)
 
 
 def build_operator(g: GraphCSR, kind: OperatorKind) -> SymmetricCSROperator:
@@ -121,62 +137,32 @@ def build_operator(g: GraphCSR, kind: OperatorKind) -> SymmetricCSROperator:
     return _assemble(n, r, c, v, kind)
 
 
-@dataclass
-class ScaledOperator:
-    """Action of (H - shift) / scale with spectrum mapped into [-1, 1]."""
+def rescale_operator(op: SymmetricCSROperator,
+                     spectral_range) -> SymmetricCSROperator:
+    """CSR arrays of (op - shift·I) / scale, mapping [lo, hi] onto [-1, 1].
 
-    base: SymmetricCSROperator
-    shift: float
-    scale: float
-    lambda_min: float
-    lambda_max: float
-
-    @property
-    def n(self) -> int:
-        return self.base.n
-
-    @property
-    def scale_map(self) -> ScaleMap:
-        return ScaleMap(self.shift, self.scale)
-
-    def apply(self, x, out=None):
-        y = self.base.apply(x, out=out)
-        if self.shift != 0.0:
-            y -= self.shift * x
-        if self.scale != 1.0:
-            y /= self.scale
-        return y
-
-    def to_csr(self) -> SymmetricCSROperator:
-        """Explicit CSR arrays of the scaled matrix (diagonal gets -shift)."""
-        base = self.base
-        n = base.n
-        counts = np.diff(base.indptr)
-        rows = np.repeat(np.arange(n, dtype=np.int64), counts)
-        cols = base.indices
-        vals = base.data.copy()
-        if self.shift != 0.0:
-            rows = np.concatenate([rows, np.arange(n, dtype=np.int64)])
-            cols = np.concatenate([cols, np.arange(n, dtype=np.int64)])
-            vals = np.concatenate([vals, np.full(n, -self.shift)])
-        else:
-            cols = cols.copy()
-        vals /= self.scale
-        return _assemble(n, rows, cols, vals, base.kind)
-
-
-def rescale_operator(op: SymmetricCSROperator, spectral_range) -> ScaledOperator:
-    """Wrap op with the affine map sending [lambda_min, lambda_max] to [-1, 1]."""
+    The diagonal gains -shift (an entry is added where none is stored), every
+    value is divided by scale, and duplicates are merged by `_assemble`.
+    """
     lmin, lmax = float(spectral_range[0]), float(spectral_range[1])
     if not lmin < lmax:
         raise ValueError(f"degenerate spectral range ({lmin}, {lmax})")
     shift = 0.5 * (lmax + lmin)
     scale = 0.5 * (lmax - lmin)
-    return ScaledOperator(base=op, shift=shift, scale=scale,
-                          lambda_min=lmin, lambda_max=lmax)
+    n = op.n
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(op.indptr))
+    cols, vals = op.indices, op.data
+    if shift != 0.0:
+        diag = np.arange(n, dtype=np.int64)
+        rows = np.concatenate([rows, diag])
+        cols = np.concatenate([cols, diag])
+        vals = np.concatenate([vals, np.full(n, -shift)])
+    return _assemble(n, rows, cols, vals / scale, op.kind,
+                     ScaleMap(shift, scale), (lmin, lmax))
 
 
-def estimate_spectral_range(op, probe_seed=0, steps=100, margin=0.01):
+def estimate_spectral_range(op, probe_seed=0, steps=RANGE_STEPS,
+                            margin=RANGE_MARGIN):
     """Estimate (lambda_min, lambda_max) by Lanczos extremal Ritz values.
 
     The Ritz interval is inflated symmetrically by `margin` times the Ritz
@@ -184,7 +170,7 @@ def estimate_spectral_range(op, probe_seed=0, steps=100, margin=0.01):
     [-1, 1]. The normalized adjacency returns its analytic bounds (-1, 1)
     without iteration.
     """
-    if getattr(op, "kind", None) is OperatorKind.NORMALIZED_ADJACENCY:
+    if op.kind is OperatorKind.NORMALIZED_ADJACENCY:
         return (-1.0, 1.0)
     if steps < 2:
         raise ValueError("steps must be >= 2")

@@ -16,7 +16,8 @@ from .kpm import ChebMoments, dos_moments, pdos_moments
 from .lanczos import gql_dos as _gql_dos
 from .motifs import FilterAdjustment, MotifKind, detect_motifs, filter_probes
 from .nested_dissection import build_partition_tree, nd_pdos_moments
-from .operators import (OperatorKind, ScaledOperator, build_operator,
+from .operators import (RANGE_MARGIN, RANGE_STEPS, OperatorKind,
+                        SymmetricCSROperator, build_operator,
                         estimate_spectral_range, rescale_operator)
 from .probes import ProbeKind, make_probes
 
@@ -25,24 +26,33 @@ from .probes import ProbeKind, make_probes
 class DosResult:
     histogram: SpectralHistogram
     moments: ChebMoments
-    scaled_op: ScaledOperator
+    scaled_op: SymmetricCSROperator
     adjustment: FilterAdjustment | None = None
     instances: list = field(default_factory=list)
 
 
-def scaled_operator_for(g, operator, seed=0, range_=None, range_steps=100,
-                        range_margin=0.01) -> ScaledOperator:
+def _operator_and_range(g, operator, seed, range_, range_steps, range_margin):
+    """The unscaled operator and its spectral range (estimated unless given)."""
     op = build_operator(g, OperatorKind(operator))
     if range_ is None:
         range_ = estimate_spectral_range(op, probe_seed=seed, steps=range_steps,
                                          margin=range_margin)
-    return rescale_operator(op, range_)
+    return op, range_
+
+
+def scaled_operator_for(g, operator, seed=0, range_=None,
+                        range_steps=RANGE_STEPS,
+                        range_margin=RANGE_MARGIN) -> SymmetricCSROperator:
+    """The operator with its range folded in: spectrum inside [-1, 1]."""
+    return rescale_operator(*_operator_and_range(g, operator, seed, range_,
+                                                 range_steps, range_margin))
 
 
 def kpm_dos(g, operator=OperatorKind.NORMALIZED_ADJACENCY, m_max=500, nz=20,
             probe_kind=ProbeKind.HADAMARD, seed=0, bins=50, damping=True,
-            filter_kinds=(), custom_instances=(), range_=None, range_steps=100,
-            range_margin=0.01, reinsert_spikes=True, edges=None,
+            filter_kinds=(), custom_instances=(), range_=None,
+            range_steps=RANGE_STEPS, range_margin=RANGE_MARGIN,
+            reinsert_spikes=True, edges=None,
             negativity_tol=None) -> DosResult:
     """Full KPM pipeline: scale, (optionally) deflate motifs, estimate
     moments, integrate into a histogram with spike re-insertion."""
@@ -72,7 +82,7 @@ def kpm_dos(g, operator=OperatorKind.NORMALIZED_ADJACENCY, m_max=500, nz=20,
 
 def kpm_pdos(g, operator=OperatorKind.NORMALIZED_ADJACENCY, m_max=500, nz=20,
              probe_kind=ProbeKind.HADAMARD, seed=0, range_=None,
-             range_steps=100, range_margin=0.01):
+             range_steps=RANGE_STEPS, range_margin=RANGE_MARGIN):
     sop = scaled_operator_for(g, operator, seed=seed, range_=range_,
                               range_steps=range_steps, range_margin=range_margin)
     probes = make_probes(g.n, nz, kind=probe_kind, seed=seed)
@@ -81,20 +91,19 @@ def kpm_pdos(g, operator=OperatorKind.NORMALIZED_ADJACENCY, m_max=500, nz=20,
 
 def gql_dos_pipeline(g, operator=OperatorKind.NORMALIZED_ADJACENCY, steps=50,
                      nz=20, probe_kind=ProbeKind.HADAMARD, seed=0, bins=50,
-                     range_=None, range_steps=100, range_margin=0.01):
+                     range_=None, range_steps=RANGE_STEPS,
+                     range_margin=RANGE_MARGIN):
     """Histogram from averaged per-probe Ritz quadratures (no rescaling
     needed, but a range pins the bin edges)."""
-    op = build_operator(g, OperatorKind(operator))
-    if range_ is None:
-        range_ = estimate_spectral_range(op, probe_seed=seed, steps=range_steps,
-                                         margin=range_margin)
+    op, range_ = _operator_and_range(g, operator, seed, range_, range_steps,
+                                     range_margin)
     probes = make_probes(g.n, nz, kind=probe_kind, seed=seed)
     return _gql_dos(op, probes, steps, bins=bins, spectral_range=range_)
 
 
 def nd_pdos_pipeline(g, operator=OperatorKind.NORMALIZED_ADJACENCY, m_max=50,
                      seed=0, leaf_size=256, tree=None, range_=None,
-                     range_steps=100, range_margin=0.01):
+                     range_steps=RANGE_STEPS, range_margin=RANGE_MARGIN):
     sop = scaled_operator_for(g, operator, seed=seed, range_=range_,
                               range_steps=range_steps, range_margin=range_margin)
     if tree is None:

@@ -259,7 +259,8 @@ def test_histogram_payload_filter_block():
 
 def test_runconfig_reproduction_defaults():
     # the reproduction presets live in the CLI and in the pipeline keywords;
-    # both must stay at 500 moments, 20 hadamard probes, 50 bins
+    # both must stay at 500 moments, 20 hadamard probes, 50 bins, and range
+    # estimation at 100 Lanczos steps with a 0.01 margin
     import inspect
 
     from netdos.cli import build_parser
@@ -270,6 +271,21 @@ def test_runconfig_reproduction_defaults():
     params = inspect.signature(kpm_dos).parameters
     lib = tuple(params[k].default for k in ("m_max", "nz", "bins", "probe_kind"))
     assert lib == (args.moments, args.probes, args.bins, args.probe_kind)
+    # the range-estimate defaults: the CLI and every pipeline entry point use
+    # estimate_spectral_range's own
+    from netdos import pipeline
+    from netdos.operators import estimate_spectral_range
+    est = inspect.signature(estimate_spectral_range).parameters
+    want = (est["steps"].default, est["margin"].default)
+    assert want == (100, 0.01)
+    for cmd in ("dos", "pdos", "gql", "nd-pdos"):
+        args = build_parser().parse_args([cmd, "--input", "x"])
+        assert (args.range_steps, args.range_margin) == want, cmd
+    for fn in (pipeline.scaled_operator_for, pipeline.kpm_dos, pipeline.kpm_pdos,
+               pipeline.gql_dos_pipeline, pipeline.nd_pdos_pipeline):
+        params = inspect.signature(fn).parameters
+        got = (params["range_steps"].default, params["range_margin"].default)
+        assert got == want, fn.__name__
 
 
 def test_write_spectral_output_dispatcher(tmp_path):

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from netdos import _kernels, pipeline, testkit
-from netdos.operators import build_operator, estimate_spectral_range
+from netdos.operators import (SymmetricCSROperator, build_operator,
+                              estimate_spectral_range)
 
 
 def _random_csr(rng, n, density):
@@ -53,13 +54,29 @@ def test_backends_match_dense():
             assert np.allclose(out, want, atol=1e-12), name
 
 
-def test_one_dimensional_input():
+def test_one_dimensional_input(monkeypatch):
     rng = np.random.default_rng(1)
     indptr, idx, val, dense = _random_csr(rng, 20, 0.2)
     x = rng.standard_normal(20)
     y = _kernels.csr_matvec(indptr, idx, val, x)
     assert y.shape == (20,)
     assert np.allclose(y, dense @ x)
+    # a 1-d `out` is filled and returned on either route, also when
+    # accumulating and through SymmetricCSROperator.apply
+    op = SymmetricCSROperator(20, indptr, idx, val, "adjacency")
+    for name, kernel in _routes():
+        monkeypatch.setattr(_kernels, "_matvec", kernel)
+        out = np.full(20, np.nan)
+        assert _kernels.csr_matvec(indptr, idx, val, x, out=out) is out
+        assert np.allclose(out, dense @ x, atol=1e-12), name
+        out0 = rng.standard_normal(20)
+        out = out0.copy()
+        assert _kernels.csr_matvec(indptr, idx, val, x, out=out,
+                                   accumulate=True) is out
+        assert np.allclose(out, out0 + dense @ x, atol=1e-12), name
+        buf = np.full(20, np.nan)
+        assert op.apply(x, out=buf) is buf
+        assert np.allclose(buf, dense @ x, atol=1e-12), name
 
 
 def test_empty_rows_and_empty_matrix():

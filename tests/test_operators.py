@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from netdos import (OperatorKind, SpectralRangeError, build_csr, build_operator,
+from netdos import (OperatorKind, ScaleMap, SpectralRangeError,
+                    SymmetricCSROperator, build_csr, build_operator,
                     estimate_spectral_range, rescale_operator)
 from netdos.testkit import dense_matrix, erdos_renyi, exact_spectrum
 
@@ -134,11 +135,24 @@ def test_scaled_spectrum_in_unit_interval_with_exact_bounds():
         assert scaled[-1] <= 1.0 + 1e-12
 
 
-def test_to_csr_matches_action():
-    g = erdos_renyi(40, 0.15, seed=9)
-    op = build_operator(g, OperatorKind.LAPLACIAN)
-    sop = rescale_operator(op, estimate_spectral_range(op, probe_seed=3))
-    assert np.allclose(dense_matrix(sop.to_csr()), dense_matrix(sop), atol=1e-14)
+def test_rescale_folds_shift_and_scale_into_csr():
+    # node 4 is isolated and node 3 carries a self-loop, so the fold both adds
+    # diagonal entries and merges into stored ones
+    g = build_csr([(0, 1), (1, 2), (0, 2), (2, 3), (3, 3, 2.0), (3, 5)], n=6,
+                  allow_self_loops=True)
+    for kind in ALL_KINDS:
+        op = build_operator(g, kind)
+        for spectral_range in (estimate_spectral_range(op, probe_seed=3),
+                               (-2.0, 2.0), (-0.5, 3.25)):
+            sop = rescale_operator(op, spectral_range)
+            assert isinstance(sop, SymmetricCSROperator)
+            assert sop.kind is op.kind
+            assert sop.spectral_range == spectral_range
+            lo, hi = spectral_range
+            shift, scale = 0.5 * (hi + lo), 0.5 * (hi - lo)
+            assert sop.scale_map == ScaleMap(shift, scale)
+            want = (dense_matrix(op) - shift * np.eye(g.n)) / scale
+            assert np.allclose(dense_matrix(sop), want, rtol=0, atol=1e-14)
 
 
 def test_entrywise_equality_at_500_nodes():
