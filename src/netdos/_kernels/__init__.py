@@ -8,28 +8,39 @@ serial and deterministic: the same inputs give the same bits.
 
 The loop is reached through ``scipy.sparse._sparsetools.csr_matvecs``, which
 writes straight into ``out`` with no scratch at all. That name is private
-scipy API, so it is used only if it imports and passes a small self-check at
-import time; otherwise the public ``csr_array @ x`` product is computed and
-copied into ``out``. With ``accumulate=True`` the product is added to
-``out`` instead: the private loop simply skips zeroing ``out`` first.
+scipy API, so it is used only if it imports and passes a small self-check,
+run on the first ``csr_matvec`` call; otherwise the public ``csr_array @ x``
+product is computed and copied into ``out``. With ``accumulate=True`` the
+product is added to ``out`` instead: the private loop simply skips zeroing
+``out`` first.
 
 Every estimator reaches the kernel as ``_kernels.csr_matvec`` (an attribute
-lookup at call time), so wrapping that one name sees every matvec.
+lookup at call time), so wrapping that one name sees every matvec. scipy is
+imported on that first call, not when the module is, so commands that never
+multiply (``motifs``, ``hist``, ``generate``) start without it.
 """
 
 from __future__ import annotations
 
-import numpy as np
-from scipy import sparse
+from functools import cache
 
-try:
-    from scipy.sparse._sparsetools import csr_matvecs as _csr_matvecs
-except ImportError:
-    _csr_matvecs = None
+import numpy as np
+
+
+@cache
+def _private_matvecs():
+    """scipy's in-place ``_sparsetools.csr_matvecs``, or None if it is gone."""
+    try:
+        from scipy.sparse._sparsetools import csr_matvecs
+    except ImportError:
+        return None
+    return csr_matvecs
 
 
 def _public_matvec(indptr, indices, data, x, out, accumulate=False):
     """out (+)= A @ x through the public scipy product (one (rows, k) temporary)."""
+    from scipy import sparse
+
     a = sparse.csr_array((data, indices, indptr),
                          shape=(indptr.shape[0] - 1, x.shape[0]))
     if accumulate:
@@ -46,13 +57,13 @@ def _sparsetools_matvec(indptr, indices, data, x, out, accumulate=False):
         return
     if not accumulate:
         out.fill(0.0)
-    _csr_matvecs(indptr.shape[0] - 1, x.shape[0], x.shape[1],
-                 indptr, indices, data, x.ravel(), out.ravel())
+    _private_matvecs()(indptr.shape[0] - 1, x.shape[0], x.shape[1],
+                       indptr, indices, data, x.ravel(), out.ravel())
 
 
 def _select_matvec():
     """The in-place private entry point if it works here, else the public one."""
-    if _csr_matvecs is None:
+    if _private_matvecs() is None:
         return _public_matvec
     indptr = np.array([0, 1, 1, 3], dtype=np.int64)
     indices = np.array([0, 0, 1], dtype=np.int64)
@@ -67,7 +78,7 @@ def _select_matvec():
     return _sparsetools_matvec if np.array_equal(got, want) else _public_matvec
 
 
-_matvec = _select_matvec()
+_matvec = None  # the selected route; chosen on the first csr_matvec call
 
 
 def csr_matvec(indptr, indices, data, x, out=None, accumulate=False):
@@ -82,6 +93,9 @@ def csr_matvec(indptr, indices, data, x, out=None, accumulate=False):
         if accumulate:
             raise ValueError("accumulate=True needs an `out` buffer")
         out = np.empty((indptr.shape[0] - 1,) + x.shape[1:])
+    global _matvec
+    if _matvec is None:
+        _matvec = _select_matvec()
     _matvec(indptr, indices, data, x2, out[:, None] if out.ndim == 1 else out,
             accumulate)
     return out

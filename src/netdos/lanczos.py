@@ -5,6 +5,9 @@ Full reorthogonalization is always on: desk-scale step counts make the
 O(n M^2) cost acceptable and it eliminates the ghost eigenvalues that would
 otherwise corrupt spike estimates. A vanishing residual is treated as an
 exhausted Krylov space (the truncated rule is then exact), not a failure.
+
+The k x k tridiagonal (k is the step count, at most a few hundred) is
+eigensolved densely by ``numpy.linalg``, so Lanczos needs no scipy.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .density import SpectralHistogram
 from .errors import SpectralRangeError
@@ -37,10 +39,13 @@ class LanczosFactorization:
     def steps(self) -> int:
         return int(self.alphas.shape[0])
 
+    def tridiagonal(self) -> np.ndarray:
+        """The dense steps x steps tridiagonal matrix T."""
+        return (np.diag(self.alphas) + np.diag(self.betas, 1)
+                + np.diag(self.betas, -1))
+
     def ritz_values(self) -> np.ndarray:
-        if self.steps == 1:
-            return self.alphas.copy()
-        return eigh_tridiagonal(self.alphas, self.betas, eigvals_only=True)
+        return np.linalg.eigvalsh(self.tridiagonal())
 
 
 def lanczos_factorize(op, z, steps, keep_basis=False) -> LanczosFactorization:
@@ -108,12 +113,8 @@ def lanczos_quadrature(op, z, steps) -> RitzQuadrature:
     rule is returned (exact, Krylov space exhausted).
     """
     fact = lanczos_factorize(op, z, steps, keep_basis=False)
-    if fact.steps == 1:
-        nodes = fact.alphas.copy()
-        weights = np.ones(1)
-    else:
-        nodes, vecs = eigh_tridiagonal(fact.alphas, fact.betas)
-        weights = vecs[0, :] ** 2
+    nodes, vecs = np.linalg.eigh(fact.tridiagonal())
+    weights = vecs[0, :] ** 2
     return RitzQuadrature(nodes=nodes, weights=weights,
                           z_norm_sq=fact.z_norm ** 2, exhausted=fact.exhausted)
 

@@ -32,7 +32,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_array
 
 from . import _kernels
 from .errors import PartitionError
@@ -126,6 +125,10 @@ def _induced_subgraph(g, members):
     Rows keep their stored column order, so traversals visit neighbours in
     the same order as a walk over ``g`` itself would.
     """
+    # scipy is imported by the functions that use it, so that commands
+    # without nested dissection start without it
+    from scipy.sparse import csr_array
+
     take, counts = _row_entries(g.row_ptr, members)
     cols = g.col_idx[take]
     local = np.minimum(np.searchsorted(members, cols), members.shape[0] - 1)
@@ -139,7 +142,6 @@ def _induced_subgraph(g, members):
 
 def _split_component(g, members):
     """Level-set separator from a pseudo-peripheral BFS; None if inseparable."""
-    # imported here: csgraph adds ~20 ms to the start-up of every command
     from scipy.sparse.csgraph import breadth_first_order, shortest_path
 
     sub = _induced_subgraph(g, members)

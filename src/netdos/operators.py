@@ -141,8 +141,11 @@ def rescale_operator(op: SymmetricCSROperator,
                      spectral_range) -> SymmetricCSROperator:
     """CSR arrays of (op - shift·I) / scale, mapping [lo, hi] onto [-1, 1].
 
-    The diagonal gains -shift (an entry is added where none is stored), every
-    value is divided by scale, and duplicates are merged by `_assemble`.
+    Every value is divided by scale and -shift/scale is added to the stored
+    diagonal; a row with no stored diagonal gets one, inserted in column
+    order. Entries that come out exactly 0.0 are dropped. The rows of `op`
+    must hold each column at most once, as `build_operator` gives them; no
+    entry is re-sorted.
     """
     lmin, lmax = float(spectral_range[0]), float(spectral_range[1])
     if not lmin < lmax:
@@ -151,14 +154,23 @@ def rescale_operator(op: SymmetricCSROperator,
     scale = 0.5 * (lmax - lmin)
     n = op.n
     rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(op.indptr))
-    cols, vals = op.indices, op.data
+    cols, vals = op.indices, op.data / scale
     if shift != 0.0:
-        diag = np.arange(n, dtype=np.int64)
-        rows = np.concatenate([rows, diag])
-        cols = np.concatenate([cols, diag])
-        vals = np.concatenate([vals, np.full(n, -shift)])
-    return _assemble(n, rows, cols, vals / scale, op.kind,
-                     ScaleMap(shift, scale), (lmin, lmax))
+        diag = cols == rows
+        vals[diag] += -shift / scale
+        missing = np.bincount(rows[diag], minlength=n) == 0
+        # a new diagonal goes after the row's entries left of the diagonal
+        at = op.indptr[:-1] + np.bincount(rows[cols < rows], minlength=n)
+        new = np.flatnonzero(missing)
+        rows = np.insert(rows, at[new], new)
+        cols = np.insert(cols, at[new], new)
+        vals = np.insert(vals, at[new], -shift / scale)
+    keep = vals != 0.0
+    rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return SymmetricCSROperator(n, indptr, cols, vals, op.kind,
+                                ScaleMap(shift, scale), (lmin, lmax))
 
 
 def estimate_spectral_range(op, probe_seed=0, steps=RANGE_STEPS,

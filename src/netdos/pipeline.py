@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .density import SpectralHistogram, histogram_from_moments
 from .kpm import ChebMoments, dos_moments, pdos_moments
 from .lanczos import gql_dos as _gql_dos
@@ -109,37 +107,3 @@ def nd_pdos_pipeline(g, operator=OperatorKind.NORMALIZED_ADJACENCY, m_max=50,
     if tree is None:
         tree = build_partition_tree(g, leaf_size=leaf_size)
     return nd_pdos_moments(sop, tree, m_max), sop, tree
-
-
-def spike_bins(masses, factor=3.0, min_mass=0.01):
-    """Indices of bins exceeding `factor` times their largest neighbor.
-
-    Bins below `min_mass` never count: a spike must carry real mass, not
-    just dominate an empty stretch of the spectrum.
-    """
-    m = np.asarray(masses, dtype=np.float64)
-    out = []
-    for i in range(m.shape[0]):
-        if m[i] < min_mass:
-            continue
-        nbrs = []
-        if i > 0:
-            nbrs.append(m[i - 1])
-        if i + 1 < m.shape[0]:
-            nbrs.append(m[i + 1])
-        if m[i] > factor * max(nbrs):
-            out.append(i)
-    return out
-
-
-def is_unimodal(masses, rel_tol=0.05) -> bool:
-    """True when masses rise to a single peak then fall, up to wiggles of
-    rel_tol times the peak mass."""
-    m = np.asarray(masses, dtype=np.float64)
-    slack = rel_tol * float(m.max())
-    peak = int(np.argmax(m))
-    rising = m[: peak + 1]
-    falling = m[peak:]
-    ok_up = np.all(np.diff(rising) >= -slack)
-    ok_down = np.all(np.diff(falling) <= slack)
-    return bool(ok_up and ok_down)

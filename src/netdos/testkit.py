@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .graph import GraphCSR, _csr_from_canonical
 from .kpm import chebyshev_values
@@ -36,6 +35,8 @@ def exact_spectrum(op, want_vectors=False, cap=DENSE_ORACLE_CAP) -> ExactSpectru
     if op.n > cap:
         raise ValueError(f"oracle capped at {cap} nodes (got {op.n}); "
                          "it exists for validation, not production")
+    from scipy.linalg import eigh  # only the oracle needs scipy.linalg
+
     h = dense_matrix(op)
     if want_vectors:
         vals, vecs = eigh(h)
@@ -112,6 +113,40 @@ def check_interlacing(full, reduced, r, slack=1e-10):
         if mu[i] < lo - slack or mu[i] > hi + slack:
             return False, (i, float(lo), float(mu[i]), float(hi))
     return True, None
+
+
+def spike_bins(masses, factor=3.0, min_mass=0.01):
+    """Indices of bins exceeding `factor` times their largest neighbor.
+
+    Bins below `min_mass` never count: a spike must carry real mass, not
+    just dominate an empty stretch of the spectrum.
+    """
+    m = np.asarray(masses, dtype=np.float64)
+    out = []
+    for i in range(m.shape[0]):
+        if m[i] < min_mass:
+            continue
+        nbrs = []
+        if i > 0:
+            nbrs.append(m[i - 1])
+        if i + 1 < m.shape[0]:
+            nbrs.append(m[i + 1])
+        if m[i] > factor * max(nbrs):
+            out.append(i)
+    return out
+
+
+def is_unimodal(masses, rel_tol=0.05) -> bool:
+    """True when masses rise to a single peak then fall, up to wiggles of
+    rel_tol times the peak mass."""
+    m = np.asarray(masses, dtype=np.float64)
+    slack = rel_tol * float(m.max())
+    peak = int(np.argmax(m))
+    rising = m[: peak + 1]
+    falling = m[peak:]
+    ok_up = np.all(np.diff(rising) >= -slack)
+    ok_down = np.all(np.diff(falling) <= slack)
+    return bool(ok_up and ok_down)
 
 
 def semicircle_bin_masses(edges, radius) -> np.ndarray:

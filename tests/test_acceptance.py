@@ -179,8 +179,8 @@ def test_criterion_07_jackson_convergence():
 def test_criterion_08_model_verification():
     g_pa = testkit.preferential_attachment(5000, 5, seed=2)
     res = pipeline.kpm_dos(g_pa, m_max=500, nz=20, seed=3, bins=51)
-    assert pipeline.is_unimodal(res.histogram.masses)
-    assert pipeline.spike_bins(res.histogram.masses) == []
+    assert testkit.is_unimodal(res.histogram.masses)
+    assert testkit.spike_bins(res.histogram.masses) == []
 
     g_sparse = testkit.small_world(5000, 2, 0.5, seed=5)     # |E| = 5000
     g_dense = testkit.small_world(5000, 20, 0.5, seed=5)     # |E| = 50000
@@ -189,8 +189,8 @@ def test_criterion_08_model_verification():
     r_dense = pipeline.kpm_dos(g_dense, m_max=2000, nz=20, seed=3, bins=201)
     edges = r_sparse.histogram.edges
     targets = {bin_index(edges, v) for v in (-1.0, 0.0, 1.0)}
-    sparse_spikes = set(pipeline.spike_bins(r_sparse.histogram.masses))
-    dense_spikes = set(pipeline.spike_bins(r_dense.histogram.masses))
+    sparse_spikes = set(testkit.spike_bins(r_sparse.histogram.masses))
+    dense_spikes = set(testkit.spike_bins(r_dense.histogram.masses))
     assert targets <= sparse_spikes
     assert sparse_spikes <= targets
     assert not dense_spikes

@@ -1,8 +1,10 @@
 """SpMV kernel checks: both scipy routes (the in-place private ``csr_matvecs``
 loop and the public ``csr_array @ x`` product) and the ``csr_matvec`` entry
 point match the dense product to 1e-12, with and without accumulating into
-`out`; the scratch of a matvec stays within O(rows * k); and every estimator
-reaches the kernel through the one ``_kernels.csr_matvec`` attribute."""
+`out`; the first call picks the route by a self-check and falls back to the
+public product when that fails; the scratch of a matvec stays within
+O(rows * k); and every estimator reaches the kernel through the one
+``_kernels.csr_matvec`` attribute."""
 
 import tracemalloc
 
@@ -35,7 +37,7 @@ def _random_csr(rng, n, density):
 def _routes():
     """(name, kernel(indptr, indices, data, x, out, accumulate)) per route."""
     routes = [("public-scipy", _kernels._public_matvec)]
-    if _kernels._csr_matvecs is not None:
+    if _kernels._private_matvecs() is not None:
         routes.append(("sparsetools", _kernels._sparsetools_matvec))
     return routes
 
@@ -143,7 +145,7 @@ _ACCUMULATE_PATHS = {
 
 @pytest.mark.parametrize("path", sorted(_ACCUMULATE_PATHS))
 def test_accumulate_adds_the_product(path):
-    if path == "sparsetools" and _kernels._csr_matvecs is None:
+    if path == "sparsetools" and _kernels._private_matvecs() is None:
         pytest.skip("scipy has no _sparsetools.csr_matvecs")
     kernel = _ACCUMULATE_PATHS[path]
     rng = np.random.default_rng(5)
@@ -152,6 +154,48 @@ def test_accumulate_adds_the_product(path):
         out = out0.copy()
         kernel(indptr, idx, val, x, out)
         assert np.allclose(out, out0 + dense @ x, atol=1e-12)
+
+
+def test_first_call_self_checks_and_picks_sparsetools(monkeypatch):
+    real = _kernels._private_matvecs()
+    if real is None:
+        pytest.skip("scipy has no _sparsetools.csr_matvecs")
+    calls = []
+
+    def spy(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(_kernels, "_private_matvecs", lambda: spy)
+    monkeypatch.setattr(_kernels, "_matvec", None)
+    indptr, idx, val, dense = _random_csr(np.random.default_rng(8), 12, 0.3)
+    x = np.ones((12, 3))
+    assert np.allclose(_kernels.csr_matvec(indptr, idx, val, x), dense @ x,
+                       atol=1e-12)
+    assert _kernels._matvec is _kernels._sparsetools_matvec
+    assert len(calls) == 2  # the self-check, then the product
+    _kernels.csr_matvec(indptr, idx, val, x)
+    assert len(calls) == 3  # the route is kept: no second self-check
+
+
+def _skips_the_product(n_row, n_col, n_vec, indptr, indices, data, x, out):
+    pass
+
+
+def _rejects_the_arguments(*args):
+    raise TypeError("unexpected argument types")
+
+
+@pytest.mark.parametrize("private", [_skips_the_product, _rejects_the_arguments,
+                                     None])
+def test_failed_self_check_falls_back_to_public(monkeypatch, private):
+    monkeypatch.setattr(_kernels, "_private_matvecs", lambda: private)
+    monkeypatch.setattr(_kernels, "_matvec", None)
+    indptr, idx, val, dense = _random_csr(np.random.default_rng(9), 12, 0.3)
+    x = np.ones((12, 3))
+    assert np.allclose(_kernels.csr_matvec(indptr, idx, val, x), dense @ x,
+                       atol=1e-12)
+    assert _kernels._matvec is _kernels._public_matvec
 
 
 def test_accumulate_needs_out():

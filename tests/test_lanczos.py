@@ -176,3 +176,34 @@ def test_factorization_basis_orthonormal():
     gram = fact.basis.T @ fact.basis
     assert np.abs(gram - np.eye(fact.steps)).max() <= 1e-8
     assert np.all(fact.betas > 0) or fact.exhausted
+
+
+def test_dense_eigensolver_matches_tridiagonal_solver():
+    # Ritz nodes and Gauss weights come from numpy's dense eigh of the k x k
+    # tridiagonal; scipy's dedicated tridiagonal solver must agree to roundoff
+    from scipy.linalg import eigh_tridiagonal
+
+    from netdos.lanczos import lanczos_factorize
+
+    er = erdos_renyi(150, 0.05, seed=12)
+    star = build_csr([(0, i) for i in range(1, 7)])  # Laplacian: 3 eigenvalues
+    cases = []
+    for kind in (OperatorKind.ADJACENCY, OperatorKind.LAPLACIAN,
+                 OperatorKind.NORMALIZED_LAPLACIAN):
+        z = np.random.default_rng(4).standard_normal(er.n)
+        cases += [(build_operator(er, kind), z, 40),
+                  (build_operator(er, kind), z, 2)]
+    cases.append((build_operator(star, OperatorKind.LAPLACIAN), np.ones(7) +
+                  np.arange(7), 6))
+    exhausted = 0
+    for op, z, steps in cases:
+        fact = lanczos_factorize(op, z, steps)
+        exhausted += fact.exhausted
+        nodes, vecs = eigh_tridiagonal(fact.alphas, fact.betas)
+        spread = nodes[-1] - nodes[0]
+        assert np.abs(fact.ritz_values() - nodes).max() <= 1e-12 * spread
+        quad = lanczos_quadrature(op, z, steps)
+        assert quad.exhausted == fact.exhausted
+        assert np.abs(quad.nodes - nodes).max() <= 1e-12 * spread
+        assert np.abs(quad.weights - vecs[0] ** 2).max() <= 1e-13
+    assert exhausted == 1

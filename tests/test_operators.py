@@ -4,6 +4,7 @@ import pytest
 from netdos import (OperatorKind, ScaleMap, SpectralRangeError,
                     SymmetricCSROperator, build_csr, build_operator,
                     estimate_spectral_range, rescale_operator)
+from netdos.operators import _assemble
 from netdos.testkit import dense_matrix, erdos_renyi, exact_spectrum
 
 from conftest import dense_from_graph
@@ -153,6 +154,50 @@ def test_rescale_folds_shift_and_scale_into_csr():
             assert sop.scale_map == ScaleMap(shift, scale)
             want = (dense_matrix(op) - shift * np.eye(g.n)) / scale
             assert np.allclose(dense_matrix(sop), want, rtol=0, atol=1e-14)
+
+
+def _rescale_by_resorting(op, spectral_range):
+    """The fold as a full re-sort: -shift appended to every diagonal, all
+    values divided by scale, then sorted, merged and zero-dropped by
+    `_assemble`."""
+    lo, hi = spectral_range
+    shift, scale = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    rows = np.repeat(np.arange(op.n, dtype=np.int64), np.diff(op.indptr))
+    cols, vals = op.indices, op.data
+    if shift != 0.0:
+        diag = np.arange(op.n, dtype=np.int64)
+        rows = np.concatenate([rows, diag])
+        cols = np.concatenate([cols, diag])
+        vals = np.concatenate([vals, np.full(op.n, -shift)])
+    return _assemble(op.n, rows, cols, vals / scale, op.kind)
+
+
+def test_rescale_row_merge_equals_resorting_bit_for_bit():
+    # nodes 4 and 6 are isolated (empty rows), node 3 carries a self-loop of
+    # weight 2 and node 1 has degree 2, so the range (1, 3) (shift 2,
+    # scale 1) cancels the adjacency diagonal of node 3 and the Laplacian
+    # diagonal of node 1 to exactly zero
+    loops = build_csr([(0, 1), (1, 2), (0, 2), (2, 3), (3, 3, 2.0), (3, 5)],
+                      n=7, allow_self_loops=True)
+    graphs = [loops, erdos_renyi(80, 0.04, seed=11), build_csr([], n=3)]
+    ranges = [(1.0, 3.0), (-2.0, 2.0), (-0.5, 3.25), (0.0, 1e-3), (-7.0, -1.0)]
+    for g in graphs:
+        for kind in ALL_KINDS:
+            op = build_operator(g, kind)
+            for spectral_range in ranges + [estimate_spectral_range(op)]:
+                got = rescale_operator(op, spectral_range)
+                want = _rescale_by_resorting(op, spectral_range)
+                assert np.array_equal(got.indptr, want.indptr)
+                assert np.array_equal(got.indices, want.indices)
+                assert got.data.tobytes() == want.data.tobytes()
+    for kind, node in ((OperatorKind.ADJACENCY, 3), (OperatorKind.LAPLACIAN, 1)):
+        op = build_operator(loops, kind)
+        assert _stores(op, node, node)
+        assert not _stores(rescale_operator(op, (1.0, 3.0)), node, node)
+
+
+def _stores(op, i, j):
+    return j in op.indices[op.indptr[i]:op.indptr[i + 1]]
 
 
 def test_entrywise_equality_at_500_nodes():
