@@ -8,33 +8,76 @@ serial and deterministic: the same inputs give the same bits.
 
 The loop is reached through ``scipy.sparse._sparsetools.csr_matvecs``, which
 writes straight into ``out`` with no scratch at all. That name is private
-scipy API, so it is used only if it imports and passes a small self-check,
+scipy API, so it is used only if it loads and passes a small self-check,
 run on the first ``csr_matvec`` call; otherwise the public ``csr_array @ x``
 product is computed and copied into ``out``. With ``accumulate=True`` the
 product is added to ``out`` instead: the private loop simply skips zeroing
 ``out`` first.
 
+The compiled extension is loaded from its own file, without running
+``scipy.sparse/__init__``: ``importlib.util.find_spec("scipy")`` finds the
+scipy folder without importing it, and ``ExtensionFileLoader`` loads
+``sparse/_sparsetools`` under the first of
+``importlib.machinery.EXTENSION_SUFFIXES`` that exists. That ``__init__``
+costs about 0.25 s, mostly ``scipy._lib.array_api_compat`` importing
+``numpy.f2py``, ``numpy.testing`` and ``numpy.ma``; the extension alone
+loads in under 2 ms. An extension already in ``sys.modules`` (``nd-pdos``
+imports ``scipy.sparse`` for csgraph) is reused, and one loaded here is
+kept out of ``sys.modules``. Any failure to load it selects the public
+product, which imports ``scipy.sparse`` as usual.
+
 Every estimator reaches the kernel as ``_kernels.csr_matvec`` (an attribute
-lookup at call time), so wrapping that one name sees every matvec. scipy is
-imported on that first call, not when the module is, so commands that never
-multiply (``motifs``, ``hist``, ``generate``) start without it.
+lookup at call time), so wrapping that one name sees every matvec. The
+extension is loaded on that first call, not when the module is, so commands
+that never multiply (``motifs``, ``hist``, ``generate``) start without it.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from functools import cache
 
 import numpy as np
 
 
+_EXTENSION = "scipy.sparse._sparsetools"
+
+
 @cache
 def _private_matvecs():
     """scipy's in-place ``_sparsetools.csr_matvecs``, or None if it is gone."""
-    try:
-        from scipy.sparse._sparsetools import csr_matvecs
-    except ImportError:
+    module = sys.modules.get(_EXTENSION)
+    if module is None:
+        try:
+            module = _load_extension()
+        except Exception:  # private scipy layout: any failure means no route
+            return None
+    return getattr(module, "csr_matvecs", None)
+
+
+def _load_extension():
+    """The ``_sparsetools`` extension module, loaded from its file alone."""
+    scipy = importlib.util.find_spec("scipy")  # finds scipy, imports nothing
+    if scipy is None:
         return None
-    return csr_matvecs
+    folder = os.path.join(os.path.dirname(scipy.origin), "sparse")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(folder, "_sparsetools" + suffix)
+        if os.path.isfile(path):
+            loader = importlib.machinery.ExtensionFileLoader(_EXTENSION, path)
+            module = importlib.util.module_from_spec(
+                importlib.util.spec_from_loader(_EXTENSION, loader))
+            loader.exec_module(module)
+            # A single-phase extension registers itself in sys.modules; left
+            # there, a later ``import scipy.sparse`` would take it and never
+            # bind ``scipy.sparse._sparsetools``.
+            if sys.modules.get(_EXTENSION) is module:
+                del sys.modules[_EXTENSION]
+            return module
+    return None
 
 
 def _public_matvec(indptr, indices, data, x, out, accumulate=False):

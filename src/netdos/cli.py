@@ -154,10 +154,13 @@ def _cmd_pdos(args):
 
 
 def _cmd_gql(args):
-    g, _ = _load_graph(args)
+    g, node_ids = _load_graph(args)
     if args.node is not None:
+        index = np.flatnonzero(node_ids == args.node)
+        if index.size == 0:
+            raise NetdosError(f"node {args.node} is not in {args.input}")
         op = build_operator(g, OperatorKind(args.operator))
-        quad = gql_pdos(op, args.node, args.moments)
+        quad = gql_pdos(op, int(index[0]), args.moments)
         meta = {"method": "gql", "operator": args.operator, "n": g.n,
                 "node": args.node, "steps": args.moments}
         _emit(fileio.write_json(fileio.quadrature_payload(quad, meta), args.out))
@@ -299,7 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default=ProbeKind.HADAMARD.value)
     p.add_argument("--bins", type=int, default=50)
     p.add_argument("--node", type=int, default=None,
-                   help="emit the per-node quadrature for this node instead")
+                   help="emit the per-node quadrature for this node id (as "
+                        "listed in node_ids by the other outputs) instead")
     p.add_argument("--out-format", choices=["json", "csv"], default="json")
     p.set_defaults(fn=_cmd_gql)
 

@@ -5,8 +5,17 @@ operator whose arrays already hold (op - shift·I) / scale, so each step is
 one kernel call. The global sequence is d_m = trace(T_m(H)) / N and the
 per-node sequence is c_mk = T_m(H)_kk, both estimated through probe vectors
 with the three-term recurrence T_{m+1} = 2 H T_m - T_{m-1} in one checked
-loop. Only two recurrence blocks are kept, so memory is O(n * nz)
-independent of the number of moments.
+loop. Each step negates T_{m-1} z in place and accumulates (2·H) T_m z into
+it with one kernel call, so only two recurrence blocks are kept and memory
+is O(n * nz) independent of the number of moments.
+
+Global moments use the doubling identity T_2m = 2 T_m^2 - T_0 and
+T_2m+1 = 2 T_m+1 T_m - T_1: each step's block t_m = T_m(H) z yields two
+moments, z^T T_2m z = 2 t_m^T t_m - z^T z and
+z^T T_2m+1 z = 2 t_m+1^T t_m - z^T t_1, so M moments take M/2 matvecs.
+Per-node moments keep the full recurrence, one moment per matvec: the
+doubled diagonal (T_2m)_kk = 2 sum_l (T_m)_kl^2 - 1 needs the whole row k
+of T_m, which a block of probes does not give.
 """
 
 from __future__ import annotations
@@ -15,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .errors import RecurrenceBlowupError
 from .operators import ScaleMap
 from .probes import ProbeMatrix
@@ -72,9 +82,11 @@ def chebyshev_values(m_max: int, x) -> np.ndarray:
     return out
 
 
-def _recurrence(sop, probes: ProbeMatrix, m_max, subscripts):
-    """Rows r_m = einsum(subscripts, z, T_m(H) z) for m = 0..m_max.
+def _recurrence(sop, probes: ProbeMatrix, m_max, width, steps, collect):
+    """Rows (m_max + 1, width) filled by collect from t_0 .. t_steps.
 
+    t_m = T_m(H) z comes from the three-term recurrence, and
+    collect(rows, z, m, t_{m-1}, t_m) runs once per m (t_{-1} is None).
     Raises RecurrenceBlowupError when a row is not finite, which means the
     spectrum of H is not inside [-1, 1].
     """
@@ -83,22 +95,23 @@ def _recurrence(sop, probes: ProbeMatrix, m_max, subscripts):
     if sop.n != probes.n:
         raise ValueError("probe dimension does not match operator")
     z = probes.columns
-    # Copy: the rotation recycles this buffer, and z must stay intact.
+    rows = np.empty((m_max + 1, width))
+    # Copy: the recurrence overwrites this buffer, and z must stay intact.
     t_prev = np.array(z, dtype=np.float64, order="C", copy=True)
-    first = np.einsum(subscripts, z, t_prev)
-    rows = np.empty((m_max + 1,) + first.shape)
-    rows[0] = first
-    if m_max >= 1:
-        t_cur = sop.apply(t_prev)
-        rows[1] = np.einsum(subscripts, z, t_cur)
-        scratch = np.empty_like(t_cur)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for m in range(2, m_max + 1):
-                t_next = sop.apply(t_cur, out=scratch)
-                t_next *= 2.0
-                t_next -= t_prev
-                rows[m] = np.einsum(subscripts, z, t_next)
-                t_prev, t_cur, scratch = t_cur, t_next, t_prev
+    with np.errstate(over="ignore", invalid="ignore"):
+        collect(rows, z, 0, None, t_prev)
+        if steps >= 1:
+            t_cur = sop.apply(t_prev)
+            collect(rows, z, 1, t_prev, t_cur)
+            # t_m+1 = 2 H t_m - t_m-1 overwrites t_m-1: negate it, then let
+            # the kernel accumulate (2·H) t_m into it (doubling is exact)
+            twice = 2.0 * sop.data
+            for m in range(2, steps + 1):
+                np.negative(t_prev, out=t_prev)
+                _kernels.csr_matvec(sop.indptr, sop.indices, twice, t_cur,
+                                    out=t_prev, accumulate=True)
+                t_prev, t_cur = t_cur, t_prev
+                collect(rows, z, m, t_prev, t_cur)
     if not np.all(np.isfinite(rows)):
         raise RecurrenceBlowupError(
             "Chebyshev recurrence overflowed; re-estimate the spectral range "
@@ -106,14 +119,36 @@ def _recurrence(sop, probes: ProbeMatrix, m_max, subscripts):
     return rows
 
 
+def _per_probe_doubled(rows, z, m, t_prev, t):
+    """rows[m, j] = z_j^T T_m(H) z_j, two moments per step by doubling.
+
+    T_2m = 2 T_m^2 - T_0 and T_2m+1 = 2 T_m+1 T_m - T_1 give
+    mu_2m = 2 <t_m, t_m> - mu_0 and mu_2m+1 = 2 <t_m+1, t_m> - mu_1, so
+    moments 0..M need t_0 .. t_ceil(M/2).
+    """
+    if m <= 1:
+        rows[m] = np.einsum("ij,ij->j", z, t)
+    else:
+        rows[2 * m - 1] = 2.0 * np.einsum("ij,ij->j", t, t_prev) - rows[1]
+    if 0 < 2 * m < rows.shape[0]:
+        rows[2 * m] = 2.0 * np.einsum("ij,ij->j", t, t) - rows[0]
+
+
+def _per_node(rows, z, m, t_prev, t):
+    """rows[m, k] = sum_j z_kj (T_m(H) z_j)_k, one moment per step."""
+    rows[m] = np.einsum("ij,ij->i", z, t)
+
+
 def dos_moments(sop, probes: ProbeMatrix, m_max: int,
                 effective_dim=None) -> ChebMoments:
     """Global moments d_m = tr(T_m(H)) / N via stochastic trace estimation.
 
     With deflated probes pass effective_dim = N - r so the moments describe
-    the density over the complement subspace.
+    the density over the complement subspace. The doubling identity gives
+    the M + 1 moments from ceil(M / 2) matvecs.
     """
-    contrib = _recurrence(sop, probes, m_max, "ij,ij->j")
+    contrib = _recurrence(sop, probes, m_max, probes.nz, (m_max + 1) // 2,
+                          _per_probe_doubled)
     denom = float(effective_dim) if effective_dim is not None else float(sop.n)
     values = contrib.sum(axis=1) * (probes.trace_scale / denom)
     return ChebMoments(mode=MODE_GLOBAL, values=values,
@@ -128,7 +163,7 @@ def pdos_moments(sop, probes: ProbeMatrix, m_max: int,
     (exact diagonal recovery for +-1 probes and for standard-basis probes at
     nz = n); normalized=False gives the raw 1/nz average.
     """
-    num = _recurrence(sop, probes, m_max, "ij,ij->i")
+    num = _recurrence(sop, probes, m_max, probes.n, m_max, _per_node)
     z = probes.columns
     if normalized:
         den = np.einsum("ij,ij->i", z, z)

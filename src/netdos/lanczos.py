@@ -6,6 +6,17 @@ O(n M^2) cost acceptable and it eliminates the ghost eigenvalues that would
 otherwise corrupt spike estimates. A vanishing residual is treated as an
 exhausted Krylov space (the truncated rule is then exact), not a failure.
 
+The Krylov basis is stored row-major, one row q_j per step, so each q_j and
+each leading block Q[:j+1] is contiguous and both classical Gram-Schmidt
+passes, w -= (Q w) Q, run as two contiguous matrix-vector products. That
+reorthogonalization, not the matvec, is most of the cost of a step.
+
+Probes are run one after another, not in lockstep as one block. A lockstep
+batch keeps a basis per probe alive at once, nz times the memory, and its
+Gram-Schmidt work stays one matrix-vector product per probe, so it buys
+nothing back: on an 8,000-node tree, 20 probes x 50 steps took 0.26-0.29 s
+in lockstep against 0.22 s one probe at a time (2-CPU x86 host).
+
 The k x k tridiagonal (k is the step count, at most a few hundred) is
 eigensolved densely by ``numpy.linalg``, so Lanczos needs no scipy.
 """
@@ -59,16 +70,17 @@ def lanczos_factorize(op, z, steps, keep_basis=False) -> LanczosFactorization:
 
     n = z.shape[0]
     steps = min(steps, n)
-    basis = np.empty((n, steps))
-    basis[:, 0] = z / z_norm
+    basis = np.empty((steps, n))  # row j is q_j
+    basis[0] = z / z_norm
+    w = np.empty(n)  # the one matvec buffer, reused every step
     alphas = np.empty(steps)
     betas = np.empty(max(steps - 1, 0))
     exhausted = False
     hnorm = 0.0
     k = 0
     for j in range(steps):
-        q = basis[:, j]
-        w = op.apply(q)
+        q = basis[j]
+        op.apply(q, out=w)
         alphas[j] = float(q @ w)
         if not np.isfinite(alphas[j]):
             raise SpectralRangeError("NaN in Lanczos coefficients", iterations=j + 1)
@@ -77,9 +89,9 @@ def lanczos_factorize(op, z, steps, keep_basis=False) -> LanczosFactorization:
         if j == steps - 1:
             break
         # Two classical Gram-Schmidt passes against the whole basis.
-        q_block = basis[:, : j + 1]
+        q_block = basis[: j + 1]
         for _ in range(2):
-            w -= q_block @ (q_block.T @ w)
+            w -= (q_block @ w) @ q_block
         beta = float(np.linalg.norm(w))
         if not np.isfinite(beta):
             raise SpectralRangeError("NaN in Lanczos residual", iterations=j + 1)
@@ -88,11 +100,11 @@ def lanczos_factorize(op, z, steps, keep_basis=False) -> LanczosFactorization:
             break
         betas[j] = beta
         hnorm = max(hnorm, beta)
-        basis[:, j + 1] = w / beta
+        np.divide(w, beta, out=basis[j + 1])
 
     return LanczosFactorization(alphas=alphas[:k].copy(), betas=betas[: k - 1].copy(),
                                 z_norm=z_norm,
-                                basis=basis[:, :k].copy() if keep_basis else None,
+                                basis=basis[:k].T.copy() if keep_basis else None,
                                 exhausted=exhausted)
 
 
@@ -112,7 +124,7 @@ def lanczos_quadrature(op, z, steps) -> RitzQuadrature:
     Exact for polynomials of degree <= 2M - 1; on breakdown the truncated
     rule is returned (exact, Krylov space exhausted).
     """
-    fact = lanczos_factorize(op, z, steps, keep_basis=False)
+    fact = lanczos_factorize(op, z, steps)
     nodes, vecs = np.linalg.eigh(fact.tridiagonal())
     weights = vecs[0, :] ** 2
     return RitzQuadrature(nodes=nodes, weights=weights,

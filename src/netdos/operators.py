@@ -191,7 +191,7 @@ def estimate_spectral_range(op, probe_seed=0, steps=RANGE_STEPS,
     n = op.n
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([int(probe_seed), 0x52414E47])))
     z = rng.standard_normal(n)
-    fact = lanczos_factorize(op, z, min(steps, n), keep_basis=True)
+    fact = lanczos_factorize(op, z, min(steps, n))
     if not (np.all(np.isfinite(fact.alphas)) and np.all(np.isfinite(fact.betas))):
         raise SpectralRangeError("NaN breakdown during range estimation",
                                  iterations=len(fact.alphas))

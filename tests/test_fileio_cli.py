@@ -190,6 +190,29 @@ def test_cli_nd_and_gql(tmp_path):
     assert abs(sum(obj["masses"]) - 1.0) < 1e-8
 
 
+def test_cli_gql_node_takes_the_file_id(tmp_path, capsys):
+    # ids 10 20 30 40 compact to 0..3; --node names a node by its file id,
+    # and the record reports that id
+    relabelled = tmp_path / "ids.txt"
+    relabelled.write_text("10 20\n20 30\n30 40\n")
+    compact = tmp_path / "compact.txt"
+    compact.write_text("0 1\n1 2\n2 3\n")
+    args = ["gql", "--operator", "laplacian", "--moments", "3"]
+    assert main([*args, "--input", str(relabelled), "--node", "20",
+                 "--out", str(tmp_path / "a.json")]) == 0
+    assert main([*args, "--input", str(compact), "--node", "1",
+                 "--out", str(tmp_path / "b.json")]) == 0
+    a = json.loads((tmp_path / "a.json").read_text())
+    b = json.loads((tmp_path / "b.json").read_text())
+    assert a["node"] == 20 and b["node"] == 1
+    assert a["nodes"] == b["nodes"] and a["weights"] == b["weights"]
+    capsys.readouterr()
+    assert main([*args, "--input", str(relabelled), "--node", "1",
+                 "--out", str(tmp_path / "c.json")]) == 1
+    assert "node 1 is not in" in capsys.readouterr().err
+    assert not (tmp_path / "c.json").exists()
+
+
 def test_cli_error_paths(tmp_path, capsys):
     missing = str(tmp_path / "nope.txt")
     assert main(["dos", "--input", missing, "--out", str(tmp_path / "o.json")]) == 1

@@ -2,10 +2,12 @@
 loop and the public ``csr_array @ x`` product) and the ``csr_matvec`` entry
 point match the dense product to 1e-12, with and without accumulating into
 `out`; the first call picks the route by a self-check and falls back to the
-public product when that fails; the scratch of a matvec stays within
-O(rows * k); and every estimator reaches the kernel through the one
-``_kernels.csr_matvec`` attribute."""
+public product when that fails or the extension file is missing; the
+scratch of a matvec stays within O(rows * k); and every estimator reaches
+the kernel through the one ``_kernels.csr_matvec`` attribute."""
 
+import importlib.machinery
+import sys
 import tracemalloc
 
 import numpy as np
@@ -186,9 +188,19 @@ def _rejects_the_arguments(*args):
     raise TypeError("unexpected argument types")
 
 
+MISSING_EXTENSION_FILE = "missing extension file"
+
+
 @pytest.mark.parametrize("private", [_skips_the_product, _rejects_the_arguments,
-                                     None])
+                                     None, MISSING_EXTENSION_FILE])
 def test_failed_self_check_falls_back_to_public(monkeypatch, private):
+    if private == MISSING_EXTENSION_FILE:
+        # the real loader, where scipy has no _sparsetools file to load
+        monkeypatch.delitem(sys.modules, _kernels._EXTENSION, raising=False)
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES",
+                            [".missing"])
+        private = _kernels._private_matvecs.__wrapped__()
+        assert private is None
     monkeypatch.setattr(_kernels, "_private_matvecs", lambda: private)
     monkeypatch.setattr(_kernels, "_matvec", None)
     indptr, idx, val, dense = _random_csr(np.random.default_rng(9), 12, 0.3)
@@ -263,3 +275,13 @@ def test_every_estimator_calls_the_kernel_entry_point(monkeypatch):
         calls.clear()
         run()
         assert calls, f"{name} never called _kernels.csr_matvec"
+
+
+def test_imported_extension_is_reused():
+    # once scipy.sparse is imported (nd-pdos imports csgraph), the kernel
+    # takes the extension module of that import and leaves it registered
+    _sparsetools = pytest.importorskip("scipy.sparse._sparsetools")
+
+    got = _kernels._private_matvecs.__wrapped__()
+    assert got is _sparsetools.csr_matvecs
+    assert sys.modules[_kernels._EXTENSION] is _sparsetools

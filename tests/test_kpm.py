@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from netdos import (OperatorKind, ProbeKind, RecurrenceBlowupError, build_csr,
-                    build_operator, chebyshev_values, dos_moments,
-                    jackson_coefficients, make_probes, pdos_moments,
-                    rescale_operator)
+                    build_operator, chebyshev_values, detect_motifs,
+                    dos_moments, filter_probes, jackson_coefficients,
+                    make_probes, pdos_moments, rescale_operator)
 from netdos.pipeline import scaled_operator_for
-from netdos.testkit import erdos_renyi, exact_spectrum, oracle_moments
+from netdos.testkit import (erdos_renyi, exact_spectrum, oracle_moments,
+                            preferential_attachment)
 
 
 def _scaled(g, kind=OperatorKind.NORMALIZED_ADJACENCY, seed=0):
@@ -65,6 +66,12 @@ def test_p3_moments_match_closed_form(path3):
     assert np.abs(mom.values - want).max() < 1e-13
 
 
+# m_max 0..3 reach every edge case of the doubled moments (no step, one
+# step, the first doubled moment, the first moment from t_m+1 and t_m);
+# 50 and 51 end on an even and an odd moment
+EXACTNESS_M_MAX = (0, 1, 2, 3, 50, 51)
+
+
 def test_moment_exactness_against_eigenvalue_oracle():
     rng = np.random.default_rng(100)
     for kind in (OperatorKind.NORMALIZED_ADJACENCY, OperatorKind.LAPLACIAN):
@@ -72,10 +79,32 @@ def test_moment_exactness_against_eigenvalue_oracle():
         g = erdos_renyi(n, 0.08, seed=int(rng.integers(1 << 30)))
         sop = _scaled(g, kind)
         p = make_probes(n, n, ProbeKind.STANDARD_BASIS, seed=0)
-        mom = dos_moments(sop, p, 50)
         ev = exact_spectrum(build_operator(g, kind)).eigenvalues
-        want = oracle_moments(sop.scale_map.to_scaled(ev), 50)
-        assert np.abs(mom.values - want).max() < 1e-10
+        want = oracle_moments(sop.scale_map.to_scaled(ev), 51)
+        for m_max in EXACTNESS_M_MAX:
+            mom = dos_moments(sop, p, m_max)
+            assert mom.values.shape == (m_max + 1,)
+            assert np.abs(mom.values - want[: m_max + 1]).max() < 1e-10, m_max
+    # deflated probes: the moments of the density over the complement of
+    # the motif eigenvectors, i.e. the spectrum without the removed spikes
+    for kind in (OperatorKind.NORMALIZED_ADJACENCY, OperatorKind.LAPLACIAN):
+        n = int(rng.integers(60, 120))
+        g = preferential_attachment(n, 1, seed=int(rng.integers(1 << 30)))
+        sop = _scaled(g, kind)
+        probes, adj = filter_probes(
+            make_probes(n, n, ProbeKind.STANDARD_BASIS, seed=0),
+            detect_motifs(g, operator=kind))
+        r = adj.deflated_dim
+        assert r > 0
+        ev = exact_spectrum(build_operator(g, kind)).eigenvalues
+        spikes = np.repeat(list(adj.removed), list(adj.removed.values()))
+        to_scaled = sop.scale_map.to_scaled
+        want = (n * oracle_moments(to_scaled(ev), 51)
+                - chebyshev_values(51, to_scaled(spikes)).sum(axis=1)) / (n - r)
+        for m_max in EXACTNESS_M_MAX:
+            mom = dos_moments(sop, probes, m_max, effective_dim=n - r)
+            assert mom.values.shape == (m_max + 1,)
+            assert np.abs(mom.values - want[: m_max + 1]).max() < 1e-10, m_max
 
 
 def test_pdos_zero_degree_moment_is_one(star4):

@@ -207,3 +207,26 @@ def test_dense_eigensolver_matches_tridiagonal_solver():
         assert np.abs(quad.nodes - nodes).max() <= 1e-12 * spread
         assert np.abs(quad.weights - vecs[0] ** 2).max() <= 1e-13
     assert exhausted == 1
+
+
+def test_gql_dos_memory_is_one_basis_at_a_time():
+    # probes are run one after another: the peak is at most the probe block
+    # plus one probe's steps x n basis, not a basis per probe at once
+    import tracemalloc
+
+    from netdos.testkit import preferential_attachment
+
+    g = preferential_attachment(5000, 1, seed=2)
+    op = build_operator(g, OperatorKind.LAPLACIAN)
+    probes = make_probes(g.n, 20, ProbeKind.HADAMARD, seed=1)
+    steps = 50
+    gql_dos(op, probes, steps=3, bins=10)  # the kernel's one-time set-up
+    tracemalloc.start()
+    try:
+        hist = gql_dos(op, probes, steps=steps, bins=50)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    bound = probes.columns.nbytes + steps * g.n * 8 + (1 << 20)
+    assert peak <= bound, f"peak {peak} B vs bound {bound} B"
+    assert hist.masses.sum() == pytest.approx(1.0, abs=1e-12)

@@ -215,3 +215,24 @@ def test_range_estimation_flags_nan_with_iteration_count():
     with pytest.raises(SpectralRangeError) as err:
         estimate_spectral_range(bad, steps=3)
     assert err.value.iterations is not None
+
+
+def test_range_estimate_keeps_one_krylov_basis():
+    # the estimate reads only the Lanczos coefficients: its memory peak is
+    # the steps x n basis itself, never a second copy of it
+    import tracemalloc
+
+    from netdos.testkit import preferential_attachment
+
+    g = preferential_attachment(5000, 1, seed=2)
+    op = build_operator(g, OperatorKind.LAPLACIAN)
+    estimate_spectral_range(op, steps=4)  # the kernel's one-time set-up
+    steps = 100
+    tracemalloc.start()
+    try:
+        estimate_spectral_range(op, steps=steps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    basis = steps * g.n * 8
+    assert peak <= basis + basis // 4, f"peak {peak} B vs one basis {basis} B"

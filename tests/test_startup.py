@@ -1,7 +1,9 @@
 """Start-up cost: importing netdos, and running the commands that need no
-scipy (``generate``, ``motifs``, ``hist``), must load no scipy module. scipy
-costs ~0.3 s of import per command, more than either command's work on a
-benchmark-sized graph."""
+scipy (``generate``, ``motifs``, ``hist``), must load no scipy module; the
+commands that multiply (``dos``, ``pdos``, ``gql``) load only the compiled
+``scipy.sparse._sparsetools`` extension, never the ``scipy.sparse`` package.
+The package import costs ~0.25 s per command, more than the commands' work
+on a benchmark-sized graph."""
 
 import json
 import os
@@ -24,34 +26,68 @@ after_package = scipy_modules()
 import netdos.cli
 after_cli = scipy_modules()
 codes = [netdos.cli.main(argv) for argv in json.loads(sys.argv[1])]
+after_commands = scipy_modules()
+from netdos import _kernels
+route = None if _kernels._matvec is None else _kernels._matvec.__name__
+# a later import of the package must still bind its own extension module
+import scipy.sparse
+bound = hasattr(scipy.sparse, "_sparsetools")
 print(json.dumps({"package": after_package, "cli": after_cli,
-                  "commands": scipy_modules(), "codes": codes}))
+                  "commands": after_commands, "codes": codes,
+                  "route": route, "bound": bound}))
 """
 
 
-def test_numpy_only_commands_load_no_scipy(tmp_path):
-    graph = str(tmp_path / "g.txt")
-    moments = str(tmp_path / "dos.json")
-    assert main(["generate", "--model", "pa", "--n", "60", "--m", "1",
-                 "--seed", "3", "--out", graph]) == 0
-    assert main(["dos", "--input", graph, "--moments", "20", "--probes", "4",
-                 "--out", moments]) == 0
-    commands = [
-        ["generate", "--model", "er", "--n", "30", "--p", "0.2",
-         "--out", str(tmp_path / "er.txt")],
-        ["motifs", "--input", graph, "--out", str(tmp_path / "motifs.json")],
-        ["hist", "--moments-file", moments, "--bins", "10",
-         "--out", str(tmp_path / "hist.json")],
-    ]
+def _run_child(tmp_path, commands):
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run([sys.executable, "-c", CHILD, json.dumps(commands)],
                           env=env, cwd=tmp_path, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert got["codes"] == [0, 0, 0]
+    assert got["codes"] == [0] * len(commands)
     assert got["package"] == []
     assert got["cli"] == []
+    assert got["bound"]
+    return got
+
+
+def _tree(tmp_path):
+    graph = str(tmp_path / "g.txt")
+    assert main(["generate", "--model", "pa", "--n", "60", "--m", "1",
+                 "--seed", "3", "--out", graph]) == 0
+    return graph
+
+
+def test_numpy_only_commands_load_no_scipy(tmp_path):
+    graph = _tree(tmp_path)
+    moments = str(tmp_path / "dos.json")
+    assert main(["dos", "--input", graph, "--moments", "20", "--probes", "4",
+                 "--out", moments]) == 0
+    got = _run_child(tmp_path, [
+        ["generate", "--model", "er", "--n", "30", "--p", "0.2",
+         "--out", str(tmp_path / "er.txt")],
+        ["motifs", "--input", graph, "--out", str(tmp_path / "motifs.json")],
+        ["hist", "--moments-file", moments, "--bins", "10",
+         "--out", str(tmp_path / "hist.json")],
+    ])
     assert got["commands"] == []
+    assert got["route"] is None  # nothing multiplied
     assert json.loads((tmp_path / "motifs.json").read_text())
     assert len(json.loads((tmp_path / "hist.json").read_text())["masses"]) == 10
+
+
+def test_matvec_commands_load_only_the_sparsetools_extension(tmp_path):
+    graph = _tree(tmp_path)
+    common = ["--input", graph, "--operator", "laplacian", "--probes", "4"]
+    got = _run_child(tmp_path, [
+        ["dos", *common, "--moments", "20", "--filter-motifs", "all",
+         "--out", str(tmp_path / "dos.json")],
+        ["pdos", *common, "--moments", "10", "--out", str(tmp_path / "pdos.json")],
+        ["gql", *common, "--moments", "8", "--out", str(tmp_path / "gql.json")],
+    ])
+    # the extension is loaded from its file and kept out of sys.modules
+    assert got["commands"] == []
+    assert got["route"] == "_sparsetools_matvec"
+    for name in ("dos", "pdos", "gql"):
+        assert json.loads((tmp_path / f"{name}.json").read_text())
