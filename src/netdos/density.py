@@ -36,11 +36,6 @@ class SpectralHistogram:
     def bins(self) -> int:
         return int(self.edges.shape[0] - 1)
 
-    def l1_distance(self, other: "SpectralHistogram") -> float:
-        if not np.allclose(self.edges, other.edges):
-            raise ValueError("histograms use different bin edges")
-        return float(np.abs(self.masses - other.masses).sum())
-
 
 def bin_index(edges, lam) -> int:
     """Bin receiving a point mass at lam (matches np.histogram conventions)."""

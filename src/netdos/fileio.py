@@ -2,7 +2,9 @@
 
 Graph files: whitespace edge lists (`u v [w]`, `#`/`%` comments) or
 Matrix Market coordinate symmetric. Node ids are compacted to 0..n-1 and the
-id map is returned alongside the graph.
+id map is returned alongside the graph. An edge list whose first line is
+exactly `# nodes N edges M` (what `write_graph_edgelist` writes for compact
+ids) keeps ids 0..N-1 as they are, so isolated nodes survive a round trip.
 
 Results serialize to JSON (schema includes the method, operator, scale map
 and probe metadata) or CSV histograms (`bin_lo,bin_hi,mass`). Floats are
@@ -13,6 +15,7 @@ with the same seed produce byte-identical files.
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 
@@ -25,9 +28,17 @@ from .motifs import FilterAdjustment
 from .operators import ScaleMap
 
 
+_NODES_HEADER = re.compile(r"# nodes (\d+) edges \d+")
+
+
 def _parse_edgelist(path):
+    """(edges, n): n is the node count of a `# nodes N edges M` first line,
+    else None."""
     edges = []
     with open(path) as fh:
+        header = _NODES_HEADER.fullmatch(fh.readline().rstrip("\r\n"))
+        n = int(header.group(1)) if header else None
+        fh.seek(0)
         for lineno, line in enumerate(fh, 1):
             s = line.strip()
             if not s or s[0] in "#%":
@@ -40,10 +51,13 @@ def _parse_edgelist(path):
                 w = float(toks[2]) if len(toks) == 3 else None
             except ValueError as exc:
                 raise FileFormatError(f"{path}:{lineno}: {exc}") from exc
+            if n is not None and not (0 <= u < n and 0 <= v < n):
+                raise FileFormatError(f"{path}:{lineno}: node id outside "
+                                      f"0..{n - 1} declared by the header")
             edges.append((u, v) if w is None else (u, v, w))
     if not edges:
         raise FileFormatError(f"{path}: no edges found")
-    return edges
+    return edges, n
 
 
 def _parse_matrix_market(path):
@@ -119,7 +133,10 @@ def parse_graph_file(path, fmt=None, allow_self_loops=False):
         return g, np.arange(n, dtype=np.int64)
     if fmt != "edgelist":
         raise ValueError(f"unknown graph format {fmt!r}")
-    edges = _parse_edgelist(path)
+    edges, n = _parse_edgelist(path)
+    if n is not None:
+        g = build_csr(edges, n=n, allow_self_loops=allow_self_loops)
+        return g, np.arange(n, dtype=np.int64)
     raw = np.array([(e[0], e[1]) for e in edges], dtype=np.int64)
     ids = np.unique(raw)
     lookup = {int(orig): i for i, orig in enumerate(ids.tolist())}
@@ -129,12 +146,14 @@ def parse_graph_file(path, fmt=None, allow_self_loops=False):
 
 
 def write_graph_edgelist(g: GraphCSR, path, node_ids=None):
-    """Canonical `u v [w]` lines (original ids when a map is given)."""
+    """Canonical `u v [w]` lines (original ids when a map is given); compact
+    ids get the `# nodes N edges M` header that keeps isolated nodes."""
     u, v, w = g.edge_list()
     if node_ids is not None:
         u, v = np.asarray(node_ids)[u], np.asarray(node_ids)[v]
     with open(path, "w") as fh:
-        fh.write(f"# nodes {g.n} edges {u.shape[0]}\n")
+        if node_ids is None:
+            fh.write(f"# nodes {g.n} edges {u.shape[0]}\n")
         for a, b, ww in zip(u.tolist(), v.tolist(), w.tolist()):
             if g.is_weighted:
                 fh.write(f"{a} {b} {ww!r}\n")

@@ -50,12 +50,6 @@ class ChebMoments:
     def m_max(self) -> int:
         return int(self.values.shape[-1] - 1)
 
-    @property
-    def global_values(self) -> np.ndarray:
-        if self.mode == MODE_GLOBAL:
-            return self.values
-        return self.values.mean(axis=0)
-
 
 def jackson_coefficients(m_max: int) -> np.ndarray:
     """Damping factors J_0..J_M; J_0 = 1 and J_m decreases to ~0 at m = M."""
@@ -155,23 +149,19 @@ def dos_moments(sop, probes: ProbeMatrix, m_max: int,
                        scale_map=sop.scale_map, probe_meta=probes.meta())
 
 
-def pdos_moments(sop, probes: ProbeMatrix, m_max: int,
-                 normalized=True) -> ChebMoments:
+def pdos_moments(sop, probes: ProbeMatrix, m_max: int) -> ChebMoments:
     """Per-node moments c_mk ~= T_m(H)_kk via stochastic diagonal estimation.
 
-    The normalized estimator divides by the per-entry probe mass sum_j z_kj^2
-    (exact diagonal recovery for +-1 probes and for standard-basis probes at
-    nz = n); normalized=False gives the raw 1/nz average.
+    The estimator divides by the per-entry probe mass sum_j z_kj^2 (exact
+    diagonal recovery for +-1 probes and for standard-basis probes at
+    nz = n).
     """
     num = _recurrence(sop, probes, m_max, probes.n, m_max, _per_node)
     z = probes.columns
-    if normalized:
-        den = np.einsum("ij,ij->i", z, z)
-        if np.any(den == 0.0):
-            k = int(np.argmax(den == 0.0))
-            raise ValueError(f"zero probe mass at node {k}; its moments are unrecoverable")
-        values = (num / den).T
-    else:
-        values = (num * probes.trace_scale).T
+    den = np.einsum("ij,ij->i", z, z)
+    if np.any(den == 0.0):
+        k = int(np.argmax(den == 0.0))
+        raise ValueError(f"zero probe mass at node {k}; its moments are unrecoverable")
+    values = (num / den).T
     return ChebMoments(mode=MODE_PER_NODE, values=np.ascontiguousarray(values),
                        scale_map=sop.scale_map, probe_meta=probes.meta())

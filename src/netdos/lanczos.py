@@ -148,7 +148,14 @@ def gql_dos(op, probes: ProbeMatrix, steps, bins=50,
         lo, hi = float(nodes.min()), float(nodes.max())
         pad = 1e-9 * max(hi - lo, 1.0)
         spectral_range = (lo - pad, hi + pad)
-    edges = np.linspace(spectral_range[0], spectral_range[1], bins + 1)
+    lo, hi = spectral_range
+    edges = np.linspace(lo, hi, bins + 1)
+    # A Ritz value within roundoff outside an edge (an eigenvalue sitting on
+    # an analytic range edge) counts in that edge's bin; farther out, as for
+    # a narrower user window, it is left out.
+    snap = 1e-9 * (hi - lo)
+    near = (nodes >= lo - snap) & (nodes <= hi + snap)
+    nodes = np.where(near, np.clip(nodes, lo, hi), nodes)
     masses, _ = np.histogram(nodes, bins=edges, weights=weights)
     return SpectralHistogram(edges=edges, masses=masses,
                              normalization=float(weights.sum()))

@@ -19,6 +19,15 @@ and then verified by exact neighbor-list comparison, so reported classes
 have no false positives. Deflating the eigenvectors out of the probe block
 lets the smooth remainder of the spectrum be approximated with far fewer
 moments; the removed spike mass is re-inserted at histogram time.
+
+Each instance holds its eigenvectors as one dense block of shape
+(multiplicity, len(nodes)): row i is eigenvector i restricted to the
+instance's nodes, in that order, so the support lies inside the nodes by
+construction. Deflation accepts instances greedily, one node claim per
+(kind, nodes) key, stacks the rows of each accepted key into a block B and
+removes it from the probes' rows on those nodes with one projection,
+Z[nodes] -= B^T (B Z[nodes]). Claims keep the supports of different keys
+disjoint, so orthonormality only has to hold within each block.
 """
 
 from __future__ import annotations
@@ -46,23 +55,39 @@ _KIND_RANK = {MotifKind.OPEN_TWIN: 0, MotifKind.CLOSED_TWIN: 1,
               MotifKind.DANGLING_TWO_CHAIN: 2, MotifKind.CUSTOM: 3}
 
 
+def _rank(inst):
+    """Report order of detect_motifs and claim order of filter_probes."""
+    return (_KIND_RANK[inst.kind], min(inst.nodes), inst.eigenvalue)
+
+
 @dataclass
 class MotifInstance:
     """One detected structure: nodes, eigenvalue, locally supported vectors.
 
-    eigvecs are sparse maps node -> value, mutually orthonormal, each
-    satisfying H u = eigenvalue * u for the operator kind used at detection.
+    eigvecs is a float64 array of shape (multiplicity, len(nodes)) with
+    orthonormal rows; row i holds eigenvector i on `nodes`, in that order,
+    and is zero off them. Each row u satisfies H u = eigenvalue * u for the
+    operator kind used at detection. Custom instances are checked for that
+    shape and for distinct nodes when built.
     """
 
     kind: MotifKind
     nodes: tuple
     eigenvalue: float
-    eigvecs: tuple
+    eigvecs: np.ndarray
     detail: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.eigvecs = np.asarray(self.eigvecs, dtype=np.float64)
+        if self.eigvecs.ndim != 2 or self.eigvecs.shape[1] != len(self.nodes):
+            raise MotifError(f"eigvecs has shape {self.eigvecs.shape}; expected "
+                             f"(multiplicity, {len(self.nodes)}), one column per node")
+        if len(set(self.nodes)) != len(self.nodes):
+            raise MotifError(f"nodes {self.nodes} repeat a node")
 
     @property
     def multiplicity(self) -> int:
-        return len(self.eigvecs)
+        return int(self.eigvecs.shape[0])
 
 
 @dataclass
@@ -79,12 +104,11 @@ class FilterAdjustment:
 
 def _helmert_rows(size):
     """Orthonormal basis of the sum-zero subspace of R^size, (size-1) rows."""
-    rows = []
+    rows = np.zeros((size - 1, size))
     for k in range(1, size):
-        v = np.zeros(size)
-        v[:k] = 1.0
-        v[k] = -float(k)
-        rows.append(v / np.sqrt(k * (k + 1.0)))
+        rows[k - 1, :k] = 1.0
+        rows[k - 1, k] = -float(k)
+        rows[k - 1] /= np.sqrt(k * (k + 1.0))
     return rows
 
 
@@ -139,31 +163,27 @@ def motif_eigenvalue(inst: MotifInstance, kind) -> float:
     return float(_chain_modes(kind)[inst.detail["mode"]][0])
 
 
-def motif_eigenvectors(inst: MotifInstance, kind) -> tuple:
-    """Orthonormal locally supported eigenvectors under the given kind."""
+def motif_eigenvectors(inst: MotifInstance, kind) -> np.ndarray:
+    """Orthonormal eigenvectors under the given kind, one row per vector on
+    `inst.nodes` (shape (multiplicity, len(nodes)))."""
     kind = OperatorKind(kind)
     if inst.kind is MotifKind.CUSTOM:
         return inst.eigvecs
     if inst.kind in (MotifKind.OPEN_TWIN, MotifKind.CLOSED_TWIN):
-        nodes = inst.nodes
-        return tuple({nodes[i]: float(val) for i, val in enumerate(row) if val != 0.0}
-                     for row in _helmert_rows(len(nodes)))
+        return _helmert_rows(len(inst.nodes))
     _, alpha, beta = _chain_modes(kind)[inst.detail["mode"]]
     chains = inst.detail["chains"]
-    vecs = []
-    for amp in _helmert_rows(len(chains)):
-        v = {}
-        for a, (x, b) in zip(amp, chains):
-            if a != 0.0:
-                v[x] = float(a * alpha)
-                v[b] = float(a * beta)
-        vecs.append(v)
-    return tuple(vecs)
+    where = {node: i for i, node in enumerate(inst.nodes)}
+    amp = _helmert_rows(len(chains))
+    block = np.zeros((amp.shape[0], len(inst.nodes)))
+    block[:, [where[x] for x, _ in chains]] = amp * alpha
+    block[:, [where[b] for _, b in chains]] = amp * beta
+    return block
 
 
 def _build_instance(motif, nodes, detail, kind):
-    inst = MotifInstance(kind=motif, nodes=tuple(int(x) for x in nodes),
-                         eigenvalue=0.0, eigvecs=(), detail=detail)
+    nodes = tuple(int(x) for x in nodes)
+    inst = MotifInstance(motif, nodes, 0.0, np.empty((0, len(nodes))), detail)
     inst.eigenvalue = motif_eigenvalue(inst, kind)
     inst.eigvecs = motif_eigenvectors(inst, kind)
     return inst
@@ -307,99 +327,56 @@ def detect_motifs(g: GraphCSR, kinds=None, seed=0,
                 out.append(_build_instance(
                     MotifKind.DANGLING_TWO_CHAIN, nodes,
                     {"hub": hub, "chains": tuple(chains), "mode": mode}, operator))
-    out.sort(key=lambda t: (_KIND_RANK[t.kind], min(t.nodes), t.eigenvalue))
+    out.sort(key=_rank)
     return out
 
 
-def _vector_arrays(vec):
-    idx = np.fromiter(vec.keys(), dtype=np.int64, count=len(vec))
-    val = np.fromiter(vec.values(), dtype=np.float64, count=len(vec))
-    order = np.argsort(idx)
-    return idx[order], val[order]
-
-
-def _reorthonormalize(arrays, tol):
-    """Modified Gram-Schmidt over sparse vectors; errors on degeneracy."""
-    done = []
-    for idx, val in arrays:
-        comp = dict(zip(idx.tolist(), val.tolist()))
-        for pidx, pval in done:
-            c = sum(pval[i] * comp.get(node, 0.0)
-                    for i, node in enumerate(pidx.tolist()))
-            if c != 0.0:
-                for i, node in enumerate(pidx.tolist()):
-                    comp[node] = comp.get(node, 0.0) - c * pval[i]
-        nrm = np.sqrt(sum(v * v for v in comp.values()))
-        if nrm < tol:
-            raise MotifError("motif eigenvectors are linearly dependent; "
-                             "cannot re-orthonormalize the deflation set")
-        items = sorted(comp.items())
-        done.append((np.array([k for k, _ in items], dtype=np.int64),
-                     np.array([v / nrm for _, v in items])))
-    return done
+def _orthonormal_rows(block, tol):
+    """The block itself when its rows are orthonormal to `tol`, else an
+    orthonormal basis of the same row space; errors on degeneracy."""
+    gram = block @ block.T
+    gram.flat[::block.shape[0] + 1] -= 1.0
+    if np.abs(gram).max(initial=0.0) <= tol:
+        return block
+    q, r = np.linalg.qr(block.T)
+    if block.shape[0] > block.shape[1] or np.abs(np.diag(r)).min() < tol:
+        raise MotifError("motif eigenvectors are linearly dependent; "
+                         "cannot re-orthonormalize the deflation set")
+    return q.T
 
 
 def filter_probes(probes: ProbeMatrix, instances, reorth_tol=1e-8):
     """Project motif eigenvectors out of every probe column.
 
-    Overlapping instances are resolved by greedy acceptance in
-    (kind, smallest-node-id) order; the two chain modes of one hub share
-    their node claim and are co-accepted. Returns the deflated probes and
+    Overlapping instances are resolved by greedy acceptance in detection
+    order (kind, smallest node id, eigenvalue); instances with the same
+    (kind, nodes) key share one node claim and are co-accepted (the two
+    chain modes of one hub, or repeated custom instances). The stacked rows
+    of each key are checked for orthonormality, re-orthonormalized by QR if
+    needed, and projected out in one step. Returns the deflated probes and
     the per-eigenvalue multiplicities removed.
     """
-    order = sorted(instances, key=lambda t: (_KIND_RANK[t.kind], min(t.nodes),
-                                             t.eigenvalue))
     claimed = set()
-    claim_keys = set()
-    accepted = []
-    for inst in order:
+    accepted = {}  # (kind, nodes) -> instances, in claim order
+    for inst in sorted(instances, key=_rank):
         key = (inst.kind, inst.nodes)
-        nodes = set(inst.nodes)
-        if key in claim_keys:
-            accepted.append(inst)
-        elif not nodes & claimed:
-            accepted.append(inst)
-            claimed |= nodes
-            claim_keys.add(key)
+        if key in accepted:
+            accepted[key].append(inst)
+        elif claimed.isdisjoint(inst.nodes):
+            accepted[key] = [inst]
+            claimed.update(inst.nodes)
 
-    arrays = []
-    owner = []
-    removed = defaultdict(int)
-    for inst_id, inst in enumerate(accepted):
-        for vec in inst.eigvecs:
-            arrays.append(_vector_arrays(vec))
-            owner.append(inst_id)
-        removed[float(inst.eigenvalue)] += inst.multiplicity
-
-    if not arrays:
+    if not accepted:
         return probes, FilterAdjustment(removed={}, total_dim=probes.n)
 
-    # Vectors within one instance are orthonormal analytically; only pairs
-    # from different instances sharing support need an explicit check.
-    touch = defaultdict(list)
-    for vid, (idx, _) in enumerate(arrays):
-        for node in idx.tolist():
-            touch[node].append(vid)
-    worst = max(abs(float(val @ val) - 1.0) for _, val in arrays)
-    checked = set()
-    for vids in touch.values():
-        for a in range(len(vids)):
-            for b in range(a + 1, len(vids)):
-                pair = (vids[a], vids[b])
-                if owner[pair[0]] == owner[pair[1]] or pair in checked:
-                    continue
-                checked.add(pair)
-                ia, va = arrays[pair[0]]
-                ib, vb = arrays[pair[1]]
-                common, pa, pb = np.intersect1d(ia, ib, return_indices=True)
-                if common.size:
-                    worst = max(worst, abs(float(va[pa] @ vb[pb])))
-    if worst > reorth_tol:
-        arrays = _reorthonormalize(arrays, reorth_tol)
-
+    removed = defaultdict(int)
     cols = probes.columns.copy()
-    for idx, val in arrays:
-        coeff = val @ cols[idx]
-        cols[idx] -= np.outer(val, coeff)
+    for (_, nodes), group in accepted.items():
+        for inst in group:
+            removed[float(inst.eigenvalue)] += inst.multiplicity
+        block = _orthonormal_rows(np.concatenate([i.eigvecs for i in group]),
+                                  reorth_tol)
+        idx = np.array(nodes)
+        cols[idx] -= block.T @ (block @ cols[idx])
     return with_columns(probes, cols), FilterAdjustment(removed=dict(removed),
                                                         total_dim=probes.n)

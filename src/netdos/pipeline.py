@@ -48,9 +48,8 @@ def scaled_operator_for(g, operator, seed=0, range_=None,
 
 def kpm_dos(g, operator=OperatorKind.NORMALIZED_ADJACENCY, m_max=500, nz=20,
             probe_kind=ProbeKind.HADAMARD, seed=0, bins=50, damping=True,
-            filter_kinds=(), custom_instances=(), range_=None,
-            range_steps=RANGE_STEPS, range_margin=RANGE_MARGIN,
-            reinsert_spikes=True, edges=None,
+            filter_kinds=(), range_=None, range_steps=RANGE_STEPS,
+            range_margin=RANGE_MARGIN, reinsert_spikes=True,
             negativity_tol=None) -> DosResult:
     """Full KPM pipeline: scale, (optionally) deflate motifs, estimate
     moments, integrate into a histogram with spike re-insertion."""
@@ -58,20 +57,20 @@ def kpm_dos(g, operator=OperatorKind.NORMALIZED_ADJACENCY, m_max=500, nz=20,
                               range_steps=range_steps, range_margin=range_margin)
     probes = make_probes(g.n, nz, kind=probe_kind, seed=seed)
 
-    instances = list(custom_instances)
+    instances = []
     adjustment = None
     effective_dim = None
     if filter_kinds:
-        instances.extend(detect_motifs(
+        instances = detect_motifs(
             g, kinds={MotifKind(k) for k in filter_kinds}, seed=seed,
-            operator=OperatorKind(operator)))
+            operator=OperatorKind(operator))
     if instances:
         probes, adjustment = filter_probes(probes, instances)
         effective_dim = g.n - adjustment.deflated_dim
 
     moments = dos_moments(sop, probes, m_max, effective_dim=effective_dim)
     hist = histogram_from_moments(
-        moments, bins=bins, damping=damping, edges=edges,
+        moments, bins=bins, damping=damping,
         filter_adjustment=adjustment if reinsert_spikes else None,
         negativity_tol=negativity_tol)
     return DosResult(histogram=hist, moments=moments, scaled_op=sop,

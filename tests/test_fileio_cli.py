@@ -10,6 +10,7 @@ from netdos.fileio import (load_moments, moments_payload,
                            read_histogram_csv, write_histogram_csv, write_json)
 from netdos.kpm import MODE_GLOBAL, ChebMoments
 from netdos.operators import IDENTITY_MAP
+from netdos.testkit import generate_graph
 
 
 def test_parse_edgelist_with_comments(tmp_path):
@@ -62,13 +63,37 @@ def test_matrix_market_general_rejected(tmp_path):
 
 
 def test_edgelist_round_trip(tmp_path):
-    g = build_csr([(0, 1, 2.0), (1, 2, 0.5), (0, 3, 1.0)])
     path = tmp_path / "g.txt"
-    write_graph_edgelist(g, path)
-    g2, _ = parse_graph_file(path)
-    assert np.array_equal(g.row_ptr, g2.row_ptr)
-    assert np.array_equal(g.col_idx, g2.col_idx)
-    assert np.array_equal(g.weights, g2.weights)
+    graphs = [build_csr([(0, 1, 2.0), (1, 2, 0.5), (0, 3, 1.0)]),
+              # node 1 isolated inside the id range, 5 and 6 after the last edge
+              build_csr([(0, 2), (2, 3), (3, 4)], n=7),
+              # the documented `generate --model ws --n 400 --k 2 --p 0.3 --seed 3`
+              generate_graph("ws", seed=3, n=400, k=2, p=0.3)]
+    for g in graphs:
+        write_graph_edgelist(g, path)
+        g2, ids = parse_graph_file(path)
+        assert g2.n == g.n
+        assert np.array_equal(ids, np.arange(g.n))
+        assert np.array_equal(g.row_ptr, g2.row_ptr)
+        assert np.array_equal(g.col_idx, g2.col_idx)
+        assert np.array_equal(g.weights, g2.weights)
+    assert np.count_nonzero(np.diff(graphs[2].row_ptr) == 0) > 0
+    # with an id map the file holds original ids and no node-count header
+    write_graph_edgelist(graphs[1], path, node_ids=np.arange(7) * 10)
+    g3, ids = parse_graph_file(path)
+    assert not path.read_text().startswith("# nodes")
+    assert g3.n == 4 and ids.tolist() == [0, 20, 30, 40]
+
+
+def test_edgelist_header_bounds_node_ids(tmp_path):
+    p = tmp_path / "g.txt"
+    p.write_text("# nodes 3 edges 2\n0 1\n1 3\n")
+    with pytest.raises(FileFormatError, match=r"g\.txt:3: .*0\.\.2"):
+        parse_graph_file(p)
+    # any other first line compacts ids as before
+    p.write_text("# a graph with nodes 3 edges 2\n0 1\n1 3\n")
+    g, ids = parse_graph_file(p)
+    assert g.n == 3 and ids.tolist() == [0, 1, 3]
 
 
 def test_histogram_csv_round_trip(tmp_path):

@@ -4,7 +4,7 @@ import pytest
 from netdos import (OperatorKind, ProbeKind, build_csr, build_operator,
                     dos_moments, gql_dos, gql_pdos, lanczos_quadrature,
                     make_probes, quadrature_to_cheb_moments, rescale_operator)
-from netdos.pipeline import scaled_operator_for
+from netdos.pipeline import gql_dos_pipeline, scaled_operator_for
 from netdos.testkit import dense_matrix, erdos_renyi, exact_spectrum, oracle_histogram
 
 
@@ -230,3 +230,17 @@ def test_gql_dos_memory_is_one_basis_at_a_time():
     bound = probes.columns.nbytes + steps * g.n * 8 + (1 << 20)
     assert peak <= bound, f"peak {peak} B vs bound {bound} B"
     assert hist.masses.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_gql_keeps_mass_at_the_range_edge():
+    # the normalized adjacency has eigenvalue 1 on the analytic range edge;
+    # Ritz values land a few ulps either side of it and must stay counted
+    g = erdos_renyi(500, 0.02, seed=7)
+    hist = gql_dos_pipeline(g, operator="normalized-adjacency", steps=40,
+                            nz=10, seed=1)
+    assert hist.normalization == pytest.approx(1.0, abs=1e-12)
+    assert abs(hist.masses.sum() - 1.0) <= 1e-12
+    # a window narrower than the spectrum still leaves the outside out
+    narrow = gql_dos_pipeline(g, operator="normalized-adjacency", steps=40,
+                              nz=10, seed=1, range_=(-0.5, 0.5))
+    assert narrow.masses.sum() < 0.99

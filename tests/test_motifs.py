@@ -7,19 +7,21 @@ from netdos import (MotifError, MotifKind, OperatorKind, ProbeKind, build_csr,
 from netdos.kpm import chebyshev_values
 from netdos.motifs import MotifInstance
 from netdos.pipeline import scaled_operator_for
-from netdos.testkit import dense_matrix, erdos_renyi, preferential_attachment
+from netdos.testkit import (dense_matrix, erdos_renyi, preferential_attachment,
+                           small_world)
 
 
-def _as_dense(vec, n):
-    u = np.zeros(n)
-    for k, v in vec.items():
-        u[k] = v
+def _as_dense(inst, n):
+    """The instance's eigenvectors as rows of length n."""
+    u = np.zeros((inst.multiplicity, n))
+    u[:, list(inst.nodes)] = inst.eigvecs
     return u
 
 
 def _check_instance(inst, g, kind):
     h = dense_matrix(build_operator(g, kind))
-    vecs = [_as_dense(v, g.n) for v in inst.eigvecs]
+    assert inst.eigvecs.shape == (inst.multiplicity, len(inst.nodes))
+    vecs = _as_dense(inst, g.n)
     for i, u in enumerate(vecs):
         assert np.linalg.norm(h @ u - inst.eigenvalue * u) <= 1e-10
         assert abs(u @ u - 1.0) <= 1e-12
@@ -46,7 +48,7 @@ def test_pendant_pair_difference_vector():
     inst = insts[0]
     assert inst.nodes == (1, 2)
     assert inst.eigenvalue == 0.0
-    u = _as_dense(inst.eigvecs[0], g.n)
+    u = _as_dense(inst, g.n)[0]
     assert np.allclose(np.sort(np.abs(u[[1, 2]])), [1 / np.sqrt(2)] * 2)
     assert u[1] * u[2] < 0
     _check_instance(inst, g, OperatorKind.NORMALIZED_ADJACENCY)
@@ -180,7 +182,7 @@ def test_overlapping_claims_resolved_deterministically():
     g = build_csr([(0, 1), (0, 2), (0, 3)])
     twin = detect_motifs(g, kinds={MotifKind.OPEN_TWIN})[0]
     fake = MotifInstance(kind=MotifKind.CUSTOM, nodes=(2, 3), eigenvalue=0.25,
-                         eigvecs=({2: 1 / np.sqrt(2), 3: -1 / np.sqrt(2)},))
+                         eigvecs=[[1 / np.sqrt(2), -1 / np.sqrt(2)]])
     probes = make_probes(4, 2, ProbeKind.GAUSSIAN, seed=0)
     _, adj = filter_probes(probes, [twin, fake])
     # open twin claims nodes 1..3 first; the custom overlap is dropped
@@ -192,7 +194,7 @@ def test_custom_instance_deflation():
     sop = scaled_operator_for(g, "normalized-adjacency")
     # middle eigenvector of P3 (eigenvalue 0) supplied by hand
     inst = MotifInstance(kind=MotifKind.CUSTOM, nodes=(0, 2), eigenvalue=0.0,
-                         eigvecs=({0: 1 / np.sqrt(2), 2: -1 / np.sqrt(2)},))
+                         eigvecs=[[1 / np.sqrt(2), -1 / np.sqrt(2)]])
     probes = make_probes(3, 3, ProbeKind.STANDARD_BASIS, seed=0)
     filtered, adj = filter_probes(probes, [inst])
     m_fil = dos_moments(sop, filtered, 8, effective_dim=2)
@@ -203,11 +205,80 @@ def test_custom_instance_deflation():
 def test_degenerate_custom_vectors_rejected():
     probes = make_probes(4, 2, ProbeKind.GAUSSIAN, seed=0)
     a = MotifInstance(kind=MotifKind.CUSTOM, nodes=(0, 1), eigenvalue=0.0,
-                      eigvecs=({0: 1.0},))
+                      eigvecs=[[1.0, 0.0]])
     b = MotifInstance(kind=MotifKind.CUSTOM, nodes=(0, 1), eigenvalue=0.5,
-                      eigvecs=({0: 1.0},))
+                      eigvecs=[[1.0, 0.0]])
     with pytest.raises(MotifError, match="dependent"):
         filter_probes(probes, [a, b])
+
+
+def test_non_orthogonal_custom_rows_are_reorthonormalized():
+    # two instances on one node set share a claim; their rows span e0, e1
+    probes = make_probes(4, 3, ProbeKind.GAUSSIAN, seed=2)
+    a = MotifInstance(kind=MotifKind.CUSTOM, nodes=(0, 1, 2), eigenvalue=0.0,
+                      eigvecs=[[1.0, 0.0, 0.0]])
+    b = MotifInstance(kind=MotifKind.CUSTOM, nodes=(0, 1, 2), eigenvalue=0.5,
+                      eigvecs=[[1 / np.sqrt(2), 1 / np.sqrt(2), 0.0]])
+    filtered, adj = filter_probes(probes, [a, b])
+    assert np.abs(filtered.columns[:2]).max() <= 1e-12
+    assert np.array_equal(filtered.columns[2:], probes.columns[2:])
+    assert adj.removed == {0.0: 1, 0.5: 1}
+
+
+@pytest.mark.parametrize("eigvecs", [
+    np.ones((1, 2)),             # two columns for three nodes
+    np.ones(3),                  # one vector, not a block
+    np.ones((2, 4)),             # a column too many
+])
+def test_custom_block_shape_must_match_nodes(eigvecs):
+    with pytest.raises(MotifError, match="shape"):
+        MotifInstance(kind=MotifKind.CUSTOM, nodes=(0, 1, 2), eigenvalue=0.0,
+                      eigvecs=eigvecs)
+
+
+def test_custom_nodes_must_be_distinct():
+    with pytest.raises(MotifError, match="repeat"):
+        MotifInstance(kind=MotifKind.CUSTOM, nodes=(0, 1, 0), eigenvalue=0.0,
+                      eigvecs=np.zeros((1, 3)))
+
+
+def _deflation_graphs():
+    return {"pa-tree": preferential_attachment(2000, 1, seed=11),
+            "er": erdos_renyi(400, 0.01, seed=4),
+            "small-world": small_world(400, 2, 0.3, seed=3)}
+
+
+@pytest.mark.parametrize("name", sorted(_deflation_graphs()))
+def test_detected_keys_never_share_a_node(name):
+    g = _deflation_graphs()[name]
+    for kind in OperatorKind:
+        owner = {}
+        for inst in detect_motifs(g, seed=1, operator=kind):
+            key = (inst.kind, inst.nodes)
+            for x in inst.nodes:
+                assert owner.setdefault(x, key) == key
+        assert owner, "the graph should have motifs"
+
+
+@pytest.mark.parametrize("name", sorted(_deflation_graphs()))
+def test_filter_probes_matches_dense_projection(name):
+    # detected instances never share a node across keys, so every one is
+    # accepted; the reference is (I - V V^T) Z with V from a dense QR
+    g = _deflation_graphs()[name]
+    probes = make_probes(g.n, 6, ProbeKind.GAUSSIAN, seed=5)
+    for kind in OperatorKind:
+        insts = detect_motifs(g, seed=1, operator=kind)
+        dense = np.concatenate([_as_dense(inst, g.n) for inst in insts])
+        v, _ = np.linalg.qr(dense.T)
+        z = probes.columns
+        want = z - v @ (v.T @ z)
+        filtered, adj = filter_probes(probes, insts)
+        assert np.abs(filtered.columns - want).max() <= 1e-12
+        assert adj.deflated_dim == dense.shape[0]
+        counts = {}
+        for inst in insts:
+            counts[inst.eigenvalue] = counts.get(inst.eigenvalue, 0) + inst.multiplicity
+        assert adj.removed == counts
 
 
 def test_detect_rejects_custom_kind(star4):

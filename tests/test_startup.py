@@ -91,3 +91,26 @@ def test_matvec_commands_load_only_the_sparsetools_extension(tmp_path):
     assert got["route"] == "_sparsetools_matvec"
     for name in ("dos", "pdos", "gql"):
         assert json.loads((tmp_path / f"{name}.json").read_text())
+
+
+LOOKUPS = """
+import importlib.util, json, sys
+import netdos.cli
+spec = importlib.util.spec_from_file_location("traced", sys.argv[1])
+traced = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(traced)
+print(json.dumps([[m, a] for m, a, *_ in traced.LAYERS + [traced.KERNEL]
+                  if not callable(getattr(sys.modules.get(m), a, None))]))
+"""
+
+
+def test_benchmark_trace_lookups_resolve(tmp_path):
+    """Every (module, attr) the traced benchmark wraps exists once
+    netdos.cli is imported; a renamed one would only show as a note that
+    the layer's span was not recorded."""
+    traced = os.path.join(os.path.dirname(SRC), "perfbench", "traced.py")
+    proc = subprocess.run([sys.executable, "-c", LOOKUPS, traced],
+                          env=dict(os.environ, PYTHONPATH=SRC), cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == []
