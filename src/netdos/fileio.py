@@ -1,10 +1,13 @@
 """Graph ingestion and result serialization.
 
 Graph files: whitespace edge lists (`u v [w]`, `#`/`%` comments) or
-Matrix Market coordinate symmetric. Node ids are compacted to 0..n-1 and the
-id map is returned alongside the graph. An edge list whose first line is
-exactly `# nodes N edges M` (what `write_graph_edgelist` writes for compact
-ids) keeps ids 0..N-1 as they are, so isolated nodes survive a round trip.
+Matrix Market coordinate symmetric, whose `pattern` entries have 2 columns
+and `real`/`integer` entries 3. One array reader serves both bodies; on a
+bad file a line-by-line scan names the first bad line. Node ids are
+compacted to 0..n-1 and the id map is returned alongside the graph. An edge
+list whose first line is exactly `# nodes N edges M` (what
+`write_graph_edgelist` writes for compact ids) keeps ids 0..N-1, so isolated
+nodes survive a round trip, and must hold M edge lines (none: edgeless).
 
 Results serialize to JSON (schema includes the method, operator, scale map
 and probe metadata) or CSV histograms (`bin_lo,bin_hi,mass`). Floats are
@@ -16,11 +19,12 @@ from __future__ import annotations
 
 import json
 import re
+from itertools import compress
 
 import numpy as np
 
 from .errors import FileFormatError
-from .graph import GraphCSR, build_csr
+from .graph import GraphCSR, _csr_from_arrays
 from .kpm import MODE_GLOBAL, ChebMoments
 from .density import SpectralHistogram
 from .lanczos import RitzQuadrature
@@ -28,91 +32,121 @@ from .motifs import FilterAdjustment
 from .operators import ScaleMap
 
 
-_NODES_HEADER = re.compile(r"# nodes (\d+) edges \d+")
+_NODES_HEADER = re.compile(rb"# nodes (\d+) edges (\d+)(?:\n|\Z)")
+
+# the ASCII whitespace that bytes.split() splits on
+_SPACE = np.zeros(256, dtype=bool)
+_SPACE[list(b" \t\n\r\v\f")] = True
 
 
-def _parse_edgelist(path):
-    """(edges, n): n is the node count of a `# nodes N edges M` first line,
-    else None."""
-    edges = []
-    with open(path) as fh:
-        header = _NODES_HEADER.fullmatch(fh.readline().rstrip("\r\n"))
-        n = int(header.group(1)) if header else None
-        fh.seek(0)
-        for lineno, line in enumerate(fh, 1):
-            s = line.strip()
-            if not s or s[0] in "#%":
-                continue
-            toks = s.split()
-            if len(toks) not in (2, 3):
-                raise FileFormatError(f"{path}:{lineno}: expected `u v [w]`, got {s!r}")
-            try:
-                u, v = int(toks[0]), int(toks[1])
-                w = float(toks[2]) if len(toks) == 3 else None
-            except ValueError as exc:
-                raise FileFormatError(f"{path}:{lineno}: {exc}") from exc
-            if n is not None and not (0 <= u < n and 0 <= v < n):
-                raise FileFormatError(f"{path}:{lineno}: node id outside "
-                                      f"0..{n - 1} declared by the header")
-            edges.append((u, v) if w is None else (u, v, w))
-    if not edges:
-        raise FileFormatError(f"{path}: no edges found")
-    return edges, n
+def _read_entries(path, body, lineno, *, base, n, malformed, outside=None,
+                  width=None, promised=None):
+    """(u, v, w, weighted) from the `u v [w]` lines of `body`, which holds
+    the file from line `lineno` on.
 
+    Blank lines and lines whose first token starts with `#` or `%` are
+    skipped. Ids are shifted down by `base` and must lie in 0..n-1 when `n`
+    is given; a missing weight is 1.0. `width` is the column count a header
+    fixes, `promised` a header's (entry count, message). On failure a scan
+    line by line names the first bad line, `malformed` starting the message
+    for a wrong column count and `outside` the one for an id out of range.
+    """
+    buf = np.frombuffer(body, dtype=np.uint8)
+    space = _SPACE[buf]
+    starts = np.flatnonzero(~space & np.diff(space, prepend=True))
+    line = np.searchsorted(np.flatnonzero(buf == ord("\n")), starts)
+    heads = np.flatnonzero(np.diff(line, prepend=-1))  # each line's first token
+    cols = np.diff(heads, append=starts.size)
+    entry = ~np.isin(buf[starts[heads]], list(b"#%"))
+    tokens = np.array(list(compress(body.split(), np.repeat(entry, cols).tolist())),
+                      dtype=np.bytes_)
+    cols = cols[entry]
+    at, three = np.cumsum(cols) - cols, cols == 3
+    ok = np.all(three | (cols == 2)) and (width is None or np.all(cols == width))
+    try:
+        u = tokens[at].astype(np.int64) - base
+        v = tokens[at + 1].astype(np.int64) - base
+        w = np.ones(cols.size)
+        w[three] = tokens[at[three] + 2].astype(np.float64)
+    except (IndexError, ValueError, OverflowError):
+        ok = False
+    if ok and n is not None and cols.size:
+        ok = min(u.min(), v.min()) >= 0 and max(u.max(), v.max()) < n
+    if ok:
+        if promised is not None and promised[0] != cols.size:
+            raise FileFormatError(f"{promised[1]}, found {cols.size}")
+        return u, v, w, bool(three.any())
 
-def _parse_matrix_market(path):
-    with open(path) as fh:
-        header = fh.readline()
-        toks = header.lower().split()
-        if len(toks) < 5 or not toks[0].startswith("%%matrixmarket"):
-            raise FileFormatError(f"{path}:1: not a MatrixMarket header")
-        _, obj, fmt, field, sym = toks[:5]
-        if obj != "matrix" or fmt != "coordinate":
-            raise FileFormatError(f"{path}:1: only coordinate matrices are supported")
-        if field not in ("real", "integer", "pattern"):
-            raise FileFormatError(f"{path}:1: unsupported field {field!r}")
-        if sym != "symmetric":
-            raise FileFormatError(
-                f"{path}:1: header declares {sym!r}; undirected graphs need "
-                "a symmetric matrix")
-        lineno = 1
-        size_line = None
-        for line in fh:
-            lineno += 1
-            s = line.strip()
-            if not s or s.startswith("%"):
-                continue
-            size_line = s
-            break
-        if size_line is None:
-            raise FileFormatError(f"{path}: missing size line")
+    lo, hi = (0, n) if n is not None else (-2**63, 2**63)
+    for lineno, line in enumerate(body.decode(errors="replace").split("\n"), lineno):
+        s = line.strip()
+        if not s or s[0] in "#%":
+            continue
+        toks = s.split()
+        if len(toks) not in (2, 3):
+            raise FileFormatError(f"{path}:{lineno}: {malformed} {s!r}")
+        if width is not None and len(toks) != width:
+            raise FileFormatError(f"{path}:{lineno}: the header declares "
+                                  f"{width}-column entries, got {s!r}")
         try:
-            rows, cols, nnz = (int(x) for x in size_line.split())
+            ids = [int(t) - base for t in toks[:2]]
+            if len(toks) == 3:
+                float(toks[2])
         except ValueError as exc:
-            raise FileFormatError(f"{path}:{lineno}: bad size line {size_line!r}") from exc
-        if rows != cols:
-            raise FileFormatError(f"{path}:{lineno}: matrix must be square, got {rows}x{cols}")
-        edges = []
-        for line in fh:
-            lineno += 1
-            s = line.strip()
-            if not s or s.startswith("%"):
-                continue
-            toks = s.split()
-            if len(toks) not in (2, 3):
-                raise FileFormatError(f"{path}:{lineno}: malformed entry {s!r}")
-            try:
-                i, j = int(toks[0]) - 1, int(toks[1]) - 1
-                w = float(toks[2]) if len(toks) == 3 else None
-            except ValueError as exc:
-                raise FileFormatError(f"{path}:{lineno}: {exc}") from exc
-            if not (0 <= i < rows and 0 <= j < rows):
-                raise FileFormatError(f"{path}:{lineno}: index out of range")
-            edges.append((i, j) if w is None else (i, j, w))
-        if len(edges) != nnz:
-            raise FileFormatError(f"{path}: size line promises {nnz} entries, "
-                                  f"found {len(edges)}")
-    return edges, rows
+            raise FileFormatError(f"{path}:{lineno}: {exc}") from exc
+        if not all(lo <= i < hi for i in ids):
+            raise FileFormatError(f"{path}:{lineno}: "
+                                  f"{outside or 'node id outside the int64 range'}")
+    raise FileFormatError(f"{path}: entries must be ASCII `u v [w]` lines")
+
+
+def _parse_edgelist(path, data):
+    """(u, v, w, weighted, n): n is the node count of a `# nodes N edges M`
+    first line, else None."""
+    header = _NODES_HEADER.match(data)
+    n = int(header[1]) if header else None
+    u, v, w, weighted = _read_entries(
+        path, data, 1, base=0, n=n, malformed="expected `u v [w]`, got",
+        outside=header and f"node id outside 0..{n - 1} declared by the header",
+        promised=header and (int(header[2]), f"{path}:1: header promises "
+                                              f"{int(header[2])} edges"))
+    if n is None and u.size == 0:
+        raise FileFormatError(f"{path}: no edges found")
+    return u, v, w, weighted, n
+
+
+def _parse_matrix_market(path, data):
+    pos = data.find(b"\n") + 1 or len(data)  # where line 2 starts
+    toks = data[:pos].decode(errors="replace").lower().split()
+    if len(toks) < 5 or not toks[0].startswith("%%matrixmarket"):
+        raise FileFormatError(f"{path}:1: not a MatrixMarket header")
+    _, obj, fmt, field, sym = toks[:5]
+    if obj != "matrix" or fmt != "coordinate":
+        raise FileFormatError(f"{path}:1: only coordinate matrices are supported")
+    if field not in ("real", "integer", "pattern"):
+        raise FileFormatError(f"{path}:1: unsupported field {field!r}")
+    if sym != "symmetric":
+        raise FileFormatError(
+            f"{path}:1: header declares {sym!r}; undirected graphs need "
+            "a symmetric matrix")
+    lineno, size_line = 1, ""
+    while not size_line or size_line.startswith("%"):
+        if pos == len(data):
+            raise FileFormatError(f"{path}: missing size line")
+        end = data.find(b"\n", pos) + 1 or len(data)
+        size_line = data[pos:end].decode(errors="replace").strip()
+        pos, lineno = end, lineno + 1
+    try:
+        rows, cols, nnz = (int(x) for x in size_line.split())
+    except ValueError as exc:
+        raise FileFormatError(f"{path}:{lineno}: bad size line {size_line!r}") from exc
+    if rows != cols:
+        raise FileFormatError(f"{path}:{lineno}: matrix must be square, got {rows}x{cols}")
+    u, v, w, weighted = _read_entries(
+        path, data[pos:], lineno + 1, base=1, n=rows, malformed="malformed entry",
+        outside="index out of range", width=2 if field == "pattern" else 3,
+        promised=(nnz, f"{path}: size line promises {nnz} entries"))
+    return u, v, w, weighted, rows
 
 
 def parse_graph_file(path, fmt=None, allow_self_loops=False):
@@ -121,28 +155,25 @@ def parse_graph_file(path, fmt=None, allow_self_loops=False):
     node_id_map[i] is the original id of compacted node i. Format is sniffed
     from the extension / header when not given.
     """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if b"\r" in data:  # line ends as a text-mode read gives them
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     if fmt is None:
-        fmt = "matrix_market" if str(path).endswith((".mtx", ".mm")) else None
-        if fmt is None:
-            with open(path) as fh:
-                first = fh.readline()
-            fmt = "matrix_market" if first.lower().startswith("%%matrixmarket") else "edgelist"
-    if fmt == "matrix_market":
-        edges, n = _parse_matrix_market(path)
-        g = build_csr(edges, n=n, allow_self_loops=allow_self_loops)
-        return g, np.arange(n, dtype=np.int64)
-    if fmt != "edgelist":
+        mm = (str(path).endswith((".mtx", ".mm"))
+              or data[:14].lower() == b"%%matrixmarket")
+        fmt = "matrix_market" if mm else "edgelist"
+    parse = {"matrix_market": _parse_matrix_market,
+             "edgelist": _parse_edgelist}.get(fmt)
+    if parse is None:
         raise ValueError(f"unknown graph format {fmt!r}")
-    edges, n = _parse_edgelist(path)
-    if n is not None:
-        g = build_csr(edges, n=n, allow_self_loops=allow_self_loops)
-        return g, np.arange(n, dtype=np.int64)
-    raw = np.array([(e[0], e[1]) for e in edges], dtype=np.int64)
-    ids = np.unique(raw)
-    lookup = {int(orig): i for i, orig in enumerate(ids.tolist())}
-    remapped = [(lookup[e[0]], lookup[e[1]], *e[2:]) for e in edges]
-    g = build_csr(remapped, n=len(ids), allow_self_loops=allow_self_loops)
-    return g, ids
+    u, v, w, weighted, n = parse(path, data)
+    if n is None:
+        ids, compact = np.unique(np.concatenate([u, v]), return_inverse=True)
+        u, v, n = compact[:u.size], compact[u.size:], ids.size
+    else:
+        ids = np.arange(n, dtype=np.int64)
+    return _csr_from_arrays(u, v, w, weighted, n, allow_self_loops), ids
 
 
 def write_graph_edgelist(g: GraphCSR, path, node_ids=None):

@@ -3,12 +3,14 @@
 GraphCSR is the ground-truth object every other module consumes. It stores
 both directions of each undirected edge, keeps column indices sorted within
 each row, and is immutable after construction, so callers may share it
-freely.
+freely. `build_csr` turns edge tuples into arrays for `_csr_from_arrays`,
+the loop-free core that the file reader calls directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 import numpy as np
 
@@ -72,11 +74,10 @@ def _csr_from_canonical(n, u, v, w, is_weighted):
     ru = np.concatenate([u, v[~loops]])
     cv = np.concatenate([v, u[~loops]])
     ww = np.concatenate([w, w[~loops]])
-    order = np.lexsort((cv, ru))
+    order = np.argsort(ru * np.int64(n) + cv)  # keys are unique
     ru, cv, ww = ru[order], cv[order], ww[order]
     row_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(row_ptr, ru + 1, 1)
-    np.cumsum(row_ptr, out=row_ptr)
+    np.cumsum(np.bincount(ru, minlength=n), out=row_ptr[1:])
     return GraphCSR(n=int(n), row_ptr=row_ptr, col_idx=cv.astype(np.int64),
                     weights=ww.astype(np.float64), is_weighted=bool(is_weighted))
 
@@ -90,28 +91,27 @@ def build_csr(edges, n=None, allow_self_loops=False) -> GraphCSR:
     must carry equal total weight. Node count is 1 + max id unless `n` is
     given (isolated trailing nodes are then allowed).
     """
-    us, vs, ws = [], [], []
-    explicit_weight = False
-    for e in edges:
-        if len(e) == 3:
-            u, v, w = e
-            explicit_weight = True
-        else:
-            u, v = e
-            w = 1.0
-        us.append(u)
-        vs.append(v)
-        ws.append(w)
+    edges = list(edges)
+    if not set(map(len, edges)) <= {2, 3}:
+        raise ValueError("edges must be (u, v) or (u, v, w) tuples")
+    # one sequence per tuple position; a missing weight reads as 1.0
+    columns = list(zip_longest(*edges, fillvalue=1.0)) or [(), ()]
+    u, v = (np.asarray(c, dtype=np.int64) for c in columns[:2])
+    weighted = len(columns) == 3
+    w = np.asarray(columns[2], dtype=np.float64) if weighted else np.ones(u.size)
+    return _csr_from_arrays(u, v, w, weighted, n, allow_self_loops)
 
-    u = np.asarray(us, dtype=np.int64) if us else np.zeros(0, dtype=np.int64)
-    v = np.asarray(vs, dtype=np.int64) if vs else np.zeros(0, dtype=np.int64)
-    w = np.asarray(ws, dtype=np.float64) if ws else np.zeros(0)
 
+def _csr_from_arrays(u, v, w, weighted, n=None, allow_self_loops=False):
+    """`build_csr` on arrays: edge i joins u[i] and v[i] with weight w[i];
+    `weighted` says whether any edge stated its weight."""
     if u.size and (u.min() < 0 or v.min() < 0):
         raise GraphError("node ids must be nonnegative")
-    if np.any(w <= 0):
-        bad = int(np.argmax(w <= 0))
-        raise GraphError(f"edge ({us[bad]}, {vs[bad]}) has non-positive weight {ws[bad]}")
+    bad = ~(w > 0) | (w == np.inf)
+    if bad.any():
+        i = int(np.argmax(bad))
+        what = "non-positive" if w[i] <= 0 else "non-finite"
+        raise GraphError(f"edge ({u[i]}, {v[i]}) has {what} weight {w[i]}")
     if not allow_self_loops and np.any(u == v):
         node = int(u[np.argmax(u == v)])
         raise GraphError(f"self-loop at node {node} (pass allow_self_loops to accept)")
@@ -122,39 +122,27 @@ def build_csr(edges, n=None, allow_self_loops=False) -> GraphCSR:
     elif n < n_min:
         raise GraphError(f"n={n} smaller than 1 + max node id ({n_min})")
 
-    if u.size == 0:
-        return GraphCSR(n=int(n), row_ptr=np.zeros(n + 1, dtype=np.int64),
-                        col_idx=np.zeros(0, dtype=np.int64), weights=np.zeros(0),
-                        is_weighted=False)
-
-    cu = np.minimum(u, v)
-    cv = np.maximum(u, v)
-    reversed_dir = u > v
-    # Aggregate per (pair, direction): same-direction repeats sum.
-    code = cu * np.int64(n) + cv
-    key = code * 2 + reversed_dir
+    # One key per (pair, direction): same-direction repeats sum in input order.
+    key = (np.minimum(u, v) * np.int64(n) + np.maximum(u, v)) * 2 + (u > v)
     order = np.argsort(key, kind="stable")
-    key_s, w_s = key[order], w[order]
-    uniq_key, first = np.unique(key_s, return_index=True)
-    sums = np.add.reduceat(w_s, first)
+    key, w = key[order], w[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    sums = np.add.reduceat(w, first)
+    pair = key[first] // 2
 
-    pair = uniq_key // 2
-    pair_u, pair_first = np.unique(pair, return_index=True)
-    pair_counts = np.diff(np.append(pair_first, pair.size))
-    weight = np.empty(pair_u.size)
-    for i, (start, cnt) in enumerate(zip(pair_first, pair_counts)):
-        if cnt == 1:
-            weight[i] = sums[start]
-        else:
-            fw, bw = sums[start], sums[start + 1]
-            if not np.isclose(fw, bw, rtol=1e-12, atol=0.0):
-                a, b = divmod(int(pair_u[i]), int(n))
-                raise GraphError(
-                    f"edge ({a}, {b}) restated in both directions with "
-                    f"conflicting weights {fw} != {bw}")
-            weight[i] = fw
+    # A pair stated both ways holds its forward sum at i and reverse at i + 1.
+    both = np.flatnonzero(pair[1:] == pair[:-1])
+    fw, bw = sums[both], sums[both + 1]
+    conflict = ~np.isclose(fw, bw, rtol=1e-12, atol=0.0)
+    if conflict.any():
+        i = int(np.argmax(conflict))
+        a, b = divmod(int(pair[both[i]]), int(n))
+        raise GraphError(
+            f"edge ({a}, {b}) restated in both directions with "
+            f"conflicting weights {fw[i]} != {bw[i]}")
+    keep = np.ones(pair.size, dtype=bool)
+    keep[both + 1] = False
+    pair, weight = pair[keep], sums[keep]
 
-    fu = (pair_u // n).astype(np.int64)
-    fv = (pair_u % n).astype(np.int64)
-    is_weighted = explicit_weight and not np.all(weight == 1.0)
-    return _csr_from_canonical(n, fu, fv, weight, is_weighted)
+    is_weighted = weighted and not np.all(weight == 1.0)
+    return _csr_from_canonical(n, pair // n, pair % n, weight, is_weighted)

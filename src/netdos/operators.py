@@ -79,62 +79,53 @@ class SymmetricCSROperator:
                                    out=out)
 
 
-def _assemble(n, rows, cols, vals, kind, scale_map=IDENTITY_MAP,
-              spectral_range=None):
-    order = np.lexsort((cols, rows))
-    rows, cols, vals = rows[order], cols[order], vals[order]
-    if rows.size:
-        key = rows * np.int64(n) + cols
-        uniq, first = np.unique(key, return_index=True)
-        vals = np.add.reduceat(vals, first)
-        rows, cols = (uniq // n).astype(np.int64), (uniq % n).astype(np.int64)
+def _sorted_csr(n, rows, cols, vals, diag=None):
+    """(indptr, indices, data) of entries given in row-major order.
+
+    Each row must hold each column at most once, sorted, as GraphCSR and
+    SymmetricCSROperator store them. `diag` (length n), when given, is added
+    to the diagonal: into a stored entry (`vals` is updated in place), else as
+    a new entry inserted in column order. Entries that come out exactly 0.0
+    are dropped; nothing is re-sorted.
+    """
+    if diag is not None:
+        on = cols == rows
+        vals[on] += diag[rows[on]]
+        new = np.flatnonzero(np.bincount(rows[on], minlength=n) == 0)
+        # a new diagonal goes after the row's entries left of the diagonal
+        at = (np.searchsorted(rows, new)
+              + np.bincount(rows[cols < rows], minlength=n)[new])
+        rows = np.insert(rows, at, new)
+        cols = np.insert(cols, at, new)
+        vals = np.insert(vals, at, diag[new])
     keep = vals != 0.0
     rows, cols, vals = rows[keep], cols[keep], vals[keep]
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, rows + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    return SymmetricCSROperator(n, indptr, np.ascontiguousarray(cols),
-                                np.ascontiguousarray(vals), kind, scale_map,
-                                spectral_range)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr, cols, vals
 
 
 def build_operator(g: GraphCSR, kind: OperatorKind) -> SymmetricCSROperator:
     """Materialize the requested operator for g as explicit CSR arrays."""
     kind = OperatorKind(kind)
     n = g.n
-    counts = np.diff(g.row_ptr)
-    rows = np.repeat(np.arange(n, dtype=np.int64), counts)
-    cols = g.col_idx
-    w = g.weights
-    deg = g.degrees()
-    loops = rows == cols
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(g.row_ptr))
+    # `eye` is the Laplacians' diagonal term: D, or I for the normalized kinds
+    cols, vals, eye = g.col_idx, g.weights, g.degrees()
+    if kind in (OperatorKind.NORMALIZED_ADJACENCY, OperatorKind.NORMALIZED_LAPLACIAN):
+        with np.errstate(divide="ignore"):
+            dinv = np.where(eye > 0, 1.0 / np.sqrt(np.maximum(eye, 1e-300)), 0.0)
+        vals, eye = vals * dinv[rows] * dinv[cols], np.ones(n)
 
-    if kind is OperatorKind.ADJACENCY:
-        return _assemble(n, rows.copy(), cols.copy(), w.copy(), kind)
-
-    if kind is OperatorKind.LAPLACIAN:
-        # Off-diagonal -a_ij plus diagonal d_i (loop weight folds into both).
-        diag = deg.copy()
-        diag -= np.bincount(rows[loops], weights=w[loops], minlength=n)
-        r = np.concatenate([rows[~loops], np.arange(n, dtype=np.int64)])
-        c = np.concatenate([cols[~loops], np.arange(n, dtype=np.int64)])
-        v = np.concatenate([-w[~loops], diag])
-        return _assemble(n, r, c, v, kind)
-
-    with np.errstate(divide="ignore"):
-        dinv = np.where(deg > 0, 1.0 / np.sqrt(np.maximum(deg, 1e-300)), 0.0)
-    norm_w = w * dinv[rows] * dinv[cols]
-
-    if kind is OperatorKind.NORMALIZED_ADJACENCY:
-        return _assemble(n, rows.copy(), cols.copy(), norm_w, kind)
-
-    # Normalized Laplacian: diagonal 1 - normalized loop weight, rest negated.
-    diag = np.ones(n)
-    diag -= np.bincount(rows[loops], weights=norm_w[loops], minlength=n)
-    r = np.concatenate([rows[~loops], np.arange(n, dtype=np.int64)])
-    c = np.concatenate([cols[~loops], np.arange(n, dtype=np.int64)])
-    v = np.concatenate([-norm_w[~loops], diag])
-    return _assemble(n, r, c, v, kind)
+    if kind in (OperatorKind.ADJACENCY, OperatorKind.NORMALIZED_ADJACENCY):
+        arrays = _sorted_csr(n, rows, cols, vals)
+    else:
+        # off-diagonal -a_ij; the loop weight moves from the adjacency part
+        # into the diagonal
+        loops = rows == cols
+        diag = eye - np.bincount(rows[loops], weights=vals[loops], minlength=n)
+        arrays = _sorted_csr(n, rows[~loops], cols[~loops], -vals[~loops], diag)
+    return SymmetricCSROperator(n, *arrays, kind)
 
 
 def rescale_operator(op: SymmetricCSROperator,
@@ -154,23 +145,10 @@ def rescale_operator(op: SymmetricCSROperator,
     scale = 0.5 * (lmax - lmin)
     n = op.n
     rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(op.indptr))
-    cols, vals = op.indices, op.data / scale
-    if shift != 0.0:
-        diag = cols == rows
-        vals[diag] += -shift / scale
-        missing = np.bincount(rows[diag], minlength=n) == 0
-        # a new diagonal goes after the row's entries left of the diagonal
-        at = op.indptr[:-1] + np.bincount(rows[cols < rows], minlength=n)
-        new = np.flatnonzero(missing)
-        rows = np.insert(rows, at[new], new)
-        cols = np.insert(cols, at[new], new)
-        vals = np.insert(vals, at[new], -shift / scale)
-    keep = vals != 0.0
-    rows, cols, vals = rows[keep], cols[keep], vals[keep]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return SymmetricCSROperator(n, indptr, cols, vals, op.kind,
-                                ScaleMap(shift, scale), (lmin, lmax))
+    diag = np.full(n, -shift / scale) if shift != 0.0 else None
+    arrays = _sorted_csr(n, rows, op.indices, op.data / scale, diag)
+    return SymmetricCSROperator(n, *arrays, op.kind, ScaleMap(shift, scale),
+                                (lmin, lmax))
 
 
 def estimate_spectral_range(op, probe_seed=0, steps=RANGE_STEPS,

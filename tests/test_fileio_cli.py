@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from netdos import (FileFormatError, SpectralHistogram, build_csr,
-                    parse_graph_file, write_graph_edgelist)
+from netdos import (FileFormatError, GraphError, SpectralHistogram,
+                    build_csr, parse_graph_file, write_graph_edgelist)
 from netdos.cli import main
 from netdos.fileio import (load_moments, moments_payload,
                            read_histogram_csv, write_histogram_csv, write_json)
@@ -96,6 +96,54 @@ def test_edgelist_header_bounds_node_ids(tmp_path):
     assert g.n == 3 and ids.tolist() == [0, 1, 3]
 
 
+def test_edgelist_header_counts_edges(tmp_path):
+    p = tmp_path / "g.txt"
+    p.write_text("# nodes 3 edges 3\n0 1\n1 2\n")
+    with pytest.raises(FileFormatError, match=r"g\.txt:1: header promises 3 edges, found 2"):
+        parse_graph_file(p)
+    # a header with no entries is an edgeless graph; no header, no graph
+    p.write_text("# nodes 4 edges 0\n")
+    g, ids = parse_graph_file(p)
+    assert g.n == 4 and g.nnz == 0 and ids.tolist() == [0, 1, 2, 3]
+    p.write_text("# no header\n\n")
+    with pytest.raises(FileFormatError, match="no edges found"):
+        parse_graph_file(p)
+
+
+def test_matrix_market_field_fixes_the_columns(tmp_path):
+    p = tmp_path / "g.mtx"
+    head = "%%MatrixMarket matrix coordinate {} symmetric\n3 3 2\n"
+    p.write_text(head.format("pattern") + "3 2\n2 1 5.0\n")
+    with pytest.raises(FileFormatError, match=r"g\.mtx:4: .*2-column"):
+        parse_graph_file(p)
+    p.write_text(head.format("real") + "3 2 1.5\n2 1\n")
+    with pytest.raises(FileFormatError, match=r"g\.mtx:4: .*3-column"):
+        parse_graph_file(p)
+    p.write_text(head.format("integer") + "3 2 2\n% note\n2 1 2\n")
+    g, _ = parse_graph_file(p)
+    assert g.is_weighted and g.weights.tolist() == [2.0, 2.0, 2.0, 2.0]
+
+
+def test_parse_rejects_non_finite_weights(tmp_path):
+    p = tmp_path / "g.txt"
+    p.write_text("0 1 nan\n1 2 inf\n")
+    with pytest.raises(GraphError, match=r"edge \(0, 1\) has non-finite weight nan"):
+        parse_graph_file(p)
+
+
+def test_parse_reads_every_line_end(tmp_path):
+    # LF, CRLF and lone CR line ends, 2- and 3-column lines mixed
+    p = tmp_path / "g.txt"
+    for end in ("\n", "\r\n", "\r"):
+        p.write_bytes(end.join(["# c", "5 9", "", "9 70 2.0", "%", "70 5"]).encode())
+        g, ids = parse_graph_file(p)
+        assert ids.tolist() == [5, 9, 70] and g.is_weighted
+        assert g.weights.tolist() == [1.0, 1.0, 1.0, 2.0, 1.0, 2.0]
+    p.write_bytes(b"0 1\r\n1 x\r\n")
+    with pytest.raises(FileFormatError, match=r"g\.txt:2: invalid literal"):
+        parse_graph_file(p)
+
+
 def test_histogram_csv_round_trip(tmp_path):
     hist = SpectralHistogram(edges=np.array([-1.0, 1.0]), masses=np.array([1.0]))
     path = tmp_path / "h.csv"
@@ -146,6 +194,16 @@ def test_full_pipeline_files_identical(tmp_path):
     obj = json.loads(outs[0])
     assert obj["record"] == "dos"
     assert abs(sum(obj["masses"]) - 1.0) < 1e-8
+
+
+def test_cli_dos_on_generated_edgeless_graph(tmp_path):
+    gpath = str(tmp_path / "g.txt")
+    assert main(["generate", "--model", "er", "--n", "50", "--p", "0",
+                 "--seed", "1", "--out", gpath]) == 0
+    assert open(gpath).read() == "# nodes 50 edges 0\n"
+    out = str(tmp_path / "dos.json")
+    assert main(["dos", "--input", gpath, "--out", out]) == 0
+    assert abs(sum(json.loads(open(out).read())["masses"]) - 1.0) < 1e-8
 
 
 def test_cli_motifs_star(tmp_path, capsys):

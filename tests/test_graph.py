@@ -59,6 +59,12 @@ def test_rejects_bad_input():
         build_csr([(0, 1), (3, 3)])
     with pytest.raises(GraphError, match="nonnegative"):
         build_csr([(-1, 2)])
+    with pytest.raises(GraphError, match=r"edge \(1, 2\) has non-finite weight nan"):
+        build_csr([(0, 1, 1.0), (1, 2, float("nan"))])
+    with pytest.raises(GraphError, match=r"edge \(0, 1\) has non-finite weight inf"):
+        build_csr([(0, 1, float("inf"))])
+    with pytest.raises(GraphError, match="non-positive weight -inf"):
+        build_csr([(0, 1, float("-inf"))])
 
 
 def test_self_loop_allowed_with_flag():

@@ -4,7 +4,7 @@ import pytest
 from netdos import (OperatorKind, ScaleMap, SpectralRangeError,
                     SymmetricCSROperator, build_csr, build_operator,
                     estimate_spectral_range, rescale_operator)
-from netdos.operators import _assemble
+from netdos.operators import IDENTITY_MAP
 from netdos.testkit import dense_matrix, erdos_renyi, exact_spectrum
 
 from conftest import dense_from_graph
@@ -154,6 +154,65 @@ def test_rescale_folds_shift_and_scale_into_csr():
             assert sop.scale_map == ScaleMap(shift, scale)
             want = (dense_matrix(op) - shift * np.eye(g.n)) / scale
             assert np.allclose(dense_matrix(sop), want, rtol=0, atol=1e-14)
+
+
+def _assemble(n, rows, cols, vals, kind, scale_map=IDENTITY_MAP,
+              spectral_range=None):
+    """CSR by a full re-sort: lexsort, merge repeats, drop exact zeros."""
+    order = np.lexsort((cols, rows))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    if rows.size:
+        key = rows * np.int64(n) + cols
+        uniq, first = np.unique(key, return_index=True)
+        vals = np.add.reduceat(vals, first)
+        rows, cols = (uniq // n).astype(np.int64), (uniq % n).astype(np.int64)
+    keep = vals != 0.0
+    rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(indptr, rows + 1, 1)
+    np.cumsum(indptr, out=indptr)
+    return SymmetricCSROperator(n, indptr, np.ascontiguousarray(cols),
+                                np.ascontiguousarray(vals), kind, scale_map,
+                                spectral_range)
+
+
+def _build_by_resorting(g, kind):
+    """`build_operator` as entry lists re-sorted by `_assemble`: the graph's
+    entries, with each Laplacian's diagonal appended to its rows."""
+    n = g.n
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(g.row_ptr))
+    cols, w, deg = g.col_idx, g.weights, g.degrees()
+    loops = rows == cols
+    if kind in (OperatorKind.NORMALIZED_ADJACENCY,
+                OperatorKind.NORMALIZED_LAPLACIAN):
+        with np.errstate(divide="ignore"):
+            dinv = np.where(deg > 0, 1.0 / np.sqrt(np.maximum(deg, 1e-300)), 0.0)
+        w, deg = w * dinv[rows] * dinv[cols], np.ones(n)
+    if kind in (OperatorKind.ADJACENCY, OperatorKind.NORMALIZED_ADJACENCY):
+        return _assemble(n, rows.copy(), cols.copy(), w.copy(), kind)
+    diag = deg - np.bincount(rows[loops], weights=w[loops], minlength=n)
+    eye = np.arange(n, dtype=np.int64)
+    return _assemble(n, np.concatenate([rows[~loops], eye]),
+                     np.concatenate([cols[~loops], eye]),
+                     np.concatenate([-w[~loops], diag]), kind)
+
+
+def test_build_operator_equals_resorting_bit_for_bit():
+    # self-loops, isolated nodes, an edgeless graph, ER and preferential
+    # attachment; node 2 of the second graph has only its loop, so its
+    # Laplacian diagonal is exactly zero and dropped
+    from netdos.testkit import preferential_attachment
+    graphs = [build_csr([(0, 1), (1, 2), (0, 2), (2, 3), (3, 3, 2.0), (3, 5)],
+                        n=7, allow_self_loops=True),
+              build_csr([(0, 1), (2, 2, 1.5)], n=5, allow_self_loops=True),
+              build_csr([], n=3), erdos_renyi(300, 0.02, seed=5),
+              preferential_attachment(500, 2, seed=6)]
+    for g in graphs:
+        for kind in ALL_KINDS:
+            got, want = build_operator(g, kind), _build_by_resorting(g, kind)
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.indices, want.indices)
+            assert got.data.tobytes() == want.data.tobytes()
 
 
 def _rescale_by_resorting(op, spectral_range):
