@@ -454,3 +454,134 @@ def test_cli_hist_on_per_node_moments(tmp_path, capsys):
     assert main(["hist", "--moments-file", pdos_out, "--bins", "50",
                  "--negativity-tol", "1e-3", "--out", hist_out]) == 1
     assert "bin mass" in capsys.readouterr().err
+
+
+# One test per CLI option that changes what a command computes, each
+# asserting the option's effect.
+
+def _star_with_chains(path):
+    # hub 0 with leaves 1..3 (open twins) and two dangling 2-chains 0-4-5, 0-6-7
+    path.write_text("0 1\n0 2\n0 3\n0 4\n4 5\n0 6\n6 7\n")
+    return str(path)
+
+
+def test_cli_allow_self_loops(tmp_path, capsys):
+    gpath = tmp_path / "loop.txt"
+    gpath.write_text("0 0 1\n0 1\n")
+    args = ["exact", "--input", str(gpath), "--operator", "adjacency"]
+    assert main(args) == 1
+    assert "self-loop at node 0" in capsys.readouterr().err
+    assert main([*args, "--allow-self-loops"]) == 0
+    eig = json.loads(capsys.readouterr().out)["eigenvalues"]
+    # [[1, 1], [1, 0]]: the loop is one diagonal entry
+    assert np.allclose(eig, [(1 - 5 ** 0.5) / 2, (1 + 5 ** 0.5) / 2])
+
+
+def test_cli_no_damping(tmp_path):
+    from netdos.density import histogram_from_moments
+    gpath = str(tmp_path / "g.txt")
+    main(["generate", "--model", "er", "--n", "80", "--p", "0.1", "--seed", "2",
+          "--out", gpath])
+    records = {}
+    for name, flag in [("damped", []), ("raw", ["--no-damping"])]:
+        out = str(tmp_path / f"{name}.json")
+        assert main(["dos", "--input", gpath, "--moments", "60", "--probes", "8",
+                     "--bins", "20", *flag, "--out", out]) == 0
+        moments, _, records[name] = load_moments(out)
+    raw = records["raw"]
+    assert records["damped"]["damping"] is True and raw["damping"] is False
+    assert raw["masses"] == histogram_from_moments(
+        moments, bins=20, damping=False).masses.tolist()
+    assert raw["masses"] != records["damped"]["masses"]
+    hist_out = str(tmp_path / "h.json")
+    assert main(["hist", "--moments-file", str(tmp_path / "damped.json"),
+                 "--bins", "20", "--no-damping", "--out", hist_out]) == 0
+    assert json.loads(open(hist_out).read())["masses"] == raw["masses"]
+
+
+def test_cli_no_spikes(tmp_path):
+    gpath = _star_with_chains(tmp_path / "star.txt")
+    base = ["dos", "--input", gpath, "--filter-motifs", "all", "--moments", "30",
+            "--probes", "4", "--bins", "10"]
+    with_spikes, without = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+    assert main([*base, "--out", with_spikes]) == 0
+    assert main([*base, "--no-spikes", "--out", without]) == 0
+    a = json.loads(open(with_spikes).read())
+    b = json.loads(open(without).read())
+    r, n = a["filter"]["deflated_dim"], a["filter"]["total_dim"]
+    assert r > 0 and n == 8
+    # without spikes the masses are the deflated density alone; with them it
+    # is scaled by (n - r)/n and the removed mass r/n sits in the spike bins
+    assert abs(sum(b["masses"]) - 1.0) < 1e-12
+    spikes = np.array(a["masses"]) - np.array(b["masses"]) * (n - r) / n
+    edges = np.array(a["edges"])
+    want = np.zeros(10)
+    for lam, count in a["filter"]["removed"]:
+        want[min(np.searchsorted(edges, lam, side="right") - 1, 9)] += count / n
+    assert np.allclose(spikes, want, rtol=0, atol=1e-12)
+    assert abs(want.sum() - r / n) < 1e-12
+    hist_out = str(tmp_path / "h.json")
+    assert main(["hist", "--moments-file", with_spikes, "--bins", "10",
+                 "--no-spikes", "--out", hist_out]) == 0
+    assert json.loads(open(hist_out).read())["masses"] == b["masses"]
+
+
+def test_cli_motif_kinds(tmp_path, capsys):
+    gpath = _star_with_chains(tmp_path / "star.txt")
+    assert main(["motifs", "--input", gpath]) == 0
+    kinds = {i["kind"] for i in json.loads(capsys.readouterr().out)["instances"]}
+    assert kinds == {"open-twin", "dangling-two-chain"}
+    assert main(["motifs", "--input", gpath, "--kinds", "dangling-two-chain"]) == 0
+    instances = json.loads(capsys.readouterr().out)["instances"]
+    assert instances and {i["kind"] for i in instances} == {"dangling-two-chain"}
+    assert all(i["nodes"] == [4, 5, 6, 7] for i in instances)
+
+
+def test_cli_range_steps_and_margin(tmp_path):
+    from netdos.operators import OperatorKind, build_operator, estimate_spectral_range
+    gpath = str(tmp_path / "g.txt")
+    main(["generate", "--model", "er", "--n", "100", "--p", "0.08", "--seed", "3",
+          "--out", gpath])
+    g, _ = parse_graph_file(gpath)
+    op = build_operator(g, OperatorKind.LAPLACIAN)
+
+    def lambdas(*extra):
+        out = str(tmp_path / "p.json")
+        assert main(["pdos", "--input", gpath, "--operator", "laplacian",
+                     "--moments", "10", "--probes", "4", "--seed", "5", *extra,
+                     "--out", out]) == 0
+        obj = json.loads(open(out).read())
+        return obj["lambda_min"], obj["lambda_max"]
+
+    default = lambdas()
+    assert default == estimate_spectral_range(op, probe_seed=5)
+    few = lambdas("--range-steps", "4")
+    assert few == estimate_spectral_range(op, probe_seed=5, steps=4)
+    assert few != default
+    wide = lambdas("--range-margin", "0.5")
+    assert wide == estimate_spectral_range(op, probe_seed=5, margin=0.5)
+    assert wide[0] < default[0] and wide[1] > default[1]
+
+
+@pytest.mark.parametrize("command", ["gql", "hist"])
+def test_cli_csv_output_matches_json(tmp_path, command):
+    gpath = str(tmp_path / "g.txt")
+    main(["generate", "--model", "er", "--n", "60", "--p", "0.1", "--seed", "6",
+          "--out", gpath])
+    if command == "gql":
+        args = ["gql", "--input", gpath, "--moments", "15", "--probes", "4",
+                "--bins", "12"]
+    else:
+        moments = str(tmp_path / "dos.json")
+        assert main(["dos", "--input", gpath, "--moments", "40", "--probes", "4",
+                     "--out", moments]) == 0
+        args = ["hist", "--moments-file", moments, "--bins", "12"]
+    json_out, csv_out = str(tmp_path / "h.json"), str(tmp_path / "h.csv")
+    assert main([*args, "--out", json_out]) == 0
+    assert main([*args, "--out-format", "csv", "--out", csv_out]) == 0
+    obj = json.loads(open(json_out).read())
+    hist = read_histogram_csv(csv_out)
+    assert hist.edges.tolist() == obj["edges"]
+    assert hist.masses.tolist() == obj["masses"]
+    with pytest.raises(FileFormatError):
+        read_histogram_csv(json_out)
