@@ -14,12 +14,13 @@ import sys
 import numpy as np
 
 from . import fileio, pipeline, testkit
-from .density import histogram_from_moments
+from .density import BINS, histogram_from_moments
 from .errors import NetdosError
 from .lanczos import gql_pdos
 from .motifs import MotifKind, detect_motifs
-from .nested_dissection import build_partition_tree, load_partition, save_partition
-from .operators import RANGE_MARGIN, RANGE_STEPS, OperatorKind, build_operator
+from .nested_dissection import LEAF_SIZE, load_partition, save_partition
+from .operators import (OPERATOR, RANGE_MARGIN, RANGE_STEPS, OperatorKind,
+                        build_operator)
 from .probes import ProbeKind
 
 _OPERATORS = [k.value for k in OperatorKind]
@@ -27,16 +28,19 @@ _PROBE_KINDS = [k.value for k in ProbeKind]
 _MOTIF_KINDS = [k.value for k in MotifKind if k is not MotifKind.CUSTOM]
 
 
-def _add_graph_args(p):
+def _add_graph_command(sub, name, fn, help, csv=False):
+    """A subcommand that reads a graph from --input and writes one record."""
+    p = sub.add_parser(name, help=help)
     p.add_argument("--input", required=True, help="graph file")
-    p.add_argument("--format", choices=["edgelist", "matrix-market"], default=None)
     p.add_argument("--allow-self-loops", action="store_true")
+    p.add_argument("--operator", choices=_OPERATORS, default=OPERATOR.value)
+    _add_output_args(p, csv)
+    p.set_defaults(fn=fn)
+    return p
 
 
-def _add_common_args(p, moments_default=500):
-    p.add_argument("--operator", choices=_OPERATORS,
-                   default=OperatorKind.NORMALIZED_ADJACENCY.value)
-    p.add_argument("--moments", type=int, default=moments_default)
+def _add_estimator_args(p, moments):
+    p.add_argument("--moments", type=int, default=moments)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--range", type=_range_arg, default=None, metavar="LO,HI",
                    help="spectral range override (default: estimated)")
@@ -45,7 +49,28 @@ def _add_common_args(p, moments_default=500):
     p.add_argument("--threads", type=_positive_int, default=None,
                    help="accepted for compatibility; has no effect, because "
                         "the sparse kernel is serial")
+
+
+def _add_probe_args(p):
+    p.add_argument("--probes", type=int, default=pipeline.PROBES)
+    p.add_argument("--probe-kind", choices=_PROBE_KINDS,
+                   default=pipeline.PROBE_KIND.value)
+
+
+def _add_histogram_args(p, kpm=True):
+    """--bins; with `kpm`, the options of a Chebyshev moment series too."""
+    p.add_argument("--bins", type=int, default=BINS)
+    if kpm:
+        p.add_argument("--no-damping", action="store_true")
+        p.add_argument("--no-spikes", action="store_true",
+                       help="do not re-insert deflated spike mass")
+        p.add_argument("--negativity-tol", type=float, default=None)
+
+
+def _add_output_args(p, csv=False):
     p.add_argument("--out", default=None, help="output path (default: stdout)")
+    if csv:
+        p.add_argument("--out-format", choices=["json", "csv"], default="json")
 
 
 def _positive_int(text):
@@ -78,9 +103,7 @@ def _join_range_values(argv):
 
 
 def _load_graph(args):
-    fmt = {"matrix-market": "matrix_market", "edgelist": "edgelist",
-           None: None}[args.format]
-    return fileio.parse_graph_file(args.input, fmt=fmt,
+    return fileio.parse_graph_file(args.input,
                                    allow_self_loops=args.allow_self_loops)
 
 
@@ -98,19 +121,28 @@ def _parse_filter_kinds(text):
     return tuple(kinds)
 
 
-def _emit(text):
+def _meta(args, g, method=None, sop=None, **fields):
+    """The keys records share, in the order they hold them: method,
+    operator, n, then `fields`, then the spectral range of `sop`."""
+    meta = {} if method is None else {"method": method}
+    meta.update(operator=args.operator, n=g.n, **fields)
+    if sop is not None:
+        meta["lambda_min"], meta["lambda_max"] = sop.spectral_range
+    return meta
+
+
+def _write(args, payload, hist=None):
+    """Write `payload` as JSON to --out, or to stdout without it; write
+    `hist` as CSV instead if --out-format csv asks for it."""
+    if hist is not None and args.out_format == "csv":
+        if args.out is None:
+            raise NetdosError("--out-format csv requires --out")
+        fileio.write_histogram_csv(hist, args.out)
+        return 0
+    text = fileio.write_json(payload, args.out)
     if text is not None:
         print(text)
-
-
-def _csv_written(args, hist):
-    """Write `hist` as CSV if --out-format csv asks for it; True if written."""
-    if args.out_format != "csv":
-        return False
-    if args.out is None:
-        raise NetdosError("--out-format csv requires --out")
-    fileio.write_histogram_csv(hist, args.out)
-    return True
+    return 0
 
 
 def _cmd_dos(args):
@@ -123,19 +155,12 @@ def _cmd_dos(args):
         range_=args.range, range_steps=args.range_steps,
         range_margin=args.range_margin, reinsert_spikes=not args.no_spikes,
         negativity_tol=args.negativity_tol)
-    meta = {"method": "kpm", "operator": args.operator, "n": g.n,
-            "bins": args.bins, "damping": not args.no_damping,
-            "lambda_min": result.scaled_op.spectral_range[0],
-            "lambda_max": result.scaled_op.spectral_range[1]}
-    if _csv_written(args, result.histogram):
-        return 0
-    payload = fileio.moments_payload(result.moments, meta, result.adjustment)
-    payload.update({k: v for k, v in
-                    fileio.histogram_payload(result.histogram).items()
-                    if k != "record"})
-    payload["record"] = "dos"
-    _emit(fileio.write_json(payload, args.out))
-    return 0
+    meta = _meta(args, g, "kpm", result.scaled_op, bins=args.bins,
+                 damping=not args.no_damping)
+    # one record: the moments' keys, then the histogram's, typed "dos"
+    payload = {**fileio.moments_payload(result.moments, meta, result.adjustment),
+               **fileio.histogram_payload(result.histogram), "record": "dos"}
+    return _write(args, payload, result.histogram)
 
 
 def _cmd_pdos(args):
@@ -145,12 +170,8 @@ def _cmd_pdos(args):
         probe_kind=args.probe_kind, seed=args.seed,
         range_=args.range, range_steps=args.range_steps,
         range_margin=args.range_margin)
-    meta = {"method": "kpm", "operator": args.operator, "n": g.n,
-            "node_ids": node_ids.tolist(),
-            "lambda_min": sop.spectral_range[0],
-            "lambda_max": sop.spectral_range[1]}
-    _emit(fileio.write_json(fileio.moments_payload(moments, meta), args.out))
-    return 0
+    meta = _meta(args, g, "kpm", sop, node_ids=node_ids.tolist())
+    return _write(args, fileio.moments_payload(moments, meta))
 
 
 def _cmd_gql(args):
@@ -161,22 +182,16 @@ def _cmd_gql(args):
             raise NetdosError(f"node {args.node} is not in {args.input}")
         op = build_operator(g, OperatorKind(args.operator))
         quad = gql_pdos(op, int(index[0]), args.moments)
-        meta = {"method": "gql", "operator": args.operator, "n": g.n,
-                "node": args.node, "steps": args.moments}
-        _emit(fileio.write_json(fileio.quadrature_payload(quad, meta), args.out))
-        return 0
+        meta = _meta(args, g, "gql", node=args.node, steps=args.moments)
+        return _write(args, fileio.quadrature_payload(quad, meta))
     hist = pipeline.gql_dos_pipeline(
         g, operator=args.operator, steps=args.moments, nz=args.probes,
         probe_kind=args.probe_kind, seed=args.seed, bins=args.bins,
         range_=args.range, range_steps=args.range_steps,
         range_margin=args.range_margin)
-    meta = {"method": "gql", "operator": args.operator, "n": g.n,
-            "steps": args.moments, "nz": args.probes,
-            "probe_kind": args.probe_kind, "seed": args.seed, "bins": args.bins}
-    if _csv_written(args, hist):
-        return 0
-    _emit(fileio.write_json(fileio.histogram_payload(hist, meta), args.out))
-    return 0
+    meta = _meta(args, g, "gql", steps=args.moments, nz=args.probes,
+                 probe_kind=args.probe_kind, seed=args.seed, bins=args.bins)
+    return _write(args, fileio.histogram_payload(hist, meta), hist)
 
 
 def _cmd_nd_pdos(args):
@@ -188,12 +203,9 @@ def _cmd_nd_pdos(args):
         range_steps=args.range_steps, range_margin=args.range_margin)
     if args.save_partition:
         save_partition(tree, args.save_partition)
-    meta = {"method": "nd", "operator": args.operator, "n": g.n,
-            "leaf_size": args.leaf_size, "node_ids": node_ids.tolist(),
-            "lambda_min": sop.spectral_range[0],
-            "lambda_max": sop.spectral_range[1]}
-    _emit(fileio.write_json(fileio.moments_payload(moments, meta), args.out))
-    return 0
+    meta = _meta(args, g, "nd", sop, leaf_size=args.leaf_size,
+                 node_ids=node_ids.tolist())
+    return _write(args, fileio.moments_payload(moments, meta))
 
 
 def _cmd_motifs(args):
@@ -201,17 +213,15 @@ def _cmd_motifs(args):
     kinds = _parse_filter_kinds(args.kinds or "all")
     instances = detect_motifs(g, kinds={MotifKind(k) for k in kinds},
                               seed=args.seed, operator=OperatorKind(args.operator))
-    meta = {"operator": args.operator, "n": g.n}
-    payload = fileio.motifs_payload(instances, meta, node_ids=node_ids)
-    _emit(fileio.write_json(payload, args.out))
-    return 0
+    return _write(args, fileio.motifs_payload(instances, _meta(args, g),
+                                              node_ids=node_ids))
 
 
 def _cmd_exact(args):
     g, _ = _load_graph(args)
     op = build_operator(g, OperatorKind(args.operator))
     spec = testkit.exact_spectrum(op)
-    payload = {"record": "exact", "operator": args.operator, "n": g.n,
+    payload = {"record": "exact", **_meta(args, g),
                "eigenvalues": spec.eigenvalues.tolist()}
     if args.bins:
         rng = args.range
@@ -223,8 +233,7 @@ def _cmd_exact(args):
         edges = np.linspace(rng[0], rng[1], args.bins + 1)
         payload["edges"] = edges.tolist()
         payload["masses"] = testkit.oracle_histogram(spec.eigenvalues, edges).tolist()
-    _emit(fileio.write_json(payload, args.out))
-    return 0
+    return _write(args, payload)
 
 
 def _cmd_generate(args):
@@ -258,10 +267,7 @@ def _cmd_hist(args):
             "damping": not args.no_damping}
     if "node_ids" in payload:
         meta["node_ids"] = payload["node_ids"]
-    if _csv_written(args, hist):
-        return 0
-    _emit(fileio.write_json(fileio.histogram_payload(hist, meta), args.out))
-    return 0
+    return _write(args, fileio.histogram_payload(hist, meta), hist)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -270,68 +276,44 @@ def build_parser() -> argparse.ArgumentParser:
         description="Spectral density estimation for sparse graphs")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("dos", help="global density histogram via Chebyshev moments")
-    _add_graph_args(p)
-    _add_common_args(p)
-    p.add_argument("--probes", type=int, default=20)
-    p.add_argument("--probe-kind", choices=_PROBE_KINDS,
-                   default=ProbeKind.HADAMARD.value)
-    p.add_argument("--bins", type=int, default=50)
-    p.add_argument("--no-damping", action="store_true")
+    p = _add_graph_command(sub, "dos", _cmd_dos, csv=True,
+                           help="global density histogram via Chebyshev moments")
+    _add_estimator_args(p, pipeline.KPM_MOMENTS)
+    _add_probe_args(p)
     p.add_argument("--filter-motifs", default="none",
                    help="comma list of motif kinds, or all/none")
-    p.add_argument("--no-spikes", action="store_true",
-                   help="do not re-insert deflated spike mass")
-    p.add_argument("--negativity-tol", type=float, default=None)
-    p.add_argument("--out-format", choices=["json", "csv"], default="json")
-    p.set_defaults(fn=_cmd_dos)
+    _add_histogram_args(p)
 
-    p = sub.add_parser("pdos", help="per-node moments via stochastic diagonals")
-    _add_graph_args(p)
-    _add_common_args(p)
-    p.add_argument("--probes", type=int, default=20)
-    p.add_argument("--probe-kind", choices=_PROBE_KINDS,
-                   default=ProbeKind.HADAMARD.value)
-    p.set_defaults(fn=_cmd_pdos)
+    p = _add_graph_command(sub, "pdos", _cmd_pdos,
+                           help="per-node moments via stochastic diagonals")
+    _add_estimator_args(p, pipeline.KPM_MOMENTS)
+    _add_probe_args(p)
 
-    p = sub.add_parser("gql", help="density via Lanczos quadrature")
-    _add_graph_args(p)
-    _add_common_args(p, moments_default=50)
-    p.add_argument("--probes", type=int, default=20)
-    p.add_argument("--probe-kind", choices=_PROBE_KINDS,
-                   default=ProbeKind.HADAMARD.value)
-    p.add_argument("--bins", type=int, default=50)
+    p = _add_graph_command(sub, "gql", _cmd_gql, csv=True,
+                           help="density via Lanczos quadrature")
+    _add_estimator_args(p, pipeline.GQL_STEPS)
+    _add_probe_args(p)
+    _add_histogram_args(p, kpm=False)
     p.add_argument("--node", type=int, default=None,
                    help="emit the per-node quadrature for this node id (as "
                         "listed in node_ids by the other outputs) instead")
-    p.add_argument("--out-format", choices=["json", "csv"], default="json")
-    p.set_defaults(fn=_cmd_gql)
 
-    p = sub.add_parser("nd-pdos", help="exact per-node moments via nested dissection")
-    _add_graph_args(p)
-    _add_common_args(p, moments_default=50)
-    p.add_argument("--leaf-size", type=int, default=256)
+    p = _add_graph_command(sub, "nd-pdos", _cmd_nd_pdos,
+                           help="exact per-node moments via nested dissection")
+    _add_estimator_args(p, pipeline.ND_MOMENTS)
+    p.add_argument("--leaf-size", type=int, default=LEAF_SIZE)
     p.add_argument("--partition", default=None, help="load a partition file")
     p.add_argument("--save-partition", default=None)
-    p.set_defaults(fn=_cmd_nd_pdos)
 
-    p = sub.add_parser("motifs", help="detect spike-producing motifs")
-    _add_graph_args(p)
+    p = _add_graph_command(sub, "motifs", _cmd_motifs,
+                           help="detect spike-producing motifs")
     p.add_argument("--kinds", default="all")
-    p.add_argument("--operator", choices=_OPERATORS,
-                   default=OperatorKind.NORMALIZED_ADJACENCY.value)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=_cmd_motifs)
 
-    p = sub.add_parser("exact", help="dense oracle eigenvalues (size-capped)")
-    _add_graph_args(p)
-    p.add_argument("--operator", choices=_OPERATORS,
-                   default=OperatorKind.NORMALIZED_ADJACENCY.value)
+    p = _add_graph_command(sub, "exact", _cmd_exact,
+                           help="dense oracle eigenvalues (size-capped)")
     p.add_argument("--bins", type=int, default=None)
     p.add_argument("--range", type=_range_arg, default=None, metavar="LO,HI")
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=_cmd_exact)
 
     p = sub.add_parser("generate", help="write a generated graph as an edge list")
     p.add_argument("--model", choices=["er", "pa", "ba", "ws"], required=True)
@@ -345,12 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hist", help="rebin an existing moments file")
     p.add_argument("--moments-file", required=True)
-    p.add_argument("--bins", type=int, default=50)
-    p.add_argument("--no-damping", action="store_true")
-    p.add_argument("--no-spikes", action="store_true")
-    p.add_argument("--negativity-tol", type=float, default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--out-format", choices=["json", "csv"], default="json")
+    _add_histogram_args(p)
+    _add_output_args(p, csv=True)
     p.set_defaults(fn=_cmd_hist)
 
     return ap

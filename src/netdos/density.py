@@ -19,6 +19,9 @@ import numpy as np
 
 from .kpm import MODE_GLOBAL, MODE_PER_NODE, ChebMoments, jackson_coefficients
 
+# Histogram bins unless told otherwise.
+BINS = 50
+
 
 @dataclass
 class SpectralHistogram:
@@ -55,7 +58,7 @@ def cheb_bin_masses(m_max, scaled_edges) -> np.ndarray:
     return out
 
 
-def histogram_from_moments(moments: ChebMoments, bins=50, damping=True,
+def histogram_from_moments(moments: ChebMoments, bins=BINS, damping=True,
                            filter_adjustment=None, edges=None,
                            negativity_tol=None) -> SpectralHistogram:
     """Integrate the (optionally Jackson-damped) moment series over bins.
@@ -118,19 +121,16 @@ class SmoothedDensity:
 
     moments: ChebMoments
     sigma: float
-    kernel: str = "gaussian"
     damping: bool = True
 
     def __post_init__(self):
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
-        if self.kernel != "gaussian":
-            raise ValueError(f"unsupported kernel {self.kernel!r}")
         if self.moments.mode != MODE_GLOBAL:
             raise ValueError("smoothed densities are defined for global moments")
 
 
-def evaluate_density(sd: SmoothedDensity, at, quad_points=None) -> np.ndarray:
+def evaluate_density(sd: SmoothedDensity, at) -> np.ndarray:
     """Evaluate (K_sigma * mu)(lambda) at the given original-unit points.
 
     Substituting x = cos(theta) removes the endpoint weight singularity, so
@@ -139,15 +139,13 @@ def evaluate_density(sd: SmoothedDensity, at, quad_points=None) -> np.ndarray:
     """
     moments = sd.moments
     m_max = moments.m_max
-    if quad_points is None:
-        quad_points = max(4 * (m_max + 1), 512)
     coef = moments.values.copy()
     if sd.damping:
         coef = coef * jackson_coefficients(m_max)
     coef *= 2.0 / np.pi
     coef[0] = moments.values[0] / np.pi
 
-    nodes, weights = np.polynomial.legendre.leggauss(quad_points)
+    nodes, weights = np.polynomial.legendre.leggauss(max(4 * (m_max + 1), 512))
     theta = 0.5 * np.pi * (nodes + 1.0)
     weights = 0.5 * np.pi * weights
     series = coef @ np.cos(np.arange(m_max + 1)[:, None] * theta[None, :])

@@ -2,7 +2,8 @@
 
 Graph files: whitespace edge lists (`u v [w]`, `#`/`%` comments) or
 Matrix Market coordinate symmetric, whose `pattern` entries have 2 columns
-and `real`/`integer` entries 3. One array reader serves both bodies; on a
+and `real`/`integer` entries 3. A file is read as Matrix Market exactly
+when it opens with the `%%MatrixMarket` banner, whatever its name. One array reader serves both bodies; on a
 bad file a line-by-line scan names the first bad line. Node ids are
 compacted to 0..n-1 and the id map is returned alongside the graph. An edge
 list whose first line is exactly `# nodes N edges M` (what
@@ -118,7 +119,7 @@ def _parse_edgelist(path, data):
 def _parse_matrix_market(path, data):
     pos = data.find(b"\n") + 1 or len(data)  # where line 2 starts
     toks = data[:pos].decode(errors="replace").lower().split()
-    if len(toks) < 5 or not toks[0].startswith("%%matrixmarket"):
+    if len(toks) < 5:
         raise FileFormatError(f"{path}:1: not a MatrixMarket header")
     _, obj, fmt, field, sym = toks[:5]
     if obj != "matrix" or fmt != "coordinate":
@@ -149,31 +150,25 @@ def _parse_matrix_market(path, data):
     return u, v, w, weighted, rows
 
 
-def parse_graph_file(path, fmt=None, allow_self_loops=False):
+def parse_graph_file(path, allow_self_loops=False):
     """Read a graph file; returns (GraphCSR, node_id_map).
 
-    node_id_map[i] is the original id of compacted node i. Format is sniffed
-    from the extension / header when not given.
+    node_id_map[i] is the original id of compacted node i. Error messages
+    name nodes by these original ids.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     if b"\r" in data:  # line ends as a text-mode read gives them
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    if fmt is None:
-        mm = (str(path).endswith((".mtx", ".mm"))
-              or data[:14].lower() == b"%%matrixmarket")
-        fmt = "matrix_market" if mm else "edgelist"
-    parse = {"matrix_market": _parse_matrix_market,
-             "edgelist": _parse_edgelist}.get(fmt)
-    if parse is None:
-        raise ValueError(f"unknown graph format {fmt!r}")
+    mm = data[:14].lower() == b"%%matrixmarket"
+    parse = _parse_matrix_market if mm else _parse_edgelist
     u, v, w, weighted, n = parse(path, data)
     if n is None:
         ids, compact = np.unique(np.concatenate([u, v]), return_inverse=True)
         u, v, n = compact[:u.size], compact[u.size:], ids.size
     else:
         ids = np.arange(n, dtype=np.int64)
-    return _csr_from_arrays(u, v, w, weighted, n, allow_self_loops), ids
+    return _csr_from_arrays(u, v, w, weighted, n, allow_self_loops, ids), ids
 
 
 def write_graph_edgelist(g: GraphCSR, path, node_ids=None):

@@ -102,18 +102,21 @@ def build_csr(edges, n=None, allow_self_loops=False) -> GraphCSR:
     return _csr_from_arrays(u, v, w, weighted, n, allow_self_loops)
 
 
-def _csr_from_arrays(u, v, w, weighted, n=None, allow_self_loops=False):
+def _csr_from_arrays(u, v, w, weighted, n=None, allow_self_loops=False,
+                     ids=None):
     """`build_csr` on arrays: edge i joins u[i] and v[i] with weight w[i];
-    `weighted` says whether any edge stated its weight."""
+    `weighted` says whether any edge stated its weight. Messages call node
+    i `ids[i]` when an id map is given (a file's ids before compaction)."""
+    name = int if ids is None else ids.item
     if u.size and (u.min() < 0 or v.min() < 0):
         raise GraphError("node ids must be nonnegative")
     bad = ~(w > 0) | (w == np.inf)
     if bad.any():
         i = int(np.argmax(bad))
         what = "non-positive" if w[i] <= 0 else "non-finite"
-        raise GraphError(f"edge ({u[i]}, {v[i]}) has {what} weight {w[i]}")
+        raise GraphError(f"edge ({name(u[i])}, {name(v[i])}) has {what} weight {w[i]}")
     if not allow_self_loops and np.any(u == v):
-        node = int(u[np.argmax(u == v)])
+        node = name(u[np.argmax(u == v)])
         raise GraphError(f"self-loop at node {node} (pass allow_self_loops to accept)")
 
     n_min = int(max(u.max(initial=-1), v.max(initial=-1))) + 1
@@ -127,8 +130,14 @@ def _csr_from_arrays(u, v, w, weighted, n=None, allow_self_loops=False):
     order = np.argsort(key, kind="stable")
     key, w = key[order], w[order]
     first = np.flatnonzero(np.diff(key, prepend=-1))
-    sums = np.add.reduceat(w, first)
+    with np.errstate(over="ignore"):
+        sums = np.add.reduceat(w, first)
     pair = key[first] // 2
+    overflow = sums == np.inf  # finite positive weights can only sum to inf
+    if overflow.any():
+        a, b = divmod(int(pair[np.argmax(overflow)]), int(n))
+        raise GraphError(f"edge ({name(a)}, {name(b)}) is repeated with weights "
+                         "whose sum is not finite")
 
     # A pair stated both ways holds its forward sum at i and reverse at i + 1.
     both = np.flatnonzero(pair[1:] == pair[:-1])
@@ -138,7 +147,7 @@ def _csr_from_arrays(u, v, w, weighted, n=None, allow_self_loops=False):
         i = int(np.argmax(conflict))
         a, b = divmod(int(pair[both[i]]), int(n))
         raise GraphError(
-            f"edge ({a}, {b}) restated in both directions with "
+            f"edge ({name(a)}, {name(b)}) restated in both directions with "
             f"conflicting weights {fw[i]} != {bw[i]}")
     keep = np.ones(pair.size, dtype=bool)
     keep[both + 1] = False

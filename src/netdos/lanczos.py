@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import SpectralHistogram
+from .density import BINS, SpectralHistogram
 from .errors import SpectralRangeError
 from .kpm import MODE_GLOBAL, ChebMoments, chebyshev_values
 from .operators import IDENTITY_MAP
@@ -131,7 +131,7 @@ def lanczos_quadrature(op, z, steps) -> RitzQuadrature:
                           z_norm_sq=fact.z_norm ** 2, exhausted=fact.exhausted)
 
 
-def gql_dos(op, probes: ProbeMatrix, steps, bins=50,
+def gql_dos(op, probes: ProbeMatrix, steps, bins=BINS,
             spectral_range=None) -> SpectralHistogram:
     """Average per-probe Ritz point masses into a histogram of the density."""
     if op.n != probes.n:

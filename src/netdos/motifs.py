@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import MotifError
 from .graph import GraphCSR
-from .operators import OperatorKind
+from .operators import OPERATOR, OperatorKind
 from .probes import ProbeMatrix, with_columns
 
 
@@ -50,6 +50,9 @@ class MotifKind(str, Enum):
     DANGLING_TWO_CHAIN = "dangling-two-chain"
     CUSTOM = "custom"
 
+
+# a deflation block whose Gram matrix is off I by more is re-orthonormalized
+REORTH_TOL = 1e-8
 
 _KIND_RANK = {MotifKind.OPEN_TWIN: 0, MotifKind.CLOSED_TWIN: 1,
               MotifKind.DANGLING_TWO_CHAIN: 2, MotifKind.CUSTOM: 3}
@@ -281,7 +284,7 @@ def _dangling_chain_classes(g):
 
 
 def detect_motifs(g: GraphCSR, kinds=None, seed=0,
-                  operator=OperatorKind.NORMALIZED_ADJACENCY) -> list:
+                  operator=OPERATOR) -> list:
     """Find motif instances, with eigenpairs stated for `operator`.
 
     Candidate twin groups come from a commutative hash (wrapping sum of
@@ -331,21 +334,21 @@ def detect_motifs(g: GraphCSR, kinds=None, seed=0,
     return out
 
 
-def _orthonormal_rows(block, tol):
-    """The block itself when its rows are orthonormal to `tol`, else an
+def _orthonormal_rows(block):
+    """The block itself when its rows are orthonormal to REORTH_TOL, else an
     orthonormal basis of the same row space; errors on degeneracy."""
     gram = block @ block.T
     gram.flat[::block.shape[0] + 1] -= 1.0
-    if np.abs(gram).max(initial=0.0) <= tol:
+    if np.abs(gram).max(initial=0.0) <= REORTH_TOL:
         return block
     q, r = np.linalg.qr(block.T)
-    if block.shape[0] > block.shape[1] or np.abs(np.diag(r)).min() < tol:
+    if block.shape[0] > block.shape[1] or np.abs(np.diag(r)).min() < REORTH_TOL:
         raise MotifError("motif eigenvectors are linearly dependent; "
                          "cannot re-orthonormalize the deflation set")
     return q.T
 
 
-def filter_probes(probes: ProbeMatrix, instances, reorth_tol=1e-8):
+def filter_probes(probes: ProbeMatrix, instances):
     """Project motif eigenvectors out of every probe column.
 
     Overlapping instances are resolved by greedy acceptance in detection
@@ -374,8 +377,7 @@ def filter_probes(probes: ProbeMatrix, instances, reorth_tol=1e-8):
     for (_, nodes), group in accepted.items():
         for inst in group:
             removed[float(inst.eigenvalue)] += inst.multiplicity
-        block = _orthonormal_rows(np.concatenate([i.eigvecs for i in group]),
-                                  reorth_tol)
+        block = _orthonormal_rows(np.concatenate([i.eigvecs for i in group]))
         idx = np.array(nodes)
         cols[idx] -= block.T @ (block @ cols[idx])
     return with_columns(probes, cols), FilterAdjustment(removed=dict(removed),

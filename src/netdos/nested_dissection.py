@@ -39,6 +39,9 @@ from .graph import GraphCSR
 from .kpm import MODE_PER_NODE, ChebMoments
 from .operators import SymmetricCSROperator
 
+# Pieces of at most this many nodes become leaves of the partition tree.
+LEAF_SIZE = 256
+
 
 @dataclass
 class PartitionNode:
@@ -175,7 +178,7 @@ def _components(g, members):
     return comps
 
 
-def build_partition_tree(g: GraphCSR, leaf_size=256) -> PartitionTree:
+def build_partition_tree(g: GraphCSR, leaf_size=LEAF_SIZE) -> PartitionTree:
     """Recursive vertex-separator decomposition; deterministic given g.
 
     Connected pieces are split at the most balanced BFS level set grown from

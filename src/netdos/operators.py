@@ -51,6 +51,9 @@ class ScaleMap:
 
 IDENTITY_MAP = ScaleMap(0.0, 1.0)
 
+# The operator the command line and the pipelines use unless told otherwise.
+OPERATOR = OperatorKind.NORMALIZED_ADJACENCY
+
 # Defaults of the spectral-range estimate: Lanczos steps, and the widening of
 # the Ritz interval as a fraction of its spread.
 RANGE_STEPS = 100

@@ -9,15 +9,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .density import SpectralHistogram, histogram_from_moments
+from .density import BINS, SpectralHistogram, histogram_from_moments
 from .kpm import ChebMoments, dos_moments, pdos_moments
 from .lanczos import gql_dos as _gql_dos
 from .motifs import FilterAdjustment, MotifKind, detect_motifs, filter_probes
-from .nested_dissection import build_partition_tree, nd_pdos_moments
-from .operators import (RANGE_MARGIN, RANGE_STEPS, OperatorKind,
+from .nested_dissection import LEAF_SIZE, build_partition_tree, nd_pdos_moments
+from .operators import (OPERATOR, RANGE_MARGIN, RANGE_STEPS, OperatorKind,
                         SymmetricCSROperator, build_operator,
                         estimate_spectral_range, rescale_operator)
 from .probes import ProbeKind, make_probes
+
+# The estimators' reproduction presets; each other preset is named in the
+# module that owns it (OPERATOR, BINS, LEAF_SIZE, RANGE_STEPS/RANGE_MARGIN).
+KPM_MOMENTS = 500  # Chebyshev moments of `kpm_dos` and `kpm_pdos`
+GQL_STEPS = 50  # Lanczos steps per probe of `gql_dos_pipeline`
+ND_MOMENTS = 50  # Chebyshev moments of `nd_pdos_pipeline`
+PROBES = 20
+PROBE_KIND = ProbeKind.HADAMARD
 
 
 @dataclass
@@ -46,8 +54,8 @@ def scaled_operator_for(g, operator, seed=0, range_=None,
                                                  range_steps, range_margin))
 
 
-def kpm_dos(g, operator=OperatorKind.NORMALIZED_ADJACENCY, m_max=500, nz=20,
-            probe_kind=ProbeKind.HADAMARD, seed=0, bins=50, damping=True,
+def kpm_dos(g, operator=OPERATOR, m_max=KPM_MOMENTS, nz=PROBES,
+            probe_kind=PROBE_KIND, seed=0, bins=BINS, damping=True,
             filter_kinds=(), range_=None, range_steps=RANGE_STEPS,
             range_margin=RANGE_MARGIN, reinsert_spikes=True,
             negativity_tol=None) -> DosResult:
@@ -77,8 +85,8 @@ def kpm_dos(g, operator=OperatorKind.NORMALIZED_ADJACENCY, m_max=500, nz=20,
                      adjustment=adjustment, instances=instances)
 
 
-def kpm_pdos(g, operator=OperatorKind.NORMALIZED_ADJACENCY, m_max=500, nz=20,
-             probe_kind=ProbeKind.HADAMARD, seed=0, range_=None,
+def kpm_pdos(g, operator=OPERATOR, m_max=KPM_MOMENTS, nz=PROBES,
+             probe_kind=PROBE_KIND, seed=0, range_=None,
              range_steps=RANGE_STEPS, range_margin=RANGE_MARGIN):
     sop = scaled_operator_for(g, operator, seed=seed, range_=range_,
                               range_steps=range_steps, range_margin=range_margin)
@@ -86,8 +94,8 @@ def kpm_pdos(g, operator=OperatorKind.NORMALIZED_ADJACENCY, m_max=500, nz=20,
     return pdos_moments(sop, probes, m_max), sop
 
 
-def gql_dos_pipeline(g, operator=OperatorKind.NORMALIZED_ADJACENCY, steps=50,
-                     nz=20, probe_kind=ProbeKind.HADAMARD, seed=0, bins=50,
+def gql_dos_pipeline(g, operator=OPERATOR, steps=GQL_STEPS, nz=PROBES,
+                     probe_kind=PROBE_KIND, seed=0, bins=BINS,
                      range_=None, range_steps=RANGE_STEPS,
                      range_margin=RANGE_MARGIN):
     """Histogram from averaged per-probe Ritz quadratures (no rescaling
@@ -98,8 +106,8 @@ def gql_dos_pipeline(g, operator=OperatorKind.NORMALIZED_ADJACENCY, steps=50,
     return _gql_dos(op, probes, steps, bins=bins, spectral_range=range_)
 
 
-def nd_pdos_pipeline(g, operator=OperatorKind.NORMALIZED_ADJACENCY, m_max=50,
-                     seed=0, leaf_size=256, tree=None, range_=None,
+def nd_pdos_pipeline(g, operator=OPERATOR, m_max=ND_MOMENTS, seed=0,
+                     leaf_size=LEAF_SIZE, tree=None, range_=None,
                      range_steps=RANGE_STEPS, range_margin=RANGE_MARGIN):
     sop = scaled_operator_for(g, operator, seed=seed, range_=range_,
                               range_steps=range_steps, range_margin=range_margin)

@@ -55,6 +55,22 @@ def test_parse_matrix_market(tmp_path):
     assert sorted(g.neighbors(1).tolist()) == [0, 2]
 
 
+def test_format_follows_the_banner_not_the_name(tmp_path):
+    # a bannered Matrix Market file named .txt is Matrix Market (1-based ids)
+    p = tmp_path / "g.txt"
+    p.write_text("%%MatrixMarket matrix coordinate pattern symmetric\n"
+                 "3 3 2\n2 1\n3 2\n")
+    g, ids = parse_graph_file(p)
+    assert g.n == 3 and ids.tolist() == [0, 1, 2]
+    assert sorted(g.neighbors(1).tolist()) == [0, 2]
+    # a banner-less edge list named .mtx is an edge list (0-based, compacted)
+    p = tmp_path / "g.mtx"
+    p.write_text("0 1\n1 2\n2 5\n")
+    g, ids = parse_graph_file(p)
+    assert g.n == 4 and ids.tolist() == [0, 1, 2, 5]
+    assert g.num_edges == 3
+
+
 def test_matrix_market_general_rejected(tmp_path):
     p = tmp_path / "g.mtx"
     p.write_text("%%MatrixMarket matrix coordinate real general\n3 3 1\n1 2 1.0\n")
@@ -129,6 +145,34 @@ def test_parse_rejects_non_finite_weights(tmp_path):
     p.write_text("0 1 nan\n1 2 inf\n")
     with pytest.raises(GraphError, match=r"edge \(0, 1\) has non-finite weight nan"):
         parse_graph_file(p)
+
+
+def test_parse_rejects_overflowing_weight_sums(tmp_path):
+    # each weight is finite, but same-direction repeats sum to inf
+    p = tmp_path / "g.txt"
+    p.write_text("0 1 1e308\n1 2 1\n0 1 1e308\n")
+    with pytest.raises(GraphError, match=r"edge \(0, 1\) is repeated with "
+                                         r"weights whose sum is not finite"):
+        parse_graph_file(p)
+    with pytest.raises(GraphError, match=r"edge \(0, 1\) is repeated"):
+        build_csr([(1, 0, 1e308), (1, 0, 1e308)])
+    # a large sum that stays finite is kept
+    p.write_text("0 1 1e307\n0 1 1e307\n")
+    g, _ = parse_graph_file(p)
+    assert g.weights.tolist() == [2e307, 2e307]
+
+
+def test_graph_errors_name_the_file_ids(tmp_path):
+    # ids are compacted to 0..n-1, but messages name the ids of the file
+    p = tmp_path / "g.txt"
+    for text, message in [
+            ("5 9 -1\n", r"edge \(5, 9\) has non-positive weight -1.0"),
+            ("10 20 1\n20 10 2\n", r"edge \(10, 20\) restated in both directions"),
+            ("7 7 1\n7 8 1\n", r"self-loop at node 7 "),
+            ("3 4 1e308\n3 4 1e308\n", r"edge \(3, 4\) is repeated")]:
+        p.write_text(text)
+        with pytest.raises(GraphError, match=message):
+            parse_graph_file(p)
 
 
 def test_parse_reads_every_line_end(tmp_path):
@@ -363,35 +407,20 @@ def test_histogram_payload_filter_block():
     assert back.deflated_dim == 4
 
 
-def test_runconfig_reproduction_defaults():
-    # the reproduction presets live in the CLI and in the pipeline keywords;
-    # both must stay at 500 moments, 20 hadamard probes, 50 bins, and range
-    # estimation at 100 Lanczos steps with a 0.01 margin
-    import inspect
-
-    from netdos.cli import build_parser
-    from netdos.pipeline import kpm_dos
-    args = build_parser().parse_args(["dos", "--input", "x"])
-    assert (args.moments, args.probes, args.bins) == (500, 20, 50)
-    assert args.probe_kind == "hadamard"
-    params = inspect.signature(kpm_dos).parameters
-    lib = tuple(params[k].default for k in ("m_max", "nz", "bins", "probe_kind"))
-    assert lib == (args.moments, args.probes, args.bins, args.probe_kind)
-    # the range-estimate defaults: the CLI and every pipeline entry point use
-    # estimate_spectral_range's own
-    from netdos import pipeline
-    from netdos.operators import estimate_spectral_range
-    est = inspect.signature(estimate_spectral_range).parameters
-    want = (est["steps"].default, est["margin"].default)
-    assert want == (100, 0.01)
-    for cmd in ("dos", "pdos", "gql", "nd-pdos"):
-        args = build_parser().parse_args([cmd, "--input", "x"])
-        assert (args.range_steps, args.range_margin) == want, cmd
-    for fn in (pipeline.scaled_operator_for, pipeline.kpm_dos, pipeline.kpm_pdos,
-               pipeline.gql_dos_pipeline, pipeline.nd_pdos_pipeline):
-        params = inspect.signature(fn).parameters
-        got = (params["range_steps"].default, params["range_margin"].default)
-        assert got == want, fn.__name__
+def test_reproduction_presets():
+    # each preset is named once, in the module that owns its concept, and the
+    # command line and the pipelines default to that name
+    from netdos import density, nested_dissection, operators, pipeline
+    from netdos.probes import ProbeKind
+    assert operators.OPERATOR is operators.OperatorKind.NORMALIZED_ADJACENCY
+    assert (operators.RANGE_STEPS, operators.RANGE_MARGIN) == (100, 0.01)
+    assert density.BINS == 50
+    assert nested_dissection.LEAF_SIZE == 256
+    assert pipeline.KPM_MOMENTS == 500
+    assert pipeline.GQL_STEPS == 50
+    assert pipeline.ND_MOMENTS == 50
+    assert pipeline.PROBES == 20
+    assert pipeline.PROBE_KIND is ProbeKind.HADAMARD
 
 
 def test_write_spectral_output_dispatcher(tmp_path):

@@ -26,7 +26,9 @@ SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
 _NODES_HEADER = re.compile(r"# nodes (\d+) edges \d+")
 
 
-def _reference_build_csr(edges, n=None, allow_self_loops=False):
+def _reference_build_csr(edges, n=None, allow_self_loops=False, ids=None):
+    # messages call node i ids[i] when an id map is given
+    name = (lambda i: int(i)) if ids is None else (lambda i: int(ids[i]))
     us, vs, ws = [], [], []
     explicit_weight = False
     for e in edges:
@@ -46,9 +48,10 @@ def _reference_build_csr(edges, n=None, allow_self_loops=False):
         raise GraphError("node ids must be nonnegative")
     if np.any(w <= 0):
         bad = int(np.argmax(w <= 0))
-        raise GraphError(f"edge ({us[bad]}, {vs[bad]}) has non-positive weight {ws[bad]}")
+        raise GraphError(f"edge ({name(us[bad])}, {name(vs[bad])}) has "
+                         f"non-positive weight {ws[bad]}")
     if not allow_self_loops and np.any(u == v):
-        node = int(u[np.argmax(u == v)])
+        node = name(u[np.argmax(u == v)])
         raise GraphError(f"self-loop at node {node} (pass allow_self_loops to accept)")
     n_min = int(max(u.max(initial=-1), v.max(initial=-1))) + 1
     if n is None:
@@ -77,7 +80,7 @@ def _reference_build_csr(edges, n=None, allow_self_loops=False):
             if not np.isclose(fw, bw, rtol=1e-12, atol=0.0):
                 a, b = divmod(int(pair_u[i]), int(n))
                 raise GraphError(
-                    f"edge ({a}, {b}) restated in both directions with "
+                    f"edge ({name(a)}, {name(b)}) restated in both directions with "
                     f"conflicting weights {fw} != {bw}")
             weight[i] = fw
     fu, fv = pair_u // n, pair_u % n
@@ -125,7 +128,7 @@ def _reference_parse(path, allow_self_loops=False):
     lookup = {int(orig): i for i, orig in enumerate(ids.tolist())}
     remapped = [(lookup[e[0]], lookup[e[1]], *e[2:]) for e in edges]
     return (_reference_build_csr(remapped, n=len(ids),
-                                 allow_self_loops=allow_self_loops), ids)
+                                 allow_self_loops=allow_self_loops, ids=ids), ids)
 
 
 def _outcome(fn, *args, **kwargs):
