@@ -3,12 +3,13 @@
 Graph files: whitespace edge lists (`u v [w]`, `#`/`%` comments) or
 Matrix Market coordinate symmetric, whose `pattern` entries have 2 columns
 and `real`/`integer` entries 3. A file is read as Matrix Market exactly
-when it opens with the `%%MatrixMarket` banner, whatever its name. One array reader serves both bodies; on a
-bad file a line-by-line scan names the first bad line. Node ids are
-compacted to 0..n-1 and the id map is returned alongside the graph. An edge
-list whose first line is exactly `# nodes N edges M` (what
-`write_graph_edgelist` writes for compact ids) keeps ids 0..N-1, so isolated
-nodes survive a round trip, and must hold M edge lines (none: edgeless).
+when it opens with the `%%MatrixMarket` banner, whatever its name. One
+array reader serves both bodies; on a bad file a line-by-line scan names
+the first bad line. Node ids are compacted to 0..n-1 and the id map is
+returned alongside the graph. An edge list whose first line is exactly
+`# nodes N edges M` (what `write_graph_edgelist` writes for compact ids)
+keeps ids 0..N-1, so isolated nodes survive a round trip, and must hold M
+edge lines (none: edgeless).
 
 Results serialize to JSON (schema includes the method, operator, scale map
 and probe metadata) or CSV histograms (`bin_lo,bin_hi,mass`). Floats are
