@@ -133,10 +133,8 @@ def _meta(args, g, method=None, sop=None, **fields):
 
 def _write(args, payload, hist=None):
     """Write `payload` as JSON to --out, or to stdout without it; write
-    `hist` as CSV instead if --out-format csv asks for it."""
+    `hist` as CSV to --out instead if --out-format csv asks for it."""
     if hist is not None and args.out_format == "csv":
-        if args.out is None:
-            raise NetdosError("--out-format csv requires --out")
         fileio.write_histogram_csv(hist, args.out)
         return 0
     text = fileio.write_json(payload, args.out)
@@ -245,7 +243,7 @@ def _cmd_generate(args):
         params["p"] = args.p
     elif model in ("pa", "ba"):
         if args.m is None:
-            raise NetdosError("--model pa needs --m")
+            raise NetdosError(f"--model {model} needs --m")
         params["m"] = args.m
     else:
         if args.k is None or args.p is None:
@@ -337,7 +335,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser().parse_args(_join_range_values(argv))
+    ap = build_parser()
+    args = ap.parse_args(_join_range_values(argv))
+    # a CSV file holds one histogram: refuse what cannot be one before any work
+    if getattr(args, "out_format", None) == "csv":
+        if args.out is None:
+            ap.error("--out-format csv requires --out")
+        if getattr(args, "node", None) is not None:
+            ap.error("--out-format csv writes histograms, not the quadrature "
+                     "record of gql --node")
     try:
         return args.fn(args)
     except NetdosError as exc:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import FileFormatError
 from .graph import GraphCSR, _csr_from_arrays
-from .kpm import MODE_GLOBAL, ChebMoments
+from .kpm import MODE_GLOBAL, MODE_PER_NODE, ChebMoments
 from .density import SpectralHistogram
 from .lanczos import RitzQuadrature
 from .motifs import FilterAdjustment
@@ -275,62 +275,33 @@ def write_histogram_csv(hist: SpectralHistogram, path):
             fh.write(f"{lo!r},{hi!r},{m!r}\n")
 
 
-def read_histogram_csv(path) -> SpectralHistogram:
-    edges = []
-    masses = []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "bin_lo,bin_hi,mass":
-            raise FileFormatError(f"{path}: unexpected CSV header {header!r}")
-        for lineno, line in enumerate(fh, 2):
-            s = line.strip()
-            if not s:
-                continue
-            try:
-                lo, hi, m = (float(x) for x in s.split(","))
-            except ValueError as exc:
-                raise FileFormatError(f"{path}:{lineno}: {exc}") from exc
-            if not edges:
-                edges.append(lo)
-            edges.append(hi)
-            masses.append(m)
-    return SpectralHistogram(edges=np.array(edges), masses=np.array(masses),
-                             normalization=float(np.sum(masses)))
-
-
-def load_json(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
-
-
 def load_moments(path):
-    """Reload a moments JSON: (ChebMoments, FilterAdjustment | None, payload)."""
-    obj = load_json(path)
-    if obj.get("record") not in ("moments", "dos") or "values" not in obj:
+    """Reload a moments JSON: (ChebMoments, FilterAdjustment | None, payload).
+
+    A file that holds no moments record, or whose scale map or values do
+    not describe a finite moment series, raises FileFormatError.
+    """
+    with open(path) as fh:
+        obj = json.load(fh)
+    if (not isinstance(obj, dict) or obj.get("record") not in ("moments", "dos")
+            or "values" not in obj):
         raise FileFormatError(f"{path}: not a moments file")
-    smap = ScaleMap(float(obj["scale_map"]["shift"]), float(obj["scale_map"]["scale"]))
-    values = np.asarray(obj["values"], dtype=np.float64)
-    moments = ChebMoments(mode=obj.get("mode", MODE_GLOBAL), values=values,
-                          scale_map=smap, probe_meta=obj.get("probe_meta", {}))
-    return moments, _adjustment_from_obj(obj.get("filter")), obj
-
-
-def write_spectral_output(result, path, fmt="json", meta=None, adjustment=None):
-    """Serialize a histogram, moments, quadrature or motif list."""
-    if fmt == "csv":
-        if not isinstance(result, SpectralHistogram):
-            raise ValueError("CSV format is defined for histograms only")
-        return write_histogram_csv(result, path)
-    if fmt != "json":
-        raise ValueError(f"unknown output format {fmt!r}")
-    if isinstance(result, SpectralHistogram):
-        payload = histogram_payload(result, meta)
-    elif isinstance(result, ChebMoments):
-        payload = moments_payload(result, meta, adjustment)
-    elif isinstance(result, RitzQuadrature):
-        payload = quadrature_payload(result, meta)
-    elif isinstance(result, (list, tuple)):
-        payload = motifs_payload(result, meta)
-    else:
-        raise ValueError(f"cannot serialize {type(result).__name__}")
-    return write_json(payload, path)
+    mode = obj.get("mode", MODE_GLOBAL)
+    try:
+        rank = {MODE_GLOBAL: 1, MODE_PER_NODE: 2}.get(mode)
+        shift, scale = (float(obj["scale_map"][k]) for k in ("shift", "scale"))
+        values = np.asarray(obj["values"], dtype=np.float64)
+        adjustment = _adjustment_from_obj(obj.get("filter"))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FileFormatError(f"{path}: malformed moments record ({exc!r})") from exc
+    if not (np.isfinite(shift) and 0.0 < scale < np.inf):
+        raise FileFormatError(f"{path}: scale_map needs a finite shift and a "
+                              f"finite positive scale, got {shift!r}, {scale!r}")
+    if rank is None or values.ndim != rank:
+        raise FileFormatError(f"{path}: mode {mode!r} does not fit values of "
+                              f"shape {values.shape}")
+    if values.size == 0 or not np.all(np.isfinite(values)):
+        raise FileFormatError(f"{path}: values must be non-empty and finite")
+    moments = ChebMoments(mode=mode, values=values, scale_map=ScaleMap(shift, scale),
+                          probe_meta=obj.get("probe_meta", {}))
+    return moments, adjustment, obj

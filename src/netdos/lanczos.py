@@ -29,8 +29,6 @@ import numpy as np
 
 from .density import BINS, SpectralHistogram
 from .errors import SpectralRangeError
-from .kpm import MODE_GLOBAL, ChebMoments, chebyshev_values
-from .operators import IDENTITY_MAP
 from .probes import ProbeMatrix
 
 BREAKDOWN_RTOL = 1e-12
@@ -168,16 +166,3 @@ def gql_pdos(op, node, steps) -> RitzQuadrature:
     z = np.zeros(op.n)
     z[node] = 1.0
     return lanczos_quadrature(op, z, steps)
-
-
-def quadrature_to_cheb_moments(quad: RitzQuadrature, m_max, scale_map=None,
-                               tol=1e-8) -> ChebMoments:
-    """Convert a Ritz rule to Chebyshev moments d_m = sum_i w_i T_m(x_i)."""
-    smap = scale_map if scale_map is not None else IDENTITY_MAP
-    x = smap.to_scaled(quad.nodes)
-    if np.any(x < -1.0 - tol) or np.any(x > 1.0 + tol):
-        worst = float(x[np.argmax(np.abs(x))])
-        raise ValueError(f"quadrature node {worst} outside [-1, 1] after scaling")
-    values = chebyshev_values(m_max, np.clip(x, -1.0, 1.0)) @ quad.weights
-    return ChebMoments(mode=MODE_GLOBAL, values=values, scale_map=smap,
-                       probe_meta={"kind": "gql", "nodes": int(quad.nodes.shape[0])})

@@ -70,9 +70,6 @@ class PartitionTree:
     n: int
     nodes: list
 
-    def preorder(self):
-        return range(len(self.nodes))
-
     def ancestors(self, node_id):
         """Path of strict ancestors, root first."""
         path = []

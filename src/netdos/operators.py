@@ -8,8 +8,8 @@ block extraction (needed by the nested-dissection recurrence) is cheap.
 
 The Chebyshev recurrences need H = (op - shift·I) / scale, with spectrum in
 [-1, 1]. `rescale_operator` folds that map into the CSR arrays once, so KPM,
-nested dissection, probes and Lanczos all see the same operator type, and a
-matvec costs the same with or without a shift.
+nested dissection and Lanczos all see the same operator type, and a matvec
+costs the same with or without a shift.
 
 Isolated nodes under the normalized kinds use the convention D^{-1/2} = 0:
 the node contributes eigenvalue 0 to the normalized adjacency and

@@ -1,8 +1,14 @@
-"""Random probe vectors and stochastic trace / diagonal estimators.
+"""Random probe vectors for the stochastic trace and diagonal estimates.
 
 Probe columns are generated from per-column counter-based PRNG streams
 (Philox keyed by (seed, column)), so column j is reproducible independently
 of the other columns and generation order.
+
+The estimates themselves are the m = 1 moments of the probe recurrence in
+`kpm`: the Hutchinson trace of H is n times
+`dos_moments(H, probes, 1).values[1]`, and the diagonal estimate
+(sum_j z_j * H z_j) / (sum_j z_j * z_j), taken elementwise, is
+`pdos_moments(H, probes, 1).values[:, 1]`.
 """
 
 from __future__ import annotations
@@ -94,33 +100,3 @@ def make_probes(n, nz, kind=ProbeKind.RADEMACHER, seed=0) -> ProbeMatrix:
 def with_columns(probes: ProbeMatrix, columns: np.ndarray) -> ProbeMatrix:
     """Copy of `probes` carrying replacement columns (e.g. after deflation)."""
     return replace(probes, columns=np.ascontiguousarray(columns))
-
-
-def estimate_trace(op, probes: ProbeMatrix) -> float:
-    """Hutchinson trace estimate; exact for standard-basis probes at nz = n."""
-    z = probes.columns
-    if op.n != probes.n:
-        raise ValueError("probe dimension does not match operator")
-    hz = op.apply(z)
-    return float(np.einsum("ij,ij->", z, hz) * probes.trace_scale)
-
-
-def estimate_diagonal(op, probes: ProbeMatrix, normalized=True):
-    """Stochastic diagonal estimate diag(H).
-
-    The default normalized form divides elementwise by sum_j z_j^2, which is
-    exact for any +-1 probes on the diagonal and has lower variance than the
-    raw 1/nz average (available with normalized=False).
-    """
-    z = probes.columns
-    if op.n != probes.n:
-        raise ValueError("probe dimension does not match operator")
-    hz = op.apply(z)
-    num = np.einsum("ij,ij->i", z, hz)
-    if not normalized:
-        return num * probes.trace_scale
-    den = np.einsum("ij,ij->i", z, z)
-    if np.any(den == 0.0):
-        k = int(np.argmax(den == 0.0))
-        raise ValueError(f"zero probe mass at coordinate {k}; diagonal entry unrecoverable")
-    return num / den

@@ -15,6 +15,9 @@ from netdos.density import SmoothedDensity, bin_index, evaluate_density
 from netdos.kpm import chebyshev_values
 from netdos.probes import ProbeKind
 
+import oracles
+from conftest import separator_warnings
+
 
 def _report(num, text):
     print(f"\n[criterion {num:2d}] PASS: {text}")
@@ -67,6 +70,7 @@ def test_criterion_02_motif_filtering_improves_and_trace_identity():
                f"{e_unf:.4f}; trace identity gap {gap:.2e} (<1e-8), r={r}")
 
 
+@separator_warnings
 def test_criterion_03_moment_exactness_suite():
     rng = np.random.default_rng(2024)
     worst_dm, worst_nd = 0.0, 0.0
@@ -83,7 +87,7 @@ def test_criterion_03_moment_exactness_suite():
 
         probes = nd.make_probes(n, n, ProbeKind.STANDARD_BASIS, seed=0)
         mom = nd.dos_moments(sop, probes, 50)
-        want = testkit.oracle_moments(scaled_ev, 50)
+        want = oracles.oracle_moments(scaled_ev, 50)
         worst_dm = max(worst_dm, float(np.abs(mom.values - want).max()))
 
         tree = nd.build_partition_tree(g, leaf_size=64)
@@ -136,7 +140,7 @@ def test_criterion_05_perturbation_bound():
         d = (d + d.T) / 2
         target = float(rng.uniform(0.2, 1.0)) * 0.01 * np.linalg.norm(h, "fro")
         d *= target / np.linalg.norm(d, "fro")
-        w1 = testkit.wasserstein1(np.linalg.eigvalsh(h), np.linalg.eigvalsh(h + d))
+        w1 = oracles.wasserstein1(np.linalg.eigvalsh(h), np.linalg.eigvalsh(h + d))
         margin = w1 - np.linalg.norm(d, "fro")
         worst_margin = max(worst_margin, margin)
         assert margin <= 1e-8
@@ -153,7 +157,7 @@ def test_criterion_06_interlacing():
         h = testkit.dense_matrix(nd.build_operator(g, "adjacency"))
         r = int(rng.integers(1, 6))
         keep = np.sort(rng.choice(n, size=n - r, replace=False))
-        ok, violation = testkit.check_interlacing(
+        ok, violation = oracles.check_interlacing(
             np.linalg.eigvalsh(h), np.linalg.eigvalsh(h[np.ix_(keep, keep)]), r)
         assert ok, violation
     _report(6, "100 random node-deletion trials (r<=5): interlacing holds in all")
@@ -164,7 +168,7 @@ def test_criterion_07_jackson_convergence():
     sop = pipeline.scaled_operator_for(g, "normalized-adjacency")
     ev = testkit.exact_spectrum(nd.build_operator(g, "normalized-adjacency")).eigenvalues
     grid = np.linspace(-1.0, 1.0, 200)
-    oracle = testkit.oracle_smoothed_density(ev, 0.05, grid)
+    oracle = oracles.oracle_smoothed_density(ev, 0.05, grid)
     probes = nd.make_probes(g.n, g.n, ProbeKind.STANDARD_BASIS, seed=0)
     sup = {}
     for m in (50, 400):
@@ -179,8 +183,8 @@ def test_criterion_07_jackson_convergence():
 def test_criterion_08_model_verification():
     g_pa = testkit.preferential_attachment(5000, 5, seed=2)
     res = pipeline.kpm_dos(g_pa, m_max=500, nz=20, seed=3, bins=51)
-    assert testkit.is_unimodal(res.histogram.masses)
-    assert testkit.spike_bins(res.histogram.masses) == []
+    assert oracles.is_unimodal(res.histogram.masses)
+    assert oracles.spike_bins(res.histogram.masses) == []
 
     g_sparse = testkit.small_world(5000, 2, 0.5, seed=5)     # |E| = 5000
     g_dense = testkit.small_world(5000, 20, 0.5, seed=5)     # |E| = 50000
@@ -189,8 +193,8 @@ def test_criterion_08_model_verification():
     r_dense = pipeline.kpm_dos(g_dense, m_max=2000, nz=20, seed=3, bins=201)
     edges = r_sparse.histogram.edges
     targets = {bin_index(edges, v) for v in (-1.0, 0.0, 1.0)}
-    sparse_spikes = set(testkit.spike_bins(r_sparse.histogram.masses))
-    dense_spikes = set(testkit.spike_bins(r_dense.histogram.masses))
+    sparse_spikes = set(oracles.spike_bins(r_sparse.histogram.masses))
+    dense_spikes = set(oracles.spike_bins(r_dense.histogram.masses))
     assert targets <= sparse_spikes
     assert sparse_spikes <= targets
     assert not dense_spikes

@@ -8,8 +8,9 @@ from netdos.kpm import MODE_GLOBAL, ChebMoments, chebyshev_values
 from netdos.motifs import FilterAdjustment
 from netdos.operators import IDENTITY_MAP
 from netdos.pipeline import scaled_operator_for
-from netdos.testkit import (erdos_renyi, exact_spectrum, oracle_histogram,
-                            oracle_smoothed_density)
+from netdos.testkit import erdos_renyi, exact_spectrum, oracle_histogram
+
+from oracles import oracle_smoothed_density
 
 
 def _point_mass_moments(x0, m_max):

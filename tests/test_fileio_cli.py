@@ -6,11 +6,14 @@ import pytest
 from netdos import (FileFormatError, GraphError, SpectralHistogram,
                     build_csr, parse_graph_file, write_graph_edgelist)
 from netdos.cli import main
-from netdos.fileio import (load_moments, moments_payload,
-                           read_histogram_csv, write_histogram_csv, write_json)
+from netdos.fileio import (histogram_payload, load_moments, moments_payload,
+                           motifs_payload, quadrature_payload,
+                           write_histogram_csv, write_json)
 from netdos.kpm import MODE_GLOBAL, ChebMoments
 from netdos.operators import IDENTITY_MAP
 from netdos.testkit import generate_graph
+
+from oracles import read_histogram_csv
 
 
 def test_parse_edgelist_with_comments(tmp_path):
@@ -223,6 +226,41 @@ def test_moments_json_round_trip(tmp_path):
     assert obj["operator"] == "adjacency"
 
 
+def _moments_record(**change):
+    """A global moments record with `change` applied; None drops a key."""
+    obj = {"record": "moments", "mode": "global",
+           "scale_map": {"shift": 0.0, "scale": 1.0}, "values": [1.0, 0.0, -0.5]}
+    obj.update(change)
+    return {k: v for k, v in obj.items() if v is not None}
+
+
+MALFORMED_MOMENTS = {
+    "top-level-array": [[1.0, 0.0, -0.5]],
+    "no-scale-map": _moments_record(scale_map=None),
+    "empty-values": _moments_record(values=[]),
+    "3-d-values": _moments_record(mode="per_node", values=[[[1.0, 0.0]]]),
+    "mode-disagrees-with-rank": _moments_record(mode="per_node"),
+    "zero-scale": _moments_record(scale_map={"shift": 0.0, "scale": 0.0}),
+    "negative-scale": _moments_record(scale_map={"shift": 0.0, "scale": -1.0}),
+    "nan-values": _moments_record(values=[1.0, float("nan"), 0.0]),
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED_MOMENTS))
+def test_cli_hist_refuses_malformed_moments(tmp_path, capsys, name):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(MALFORMED_MOMENTS[name]))
+    out = tmp_path / "h.json"
+    assert main(["hist", "--moments-file", str(path), "--bins", "4",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("netdos: error: ") and str(path) in err
+    assert not out.exists()
+    with pytest.raises(FileFormatError) as exc:
+        load_moments(path)
+    assert str(path) in str(exc.value)
+
+
 def test_full_pipeline_files_identical(tmp_path):
     gpath = str(tmp_path / "g.txt")
     assert main(["generate", "--model", "er", "--n", "100", "--p", "0.1",
@@ -385,6 +423,32 @@ def test_cli_range_without_hi_is_usage_error(tmp_path, capsys):
     assert "argument --range: expects LO,HI, got '-4'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["dos", "--input", "MISSING", "--out-format", "csv"],
+    ["gql", "--input", "MISSING", "--out-format", "csv"],
+    ["hist", "--moments-file", "MISSING", "--out-format", "csv"],
+    ["gql", "--input", "MISSING", "--node", "0", "--out-format", "csv",
+     "--out", "OUT"],
+])
+def test_cli_csv_usage_errors_come_before_work(tmp_path, capsys, argv):
+    # the input does not exist: exit 2, not 1, shows it was never opened
+    out = tmp_path / "h.csv"
+    names = {"MISSING": str(tmp_path / "missing.txt"), "OUT": str(out)}
+    with pytest.raises(SystemExit) as exc:
+        main([names.get(a, a) for a in argv])
+    assert exc.value.code == 2
+    assert "--out-format csv" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_generate_names_the_model_missing_m(tmp_path, capsys):
+    for model in ("pa", "ba"):
+        assert main(["generate", "--model", model, "--n", "10",
+                     "--out", str(tmp_path / "g.txt")]) == 1
+        assert f"--model {model} needs --m" in capsys.readouterr().err
+    assert not (tmp_path / "g.txt").exists()
+
+
 def test_cli_csv_output(tmp_path):
     gpath = str(tmp_path / "g.txt")
     main(["generate", "--model", "er", "--n", "50", "--p", "0.15", "--seed", "6",
@@ -423,25 +487,22 @@ def test_reproduction_presets():
     assert pipeline.PROBE_KIND is ProbeKind.HADAMARD
 
 
-def test_write_spectral_output_dispatcher(tmp_path):
-    from netdos import write_spectral_output
+def test_record_payloads_name_their_record(tmp_path):
     from netdos.lanczos import RitzQuadrature
     hist = SpectralHistogram(edges=np.array([-1.0, 0.0, 1.0]),
                              masses=np.array([0.25, 0.75]))
     mom = ChebMoments(MODE_GLOBAL, np.array([1.0, 0.5]), IDENTITY_MAP, {})
     quad = RitzQuadrature(nodes=np.array([0.0]), weights=np.array([1.0]),
                           z_norm_sq=4.0)
-    for name, obj in [("h", hist), ("m", mom), ("q", quad), ("l", [])]:
-        path = tmp_path / f"{name}.json"
-        write_spectral_output(obj, path, fmt="json")
-        assert json.load(open(path))["record"] in ("histogram", "moments",
-                                                   "quadrature", "motifs")
-    write_spectral_output(hist, tmp_path / "h.csv", fmt="csv")
+    for record, payload in [("histogram", histogram_payload(hist)),
+                            ("moments", moments_payload(mom)),
+                            ("quadrature", quadrature_payload(quad)),
+                            ("motifs", motifs_payload([]))]:
+        path = tmp_path / f"{record}.json"
+        write_json(payload, path)
+        assert json.load(open(path))["record"] == record
+    write_histogram_csv(hist, tmp_path / "h.csv")
     assert read_histogram_csv(tmp_path / "h.csv").masses.tolist() == [0.25, 0.75]
-    with pytest.raises(ValueError, match="cannot serialize"):
-        write_spectral_output(object(), tmp_path / "x.json")
-    with pytest.raises(ValueError, match="histograms only"):
-        write_spectral_output(mom, tmp_path / "m.csv", fmt="csv")
 
 
 def test_cli_threads_flag_matches_serial(tmp_path):

@@ -6,8 +6,9 @@ from netdos import (OperatorKind, ProbeKind, RecurrenceBlowupError, build_csr,
                     dos_moments, filter_probes, jackson_coefficients,
                     make_probes, pdos_moments, rescale_operator)
 from netdos.pipeline import scaled_operator_for
-from netdos.testkit import (erdos_renyi, exact_spectrum, oracle_moments,
-                            preferential_attachment)
+from netdos.testkit import erdos_renyi, exact_spectrum, preferential_attachment
+
+from oracles import oracle_moments
 
 
 def _scaled(g, kind=OperatorKind.NORMALIZED_ADJACENCY, seed=0):

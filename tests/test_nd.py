@@ -9,12 +9,12 @@ from netdos import (PartitionError, ProbeKind, build_csr, build_operator,
                     build_partition_tree, dos_moments, load_partition,
                     make_probes, nd_pdos_moments, save_partition)
 from netdos import nested_dissection
+from netdos.kpm import chebyshev_values
 from netdos.nested_dissection import PartitionNode, PartitionTree
 from netdos.pipeline import scaled_operator_for
-from netdos.testkit import (chebyshev_values, erdos_renyi, exact_spectrum,
-                            preferential_attachment)
+from netdos.testkit import erdos_renyi, exact_spectrum, preferential_attachment
 
-from conftest import grid_graph
+from conftest import grid_graph, separator_warnings
 
 
 def _oracle_node_moments(g, kind, m_max, seed=0):
@@ -70,6 +70,7 @@ def test_p5_moments_exact():
     assert np.array_equal(got.values[:, 0], np.ones(5))
 
 
+@separator_warnings
 def test_exactness_across_graphs_and_kinds():
     cases = [
         (grid_graph(30, 30), "laplacian"),
@@ -152,6 +153,7 @@ def test_m_zero_only():
     assert np.array_equal(got.values, np.ones((16, 1)))
 
 
+@separator_warnings
 def test_exactness_with_isolated_nodes():
     # isolated nodes create globally empty rows inside blocks, which the
     # column-filtered submatrix extraction must handle

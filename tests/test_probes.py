@@ -1,18 +1,29 @@
 import numpy as np
 import pytest
 
-from netdos import (OperatorKind, ProbeKind, build_csr, build_operator,
-                    estimate_diagonal, estimate_trace, make_probes)
-from netdos.testkit import dense_matrix, erdos_renyi, exact_spectrum
+from netdos import (OperatorKind, ProbeKind, SymmetricCSROperator, build_csr,
+                    build_operator, dos_moments, make_probes, pdos_moments)
+from netdos.testkit import dense_matrix, erdos_renyi
 
 
-class _DenseOp:
-    def __init__(self, h):
-        self.h = np.asarray(h, dtype=np.float64)
-        self.n = self.h.shape[0]
+def _dense_op(h):
+    """The dense matrix h as the CSR operator the probe recurrence reads."""
+    h = np.asarray(h, dtype=np.float64)
+    rows, cols = np.nonzero(h)
+    indptr = np.zeros(h.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=h.shape[0]), out=indptr[1:])
+    return SymmetricCSROperator(h.shape[0], indptr, cols, h[rows, cols], None)
 
-    def apply(self, x, out=None):
-        return self.h @ x
+
+def _trace(op, probes):
+    """Hutchinson trace estimate: n times the m = 1 global moment."""
+    return float(dos_moments(op, probes, 1).values[1] * op.n)
+
+
+def _diagonal(op, probes):
+    """Diagonal estimate (sum_j z_j * H z_j) / (sum_j z_j * z_j), elementwise:
+    the m = 1 per-node moments."""
+    return pdos_moments(op, probes, 1).values[:, 1]
 
 
 def test_rademacher_entries_are_signs():
@@ -50,15 +61,15 @@ def test_probes_deterministic_and_column_stable():
 
 
 def test_trace_of_identity_rademacher_exact():
-    op = _DenseOp(np.eye(17))
+    op = _dense_op(np.eye(17))
     p = make_probes(17, 5, ProbeKind.RADEMACHER, seed=3)
-    assert estimate_trace(op, p) == pytest.approx(17.0, abs=1e-12)
+    assert _trace(op, p) == pytest.approx(17.0, abs=1e-12)
 
 
 def test_trace_standard_basis_diag():
-    op = _DenseOp(np.diag([1.0, 2.0, 3.0]))
+    op = _dense_op(np.diag([1.0, 2.0, 3.0]))
     p = make_probes(3, 3, ProbeKind.STANDARD_BASIS, seed=0)
-    assert estimate_trace(op, p) == pytest.approx(6.0, abs=1e-12)
+    assert _trace(op, p) == pytest.approx(6.0, abs=1e-12)
 
 
 def test_trace_er_normalized_adjacency_within_noise():
@@ -68,27 +79,27 @@ def test_trace_er_normalized_adjacency_within_noise():
     # per-probe values z^T H z; the oracle trace is exactly 0
     vals = np.einsum("ij,ij->j", p.columns, op.apply(p.columns))
     stderr = vals.std(ddof=1) / np.sqrt(20)
-    assert abs(estimate_trace(op, p)) < 5 * stderr
+    assert abs(_trace(op, p)) < 5 * stderr
 
 
 def test_diagonal_exact_for_diagonal_matrix():
-    op = _DenseOp(np.diag([2.0, -1.0, 0.5, 4.0]))
+    op = _dense_op(np.diag([2.0, -1.0, 0.5, 4.0]))
     p = make_probes(4, 3, ProbeKind.RADEMACHER, seed=2)
-    assert np.allclose(estimate_diagonal(op, p), [2.0, -1.0, 0.5, 4.0], atol=1e-12)
+    assert np.allclose(_diagonal(op, p), [2.0, -1.0, 0.5, 4.0], atol=1e-12)
 
 
 def test_diagonal_of_identity_any_kind():
     for kind in (ProbeKind.GAUSSIAN, ProbeKind.RADEMACHER, ProbeKind.HADAMARD):
-        op = _DenseOp(np.eye(12))
+        op = _dense_op(np.eye(12))
         p = make_probes(12, 4, kind, seed=8)
-        assert np.allclose(estimate_diagonal(op, p), np.ones(12), atol=1e-12)
+        assert np.allclose(_diagonal(op, p), np.ones(12), atol=1e-12)
 
 
 def test_diagonal_p4_gaussian_close_to_zero():
     g = build_csr([(0, 1), (1, 2), (2, 3)])
     op = build_operator(g, OperatorKind.NORMALIZED_ADJACENCY)
     p = make_probes(4, 200, ProbeKind.GAUSSIAN, seed=21)
-    est = estimate_diagonal(op, p)
+    est = _diagonal(op, p)
     assert np.abs(est).max() < 0.2  # oracle diagonal is all zeros
 
 
@@ -97,8 +108,8 @@ def test_standard_basis_exactness_trace_and_diagonal():
     op = build_operator(g, OperatorKind.LAPLACIAN)
     h = dense_matrix(op)
     p = make_probes(60, 60, ProbeKind.STANDARD_BASIS, seed=0)
-    assert abs(estimate_trace(op, p) - np.trace(h)) < 1e-12 * max(1, abs(np.trace(h)))
-    assert np.abs(estimate_diagonal(op, p) - np.diag(h)).max() < 1e-12
+    assert abs(_trace(op, p) - np.trace(h)) < 1e-12 * max(1, abs(np.trace(h)))
+    assert np.abs(_diagonal(op, p) - np.diag(h)).max() < 1e-12
 
 
 def test_unbiasedness_rate_over_seeds():
@@ -106,32 +117,29 @@ def test_unbiasedness_rate_over_seeds():
     op = build_operator(g, OperatorKind.ADJACENCY)
     h = dense_matrix(op)
     target = np.trace(h)  # 0 for a simple graph
-    few = np.mean([estimate_trace(op, make_probes(100, 4, ProbeKind.RADEMACHER, seed=s))
+    few = np.mean([_trace(op, make_probes(100, 4, ProbeKind.RADEMACHER, seed=s))
                    for s in range(4)])
-    many = np.mean([estimate_trace(op, make_probes(100, 4, ProbeKind.RADEMACHER, seed=s))
+    many = np.mean([_trace(op, make_probes(100, 4, ProbeKind.RADEMACHER, seed=s))
                     for s in range(64)])
     assert abs(many - target) < abs(few - target) + 1e-9
 
 
-def test_diagonal_raw_form_flag():
-    op = _DenseOp(np.diag([3.0, 5.0]))
+def test_diagonal_exact_for_gaussian_probes():
+    op = _dense_op(np.diag([3.0, 5.0]))
     p = make_probes(2, 50, ProbeKind.GAUSSIAN, seed=4)
-    norm = estimate_diagonal(op, p, normalized=True)
-    raw = estimate_diagonal(op, p, normalized=False)
-    assert np.allclose(norm, [3.0, 5.0], atol=1e-12)  # exact for diagonal H
-    assert not np.allclose(raw, norm)  # raw keeps chi-square noise
-    assert np.allclose(raw, [3.0, 5.0], atol=1.5)
+    # dividing by each row's probe mass makes it exact for diagonal H
+    assert np.allclose(_diagonal(op, p), [3.0, 5.0], atol=1e-12)
 
 
 def test_zero_denominator_rejected():
-    op = _DenseOp(np.eye(5))
+    op = _dense_op(np.eye(5))
     p = make_probes(5, 2, ProbeKind.STANDARD_BASIS, seed=0)
     with pytest.raises(ValueError, match="zero probe mass"):
-        estimate_diagonal(op, p)
+        _diagonal(op, p)
 
 
 def test_dimension_mismatch_rejected():
-    op = _DenseOp(np.eye(5))
+    op = _dense_op(np.eye(5))
     p = make_probes(4, 2, ProbeKind.RADEMACHER, seed=0)
     with pytest.raises(ValueError, match="dimension"):
-        estimate_trace(op, p)
+        _trace(op, p)

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from netdos import (MotifKind, OperatorKind, build_operator, check_interlacing,
-                    detect_motifs, erdos_renyi, exact_spectrum, generate_graph,
-                    preferential_attachment, small_world, wasserstein1)
-from netdos.testkit import (dense_matrix, oracle_histogram,
-                            semicircle_bin_masses)
+from netdos import (MotifKind, OperatorKind, build_operator, detect_motifs,
+                    erdos_renyi, exact_spectrum, generate_graph,
+                    preferential_attachment, small_world)
+from netdos.testkit import dense_matrix, oracle_histogram
+
+from oracles import check_interlacing, semicircle_bin_masses, wasserstein1
 
 
 def test_exact_spectrum_small_graphs(triangle, path3, star4):
