@@ -16,6 +16,7 @@ import numpy as np
 from . import fileio, pipeline, testkit
 from .density import BINS, histogram_from_moments
 from .errors import NetdosError
+from .kpm import MODE_PER_NODE
 from .lanczos import gql_pdos
 from .motifs import MotifKind, detect_motifs
 from .nested_dissection import LEAF_SIZE, load_partition, save_partition
@@ -39,27 +40,27 @@ def _add_graph_command(sub, name, fn, help, csv=False):
     return p
 
 
-def _add_estimator_args(p, moments):
-    p.add_argument("--moments", type=int, default=moments)
+def _add_estimator_args(p, moments, min_moments=0):
+    p.add_argument("--moments", type=_int_at_least(min_moments), default=moments)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--range", type=_range_arg, default=None, metavar="LO,HI",
                    help="spectral range override (default: estimated)")
-    p.add_argument("--range-steps", type=int, default=RANGE_STEPS)
+    p.add_argument("--range-steps", type=_int_at_least(2), default=RANGE_STEPS)
     p.add_argument("--range-margin", type=float, default=RANGE_MARGIN)
-    p.add_argument("--threads", type=_positive_int, default=None,
+    p.add_argument("--threads", type=_int_at_least(1), default=None,
                    help="accepted for compatibility; has no effect, because "
                         "the sparse kernel is serial")
 
 
 def _add_probe_args(p):
-    p.add_argument("--probes", type=int, default=pipeline.PROBES)
+    p.add_argument("--probes", type=_int_at_least(1), default=pipeline.PROBES)
     p.add_argument("--probe-kind", choices=_PROBE_KINDS,
                    default=pipeline.PROBE_KIND.value)
 
 
 def _add_histogram_args(p, kpm=True):
     """--bins; with `kpm`, the options of a Chebyshev moment series too."""
-    p.add_argument("--bins", type=int, default=BINS)
+    p.add_argument("--bins", type=_int_at_least(1), default=BINS)
     if kpm:
         p.add_argument("--no-damping", action="store_true")
         p.add_argument("--no-spikes", action="store_true",
@@ -73,14 +74,17 @@ def _add_output_args(p, csv=False):
         p.add_argument("--out-format", choices=["json", "csv"], default="json")
 
 
-def _positive_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expects an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(least):
+    """An argparse type: an integer no smaller than `least`."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expects an integer, got {text!r}")
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+        return value
+    return parse
 
 
 def _range_arg(text):
@@ -256,6 +260,9 @@ def _cmd_generate(args):
 
 def _cmd_hist(args):
     moments, adjustment, payload = fileio.load_moments(args.moments_file)
+    if args.out_format == "csv" and moments.mode == MODE_PER_NODE:
+        # refused before binning, as `write_histogram_csv` would refuse it
+        raise NetdosError("CSV output supports global histograms only")
     hist = histogram_from_moments(
         moments, bins=args.bins, damping=not args.no_damping,
         filter_adjustment=None if args.no_spikes else adjustment,
@@ -289,7 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _add_graph_command(sub, "gql", _cmd_gql, csv=True,
                            help="density via Lanczos quadrature")
-    _add_estimator_args(p, pipeline.GQL_STEPS)
+    # gql's --moments is its Lanczos step count
+    _add_estimator_args(p, pipeline.GQL_STEPS, min_moments=1)
     _add_probe_args(p)
     _add_histogram_args(p, kpm=False)
     p.add_argument("--node", type=int, default=None,
@@ -299,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = _add_graph_command(sub, "nd-pdos", _cmd_nd_pdos,
                            help="exact per-node moments via nested dissection")
     _add_estimator_args(p, pipeline.ND_MOMENTS)
-    p.add_argument("--leaf-size", type=int, default=LEAF_SIZE)
+    p.add_argument("--leaf-size", type=_int_at_least(1), default=LEAF_SIZE)
     p.add_argument("--partition", default=None, help="load a partition file")
     p.add_argument("--save-partition", default=None)
 
@@ -310,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _add_graph_command(sub, "exact", _cmd_exact,
                            help="dense oracle eigenvalues (size-capped)")
-    p.add_argument("--bins", type=int, default=None)
+    p.add_argument("--bins", type=_int_at_least(1), default=None)
     p.add_argument("--range", type=_range_arg, default=None, metavar="LO,HI")
 
     p = sub.add_parser("generate", help="write a generated graph as an edge list")

@@ -134,6 +134,8 @@ def gql_dos(op, probes: ProbeMatrix, steps, bins=BINS,
     """Average per-probe Ritz point masses into a histogram of the density."""
     if op.n != probes.n:
         raise ValueError("probe dimension does not match operator")
+    if bins < 1:
+        raise ValueError("bins must be >= 1")
     all_nodes = []
     all_weights = []
     for j in range(probes.nz):

@@ -12,6 +12,11 @@ result carries no stochastic error. H comes from `rescale_operator` with
 the map onto [-1, 1] already folded into its CSR arrays, which the blocks
 below are cut from directly.
 
+The recurrence is exact only under that invariant, which is checked as
+each tree node's block is cut: a row reaching outside I_p and the ancestor
+separators, or an ancestor part without I_s whose rows are needed, raises
+PartitionError. `PartitionTree.validate` checks only the tree's shape.
+
 Each tree node holds one CSR block of 2·H over the rows I_p and the columns
 [I_p; the ancestor separators that I_p touches], and two dense buffers of
 that many rows by |I_s| columns. A step copies the ancestors' T_m rows into
@@ -79,35 +84,26 @@ class PartitionTree:
             cur = self.nodes[cur].parent
         return path[::-1]
 
-    def validate(self, g: GraphCSR):
-        self.validate_arrays(g.n, g.row_ptr, g.col_idx)
+    def validate(self, n):
+        """Check the tree's shape: the separators hold the ids 0..n-1 once
+        each, parents precede children, and each node's pieces are disjoint
+        and within 0..n-1.
 
-    def validate_arrays(self, n, indptr, indices):
-        """Check coverage, disjointness, ordering and the separator property."""
-        if self.n != n or self.nodes[0].part.shape[0] != n:
-            raise PartitionError("partition tree does not cover the graph")
-        covered = np.concatenate([t.sep for t in self.nodes])
-        if covered.shape[0] != n or np.unique(covered).shape[0] != n:
-            raise PartitionError("separators and leaf blocks do not partition the nodes")
-        mask = np.zeros(n, dtype=bool)
+        Whether the tree separates the graph is checked where the recurrence
+        cuts each node's block (`nd_pdos_moments`).
+        """
+        seps = np.sort(np.concatenate([t.sep for t in self.nodes]))
+        if not np.array_equal(seps, np.arange(n)):
+            raise PartitionError(
+                f"the separators do not hold each node id 0..{n - 1} once")
         for t in self.nodes:
             if t.parent >= t.node_id:
                 raise PartitionError("tree node ids must order parents before children")
-            pieces = np.concatenate([t.sep, t.left, t.right])
-            if np.unique(pieces).shape[0] != pieces.shape[0]:
-                raise PartitionError(f"tree node {t.node_id} has overlapping pieces")
-            if t.left.size and t.right.size:
-                # every edge leaving `left`, scanned in row order
-                take, counts = _row_entries(indptr, t.left)
-                nbrs = indices[take]
-                mask[t.right] = True
-                hits = np.flatnonzero(mask[nbrs])
-                mask[t.right] = False
-                if hits.size:
-                    u = int(np.repeat(t.left, counts)[hits[0]])
-                    raise PartitionError(
-                        f"edge ({u}, {int(nbrs[hits[0]])}) crosses the separator "
-                        f"of tree node {t.node_id}")
+            part = t.part
+            if part.size and (part[0] < 0 or part[-1] >= n
+                              or np.any(part[1:] == part[:-1])):
+                raise PartitionError(f"tree node {t.node_id} has overlapping "
+                                     f"pieces or an id outside 0..{n - 1}")
 
 
 def _row_entries(indptr, rows):
@@ -229,9 +225,7 @@ def build_partition_tree(g: GraphCSR, leaf_size=LEAF_SIZE) -> PartitionTree:
         return node_id
 
     recurse(np.arange(g.n, dtype=np.int64), -1)
-    tree = PartitionTree(n=g.n, nodes=nodes)
-    tree.validate(g)
-    return tree
+    return PartitionTree(n=g.n, nodes=nodes)
 
 
 def save_partition(tree: PartitionTree, path):
@@ -271,31 +265,13 @@ def load_partition(path, n=None) -> PartitionTree:
     if [t.node_id for t in ordered] != list(range(len(ordered))):
         raise PartitionError("partition node ids must be 0..count-1")
     for t in ordered:
-        if t.parent >= 0:
+        if t.parent != -1:
+            if t.parent not in nodes:
+                raise PartitionError(f"{path}: tree node {t.node_id} names "
+                                     f"parent {t.parent}, which has no line")
             nodes[t.parent].children.append(t.node_id)
     total = ordered[0].part.shape[0]
     return PartitionTree(n=int(n) if n is not None else int(total), nodes=ordered)
-
-
-def _submatrix(indptr, indices, data, rows, col_lookup):
-    """CSR block (rows x mapped-columns); preserves in-row column order."""
-    take, counts = _row_entries(indptr, rows)
-    sub_ptr = np.zeros(rows.shape[0] + 1, dtype=np.int64)
-    np.cumsum(counts, out=sub_ptr[1:])
-    cols = col_lookup[indices[take]]
-    vals = data[take]
-    keep = cols >= 0
-    if not np.all(keep):
-        # reduce over non-empty rows only (zero-length reduceat segments
-        # would swallow part of the preceding row)
-        nonempty = np.flatnonzero(counts > 0)
-        kept = np.add.reduceat(keep.astype(np.int64), sub_ptr[:-1][nonempty])
-        kept_per_row = np.zeros(rows.shape[0], dtype=np.int64)
-        kept_per_row[nonempty] = kept
-        sub_ptr = np.zeros(rows.shape[0] + 1, dtype=np.int64)
-        np.cumsum(kept_per_row, out=sub_ptr[1:])
-        cols, vals = cols[keep], vals[keep]
-    return sub_ptr, np.ascontiguousarray(cols), np.ascontiguousarray(vals)
 
 
 class _BlockState:
@@ -317,18 +293,29 @@ def _node_state(t, tree, states, indptr, indices, data, lookup):
     st.sep = t.sep
     st.npart = part.shape[0]
     ns = st.sep.shape[0]
-    pos_self = np.searchsorted(part, st.sep)
-    st.diag = pos_self * ns + np.arange(ns)
+    st.diag = np.searchsorted(part, st.sep) * ns + np.arange(ns)
 
+    # cut 2·H over the rows `part` and the columns [part; ancestor
+    # separators]; the recurrence is exact only if no row reaches further
     ancs = [a for a in tree.ancestors(t.node_id) if states[a] is not None]
     bounds = np.cumsum([st.npart] + [states[a].sep.shape[0] for a in ancs])
     lookup[part] = np.arange(st.npart)
     for a, lo in zip(ancs, bounds[:-1]):
         lookup[states[a].sep] = np.arange(lo, lo + states[a].sep.shape[0])
-    ptr, cols, vals = _submatrix(indptr, indices, data, part, lookup)
+    take, counts = _row_entries(indptr, part)
+    cols = lookup[indices[take]]
     lookup[part] = -1
     for a in ancs:
         lookup[states[a].sep] = -1
+    ptr = np.zeros(st.npart + 1, dtype=np.int64)
+    np.cumsum(counts, out=ptr[1:])
+    outside = np.flatnonzero(cols < 0)
+    if outside.size:
+        u = part[np.searchsorted(ptr, outside[0], side="right") - 1]
+        v = indices[take[outside[0]]]
+        raise PartitionError(
+            f"edge ({u}, {v}) leaves tree node {t.node_id}: {v} is neither "
+            "in its part nor in an ancestor's separator")
 
     # drop the ancestor separators that no row of the part touches; the
     # kept column segments close up over the dropped ones
@@ -336,25 +323,29 @@ def _node_state(t, tree, states, indptr, indices, data, lookup):
     used = np.bincount(seg, minlength=bounds.shape[0]) > 0
     used[0] = True
     shift = np.cumsum(np.diff(bounds, prepend=0) * ~used)
-    st.block = (ptr, cols - shift[seg], 2.0 * vals)
+    st.block = (ptr, cols - shift[seg], 2.0 * data[take])
     st.gathers = []
     lo = st.npart
     for a, keep in zip(ancs, used[1:]):
         if keep:
             # T_m(anc_sep, sep) is, by symmetry, the transpose of rows
             # `sep` of the ancestor's T_m(anc_part, anc_sep)
-            anc_pos = np.searchsorted(tree.nodes[a].part, st.sep)
+            anc_part = tree.nodes[a].part
+            if not np.isin(st.sep, anc_part).all():
+                raise PartitionError(
+                    f"tree node {t.node_id} reads rows of its ancestor {a}, "
+                    "whose part does not hold its separator")
             k = states[a].sep.shape[0]
-            st.gathers.append((a, anc_pos, lo, lo + k))
+            st.gathers.append((a, np.searchsorted(anc_part, st.sep), lo, lo + k))
             lo += k
 
     st.prev = np.zeros((lo, ns))
     st.prev.reshape(-1)[st.diag] = 1.0
+    # T_1 = ½·(2·H block)·T_0 exactly: each entry is a single product by 1
     st.cur = np.zeros((lo, ns))
-    lookup[st.sep] = np.arange(ns)
-    sub = _submatrix(indptr, indices, data, part, lookup)
-    lookup[st.sep] = -1
-    st.cur[np.repeat(np.arange(st.npart), np.diff(sub[0])), sub[1]] = sub[2]
+    top = st.cur[:st.npart]
+    _kernels.csr_matvec(*st.block, st.prev, out=top)
+    top *= 0.5
     return st
 
 
@@ -365,10 +356,8 @@ def nd_pdos_moments(sop: SymmetricCSROperator, tree: PartitionTree,
     if m_max < 0:
         raise ValueError("m_max must be >= 0")
     n = sop.n
-    if tree.n != n:
-        raise PartitionError("partition tree built for a different graph")
+    tree.validate(n)
     indptr, indices, data = sop.indptr, sop.indices, sop.data
-    tree.validate_arrays(n, indptr, indices)
 
     lookup = np.full(n, -1, dtype=np.int64)
     states = [None] * len(tree.nodes)

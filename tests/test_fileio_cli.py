@@ -5,6 +5,7 @@ import pytest
 
 from netdos import (FileFormatError, GraphError, SpectralHistogram,
                     build_csr, parse_graph_file, write_graph_edgelist)
+from netdos import cli
 from netdos.cli import main
 from netdos.fileio import (histogram_payload, load_moments, moments_payload,
                            motifs_payload, quadrature_payload,
@@ -438,6 +439,46 @@ def test_cli_csv_usage_errors_come_before_work(tmp_path, capsys, argv):
         main([names.get(a, a) for a in argv])
     assert exc.value.code == 2
     assert "--out-format csv" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["dos", "--bins", "0"], "--bins: must be >= 1, got 0"),
+    (["dos", "--probes", "0"], "--probes: must be >= 1, got 0"),
+    (["dos", "--moments", "-1"], "--moments: must be >= 0, got -1"),
+    (["dos", "--range-steps", "1"], "--range-steps: must be >= 2, got 1"),
+    (["pdos", "--probes", "-2"], "--probes: must be >= 1, got -2"),
+    (["gql", "--bins", "0"], "--bins: must be >= 1, got 0"),
+    (["gql", "--bins", "-1"], "--bins: must be >= 1, got -1"),
+    (["gql", "--moments", "0"], "--moments: must be >= 1, got 0"),
+    (["nd-pdos", "--leaf-size", "0"], "--leaf-size: must be >= 1, got 0"),
+    (["nd-pdos", "--moments", "-1"], "--moments: must be >= 0, got -1"),
+    (["exact", "--bins", "-3"], "--bins: must be >= 1, got -3"),
+    (["hist", "--bins", "0"], "--bins: must be >= 1, got 0"),
+])
+def test_cli_bad_counts_are_usage_errors(tmp_path, capsys, argv, message):
+    # the input does not exist: exit 2, not 1, shows it was never opened
+    source = "--moments-file" if argv[0] == "hist" else "--input"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, source, str(tmp_path / "missing.txt")])
+    assert exc.value.code == 2
+    assert f"argument {message}" in capsys.readouterr().err
+
+
+def test_cli_hist_refuses_per_node_csv_before_binning(tmp_path, capsys,
+                                                      monkeypatch):
+    path = tmp_path / "nd.json"
+    path.write_text(json.dumps(_moments_record(
+        mode="per_node", values=[[1.0, 0.0, -0.5], [1.0, 0.5, 0.0]])))
+
+    def no_binning(*args, **kwargs):
+        raise AssertionError("binned moments that no CSV file can hold")
+
+    monkeypatch.setattr(cli, "histogram_from_moments", no_binning)
+    out = tmp_path / "h.csv"
+    assert main(["hist", "--moments-file", str(path), "--out-format", "csv",
+                 "--out", str(out)]) == 1
+    assert "CSV output supports global histograms only" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -89,6 +89,13 @@ def test_gql_dos_k3_masses(triangle):
     assert hist.masses[4] == pytest.approx(1 / 3, abs=0.05)
 
 
+def test_gql_dos_bins_must_be_positive(triangle):
+    op = build_operator(triangle, OperatorKind.ADJACENCY)
+    probes = make_probes(3, 2, ProbeKind.RADEMACHER, seed=2)
+    with pytest.raises(ValueError, match="bins"):
+        gql_dos(op, probes, steps=3, bins=0)
+
+
 def test_gql_dos_er_close_to_oracle():
     # A 50-node Gauss rule binned into 50 bins resolves this spectrum to an
     # L1 of ~0.14; the error keeps dropping as the rule grows.

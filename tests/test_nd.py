@@ -1,14 +1,18 @@
+import re
 import tracemalloc
 import warnings
 from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from netdos import (PartitionError, ProbeKind, build_csr, build_operator,
                     build_partition_tree, dos_moments, load_partition,
                     make_probes, nd_pdos_moments, save_partition)
 from netdos import nested_dissection
+from netdos.cli import main
 from netdos.kpm import chebyshev_values
 from netdos.nested_dissection import PartitionNode, PartitionTree
 from netdos.pipeline import scaled_operator_for
@@ -17,8 +21,8 @@ from netdos.testkit import erdos_renyi, exact_spectrum, preferential_attachment
 from conftest import grid_graph, separator_warnings
 
 
-def _oracle_node_moments(g, kind, m_max, seed=0):
-    sop = scaled_operator_for(g, kind, seed=seed)
+def _oracle_node_moments(g, kind, m_max, seed=0, range_=None):
+    sop = scaled_operator_for(g, kind, seed=seed, range_=range_)
     spec = exact_spectrum(build_operator(g, kind), want_vectors=True)
     t = chebyshev_values(m_max, sop.scale_map.to_scaled(spec.eigenvalues))
     return sop, (spec.eigenvectors ** 2) @ t.T
@@ -109,7 +113,7 @@ def test_partition_file_round_trip(tmp_path):
     path = tmp_path / "part.txt"
     save_partition(tree, path)
     loaded = load_partition(path, n=g.n)
-    loaded.validate(g)
+    loaded.validate(g.n)
     assert len(loaded.nodes) == len(tree.nodes)
     sop = scaled_operator_for(g, "normalized-adjacency")
     a = nd_pdos_moments(sop, tree, 10)
@@ -156,7 +160,7 @@ def test_m_zero_only():
 @separator_warnings
 def test_exactness_with_isolated_nodes():
     # isolated nodes create globally empty rows inside blocks, which the
-    # column-filtered submatrix extraction must handle
+    # block cut must handle
     base = erdos_renyi(90, 0.06, seed=13)
     u, v, w = base.edge_list()
     g = build_csr(list(zip(u.tolist(), v.tolist())), n=97)  # 7 isolated tails
@@ -272,9 +276,8 @@ def test_crossing_edge_is_named():
         PartitionNode(4, 0, cols(3, 4, 5), ids(), ids()),
     ]
     tree = PartitionTree(n=g.n, nodes=nodes)
-    msg = r"edge \(6, 12\) crosses the separator of tree node 1"
-    with pytest.raises(PartitionError, match=msg):
-        tree.validate(g)
+    # leaf 2 is the first tree node with a row that crosses
+    msg = r"edge \(6, 12\) leaves tree node 2"
     with pytest.raises(PartitionError, match=msg):
         nd_pdos_moments(scaled_operator_for(g, "adjacency"), tree, 3)
 
@@ -300,3 +303,102 @@ def test_moment_memory_stays_within_two_buffers_per_node():
     finally:
         tracemalloc.stop()
     assert peak < buffers + moments + slack, (peak, buffers, moments, slack)
+
+
+# Partition files that name a tree the recurrence cannot run on. Each must
+# end in exit 1 with the PartitionError message, never in a traceback or
+# in wrong moments.
+_PATH5 = "0 1\n1 2\n2 3\n3 4\n"
+MALFORMED_PARTITIONS = {
+    "children-do-not-split-parent": (
+        _PATH5,
+        "0 -1 sep:2 left:0,1 right:3,4\n1 0 sep:0,3 left: right:\n"
+        "2 0 sep:1,4 left: right:\n",
+        r"edge \(0, 1\) leaves tree node 1"),
+    "unknown-parent": (
+        _PATH5,
+        "0 -1 sep:2 left:0,1 right:3,4\n1 7 sep:0,1 left: right:\n"
+        "2 0 sep:3,4 left: right:\n",
+        "tree node 1 names parent 7, which has no line"),
+    "id-beyond-n": (
+        _PATH5, "0 -1 sep:0,1,2,3,7 left: right:\n",
+        r"separators do not hold each node id 0\.\.4 once"),
+    "negative-id": (
+        _PATH5, "0 -1 sep:-1,0,1,2,3 left: right:\n",
+        r"separators do not hold each node id 0\.\.4 once"),
+    "leaf-outside-parent": (
+        "# nodes 5 edges 2\n0 1\n1 2\n",
+        "0 -1 sep: left:0,1,2 right:3,4\n1 0 sep:1 left:0 right:2\n"
+        "2 1 sep:0,3 left: right:\n3 1 sep:2,4 left: right:\n",
+        "tree node 2 reads rows of its ancestor 1"),
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED_PARTITIONS))
+def test_cli_refuses_malformed_partition(tmp_path, capsys, name):
+    graph, partition, message = MALFORMED_PARTITIONS[name]
+    gpath, ppath = tmp_path / "g.txt", tmp_path / "part.txt"
+    gpath.write_text(graph)
+    ppath.write_text(partition)
+    out = tmp_path / "nd.json"
+    assert main(["nd-pdos", "--input", str(gpath), "--partition", str(ppath),
+                 "--moments", "4", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("netdos: error: ")
+    assert re.search(message, err), err
+    assert not out.exists()
+
+
+@st.composite
+def _corrupted_trees(draw):
+    """A built tree on a small random graph, then one vertex moved between
+    two separators or one tree node given another parent."""
+    n = draw(st.integers(2, 24))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1)),
+                          min_size=1, max_size=3 * n))
+    # nodes 0..lone-1 are isolated; moved into another tree node's
+    # separator, such a node lies outside the parts of its ancestors
+    lone = draw(st.integers(0, 3))
+    edges = sorted({(lone + min(u, v), lone + max(u, v))
+                    for u, v in pairs if u != v})
+    assume(edges)
+    g = build_csr(edges, n=lone + n)
+    tree = build_partition_tree(g, leaf_size=draw(st.integers(1, 6)))
+    nodes = tree.nodes
+    if len(nodes) == 1 or draw(st.booleans()):
+        v = draw(st.integers(0, g.n - 1))
+        src = next(t for t in nodes if v in t.sep)
+        dst = draw(st.sampled_from(nodes))
+        src.sep = src.sep[src.sep != v]
+        dst.sep = np.sort(np.append(dst.sep, v))
+    else:
+        # a parent at or after the node itself is refused before any cut
+        t = draw(st.sampled_from(nodes[1:]))
+        t.parent = draw(st.integers(-1, t.node_id - 1))
+    return g, tree
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+@given(case=_corrupted_trees())
+def _raises_or_is_exact(outcomes, case):
+    g, tree = case
+    m_max = 8
+    spread = (-float(g.n), float(g.n))  # encloses every adjacency spectrum
+    sop, want = _oracle_node_moments(g, "adjacency", m_max, range_=spread)
+    try:
+        got = nd_pdos_moments(sop, tree, m_max)
+    except PartitionError:
+        outcomes.add("refused")
+        return
+    assert np.abs(got.values - want).max() < 1e-10
+    outcomes.add("exact")
+
+
+@separator_warnings
+def test_corrupted_tree_is_refused_or_exact():
+    outcomes = set()
+    _raises_or_is_exact(outcomes)
+    assert outcomes == {"refused", "exact"}
