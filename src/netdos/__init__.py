@@ -17,7 +17,7 @@ from .kpm import (ChebMoments, chebyshev_values, dos_moments,
 from .lanczos import (LanczosFactorization, RitzQuadrature, gql_dos, gql_pdos,
                       lanczos_factorize, lanczos_quadrature)
 from .motifs import (FilterAdjustment, MotifInstance, MotifKind, detect_motifs,
-                     filter_probes, motif_eigenvalue, motif_eigenvectors)
+                     filter_probes)
 from .nested_dissection import (PartitionTree, build_partition_tree,
                                 load_partition, nd_pdos_moments, save_partition)
 from .operators import (OperatorKind, ScaleMap, SymmetricCSROperator,
@@ -38,7 +38,7 @@ __all__ = [
     "histogram_from_moments", "evaluate_density", "LanczosFactorization",
     "RitzQuadrature", "lanczos_factorize", "lanczos_quadrature", "gql_dos",
     "gql_pdos", "MotifKind", "MotifInstance", "FilterAdjustment",
-    "detect_motifs", "motif_eigenvalue", "motif_eigenvectors", "filter_probes",
+    "detect_motifs", "filter_probes",
     "PartitionTree", "build_partition_tree", "save_partition",
     "load_partition", "nd_pdos_moments", "ExactSpectrum", "exact_spectrum",
     "generate_graph", "erdos_renyi", "preferential_attachment", "small_world",

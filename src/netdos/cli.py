@@ -46,7 +46,8 @@ def _add_estimator_args(p, moments, min_moments=0):
     p.add_argument("--range", type=_range_arg, default=None, metavar="LO,HI",
                    help="spectral range override (default: estimated)")
     p.add_argument("--range-steps", type=_int_at_least(2), default=RANGE_STEPS)
-    p.add_argument("--range-margin", type=float, default=RANGE_MARGIN)
+    p.add_argument("--range-margin", type=_finite_at_least(0.0),
+                   default=RANGE_MARGIN)
     p.add_argument("--threads", type=_int_at_least(1), default=None,
                    help="accepted for compatibility; has no effect, because "
                         "the sparse kernel is serial")
@@ -65,7 +66,8 @@ def _add_histogram_args(p, kpm=True):
         p.add_argument("--no-damping", action="store_true")
         p.add_argument("--no-spikes", action="store_true",
                        help="do not re-insert deflated spike mass")
-        p.add_argument("--negativity-tol", type=float, default=None)
+        p.add_argument("--negativity-tol", type=_finite_at_least(0.0),
+                       default=None)
 
 
 def _add_output_args(p, csv=False):
@@ -87,11 +89,28 @@ def _int_at_least(least):
     return parse
 
 
+def _finite_at_least(least):
+    """An argparse type: a finite number no smaller than `least`."""
+    def parse(text):
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expects a number, got {text!r}")
+        if not least <= value < np.inf:
+            raise argparse.ArgumentTypeError(
+                f"must be finite and >= {least:g}, got {value:g}")
+        return value
+    return parse
+
+
 def _range_arg(text):
     try:
         lo, hi = (float(x) for x in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expects LO,HI, got {text!r}")
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+        raise argparse.ArgumentTypeError(
+            f"expects finite LO < HI, got {text!r}")
     return (lo, hi)
 
 
@@ -205,8 +224,9 @@ def _cmd_nd_pdos(args):
         range_steps=args.range_steps, range_margin=args.range_margin)
     if args.save_partition:
         save_partition(tree, args.save_partition)
-    meta = _meta(args, g, "nd", sop, leaf_size=args.leaf_size,
-                 node_ids=node_ids.tolist())
+    # the leaf size is a fact of the run only when the tree was built here
+    built = {} if args.partition else {"leaf_size": args.leaf_size}
+    meta = _meta(args, g, "nd", sop, **built, node_ids=node_ids.tolist())
     return _write(args, fileio.moments_payload(moments, meta))
 
 
@@ -214,7 +234,7 @@ def _cmd_motifs(args):
     g, node_ids = _load_graph(args)
     kinds = _parse_filter_kinds(args.kinds or "all")
     instances = detect_motifs(g, kinds={MotifKind(k) for k in kinds},
-                              seed=args.seed, operator=OperatorKind(args.operator))
+                              operator=OperatorKind(args.operator))
     return _write(args, fileio.motifs_payload(instances, _meta(args, g),
                                               node_ids=node_ids))
 
@@ -314,7 +334,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = _add_graph_command(sub, "motifs", _cmd_motifs,
                            help="detect spike-producing motifs")
     p.add_argument("--kinds", default="all")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="accepted for compatibility; has no effect, because "
+                        "detection is exact and uses no randomness")
 
     p = _add_graph_command(sub, "exact", _cmd_exact,
                            help="dense oracle eigenvalues (size-capped)")

@@ -14,11 +14,16 @@ eigenvectors supported only on the structure's nodes:
   chains of one hub that sum to zero give two eigenvector families, at
   +-1/sqrt(2) for the normalized adjacency.
 
-Candidates are grouped by a commutative hash of random 64-bit node labels
-and then verified by exact neighbor-list comparison, so reported classes
-have no false positives. Deflating the eigenvectors out of the probe block
-lets the smooth remainder of the spectrum be approximated with far fewer
-moments; the removed spike mass is re-inserted at histogram time.
+Detection is exact and uses no randomness. Open twins are the classes of
+loop-free nodes whose CSR rows hold the same columns and bitwise the same
+weights. Closed-twin candidates are the classes of equal rows of the
+pattern of A + I, split by a check that each pair's rows agree in weight
+outside the pair. Rows are grouped by one sort over (length, id sum,
+weight-bit sum) and then, among the nodes that share all three, by sorting
+the rows themselves. Dangling chains are found with array operations on
+the row lengths and grouped by hub. Deflating the eigenvectors out of the
+probe block lets the smooth remainder of the spectrum be approximated with
+far fewer moments; the removed spike mass is re-inserted at histogram time.
 
 Each instance holds its eigenvectors as one dense block of shape
 (multiplicity, len(nodes)): row i is eigenvector i restricted to the
@@ -33,7 +38,7 @@ disjoint, so orthonormality only has to hold within each block.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -71,17 +76,17 @@ class MotifInstance:
     orthonormal rows; row i holds eigenvector i on `nodes`, in that order,
     and is zero off them. Each row u satisfies H u = eigenvalue * u for the
     operator kind used at detection. Custom instances are checked for that
-    shape and for distinct nodes when built.
+    shape and for distinct nodes when built. The block is stored in C order,
+    so deflation gives the same bits whatever layout it was built in.
     """
 
     kind: MotifKind
     nodes: tuple
     eigenvalue: float
     eigvecs: np.ndarray
-    detail: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.eigvecs = np.asarray(self.eigvecs, dtype=np.float64)
+        self.eigvecs = np.ascontiguousarray(self.eigvecs, dtype=np.float64)
         if self.eigvecs.ndim != 2 or self.eigvecs.shape[1] != len(self.nodes):
             raise MotifError(f"eigvecs has shape {self.eigvecs.shape}; expected "
                              f"(multiplicity, {len(self.nodes)}), one column per node")
@@ -156,141 +161,120 @@ def _chain_modes(kind):
     return tuple(out)
 
 
-def motif_eigenvalue(inst: MotifInstance, kind) -> float:
-    """Eigenvalue of the instance under another operator kind."""
-    if inst.kind is MotifKind.CUSTOM:
-        return inst.eigenvalue
-    if inst.kind in (MotifKind.OPEN_TWIN, MotifKind.CLOSED_TWIN):
-        return float(_twin_modes(kind, inst.kind, inst.detail["degree"],
-                                 inst.detail.get("weight", 1.0)))
-    return float(_chain_modes(kind)[inst.detail["mode"]][0])
+def _twin_instance(motif, members, operator, degree, weight=1.0):
+    nodes = tuple(int(x) for x in members)
+    return MotifInstance(motif, nodes,
+                         float(_twin_modes(operator, motif, degree, weight)),
+                         _helmert_rows(len(nodes)))
 
 
-def motif_eigenvectors(inst: MotifInstance, kind) -> np.ndarray:
-    """Orthonormal eigenvectors under the given kind, one row per vector on
-    `inst.nodes` (shape (multiplicity, len(nodes)))."""
-    kind = OperatorKind(kind)
-    if inst.kind is MotifKind.CUSTOM:
-        return inst.eigvecs
-    if inst.kind in (MotifKind.OPEN_TWIN, MotifKind.CLOSED_TWIN):
-        return _helmert_rows(len(inst.nodes))
-    _, alpha, beta = _chain_modes(kind)[inst.detail["mode"]]
-    chains = inst.detail["chains"]
-    where = {node: i for i, node in enumerate(inst.nodes)}
-    amp = _helmert_rows(len(chains))
-    block = np.zeros((amp.shape[0], len(inst.nodes)))
-    block[:, [where[x] for x, _ in chains]] = amp * alpha
-    block[:, [where[b] for _, b in chains]] = amp * beta
-    return block
+def _chain_instances(leaves, middles, operator):
+    """The two instances of one hub's chains leaves[i] - middles[i] - hub."""
+    nodes = np.concatenate([leaves, middles])
+    order = np.argsort(nodes)
+    amp = _helmert_rows(leaves.size)
+    return [MotifInstance(MotifKind.DANGLING_TWO_CHAIN,
+                          tuple(nodes[order].tolist()), float(lam),
+                          np.concatenate([amp * alpha, amp * beta], axis=1)[:, order])
+            for lam, alpha, beta in _chain_modes(operator)]
 
 
-def _build_instance(motif, nodes, detail, kind):
-    nodes = tuple(int(x) for x in nodes)
-    inst = MotifInstance(motif, nodes, 0.0, np.empty((0, len(nodes))), detail)
-    inst.eigenvalue = motif_eigenvalue(inst, kind)
-    inst.eigvecs = motif_eigenvectors(inst, kind)
-    return inst
+def _equal_rows(ptr, cols, vals, nodes):
+    """Classes of two or more of `nodes` (ascending) whose rows hold the same
+    columns and bitwise the same values, each class in ascending order.
 
+    One lexsort over (row length, id sum, weight-bit sum) keeps the nodes
+    that share all three with another node; among those, one lexsort per
+    row length compares the rows themselves.
+    """
+    bits = vals.view(np.int64)
 
-def _neighbor_signature(g, i, drop=()):
-    sl = g.neighbor_slice(i)
-    ids = g.col_idx[sl]
-    w = g.weights[sl]
-    if len(drop):
-        keep = ~np.isin(ids, drop)
-        ids, w = ids[keep], w[keep]
-    return ids, w
+    def row_sums(x):  # int64 sums wrap alike for equal rows
+        total = np.zeros(x.shape[0] + 1, dtype=np.int64)
+        np.cumsum(x, out=total[1:])
+        return total[ptr[nodes + 1]] - total[ptr[nodes]]
 
+    length = ptr[nodes + 1] - ptr[nodes]
+    keys = np.stack([row_sums(bits), row_sums(cols), length])
+    order = np.lexsort(keys)
+    tie = np.all(keys[:, order[1:]] == keys[:, order[:-1]], axis=0)
+    shared = np.zeros(nodes.shape[0], dtype=bool)
+    shared[order[1:][tie]] = shared[order[:-1][tie]] = True
 
-def _hash_buckets(keys):
-    buckets = defaultdict(list)
-    for i, k in enumerate(keys.tolist()):
-        buckets[k].append(i)
-    return [b for b in buckets.values() if len(b) >= 2]
-
-
-def _open_twin_classes(g, open_hash):
     classes = []
-    for bucket in _hash_buckets(open_hash):
-        exact = defaultdict(list)
-        for i in bucket:
-            ids, w = _neighbor_signature(g, i)
-            if np.any(ids == i):
-                continue  # self-loop breaks the difference eigenvector
-            exact[(ids.tobytes(), w.tobytes())].append(i)
-        for members in exact.values():
-            if len(members) >= 2:
-                classes.append(sorted(members))
+    for size in np.unique(length[shared]).tolist():
+        group = nodes[shared & (length == size)]
+        at = ptr[group][:, None] + np.arange(size)
+        rows = np.concatenate([cols[at], bits[at]], axis=1)
+        # lexsort is stable: equal rows keep their ascending node order
+        order = np.lexsort(rows.T) if size else slice(None)
+        rows, group = rows[order], group[order]
+        cut = np.flatnonzero(np.any(rows[1:] != rows[:-1], axis=1)) + 1
+        classes += [c for c in np.split(group, cut) if c.size >= 2]
     return classes
 
 
-def _closed_twins(g, i, j):
-    """Exact check: i ~ j and their neighborhoods agree outside {i, j}."""
-    ids_i, w_i = _neighbor_signature(g, i)
-    pos = np.searchsorted(ids_i, j)
-    if pos >= ids_i.shape[0] or ids_i[pos] != j:
-        return None
-    wij = w_i[pos]
-    if np.any(ids_i == i):
-        return None
-    ids_j, w_j = _neighbor_signature(g, j)
-    if np.any(ids_j == j):
-        return None
-    drop = np.array([i, j])
-    ri, rwi = _neighbor_signature(g, i, drop)
-    rj, rwj = _neighbor_signature(g, j, drop)
-    if np.array_equal(ri, rj) and np.array_equal(rwi, rwj):
-        return float(wij)
+def _closed_rows(g):
+    """Row pointers and columns of the pattern of A + I."""
+    rows = np.repeat(np.arange(g.n), np.diff(g.row_ptr))
+    below = np.bincount(rows[g.col_idx < rows], minlength=g.n)
+    cols = np.insert(g.col_idx, g.row_ptr[:-1] + below, np.arange(g.n))
+    return g.row_ptr + np.arange(g.n + 1), cols
+
+
+def _pair_weight(g, i, j):
+    """Weight of edge i-j if the rows of i and j, which share their closed
+    neighborhood, agree outside {i, j}; else None."""
+    ids_i, w_i = g.neighbors(i), g.weights[g.neighbor_slice(i)]
+    ids_j, w_j = g.neighbors(j), g.weights[g.neighbor_slice(j)]
+    if np.array_equal(w_i[ids_i != j], w_j[ids_j != i]):
+        return float(w_i[ids_i == j][0])
     return None
 
 
-def _closed_twin_classes(g, closed_hash):
+def _closed_twin_classes(g, candidates):
+    """Split each class of equal closed rows into closed twins with their
+    pair weight. Being twins is transitive and forces one pair weight per
+    class, so comparing with each group's first member suffices."""
     classes = []
-    for bucket in _hash_buckets(closed_hash):
-        groups = []  # (representative, members, pair weight)
-        for i in sorted(bucket):
+    for cand in candidates:
+        groups = []  # [members, pair weight]
+        for i in cand.tolist():
             for grp in groups:
-                w = _closed_twins(g, grp[0], i)
-                if w is not None and (grp[2] is None or w == grp[2]):
-                    grp[1].append(i)
-                    grp[2] = w
+                w = _pair_weight(g, grp[0][0], i)
+                if w is not None:
+                    grp[0].append(i)
+                    grp[1] = w
                     break
             else:
-                groups.append([i, [i], None])
-        for _, members, w in groups:
-            if len(members) >= 2:
-                classes.append((sorted(members), w))
+                groups.append([[i], None])
+        classes += [grp for grp in groups if len(grp[0]) >= 2]
     return classes
 
 
-def _dangling_chain_classes(g):
-    deg_count = np.diff(g.row_ptr)
-    hubs = defaultdict(list)
-    for x in np.flatnonzero(deg_count == 1):
-        sl = g.neighbor_slice(int(x))
-        b = int(g.col_idx[sl][0])
-        if g.weights[sl][0] != 1.0 or deg_count[b] != 2:
-            continue
-        ids, w = _neighbor_signature(g, b)
-        other = ids[ids != x]
-        if other.shape[0] != 1 or not np.all(w == 1.0):
-            continue
-        h = int(other[0])
-        if h == x:
-            continue
-        hubs[h].append((int(x), b))
-    return [(h, sorted(chains)) for h, chains in sorted(hubs.items())
-            if len(chains) >= 2]
+def _dangling_chains(g):
+    """(leaves, middles) per hub of two or more pendant paths leaf - middle -
+    hub, both edges of weight 1; leaves ascending, hubs ascending."""
+    ptr, cols, w = g.row_ptr, g.col_idx, g.weights
+    size = np.diff(ptr)
+    leaf = np.flatnonzero(size == 1)
+    mid = cols[ptr[leaf]]
+    keep = (w[ptr[leaf]] == 1.0) & (size[mid] == 2)
+    leaf, mid = leaf[keep], mid[keep]
+    pair = ptr[mid, None] + np.arange(2)  # the middle's entries: leaf and hub
+    keep = np.all(w[pair] == 1.0, axis=1)
+    leaf, mid, hub = leaf[keep], mid[keep], cols[pair[keep]].sum(axis=1) - leaf[keep]
+    order = np.argsort(hub, kind="stable")
+    cut = np.flatnonzero(np.diff(hub[order])) + 1
+    return [(x, b) for x, b in zip(np.split(leaf[order], cut),
+                                   np.split(mid[order], cut)) if x.size >= 2]
 
 
-def detect_motifs(g: GraphCSR, kinds=None, seed=0,
-                  operator=OPERATOR) -> list:
+def detect_motifs(g: GraphCSR, kinds=None, operator=OPERATOR) -> list:
     """Find motif instances, with eigenpairs stated for `operator`.
 
-    Candidate twin groups come from a commutative hash (wrapping sum of
-    random 64-bit node labels over the neighborhood, plus the node's own
-    label for closed twins); every group is confirmed by exact comparison,
-    so an empty result on a motif-free graph is guaranteed.
+    Detection is exact and deterministic: every class of nodes that meets a
+    motif's definition is reported, and nothing else.
     """
     if kinds is None:
         kinds = {MotifKind.OPEN_TWIN, MotifKind.CLOSED_TWIN,
@@ -299,37 +283,21 @@ def detect_motifs(g: GraphCSR, kinds=None, seed=0,
     if MotifKind.CUSTOM in kinds:
         raise MotifError("custom instances are supplied by the caller, not detected")
 
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([int(seed), 0x4D4F5449])))
-    labels = rng.integers(0, 2 ** 63, size=g.n, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        nbr_sum = np.zeros(g.n, dtype=np.uint64)
-        if g.nnz:
-            starts = g.row_ptr[:-1]
-            seg = np.minimum(starts, g.nnz - 1)
-            sums = np.add.reduceat(labels[g.col_idx], seg)
-            sums[g.row_ptr[1:] == starts] = 0
-            nbr_sum = sums.astype(np.uint64)
-
+    degree = g.degrees()
+    rows = np.repeat(np.arange(g.n), np.diff(g.row_ptr))
+    loop_free = np.setdiff1d(np.arange(g.n), rows[g.col_idx == rows])
     out = []
     if MotifKind.OPEN_TWIN in kinds:
-        for members in _open_twin_classes(g, nbr_sum):
-            deg = float(g.degrees()[members[0]])
-            out.append(_build_instance(MotifKind.OPEN_TWIN, members,
-                                       {"degree": deg}, operator))
+        out += [_twin_instance(MotifKind.OPEN_TWIN, m, operator, degree[m[0]])
+                for m in _equal_rows(g.row_ptr, g.col_idx, g.weights, loop_free)]
     if MotifKind.CLOSED_TWIN in kinds:
-        with np.errstate(over="ignore"):
-            closed_hash = nbr_sum + labels
-        for members, w in _closed_twin_classes(g, closed_hash):
-            deg = float(g.degrees()[members[0]])
-            out.append(_build_instance(MotifKind.CLOSED_TWIN, members,
-                                       {"degree": deg, "weight": w}, operator))
+        ptr, cols = _closed_rows(g)
+        candidates = _equal_rows(ptr, cols, np.ones(cols.shape[0]), loop_free)
+        out += [_twin_instance(MotifKind.CLOSED_TWIN, m, operator, degree[m[0]], w)
+                for m, w in _closed_twin_classes(g, candidates)]
     if MotifKind.DANGLING_TWO_CHAIN in kinds:
-        for hub, chains in _dangling_chain_classes(g):
-            nodes = tuple(sorted(x for ch in chains for x in ch))
-            for mode in (0, 1):
-                out.append(_build_instance(
-                    MotifKind.DANGLING_TWO_CHAIN, nodes,
-                    {"hub": hub, "chains": tuple(chains), "mode": mode}, operator))
+        for leaves, middles in _dangling_chains(g):
+            out += _chain_instances(leaves, middles, operator)
     out.sort(key=_rank)
     return out
 

@@ -69,9 +69,8 @@ def kpm_dos(g, operator=OPERATOR, m_max=KPM_MOMENTS, nz=PROBES,
     adjustment = None
     effective_dim = None
     if filter_kinds:
-        instances = detect_motifs(
-            g, kinds={MotifKind(k) for k in filter_kinds}, seed=seed,
-            operator=OperatorKind(operator))
+        instances = detect_motifs(g, kinds={MotifKind(k) for k in filter_kinds},
+                                  operator=OperatorKind(operator))
     if instances:
         probes, adjustment = filter_probes(probes, instances)
         effective_dim = g.n - adjustment.deflated_dim

@@ -121,3 +121,45 @@ def read_histogram_csv(path) -> SpectralHistogram:
             masses.append(m)
     return SpectralHistogram(edges=np.array(edges), masses=np.array(masses),
                              normalization=float(np.sum(masses)))
+
+
+def brute_force_motifs(g):
+    """The motifs of `g` straight from their definitions, pair by pair:
+    sorted (kind, nodes, multiplicity) triples, one per instance that
+    `detect_motifs` reports (two per hub of dangling two-chains)."""
+    rows = [dict(zip(g.neighbors(i).tolist(),
+                     g.weights[g.neighbor_slice(i)].tolist())) for i in range(g.n)]
+    loop_free = [i for i in range(g.n) if i not in rows[i]]
+
+    def outside(i, j):
+        return {k: w for k, w in rows[i].items() if k != j}
+
+    def classes(related):
+        label = {i: i for i in loop_free}
+        for a in loop_free:
+            for b in loop_free:
+                if a < b and related(a, b) and label[a] != label[b]:
+                    old = label[b]
+                    label.update({k: label[a] for k, v in label.items() if v == old})
+        members = {}
+        for i in loop_free:
+            members.setdefault(label[i], []).append(i)
+        return [tuple(m) for m in members.values() if len(m) >= 2]
+
+    out = [("open-twin", c, len(c) - 1)
+           for c in classes(lambda a, b: rows[a] == rows[b])]
+    out += [("closed-twin", c, len(c) - 1) for c in classes(
+        lambda a, b: b in rows[a] and outside(a, b) == outside(b, a))]
+    chains = {}  # hub -> nodes of its pendant paths leaf - middle - hub
+    for leaf in range(g.n):
+        if len(rows[leaf]) != 1:
+            continue
+        (mid, w), = rows[leaf].items()
+        if w == 1.0 and len(rows[mid]) == 2 and set(rows[mid].values()) == {1.0}:
+            hub, = set(rows[mid]) - {leaf}
+            chains.setdefault(hub, []).append((leaf, mid))
+    for paths in chains.values():
+        if len(paths) >= 2:
+            nodes = tuple(sorted(x for path in paths for x in path))
+            out += [("dangling-two-chain", nodes, len(paths) - 1)] * 2
+    return sorted(out)

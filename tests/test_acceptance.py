@@ -54,7 +54,7 @@ def test_criterion_02_motif_filtering_improves_and_trace_identity():
     # trace decomposition with exact probes: N d_m = (N-r) d_m' + spikes
     sop = pipeline.scaled_operator_for(g, "normalized-adjacency")
     probes = nd.make_probes(g.n, g.n, ProbeKind.STANDARD_BASIS, seed=0)
-    insts = nd.detect_motifs(g, seed=11)
+    insts = nd.detect_motifs(g)
     filtered, adj = nd.filter_probes(probes, insts)
     r = adj.deflated_dim
     m_unf = nd.dos_moments(sop, probes, 100)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -301,6 +302,17 @@ def test_cli_motifs_star(tmp_path, capsys):
     assert twins[0]["multiplicity"] == 2
 
 
+def test_cli_motifs_twins_before_trailing_isolated_node(tmp_path, capsys):
+    # the 4-cycle 0-2-1-3 has twin classes {0, 1} and {2, 3}; node 4, after
+    # the last row with an edge, is isolated and must hide neither
+    gpath = tmp_path / "c4.txt"
+    gpath.write_text("# nodes 5 edges 4\n0 2\n0 3\n1 2\n1 3\n")
+    assert main(["motifs", "--input", str(gpath)]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert [(i["kind"], i["nodes"]) for i in obj["instances"]] == [
+        ("open-twin", [0, 1]), ("open-twin", [2, 3])]
+
+
 def test_cli_dos_vs_exact_histograms(tmp_path):
     gpath = str(tmp_path / "g.txt")
     assert main(["generate", "--model", "er", "--n", "500", "--p", "0.04",
@@ -414,6 +426,22 @@ def test_cli_range_accepts_negative_lo(tmp_path):
     assert json.loads(open(out).read())["edges"][0] == -4.0
 
 
+def test_cli_nd_pdos_records_leaf_size_only_when_it_builds(tmp_path):
+    gpath = str(tmp_path / "cycle.txt")
+    _write_cycle(gpath)
+    part = str(tmp_path / "part.txt")
+    args = ["nd-pdos", "--input", gpath, "--moments", "6"]
+    assert main([*args, "--leaf-size", "8", "--save-partition", part,
+                 "--out", str(tmp_path / "built.json")]) == 0
+    assert main([*args, "--partition", part,
+                 "--out", str(tmp_path / "loaded.json")]) == 0
+    built = json.loads((tmp_path / "built.json").read_text())
+    loaded = json.loads((tmp_path / "loaded.json").read_text())
+    assert built["leaf_size"] == 8
+    assert "leaf_size" not in loaded
+    assert loaded["values"] == built["values"]
+
+
 def test_cli_range_without_hi_is_usage_error(tmp_path, capsys):
     gpath = str(tmp_path / "cycle.txt")
     _write_cycle(gpath)
@@ -455,6 +483,21 @@ def test_cli_csv_usage_errors_come_before_work(tmp_path, capsys, argv):
     (["nd-pdos", "--moments", "-1"], "--moments: must be >= 0, got -1"),
     (["exact", "--bins", "-3"], "--bins: must be >= 1, got -3"),
     (["hist", "--bins", "0"], "--bins: must be >= 1, got 0"),
+    (["gql", "--range=0,nan"], "--range: expects finite LO < HI, got '0,nan'"),
+    (["gql", "--range=-inf,inf"],
+     "--range: expects finite LO < HI, got '-inf,inf'"),
+    (["gql", "--range=1,0"], "--range: expects finite LO < HI, got '1,0'"),
+    (["nd-pdos", "--range", "-inf,inf"],
+     "--range: expects finite LO < HI, got '-inf,inf'"),
+    (["exact", "--range=2,2"], "--range: expects finite LO < HI, got '2,2'"),
+    (["dos", "--range-margin", "-2"],
+     "--range-margin: must be finite and >= 0, got -2"),
+    (["pdos", "--range-margin", "inf"],
+     "--range-margin: must be finite and >= 0, got inf"),
+    (["dos", "--negativity-tol", "-1"],
+     "--negativity-tol: must be finite and >= 0, got -1"),
+    (["hist", "--negativity-tol", "nan"],
+     "--negativity-tol: must be finite and >= 0, got nan"),
 ])
 def test_cli_bad_counts_are_usage_errors(tmp_path, capsys, argv, message):
     # the input does not exist: exit 2, not 1, shows it was never opened
@@ -716,3 +759,19 @@ def test_cli_csv_output_matches_json(tmp_path, command):
     assert hist.masses.tolist() == obj["masses"]
     with pytest.raises(FileFormatError):
         read_histogram_csv(json_out)
+
+
+def test_benchmark_command_lines_parse(monkeypatch):
+    """Every command line of the benchmark's workloads parses as `main`
+    parses it, so an option the benchmark passes (such as `motifs --seed`
+    or `--threads`) cannot be dropped unnoticed. Nothing is run."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    import workloads
+    parser = cli.build_parser()
+    for w in workloads.WORKLOADS.values():
+        for cmd in w.commands(seed=1, threads=2, graph_path=w.graph):
+            try:
+                args = parser.parse_args(cli._join_range_values(list(cmd.argv)))
+            except SystemExit:
+                pytest.fail(f"{w.name}: {' '.join(cmd.argv)} does not parse")
+            assert args.command == cmd.argv[0]
