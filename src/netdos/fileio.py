@@ -15,10 +15,22 @@ Results serialize to JSON (schema includes the method, operator, scale map
 and probe metadata) or CSV histograms (`bin_lo,bin_hi,mass`). Floats are
 written with shortest round-trip repr, so reloading is bit-exact and reruns
 with the same seed produce byte-identical files.
+
+A record payload holds its large arrays as ndarrays, and `write_json`
+writes exactly the bytes of `json.dumps(payload, indent=1)` with every
+ndarray replaced by its `.tolist()`, but streams them into the file. It
+lays out the payload dict itself and hands keys and small values to
+`json`. A finite float64 block goes out in chunks of at most
+`_CHUNK_VALUES` values: each distinct bit pattern in a chunk is formatted
+once by `float.__repr__`, and the strings are gathered back through the
+inverse index and joined in the `indent=1` layout. A list of plain ints
+(`node_ids`) is joined with `int.__repr__`. A block holding NaN or ±inf,
+or of another dtype or rank, goes through `json` as a list.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import re
 from itertools import compress
@@ -210,10 +222,9 @@ def _adjustment_from_obj(obj):
 def histogram_payload(hist: SpectralHistogram, meta=None) -> dict:
     out = dict(meta or {})
     out["record"] = "histogram"
-    out["edges"] = hist.edges.tolist()
-    out["masses"] = hist.masses.tolist()
-    norm = hist.normalization
-    out["normalization"] = norm.tolist() if isinstance(norm, np.ndarray) else norm
+    out["edges"] = hist.edges
+    out["masses"] = hist.masses
+    out["normalization"] = hist.normalization
     return out
 
 
@@ -225,7 +236,7 @@ def moments_payload(moments: ChebMoments, meta=None, adjustment=None) -> dict:
     out["scale_map"] = _scale_map_obj(moments.scale_map)
     out["probe_meta"] = moments.probe_meta
     out["filter"] = _adjustment_obj(adjustment)
-    out["values"] = moments.values.tolist()
+    out["values"] = moments.values
     return out
 
 
@@ -255,12 +266,92 @@ def motifs_payload(instances, meta=None, node_ids=None) -> dict:
     return out
 
 
+# Values per chunk of a float block: the writer's working memory is a small
+# multiple of this, whatever the size of the block.
+_CHUNK_VALUES = 1 << 16
+
+
+def _newline(level):
+    return "\n" + " " * level
+
+
+def _tolist(obj):
+    """json's `default`: an ndarray below the top of a value is its list."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _emit_json(write, obj, level):
+    """json.dumps(obj, indent=1) as it reads nested `level` deep: a JSON
+    string holds no raw newline, so every newline starts an indent."""
+    write(json.dumps(obj, indent=1, default=_tolist).replace("\n", _newline(level)))
+
+
+def _emit(write, obj, level):
+    """Write `obj` as json.dumps(..., indent=1) would nested `level` deep,
+    with every ndarray standing for its .tolist(). A dict that holds an
+    ndarray itself, as a record payload does, is laid out here key by key;
+    anything else goes through json."""
+    if isinstance(obj, np.ndarray):
+        _emit_array(write, obj, level)
+    elif isinstance(obj, (list, tuple)) and obj and all(type(x) is int for x in obj):
+        inner = _newline(level + 1)
+        write("[" + inner + ("," + inner).join(map(int.__repr__, obj))
+              + _newline(level) + "]")
+    elif isinstance(obj, dict) and any(isinstance(x, np.ndarray) for x in obj.values()):
+        sep = "{"
+        for key, value in obj.items():
+            # json's key conversion (str, number, bool or None), and its error
+            write(sep + _newline(level + 1) + json.dumps({key: 0})[1:-4] + ": ")
+            _emit(write, value, level + 1)
+            sep = ","
+        write(_newline(level) + "}")
+    else:
+        _emit_json(write, obj, level)
+
+
+def _emit_array(write, a, level):
+    """A finite float64 vector or matrix chunk by chunk; any other array
+    as its .tolist() through json."""
+    if (a.dtype != np.float64 or a.ndim not in (1, 2) or a.size == 0
+            or not np.isfinite(a).all()):
+        _emit_json(write, a.tolist(), level)
+        return
+    rows = a[None] if a.ndim == 1 else a
+    inner = level + a.ndim  # the indent of the numbers
+    item_sep = "," + _newline(inner)
+    # between the rows of a matrix: close one, open the next
+    row_sep = _newline(inner - 1) + "]," + _newline(inner - 1) + "[" + _newline(inner)
+    write("[" + _newline(level + 1) + ("[" + _newline(inner) if a.ndim == 2 else ""))
+    n_rows, n_cols = rows.shape
+    step = max(1, _CHUNK_VALUES // n_cols)
+    for r0 in range(0, n_rows, step):
+        # one window per row chunk, unless a row alone exceeds the budget
+        for c0 in range(0, n_cols, _CHUNK_VALUES):
+            chunk = rows[r0:r0 + step, c0:c0 + _CHUNK_VALUES]
+            # bit patterns, not values, so that -0.0 keeps its sign
+            bits, inverse = np.unique(chunk.view(np.int64).ravel(),
+                                      return_inverse=True)
+            texts = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())),
+                             dtype=object)
+            lines = texts[inverse.ravel()].reshape(chunk.shape).tolist()
+            if r0 or c0:
+                write(item_sep if c0 else row_sep)
+            write(row_sep.join(map(item_sep.join, lines)))
+    write(_newline(inner - 1) + "]" + (_newline(level) + "]" if a.ndim == 2 else ""))
+
+
 def write_json(payload: dict, path):
-    text = json.dumps(payload, indent=1)
+    """Write json.dumps(payload, indent=1) and a newline to `path`, each
+    ndarray written as its .tolist() would be; with path None, return the
+    text without the newline."""
     if path is None:
-        return text
+        buf = io.StringIO()
+        _emit(buf.write, payload, 0)
+        return buf.getvalue()
     with open(path, "w") as fh:
-        fh.write(text)
+        _emit(fh.write, payload, 0)
         fh.write("\n")
     return None
 
@@ -278,8 +369,10 @@ def write_histogram_csv(hist: SpectralHistogram, path):
 def load_moments(path):
     """Reload a moments JSON: (ChebMoments, FilterAdjustment | None, payload).
 
-    A file that holds no moments record, or whose scale map or values do
-    not describe a finite moment series, raises FileFormatError.
+    The payload is the file's record without its "values", which live on
+    only as the moments' array. A file that holds no moments record, or
+    whose scale map or values do not describe a finite moment series,
+    raises FileFormatError.
     """
     with open(path) as fh:
         obj = json.load(fh)
@@ -290,7 +383,7 @@ def load_moments(path):
     try:
         rank = {MODE_GLOBAL: 1, MODE_PER_NODE: 2}.get(mode)
         shift, scale = (float(obj["scale_map"][k]) for k in ("shift", "scale"))
-        values = np.asarray(obj["values"], dtype=np.float64)
+        values = np.asarray(obj.pop("values"), dtype=np.float64)
         adjustment = _adjustment_from_obj(obj.get("filter"))
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"{path}: malformed moments record ({exc!r})") from exc

@@ -76,20 +76,24 @@ def chebyshev_values(m_max: int, x) -> np.ndarray:
     return out
 
 
-def _recurrence(sop, probes: ProbeMatrix, m_max, width, steps, collect):
-    """Rows (m_max + 1, width) filled by collect from t_0 .. t_steps.
+def _moment_count(m_max):
+    if m_max < 0:
+        raise ValueError("m_max must be >= 0")
+    return m_max + 1
+
+
+def _recurrence(sop, probes: ProbeMatrix, rows, steps, collect):
+    """Fill `rows`, (m_max + 1, width), by collect from t_0 .. t_steps.
 
     t_m = T_m(H) z comes from the three-term recurrence, and
     collect(rows, z, m, t_{m-1}, t_m) runs once per m (t_{-1} is None).
+    `rows` may be a view, such as the transpose of a result array.
     Raises RecurrenceBlowupError when a row is not finite, which means the
     spectrum of H is not inside [-1, 1].
     """
-    if m_max < 0:
-        raise ValueError("m_max must be >= 0")
     if sop.n != probes.n:
         raise ValueError("probe dimension does not match operator")
     z = probes.columns
-    rows = np.empty((m_max + 1, width))
     # Copy: the recurrence overwrites this buffer, and z must stay intact.
     t_prev = np.array(z, dtype=np.float64, order="C", copy=True)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -110,7 +114,6 @@ def _recurrence(sop, probes: ProbeMatrix, m_max, width, steps, collect):
         raise RecurrenceBlowupError(
             "Chebyshev recurrence overflowed; re-estimate the spectral range "
             "with a larger margin")
-    return rows
 
 
 def _per_probe_doubled(rows, z, m, t_prev, t):
@@ -141,8 +144,8 @@ def dos_moments(sop, probes: ProbeMatrix, m_max: int,
     the density over the complement subspace. The doubling identity gives
     the M + 1 moments from ceil(M / 2) matvecs.
     """
-    contrib = _recurrence(sop, probes, m_max, probes.nz, (m_max + 1) // 2,
-                          _per_probe_doubled)
+    contrib = np.empty((_moment_count(m_max), probes.nz))
+    _recurrence(sop, probes, contrib, (m_max + 1) // 2, _per_probe_doubled)
     denom = float(effective_dim) if effective_dim is not None else float(sop.n)
     values = contrib.sum(axis=1) * (probes.trace_scale / denom)
     return ChebMoments(mode=MODE_GLOBAL, values=values,
@@ -154,14 +157,16 @@ def pdos_moments(sop, probes: ProbeMatrix, m_max: int) -> ChebMoments:
 
     The estimator divides by the per-entry probe mass sum_j z_kj^2 (exact
     diagonal recovery for +-1 probes and for standard-basis probes at
-    nz = n).
+    nz = n). The recurrence fills the transpose of the one (n, m_max + 1)
+    result block, which is then divided in place.
     """
-    num = _recurrence(sop, probes, m_max, probes.n, m_max, _per_node)
+    values = np.empty((probes.n, _moment_count(m_max)))
+    _recurrence(sop, probes, values.T, m_max, _per_node)
     z = probes.columns
     den = np.einsum("ij,ij->i", z, z)
     if np.any(den == 0.0):
         k = int(np.argmax(den == 0.0))
         raise ValueError(f"zero probe mass at node {k}; its moments are unrecoverable")
-    values = (num / den).T
-    return ChebMoments(mode=MODE_PER_NODE, values=np.ascontiguousarray(values),
+    values /= den[:, None]
+    return ChebMoments(mode=MODE_PER_NODE, values=values,
                        scale_map=sop.scale_map, probe_meta=probes.meta())

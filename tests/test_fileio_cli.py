@@ -1,12 +1,18 @@
 import json
+import os
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from netdos import (FileFormatError, GraphError, SpectralHistogram,
                     build_csr, parse_graph_file, write_graph_edgelist)
-from netdos import cli
+from netdos import cli, fileio
 from netdos.cli import main
 from netdos.fileio import (histogram_payload, load_moments, moments_payload,
                            motifs_payload, quadrature_payload,
@@ -218,7 +224,7 @@ def test_moments_json_round_trip(tmp_path):
     mom = ChebMoments(MODE_GLOBAL, np.array([1.0, 0.0]), IDENTITY_MAP,
                       {"kind": "exact"})
     payload = moments_payload(mom, {"operator": "adjacency"})
-    assert payload["values"] == [1.0, 0.0]
+    assert np.array_equal(payload["values"], [1.0, 0.0])
     assert payload["m_max"] == 1
     path = tmp_path / "m.json"
     write_json(payload, path)
@@ -226,6 +232,8 @@ def test_moments_json_round_trip(tmp_path):
     assert np.array_equal(back.values, mom.values)
     assert adj is None
     assert obj["operator"] == "adjacency"
+    # the parsed values live on only as the moments' array
+    assert "values" not in obj
 
 
 def _moments_record(**change):
@@ -775,3 +783,97 @@ def test_benchmark_command_lines_parse(monkeypatch):
             except SystemExit:
                 pytest.fail(f"{w.name}: {' '.join(cmd.argv)} does not parse")
             assert args.command == cmd.argv[0]
+
+
+# The writer against json.dumps of the same payload with its arrays as
+# lists. Derandomized, as in test_ingest_properties.py, so runs repeat.
+SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
+                    database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+_FINITE = st.one_of(
+    # heavy duplicates, signed zeros, subnormals, repr switching to exponent
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-5, 0.1, 1.0, -2.5]),
+    st.floats(allow_nan=False, allow_infinity=False))
+_ANY_FLOAT = st.one_of(_FINITE, st.sampled_from([np.nan, np.inf, -np.inf]))
+_SHAPES = hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=7)
+_ARRAYS = st.one_of(
+    hnp.arrays(np.float64, _SHAPES, elements=_FINITE),
+    hnp.arrays(np.float64, _SHAPES, elements=_ANY_FLOAT),  # json's fallback
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, max_side=3),
+               elements=_FINITE),
+    hnp.arrays(np.int64, _SHAPES, elements=st.integers(-5, 5)))
+_SCALARS = st.one_of(
+    _ANY_FLOAT, _ANY_FLOAT.map(np.float64), st.integers(), st.booleans(),
+    st.none(), st.text())
+_VALUES = st.recursive(
+    st.one_of(_SCALARS, _ARRAYS, st.lists(st.integers(), max_size=6)),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=12)
+
+
+def _as_lists(obj):
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {k: _as_lists(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_as_lists(v) for v in obj]
+    return obj
+
+
+@SETTINGS
+@given(payload=st.dictionaries(st.text(), _VALUES, max_size=6),
+       chunk=st.sampled_from([1, 3, fileio._CHUNK_VALUES]))
+# both zeros in one chunk: equal as floats, distinct as bit patterns
+@example(payload={"zeros": np.array([[0.0, -0.0], [-0.0, 0.0]])}, chunk=4)
+def test_write_json_matches_json_dumps(payload, chunk):
+    want = json.dumps(_as_lists(payload), indent=1)
+    with mock.patch.object(fileio, "_CHUNK_VALUES", chunk), \
+            tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "r.json")
+        write_json(payload, path)
+        with open(path, "rb") as fh:
+            assert fh.read() == (want + "\n").encode()
+        assert write_json(payload, None) == want
+
+
+def test_write_json_refuses_what_json_refuses(tmp_path):
+    with pytest.raises(TypeError, match="int64"):
+        write_json({"x": np.ones(2), "y": np.int64(1)}, tmp_path / "r.json")
+
+
+# Every record the CLI writes, by the command that writes it, without
+# --input and --out; `hist` reads a `dos` or a `pdos` record.
+RECORD_COMMANDS = {
+    "dos": ["dos", "--moments", "40", "--probes", "4", "--filter-motifs", "all",
+            "--bins", "12"],
+    "pdos": ["pdos", "--moments", "20", "--probes", "4"],
+    "nd-pdos": ["nd-pdos", "--moments", "12", "--leaf-size", "16"],
+    "gql": ["gql", "--moments", "10", "--probes", "4", "--bins", "12"],
+    "gql-node": ["gql", "--moments", "6", "--node", "5"],
+    "motifs": ["motifs"],
+    "exact": ["exact", "--bins", "12"],
+}
+
+
+@pytest.mark.parametrize("record", [*RECORD_COMMANDS, "hist-dos", "hist-pdos"])
+def test_cli_records_are_json_dumps_indent_1(tmp_path, capsys, record):
+    gpath = str(tmp_path / "g.txt")
+    assert main(["generate", "--model", "pa", "--n", "120", "--m", "1",
+                 "--seed", "3", "--out", gpath]) == 0
+    if record.startswith("hist-"):
+        moments = str(tmp_path / "moments.json")
+        assert main([*RECORD_COMMANDS[record[5:]], "--input", gpath,
+                     "--out", moments]) == 0
+        argv = ["hist", "--bins", "9", "--moments-file", moments]
+    else:
+        argv = [*RECORD_COMMANDS[record], "--input", gpath]
+    out = tmp_path / "out.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    text = out.read_text()
+    assert text == json.dumps(json.loads(text), indent=1) + "\n"
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == text

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -210,3 +212,24 @@ def test_per_node_statistical_moment_bound():
     nz = 16
     mom = pdos_moments(sop, make_probes(g.n, nz, ProbeKind.HADAMARD, seed=4), 120)
     assert np.abs(mom.values).max() <= 1.0 + 5.0 / np.sqrt(nz)
+
+
+def test_per_node_moments_fill_one_block():
+    # the recurrence writes into the one (n, M + 1) result block and the
+    # probe mass divides it in place: no (M + 1, n) rows, quotient or
+    # transposed copy beside it
+    g = preferential_attachment(3000, 2, seed=1)
+    sop = _scaled(g)
+    probes = make_probes(g.n, 4, ProbeKind.RADEMACHER, seed=0)
+    m_max = 200
+    block = g.n * (m_max + 1) * 8
+    # the recurrence's blocks: a copy of z, t_prev and t_cur, plus 2·H's values
+    work = 3 * probes.columns.nbytes + sop.data.nbytes
+    tracemalloc.start()
+    try:
+        mom = pdos_moments(sop, probes, m_max)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert mom.values.shape == (g.n, m_max + 1) and mom.values.flags.c_contiguous
+    assert peak <= 1.25 * block + work, (peak / block, work)
