@@ -20,8 +20,7 @@ from .kpm import MODE_PER_NODE
 from .lanczos import gql_pdos
 from .motifs import MotifKind, detect_motifs
 from .nested_dissection import LEAF_SIZE, load_partition, save_partition
-from .operators import (OPERATOR, RANGE_MARGIN, RANGE_STEPS, OperatorKind,
-                        build_operator)
+from .operators import OPERATOR, OperatorKind, build_operator
 from .probes import ProbeKind
 
 _OPERATORS = [k.value for k in OperatorKind]
@@ -45,9 +44,6 @@ def _add_estimator_args(p, moments, min_moments=0):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--range", type=_range_arg, default=None, metavar="LO,HI",
                    help="spectral range override (default: estimated)")
-    p.add_argument("--range-steps", type=_int_at_least(2), default=RANGE_STEPS)
-    p.add_argument("--range-margin", type=_finite_at_least(0.0),
-                   default=RANGE_MARGIN)
     p.add_argument("--threads", type=_int_at_least(1), default=None,
                    help="accepted for compatibility; has no effect, because "
                         "the sparse kernel is serial")
@@ -131,7 +127,8 @@ def _load_graph(args):
 
 
 def _parse_filter_kinds(text):
-    if text in (None, "", "none"):
+    """An argparse type: a comma list of motif kinds, or all/none."""
+    if text in ("", "none"):
         return ()
     if text == "all":
         return tuple(_MOTIF_KINDS)
@@ -139,7 +136,8 @@ def _parse_filter_kinds(text):
     for tok in text.split(","):
         tok = tok.strip()
         if tok not in _MOTIF_KINDS:
-            raise NetdosError(f"unknown motif kind {tok!r} (valid: {', '.join(_MOTIF_KINDS)})")
+            raise argparse.ArgumentTypeError(
+                f"unknown motif kind {tok!r} (valid: {', '.join(_MOTIF_KINDS)})")
         kinds.append(tok)
     return tuple(kinds)
 
@@ -172,9 +170,8 @@ def _cmd_dos(args):
         g, operator=args.operator, m_max=args.moments, nz=args.probes,
         probe_kind=args.probe_kind, seed=args.seed, bins=args.bins,
         damping=not args.no_damping,
-        filter_kinds=_parse_filter_kinds(args.filter_motifs),
-        range_=args.range, range_steps=args.range_steps,
-        range_margin=args.range_margin, reinsert_spikes=not args.no_spikes,
+        filter_kinds=args.filter_motifs, range_=args.range,
+        reinsert_spikes=not args.no_spikes,
         negativity_tol=args.negativity_tol)
     meta = _meta(args, g, "kpm", result.scaled_op, bins=args.bins,
                  damping=not args.no_damping)
@@ -188,9 +185,7 @@ def _cmd_pdos(args):
     g, node_ids = _load_graph(args)
     moments, sop = pipeline.kpm_pdos(
         g, operator=args.operator, m_max=args.moments, nz=args.probes,
-        probe_kind=args.probe_kind, seed=args.seed,
-        range_=args.range, range_steps=args.range_steps,
-        range_margin=args.range_margin)
+        probe_kind=args.probe_kind, seed=args.seed, range_=args.range)
     meta = _meta(args, g, "kpm", sop, node_ids=node_ids.tolist())
     return _write(args, fileio.moments_payload(moments, meta))
 
@@ -208,8 +203,7 @@ def _cmd_gql(args):
     hist = pipeline.gql_dos_pipeline(
         g, operator=args.operator, steps=args.moments, nz=args.probes,
         probe_kind=args.probe_kind, seed=args.seed, bins=args.bins,
-        range_=args.range, range_steps=args.range_steps,
-        range_margin=args.range_margin)
+        range_=args.range)
     meta = _meta(args, g, "gql", steps=args.moments, nz=args.probes,
                  probe_kind=args.probe_kind, seed=args.seed, bins=args.bins)
     return _write(args, fileio.histogram_payload(hist, meta), hist)
@@ -220,8 +214,7 @@ def _cmd_nd_pdos(args):
     tree = load_partition(args.partition, n=g.n) if args.partition else None
     moments, sop, tree = pipeline.nd_pdos_pipeline(
         g, operator=args.operator, m_max=args.moments, seed=args.seed,
-        leaf_size=args.leaf_size, tree=tree, range_=args.range,
-        range_steps=args.range_steps, range_margin=args.range_margin)
+        leaf_size=args.leaf_size, tree=tree, range_=args.range)
     if args.save_partition:
         save_partition(tree, args.save_partition)
     # the leaf size is a fact of the run only when the tree was built here
@@ -232,8 +225,7 @@ def _cmd_nd_pdos(args):
 
 def _cmd_motifs(args):
     g, node_ids = _load_graph(args)
-    kinds = _parse_filter_kinds(args.kinds or "all")
-    instances = detect_motifs(g, kinds={MotifKind(k) for k in kinds},
+    instances = detect_motifs(g, kinds={MotifKind(k) for k in args.kinds},
                               operator=OperatorKind(args.operator))
     return _write(args, fileio.motifs_payload(instances, _meta(args, g),
                                               node_ids=node_ids))
@@ -305,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="global density histogram via Chebyshev moments")
     _add_estimator_args(p, pipeline.KPM_MOMENTS)
     _add_probe_args(p)
-    p.add_argument("--filter-motifs", default="none",
+    p.add_argument("--filter-motifs", type=_parse_filter_kinds, default="none",
                    help="comma list of motif kinds, or all/none")
     _add_histogram_args(p)
 
@@ -333,7 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _add_graph_command(sub, "motifs", _cmd_motifs,
                            help="detect spike-producing motifs")
-    p.add_argument("--kinds", default="all")
+    p.add_argument("--kinds", type=_parse_filter_kinds, default="all",
+                   help="comma list of motif kinds, or all/none")
     p.add_argument("--seed", type=int, default=0,
                    help="accepted for compatibility; has no effect, because "
                         "detection is exact and uses no randomness")
@@ -344,7 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--range", type=_range_arg, default=None, metavar="LO,HI")
 
     p = sub.add_parser("generate", help="write a generated graph as an edge list")
-    p.add_argument("--model", choices=["er", "pa", "ba", "ws"], required=True)
+    p.add_argument("--model", choices=list(testkit._MODEL_ALIASES),
+                   required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=float, default=None)
     p.add_argument("--m", type=int, default=None)

@@ -59,11 +59,11 @@ def cheb_bin_masses(m_max, scaled_edges) -> np.ndarray:
 
 
 def histogram_from_moments(moments: ChebMoments, bins=BINS, damping=True,
-                           filter_adjustment=None, edges=None,
+                           filter_adjustment=None,
                            negativity_tol=None) -> SpectralHistogram:
     """Integrate the (optionally Jackson-damped) moment series over bins.
 
-    Default edges split the operator's scaled domain [-1, 1] into equal bins,
+    The edges split the operator's scaled domain [-1, 1] into equal bins,
     reported in original eigenvalue units. filter_adjustment rescales the
     masses to the deflated dimension and re-inserts the removed spike mass at
     its eigenvalues, so displayed mass still totals the normalization.
@@ -75,12 +75,7 @@ def histogram_from_moments(moments: ChebMoments, bins=BINS, damping=True,
     if bins < 1:
         raise ValueError("bins must be >= 1")
     smap = moments.scale_map
-    if edges is None:
-        edges = smap.from_scaled(np.linspace(-1.0, 1.0, bins + 1))
-    else:
-        edges = np.asarray(edges, dtype=np.float64)
-        if edges.ndim != 1 or edges.shape[0] < 2 or np.any(np.diff(edges) <= 0):
-            raise ValueError("edges must be ascending with at least two entries")
+    edges = smap.from_scaled(np.linspace(-1.0, 1.0, bins + 1))
     table = cheb_bin_masses(moments.m_max, smap.to_scaled(edges))
     coef = moments.values.copy()
     if damping:

@@ -82,6 +82,19 @@ def _moment_count(m_max):
     return m_max + 1
 
 
+def check_finite(values):
+    """Raise RecurrenceBlowupError unless every moment in `values` is finite.
+
+    A moment that is not finite means the spectrum of H is not inside
+    [-1, 1]: the spectral range the operator was scaled by is too narrow.
+    """
+    if not np.all(np.isfinite(values)):
+        raise RecurrenceBlowupError(
+            "Chebyshev recurrence overflowed: the spectrum is not inside the "
+            "spectral range; pass a wider --range, or estimate the range "
+            "with a larger margin")
+
+
 def _recurrence(sop, probes: ProbeMatrix, rows, steps, collect):
     """Fill `rows`, (m_max + 1, width), by collect from t_0 .. t_steps.
 
@@ -110,10 +123,7 @@ def _recurrence(sop, probes: ProbeMatrix, rows, steps, collect):
                                     out=t_prev, accumulate=True)
                 t_prev, t_cur = t_cur, t_prev
                 collect(rows, z, m, t_prev, t_cur)
-    if not np.all(np.isfinite(rows)):
-        raise RecurrenceBlowupError(
-            "Chebyshev recurrence overflowed; re-estimate the spectral range "
-            "with a larger margin")
+    check_finite(rows)
 
 
 def _per_probe_doubled(rows, z, m, t_prev, t):

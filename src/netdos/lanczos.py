@@ -129,9 +129,10 @@ def lanczos_quadrature(op, z, steps) -> RitzQuadrature:
                           z_norm_sq=fact.z_norm ** 2, exhausted=fact.exhausted)
 
 
-def gql_dos(op, probes: ProbeMatrix, steps, bins=BINS,
-            spectral_range=None) -> SpectralHistogram:
-    """Average per-probe Ritz point masses into a histogram of the density."""
+def gql_dos(op, probes: ProbeMatrix, steps, bins=BINS, *,
+            spectral_range) -> SpectralHistogram:
+    """Average per-probe Ritz point masses into a histogram of the density
+    over `spectral_range`, (lo, hi), split into `bins` equal bins."""
     if op.n != probes.n:
         raise ValueError("probe dimension does not match operator")
     if bins < 1:
@@ -144,10 +145,6 @@ def gql_dos(op, probes: ProbeMatrix, steps, bins=BINS,
         all_weights.append(quad.weights / probes.nz)
     nodes = np.concatenate(all_nodes)
     weights = np.concatenate(all_weights)
-    if spectral_range is None:
-        lo, hi = float(nodes.min()), float(nodes.max())
-        pad = 1e-9 * max(hi - lo, 1.0)
-        spectral_range = (lo - pad, hi + pad)
     lo, hi = spectral_range
     edges = np.linspace(lo, hi, bins + 1)
     # A Ritz value within roundoff outside an edge (an eigenvalue sitting on

@@ -41,7 +41,7 @@ import numpy as np
 from . import _kernels
 from .errors import PartitionError
 from .graph import GraphCSR
-from .kpm import MODE_PER_NODE, ChebMoments
+from .kpm import MODE_PER_NODE, ChebMoments, check_finite
 from .operators import SymmetricCSROperator
 
 # Pieces of at most this many nodes become leaves of the partition tree.
@@ -87,7 +87,7 @@ class PartitionTree:
     def validate(self, n):
         """Check the tree's shape: the separators hold the ids 0..n-1 once
         each, parents precede children, and each node's pieces are disjoint
-        and within 0..n-1.
+        and within 0..n-1. Returns each node's part, by node id.
 
         Whether the tree separates the graph is checked where the recurrence
         cuts each node's block (`nd_pdos_moments`).
@@ -96,6 +96,7 @@ class PartitionTree:
         if not np.array_equal(seps, np.arange(n)):
             raise PartitionError(
                 f"the separators do not hold each node id 0..{n - 1} once")
+        parts = []
         for t in self.nodes:
             if t.parent >= t.node_id:
                 raise PartitionError("tree node ids must order parents before children")
@@ -104,6 +105,8 @@ class PartitionTree:
                               or np.any(part[1:] == part[:-1])):
                 raise PartitionError(f"tree node {t.node_id} has overlapping "
                                      f"pieces or an id outside 0..{n - 1}")
+            parts.append(part)
+        return parts
 
 
 def _row_entries(indptr, rows):
@@ -287,9 +290,9 @@ class _BlockState:
     __slots__ = ("sep", "npart", "diag", "block", "gathers", "prev", "cur")
 
 
-def _node_state(t, tree, states, indptr, indices, data, lookup):
+def _node_state(t, tree, parts, states, indptr, indices, data, lookup):
     st = _BlockState()
-    part = t.part
+    part = parts[t.node_id]
     st.sep = t.sep
     st.npart = part.shape[0]
     ns = st.sep.shape[0]
@@ -330,13 +333,14 @@ def _node_state(t, tree, states, indptr, indices, data, lookup):
         if keep:
             # T_m(anc_sep, sep) is, by symmetry, the transpose of rows
             # `sep` of the ancestor's T_m(anc_part, anc_sep)
-            anc_part = tree.nodes[a].part
-            if not np.isin(st.sep, anc_part).all():
+            anc_part = parts[a]
+            pos = np.searchsorted(anc_part, st.sep)
+            if not np.array_equal(anc_part.take(pos, mode="clip"), st.sep):
                 raise PartitionError(
                     f"tree node {t.node_id} reads rows of its ancestor {a}, "
                     "whose part does not hold its separator")
             k = states[a].sep.shape[0]
-            st.gathers.append((a, np.searchsorted(anc_part, st.sep), lo, lo + k))
+            st.gathers.append((a, pos, lo, lo + k))
             lo += k
 
     st.prev = np.zeros((lo, ns))
@@ -356,7 +360,7 @@ def nd_pdos_moments(sop: SymmetricCSROperator, tree: PartitionTree,
     if m_max < 0:
         raise ValueError("m_max must be >= 0")
     n = sop.n
-    tree.validate(n)
+    parts = tree.validate(n)
     indptr, indices, data = sop.indptr, sop.indices, sop.data
 
     lookup = np.full(n, -1, dtype=np.int64)
@@ -364,8 +368,8 @@ def nd_pdos_moments(sop: SymmetricCSROperator, tree: PartitionTree,
     for t in tree.nodes:
         # a node with an empty separator owns no columns and feeds no one
         if t.sep.size:
-            states[t.node_id] = _node_state(t, tree, states, indptr, indices,
-                                            data, lookup)
+            states[t.node_id] = _node_state(t, tree, parts, states, indptr,
+                                            indices, data, lookup)
     active = [st for st in states if st is not None]
 
     moments = np.empty((n, m_max + 1))
@@ -374,18 +378,21 @@ def nd_pdos_moments(sop: SymmetricCSROperator, tree: PartitionTree,
         for st in active:
             moments[st.sep, 1] = np.take(st.cur, st.diag)
 
-    for m in range(1, m_max):
-        for st in active:
-            # pre-order: every ancestor has already stepped, so its `prev`
-            # now holds T_m
-            for a, anc_pos, lo, hi in st.gathers:
-                st.cur[lo:hi] = states[a].prev[anc_pos].T
-            top = st.prev[:st.npart]
-            np.negative(top, out=top)
-            ptr, idx, val = st.block
-            _kernels.csr_matvec(ptr, idx, val, st.cur, out=top, accumulate=True)
-            st.prev, st.cur = st.cur, st.prev
-            moments[st.sep, m + 1] = np.take(st.cur, st.diag)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(1, m_max):
+            for st in active:
+                # pre-order: every ancestor has already stepped, so its
+                # `prev` now holds T_m
+                for a, anc_pos, lo, hi in st.gathers:
+                    st.cur[lo:hi] = states[a].prev[anc_pos].T
+                top = st.prev[:st.npart]
+                np.negative(top, out=top)
+                ptr, idx, val = st.block
+                _kernels.csr_matvec(ptr, idx, val, st.cur, out=top,
+                                    accumulate=True)
+                st.prev, st.cur = st.cur, st.prev
+                moments[st.sep, m + 1] = np.take(st.cur, st.diag)
+    check_finite(moments)
 
     return ChebMoments(mode=MODE_PER_NODE, values=moments,
                        scale_map=sop.scale_map,

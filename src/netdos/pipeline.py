@@ -14,9 +14,9 @@ from .kpm import ChebMoments, dos_moments, pdos_moments
 from .lanczos import gql_dos as _gql_dos
 from .motifs import FilterAdjustment, MotifKind, detect_motifs, filter_probes
 from .nested_dissection import LEAF_SIZE, build_partition_tree, nd_pdos_moments
-from .operators import (OPERATOR, RANGE_MARGIN, RANGE_STEPS, OperatorKind,
-                        SymmetricCSROperator, build_operator,
-                        estimate_spectral_range, rescale_operator)
+from .operators import (OPERATOR, OperatorKind, SymmetricCSROperator,
+                        build_operator, estimate_spectral_range,
+                        rescale_operator)
 from .probes import ProbeKind, make_probes
 
 # The estimators' reproduction presets; each other preset is named in the
@@ -37,32 +37,27 @@ class DosResult:
     instances: list = field(default_factory=list)
 
 
-def _operator_and_range(g, operator, seed, range_, range_steps, range_margin):
+def _operator_and_range(g, operator, seed, range_):
     """The unscaled operator and its spectral range (estimated unless given)."""
     op = build_operator(g, OperatorKind(operator))
     if range_ is None:
-        range_ = estimate_spectral_range(op, probe_seed=seed, steps=range_steps,
-                                         margin=range_margin)
+        range_ = estimate_spectral_range(op, probe_seed=seed)
     return op, range_
 
 
-def scaled_operator_for(g, operator, seed=0, range_=None,
-                        range_steps=RANGE_STEPS,
-                        range_margin=RANGE_MARGIN) -> SymmetricCSROperator:
+def scaled_operator_for(g, operator, seed=0,
+                        range_=None) -> SymmetricCSROperator:
     """The operator with its range folded in: spectrum inside [-1, 1]."""
-    return rescale_operator(*_operator_and_range(g, operator, seed, range_,
-                                                 range_steps, range_margin))
+    return rescale_operator(*_operator_and_range(g, operator, seed, range_))
 
 
 def kpm_dos(g, operator=OPERATOR, m_max=KPM_MOMENTS, nz=PROBES,
             probe_kind=PROBE_KIND, seed=0, bins=BINS, damping=True,
-            filter_kinds=(), range_=None, range_steps=RANGE_STEPS,
-            range_margin=RANGE_MARGIN, reinsert_spikes=True,
+            filter_kinds=(), range_=None, reinsert_spikes=True,
             negativity_tol=None) -> DosResult:
     """Full KPM pipeline: scale, (optionally) deflate motifs, estimate
     moments, integrate into a histogram with spike re-insertion."""
-    sop = scaled_operator_for(g, operator, seed=seed, range_=range_,
-                              range_steps=range_steps, range_margin=range_margin)
+    sop = scaled_operator_for(g, operator, seed=seed, range_=range_)
     probes = make_probes(g.n, nz, kind=probe_kind, seed=seed)
 
     instances = []
@@ -85,31 +80,24 @@ def kpm_dos(g, operator=OPERATOR, m_max=KPM_MOMENTS, nz=PROBES,
 
 
 def kpm_pdos(g, operator=OPERATOR, m_max=KPM_MOMENTS, nz=PROBES,
-             probe_kind=PROBE_KIND, seed=0, range_=None,
-             range_steps=RANGE_STEPS, range_margin=RANGE_MARGIN):
-    sop = scaled_operator_for(g, operator, seed=seed, range_=range_,
-                              range_steps=range_steps, range_margin=range_margin)
+             probe_kind=PROBE_KIND, seed=0, range_=None):
+    sop = scaled_operator_for(g, operator, seed=seed, range_=range_)
     probes = make_probes(g.n, nz, kind=probe_kind, seed=seed)
     return pdos_moments(sop, probes, m_max), sop
 
 
 def gql_dos_pipeline(g, operator=OPERATOR, steps=GQL_STEPS, nz=PROBES,
-                     probe_kind=PROBE_KIND, seed=0, bins=BINS,
-                     range_=None, range_steps=RANGE_STEPS,
-                     range_margin=RANGE_MARGIN):
+                     probe_kind=PROBE_KIND, seed=0, bins=BINS, range_=None):
     """Histogram from averaged per-probe Ritz quadratures (no rescaling
-    needed, but a range pins the bin edges)."""
-    op, range_ = _operator_and_range(g, operator, seed, range_, range_steps,
-                                     range_margin)
+    needed, but the range pins the bin edges)."""
+    op, range_ = _operator_and_range(g, operator, seed, range_)
     probes = make_probes(g.n, nz, kind=probe_kind, seed=seed)
     return _gql_dos(op, probes, steps, bins=bins, spectral_range=range_)
 
 
 def nd_pdos_pipeline(g, operator=OPERATOR, m_max=ND_MOMENTS, seed=0,
-                     leaf_size=LEAF_SIZE, tree=None, range_=None,
-                     range_steps=RANGE_STEPS, range_margin=RANGE_MARGIN):
-    sop = scaled_operator_for(g, operator, seed=seed, range_=range_,
-                              range_steps=range_steps, range_margin=range_margin)
+                     leaf_size=LEAF_SIZE, tree=None, range_=None):
+    sop = scaled_operator_for(g, operator, seed=seed, range_=range_)
     if tree is None:
         tree = build_partition_tree(g, leaf_size=leaf_size)
     return nd_pdos_moments(sop, tree, m_max), sop, tree

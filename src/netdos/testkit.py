@@ -65,24 +65,15 @@ def oracle_histogram(eigenvalues, edges, snap=1e-9) -> np.ndarray:
 
 
 def _pairs_from_linear(t, n):
-    """Map linear indices over {(u, v): u < v} back to pairs."""
-    t = t.astype(np.float64)
-    u = np.floor((2 * n - 1 - np.sqrt((2 * n - 1) ** 2 - 8 * t)) / 2).astype(np.int64)
-    base = u * (2 * n - u - 1) // 2
-    too_big = base > t.astype(np.int64)
-    while np.any(too_big):  # float sqrt can land one row off
-        u[too_big] -= 1
-        base = u * (2 * n - u - 1) // 2
-        too_big = base > t.astype(np.int64)
-    nxt = (u + 1) * (2 * n - u - 2) // 2
-    too_small = nxt <= t.astype(np.int64)
-    while np.any(too_small):
-        u[too_small] += 1
-        nxt = (u + 1) * (2 * n - u - 2) // 2
-        too_small = nxt <= t.astype(np.int64)
-    base = u * (2 * n - u - 1) // 2
-    v = t.astype(np.int64) - base + u + 1
-    return u, v
+    """Map linear indices over {(u, v): u < v} back to pairs.
+
+    Row u starts at index u·(2n - u - 1)/2; each t falls in the last row
+    that starts at or before it.
+    """
+    u = np.arange(n, dtype=np.int64)
+    starts = u * (2 * n - u - 1) // 2
+    u = np.searchsorted(starts, t, side="right") - 1
+    return u, t - starts[u] + u + 1
 
 
 def erdos_renyi(n, p, seed=0) -> GraphCSR:
@@ -175,21 +166,16 @@ def small_world(n, k, p, seed=0) -> GraphCSR:
                                np.ones(pairs.shape[0]), False)
 
 
-_MODEL_ALIASES = {
-    "er": "erdos_renyi", "erdos_renyi": "erdos_renyi", "erdos-renyi": "erdos_renyi",
-    "pa": "preferential_attachment", "ba": "preferential_attachment",
-    "preferential_attachment": "preferential_attachment",
-    "ws": "small_world", "sw": "small_world", "small_world": "small_world",
-}
+# The model names `netdos generate --model` accepts ("ba" is a second name
+# for preferential attachment).
+_MODEL_ALIASES = {"er": erdos_renyi, "pa": preferential_attachment,
+                  "ba": preferential_attachment, "ws": small_world}
 
 
 def generate_graph(model, seed=0, **params) -> GraphCSR:
-    """Dispatch on model name: erdos_renyi(n, p), preferential_attachment(n, m),
-    small_world(n, k, p)."""
-    name = _MODEL_ALIASES.get(str(model).lower())
-    if name is None:
+    """Dispatch on model name: er -> erdos_renyi(n, p), pa or ba ->
+    preferential_attachment(n, m), ws -> small_world(n, k, p)."""
+    fn = _MODEL_ALIASES.get(str(model).lower())
+    if fn is None:
         raise ValueError(f"unknown graph model {model!r}")
-    fn = {"erdos_renyi": erdos_renyi,
-          "preferential_attachment": preferential_attachment,
-          "small_world": small_world}[name]
     return fn(seed=seed, **params)

@@ -482,7 +482,8 @@ def test_cli_csv_usage_errors_come_before_work(tmp_path, capsys, argv):
     (["dos", "--bins", "0"], "--bins: must be >= 1, got 0"),
     (["dos", "--probes", "0"], "--probes: must be >= 1, got 0"),
     (["dos", "--moments", "-1"], "--moments: must be >= 0, got -1"),
-    (["dos", "--range-steps", "1"], "--range-steps: must be >= 2, got 1"),
+    (["dos", "--filter-motifs", "custom"], "--filter-motifs: unknown motif "
+     "kind 'custom' (valid: open-twin, closed-twin, dangling-two-chain)"),
     (["pdos", "--probes", "-2"], "--probes: must be >= 1, got -2"),
     (["gql", "--bins", "0"], "--bins: must be >= 1, got 0"),
     (["gql", "--bins", "-1"], "--bins: must be >= 1, got -1"),
@@ -498,10 +499,11 @@ def test_cli_csv_usage_errors_come_before_work(tmp_path, capsys, argv):
     (["nd-pdos", "--range", "-inf,inf"],
      "--range: expects finite LO < HI, got '-inf,inf'"),
     (["exact", "--range=2,2"], "--range: expects finite LO < HI, got '2,2'"),
-    (["dos", "--range-margin", "-2"],
-     "--range-margin: must be finite and >= 0, got -2"),
-    (["pdos", "--range-margin", "inf"],
-     "--range-margin: must be finite and >= 0, got inf"),
+    (["dos", "--filter-motifs", "open-twin,bogus"],
+     "--filter-motifs: unknown motif kind 'bogus' (valid: open-twin, "
+     "closed-twin, dangling-two-chain)"),
+    (["motifs", "--kinds", "bogus"], "--kinds: unknown motif kind 'bogus' "
+     "(valid: open-twin, closed-twin, dangling-two-chain)"),
     (["dos", "--negativity-tol", "-1"],
      "--negativity-tol: must be finite and >= 0, got -1"),
     (["hist", "--negativity-tol", "nan"],
@@ -719,7 +721,7 @@ def test_cli_motif_kinds(tmp_path, capsys):
     assert all(i["nodes"] == [4, 5, 6, 7] for i in instances)
 
 
-def test_cli_range_steps_and_margin(tmp_path):
+def test_cli_range_is_the_preset_estimate_or_the_override(tmp_path, capsys):
     from netdos.operators import OperatorKind, build_operator, estimate_spectral_range
     gpath = str(tmp_path / "g.txt")
     main(["generate", "--model", "er", "--n", "100", "--p", "0.08", "--seed", "3",
@@ -735,14 +737,16 @@ def test_cli_range_steps_and_margin(tmp_path):
         obj = json.loads(open(out).read())
         return obj["lambda_min"], obj["lambda_max"]
 
-    default = lambdas()
-    assert default == estimate_spectral_range(op, probe_seed=5)
-    few = lambdas("--range-steps", "4")
-    assert few == estimate_spectral_range(op, probe_seed=5, steps=4)
-    assert few != default
-    wide = lambdas("--range-margin", "0.5")
-    assert wide == estimate_spectral_range(op, probe_seed=5, margin=0.5)
-    assert wide[0] < default[0] and wide[1] > default[1]
+    assert lambdas() == estimate_spectral_range(op, probe_seed=5)
+    # a record's range, passed back as --range, is taken as it stands
+    wide = (-1.5, 20.25)
+    assert lambdas(f"--range={wide[0]},{wide[1]}") == wide
+    # --range is the one override: the estimate has no settings of its own
+    for option in ("--range-steps", "--range-margin"):
+        with pytest.raises(SystemExit) as exc:
+            main(["dos", "--input", gpath, option, "5"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["gql", "hist"])

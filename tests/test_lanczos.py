@@ -93,7 +93,7 @@ def test_gql_dos_bins_must_be_positive(triangle):
     op = build_operator(triangle, OperatorKind.ADJACENCY)
     probes = make_probes(3, 2, ProbeKind.RADEMACHER, seed=2)
     with pytest.raises(ValueError, match="bins"):
-        gql_dos(op, probes, steps=3, bins=0)
+        gql_dos(op, probes, steps=3, bins=0, spectral_range=(-2.0, 2.0))
 
 
 def test_gql_dos_er_close_to_oracle():
@@ -222,10 +222,12 @@ def test_gql_dos_memory_is_one_basis_at_a_time():
     op = build_operator(g, OperatorKind.LAPLACIAN)
     probes = make_probes(g.n, 20, ProbeKind.HADAMARD, seed=1)
     steps = 50
-    gql_dos(op, probes, steps=3, bins=10)  # the kernel's one-time set-up
+    # Gershgorin: the Laplacian's spectrum lies in [0, 2 * max degree]
+    span = (0.0, 2.0 * float(g.degrees().max()))
+    gql_dos(op, probes, steps=3, bins=10, spectral_range=span)  # kernel set-up
     tracemalloc.start()
     try:
-        hist = gql_dos(op, probes, steps=steps, bins=50)
+        hist = gql_dos(op, probes, steps=steps, bins=50, spectral_range=span)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from netdos import (PartitionError, ProbeKind, build_csr, build_operator,
-                    build_partition_tree, dos_moments, load_partition,
-                    make_probes, nd_pdos_moments, save_partition)
+from netdos import (PartitionError, ProbeKind, RecurrenceBlowupError,
+                    build_csr, build_operator, build_partition_tree,
+                    dos_moments, load_partition, make_probes, nd_pdos_moments,
+                    save_partition, write_graph_edgelist)
 from netdos import nested_dissection
 from netdos.cli import main
 from netdos.kpm import chebyshev_values
@@ -147,6 +148,24 @@ def test_inseparable_blob_becomes_leaf_with_warning():
     sop, want = _oracle_node_moments(g, "adjacency", 8)
     got = nd_pdos_moments(sop, tree, 8)
     assert np.abs(got.values - want).max() < 1e-10
+
+
+def test_overflowing_recurrence_is_refused(tmp_path, capsys):
+    # the 20 x 20 grid's adjacency spectrum reaches +-3.95, far outside the
+    # range given: T_m grows like 8^m and overflows before m = 400
+    g = grid_graph(20, 20)
+    sop = scaled_operator_for(g, "adjacency", range_=(-0.5, 0.5))
+    with pytest.raises(RecurrenceBlowupError, match="margin"):
+        nd_pdos_moments(sop, build_partition_tree(g), 400)
+
+    gpath, out = tmp_path / "g.txt", tmp_path / "nd.json"
+    write_graph_edgelist(g, gpath)
+    assert main(["nd-pdos", "--input", str(gpath), "--operator", "adjacency",
+                 "--range=-0.5,0.5", "--moments", "400", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("netdos: error: Chebyshev recurrence overflowed")
+    assert "--range" in err
+    assert not out.exists()
 
 
 def test_m_zero_only():
