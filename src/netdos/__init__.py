@@ -14,15 +14,14 @@ from .fileio import parse_graph_file, write_graph_edgelist
 from .graph import GraphCSR, build_csr
 from .kpm import (ChebMoments, chebyshev_values, dos_moments,
                   jackson_coefficients, pdos_moments)
-from .lanczos import (LanczosFactorization, RitzQuadrature, gql_dos, gql_pdos,
-                      lanczos_factorize, lanczos_quadrature)
+from .lanczos import (RitzQuadrature, estimate_spectral_range, gql_dos,
+                      gql_pdos, lanczos_quadrature)
 from .motifs import (FilterAdjustment, MotifInstance, MotifKind, detect_motifs,
                      filter_probes)
 from .nested_dissection import (PartitionTree, build_partition_tree,
                                 load_partition, nd_pdos_moments, save_partition)
 from .operators import (OperatorKind, ScaleMap, SymmetricCSROperator,
-                        build_operator, estimate_spectral_range,
-                        rescale_operator)
+                        build_operator, rescale_operator)
 from .probes import ProbeKind, ProbeMatrix, make_probes
 from .testkit import (ExactSpectrum, erdos_renyi, exact_spectrum, generate_graph,
                       oracle_histogram, preferential_attachment, small_world)
@@ -35,10 +34,9 @@ __all__ = [
     "rescale_operator", "ProbeKind", "ProbeMatrix", "make_probes",
     "ChebMoments", "chebyshev_values", "dos_moments", "pdos_moments",
     "jackson_coefficients", "SpectralHistogram", "SmoothedDensity",
-    "histogram_from_moments", "evaluate_density", "LanczosFactorization",
-    "RitzQuadrature", "lanczos_factorize", "lanczos_quadrature", "gql_dos",
-    "gql_pdos", "MotifKind", "MotifInstance", "FilterAdjustment",
-    "detect_motifs", "filter_probes",
+    "histogram_from_moments", "evaluate_density", "RitzQuadrature",
+    "lanczos_quadrature", "gql_dos", "gql_pdos", "MotifKind", "MotifInstance",
+    "FilterAdjustment", "detect_motifs", "filter_probes",
     "PartitionTree", "build_partition_tree", "save_partition",
     "load_partition", "nd_pdos_moments", "ExactSpectrum", "exact_spectrum",
     "generate_graph", "erdos_renyi", "preferential_attachment", "small_world",

@@ -20,7 +20,8 @@ from .kpm import MODE_PER_NODE
 from .lanczos import gql_pdos
 from .motifs import MotifKind, detect_motifs
 from .nested_dissection import LEAF_SIZE, load_partition, save_partition
-from .operators import OPERATOR, OperatorKind, build_operator
+from .operators import (ANALYTIC_RANGES, OPERATOR, OperatorKind,
+                        build_operator)
 from .probes import ProbeKind
 
 _OPERATORS = [k.value for k in OperatorKind]
@@ -142,13 +143,13 @@ def _parse_filter_kinds(text):
     return tuple(kinds)
 
 
-def _meta(args, g, method=None, sop=None, **fields):
+def _meta(args, g, method=None, spectral_range=None, **fields):
     """The keys records share, in the order they hold them: method,
-    operator, n, then `fields`, then the spectral range of `sop`."""
+    operator, n, then `fields`, then the spectral range the run used."""
     meta = {} if method is None else {"method": method}
     meta.update(operator=args.operator, n=g.n, **fields)
-    if sop is not None:
-        meta["lambda_min"], meta["lambda_max"] = sop.spectral_range
+    if spectral_range is not None:
+        meta["lambda_min"], meta["lambda_max"] = spectral_range
     return meta
 
 
@@ -173,8 +174,8 @@ def _cmd_dos(args):
         filter_kinds=args.filter_motifs, range_=args.range,
         reinsert_spikes=not args.no_spikes,
         negativity_tol=args.negativity_tol)
-    meta = _meta(args, g, "kpm", result.scaled_op, bins=args.bins,
-                 damping=not args.no_damping)
+    meta = _meta(args, g, "kpm", result.scaled_op.spectral_range,
+                 bins=args.bins, damping=not args.no_damping)
     # one record: the moments' keys, then the histogram's, typed "dos"
     payload = {**fileio.moments_payload(result.moments, meta, result.adjustment),
                **fileio.histogram_payload(result.histogram), "record": "dos"}
@@ -186,7 +187,8 @@ def _cmd_pdos(args):
     moments, sop = pipeline.kpm_pdos(
         g, operator=args.operator, m_max=args.moments, nz=args.probes,
         probe_kind=args.probe_kind, seed=args.seed, range_=args.range)
-    meta = _meta(args, g, "kpm", sop, node_ids=node_ids.tolist())
+    meta = _meta(args, g, "kpm", sop.spectral_range,
+                 node_ids=node_ids.tolist())
     return _write(args, fileio.moments_payload(moments, meta))
 
 
@@ -200,12 +202,13 @@ def _cmd_gql(args):
         quad = gql_pdos(op, int(index[0]), args.moments)
         meta = _meta(args, g, "gql", node=args.node, steps=args.moments)
         return _write(args, fileio.quadrature_payload(quad, meta))
-    hist = pipeline.gql_dos_pipeline(
+    hist, spectral_range = pipeline.gql_dos_pipeline(
         g, operator=args.operator, steps=args.moments, nz=args.probes,
         probe_kind=args.probe_kind, seed=args.seed, bins=args.bins,
         range_=args.range)
-    meta = _meta(args, g, "gql", steps=args.moments, nz=args.probes,
-                 probe_kind=args.probe_kind, seed=args.seed, bins=args.bins)
+    meta = _meta(args, g, "gql", spectral_range, steps=args.moments,
+                 nz=args.probes, probe_kind=args.probe_kind, seed=args.seed,
+                 bins=args.bins)
     return _write(args, fileio.histogram_payload(hist, meta), hist)
 
 
@@ -219,7 +222,8 @@ def _cmd_nd_pdos(args):
         save_partition(tree, args.save_partition)
     # the leaf size is a fact of the run only when the tree was built here
     built = {} if args.partition else {"leaf_size": args.leaf_size}
-    meta = _meta(args, g, "nd", sop, **built, node_ids=node_ids.tolist())
+    meta = _meta(args, g, "nd", sop.spectral_range, **built,
+                 node_ids=node_ids.tolist())
     return _write(args, fileio.moments_payload(moments, meta))
 
 
@@ -238,12 +242,8 @@ def _cmd_exact(args):
     payload = {"record": "exact", **_meta(args, g),
                "eigenvalues": spec.eigenvalues.tolist()}
     if args.bins:
-        rng = args.range
-        if rng is None:
-            if OperatorKind(args.operator) is OperatorKind.NORMALIZED_ADJACENCY:
-                rng = (-1.0, 1.0)
-            else:
-                rng = (float(spec.eigenvalues[0]), float(spec.eigenvalues[-1]))
+        rng = args.range or ANALYTIC_RANGES.get(
+            op.kind, (float(spec.eigenvalues[0]), float(spec.eigenvalues[-1])))
         edges = np.linspace(rng[0], rng[1], args.bins + 1)
         payload["edges"] = edges.tolist()
         payload["masses"] = testkit.oracle_histogram(spec.eigenvalues, edges).tolist()

@@ -4,7 +4,8 @@ GraphCSR is the ground-truth object every other module consumes. It stores
 both directions of each undirected edge, keeps column indices sorted within
 each row, and is immutable after construction, so callers may share it
 freely. `build_csr` turns edge tuples into arrays for `_csr_from_arrays`,
-the loop-free core that the file reader calls directly.
+the one validated assembly, which the file reader and the generators call
+directly.
 """
 
 from __future__ import annotations
@@ -68,20 +69,6 @@ class GraphCSR:
         return rows[keep], self.col_idx[keep], self.weights[keep]
 
 
-def _csr_from_canonical(n, u, v, w, is_weighted):
-    """Build symmetric CSR from deduplicated canonical pairs (u <= v)."""
-    loops = u == v
-    ru = np.concatenate([u, v[~loops]])
-    cv = np.concatenate([v, u[~loops]])
-    ww = np.concatenate([w, w[~loops]])
-    order = np.argsort(ru * np.int64(n) + cv)  # keys are unique
-    ru, cv, ww = ru[order], cv[order], ww[order]
-    row_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(ru, minlength=n), out=row_ptr[1:])
-    return GraphCSR(n=int(n), row_ptr=row_ptr, col_idx=cv.astype(np.int64),
-                    weights=ww.astype(np.float64), is_weighted=bool(is_weighted))
-
-
 def build_csr(edges, n=None, allow_self_loops=False) -> GraphCSR:
     """Assemble a GraphCSR from (u, v) or (u, v, w) tuples.
 
@@ -125,33 +112,46 @@ def _csr_from_arrays(u, v, w, weighted, n=None, allow_self_loops=False,
     elif n < n_min:
         raise GraphError(f"n={n} smaller than 1 + max node id ({n_min})")
 
-    # One key per (pair, direction): same-direction repeats sum in input order.
-    key = (np.minimum(u, v) * np.int64(n) + np.maximum(u, v)) * 2 + (u > v)
+    # One entry per direction of each edge (a loop has one), keyed by its
+    # (row, col) and, in the low bit, the direction the edge was stated in:
+    # one stable sort groups the same-direction repeats, in input order.
+    # Each temporary is deleted once used, which halves the peak.
+    loops = u == v
+    rows = np.concatenate([u, v[~loops]])
+    cols = np.concatenate([v, u[~loops]])
+    stated = u > v
+    key = (rows * np.int64(n) + cols) * 2 + np.concatenate([stated, stated[~loops]])
+    del rows, cols, stated
     order = np.argsort(key, kind="stable")
-    key, w = key[order], w[order]
+    key, w = key[order], np.concatenate([w, w[~loops]])[order]
+    del order
     first = np.flatnonzero(np.diff(key, prepend=-1))
     with np.errstate(over="ignore"):
         sums = np.add.reduceat(w, first)
-    pair = key[first] // 2
+    entry = key[first] // 2
+    del key, w, first
     overflow = sums == np.inf  # finite positive weights can only sum to inf
     if overflow.any():
-        a, b = divmod(int(pair[np.argmax(overflow)]), int(n))
+        a, b = divmod(int(entry[np.argmax(overflow)]), int(n))
         raise GraphError(f"edge ({name(a)}, {name(b)}) is repeated with weights "
                          "whose sum is not finite")
 
-    # A pair stated both ways holds its forward sum at i and reverse at i + 1.
-    both = np.flatnonzero(pair[1:] == pair[:-1])
+    # An entry stated both ways holds its forward sum at i and reverse at i + 1.
+    both = np.flatnonzero(entry[1:] == entry[:-1])
     fw, bw = sums[both], sums[both + 1]
     conflict = ~np.isclose(fw, bw, rtol=1e-12, atol=0.0)
     if conflict.any():
         i = int(np.argmax(conflict))
-        a, b = divmod(int(pair[both[i]]), int(n))
+        a, b = divmod(int(entry[both[i]]), int(n))
         raise GraphError(
             f"edge ({name(a)}, {name(b)}) restated in both directions with "
             f"conflicting weights {fw[i]} != {bw[i]}")
-    keep = np.ones(pair.size, dtype=bool)
+    keep = np.ones(entry.size, dtype=bool)
     keep[both + 1] = False
-    pair, weight = pair[keep], sums[keep]
+    rows, cols = np.divmod(entry[keep], n)
+    weights = sums[keep]
 
-    is_weighted = weighted and not np.all(weight == 1.0)
-    return _csr_from_canonical(n, pair // n, pair % n, weight, is_weighted)
+    row_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=row_ptr[1:])
+    return GraphCSR(n=int(n), row_ptr=row_ptr, col_idx=cols, weights=weights,
+                    is_weighted=bool(weighted and not np.all(weights == 1.0)))

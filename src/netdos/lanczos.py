@@ -1,5 +1,10 @@
-"""Gauss quadrature via Lanczos: per-probe tridiagonalization whose Ritz
-values and first-row weights form a Gauss rule for z^T f(H) z.
+"""Lanczos tridiagonalization and the two estimates read from it.
+
+One routine, `_lanczos`, reduces an operator to the tridiagonal T of its
+Krylov space from a start vector z. The eigenvalues and first-row weights of
+T form a Gauss rule for z^T f(H) z (`lanczos_quadrature`, behind GQL); the
+extreme eigenvalues of T from a random start, widened by a margin, are the
+preset spectral range that KPM scales by (`estimate_spectral_range`).
 
 Full reorthogonalization is always on: desk-scale step counts make the
 O(n M^2) cost acceptable and it eliminates the ghost eigenvalues that would
@@ -18,7 +23,10 @@ nothing back: on an 8,000-node tree, 20 probes x 50 steps took 0.26-0.29 s
 in lockstep against 0.22 s one probe at a time (2-CPU x86 host).
 
 The k x k tridiagonal (k is the step count, at most a few hundred) is
-eigensolved densely by ``numpy.linalg``, so Lanczos needs no scipy.
+eigensolved densely by ``numpy.linalg``, so Lanczos needs no scipy: `eigh`
+where the weights are needed, `eigvalsh` where only the extremes are. The
+two solvers' extreme eigenvalues can differ in the last bits, so each caller
+keeps its own.
 """
 
 from __future__ import annotations
@@ -29,36 +37,23 @@ import numpy as np
 
 from .density import BINS, SpectralHistogram
 from .errors import SpectralRangeError
+from .operators import ANALYTIC_RANGES
 from .probes import ProbeMatrix
 
 BREAKDOWN_RTOL = 1e-12
 
-
-@dataclass
-class LanczosFactorization:
-    """Tridiagonal coefficients of H restricted to a Krylov space."""
-
-    alphas: np.ndarray
-    betas: np.ndarray
-    z_norm: float
-    basis: np.ndarray | None
-    exhausted: bool
-
-    @property
-    def steps(self) -> int:
-        return int(self.alphas.shape[0])
-
-    def tridiagonal(self) -> np.ndarray:
-        """The dense steps x steps tridiagonal matrix T."""
-        return (np.diag(self.alphas) + np.diag(self.betas, 1)
-                + np.diag(self.betas, -1))
-
-    def ritz_values(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.tridiagonal())
+# The preset range estimate: Lanczos steps, and the widening of the Ritz
+# interval as a fraction of its spread.
+RANGE_STEPS = 100
+RANGE_MARGIN = 0.01
 
 
-def lanczos_factorize(op, z, steps, keep_basis=False) -> LanczosFactorization:
-    """Run `steps` Lanczos iterations from z with full reorthogonalization."""
+def _lanczos(op, z, steps):
+    """Run `steps` Lanczos iterations from z with full reorthogonalization.
+
+    Returns the k x k tridiagonal T (k <= steps; fewer when the Krylov space
+    is exhausted first), ||z|| and whether it was exhausted.
+    """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     z = np.asarray(z, dtype=np.float64)
@@ -100,10 +95,29 @@ def lanczos_factorize(op, z, steps, keep_basis=False) -> LanczosFactorization:
         hnorm = max(hnorm, beta)
         np.divide(w, beta, out=basis[j + 1])
 
-    return LanczosFactorization(alphas=alphas[:k].copy(), betas=betas[: k - 1].copy(),
-                                z_norm=z_norm,
-                                basis=basis[:k].T.copy() if keep_basis else None,
-                                exhausted=exhausted)
+    alphas, betas = alphas[:k], betas[: k - 1]
+    t = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+    return t, z_norm, exhausted
+
+
+def estimate_spectral_range(op, probe_seed=0):
+    """Estimate (lambda_min, lambda_max) by Lanczos extremal Ritz values.
+
+    RANGE_STEPS steps from a seeded Gaussian start; the Ritz interval is
+    widened on each side by RANGE_MARGIN times its spread, so the Chebyshev
+    recurrence sees a spectrum strictly inside [-1, 1]. An unscaled operator
+    with analytic bounds (`ANALYTIC_RANGES`) returns them without iteration.
+    """
+    if op.spectral_range is None and op.kind in ANALYTIC_RANGES:
+        return ANALYTIC_RANGES[op.kind]
+    rng = np.random.Generator(np.random.Philox(
+        np.random.SeedSequence([int(probe_seed), 0x52414E47])))
+    t, _, _ = _lanczos(op, rng.standard_normal(op.n), RANGE_STEPS)
+    ritz = np.linalg.eigvalsh(t)
+    lo, hi = float(ritz[0]), float(ritz[-1])
+    spread = hi - lo
+    pad = RANGE_MARGIN * (spread if spread > 0 else max(1.0, abs(hi)))
+    return (lo - pad, hi + pad)
 
 
 @dataclass
@@ -122,11 +136,11 @@ def lanczos_quadrature(op, z, steps) -> RitzQuadrature:
     Exact for polynomials of degree <= 2M - 1; on breakdown the truncated
     rule is returned (exact, Krylov space exhausted).
     """
-    fact = lanczos_factorize(op, z, steps)
-    nodes, vecs = np.linalg.eigh(fact.tridiagonal())
+    t, z_norm, exhausted = _lanczos(op, z, steps)
+    nodes, vecs = np.linalg.eigh(t)
     weights = vecs[0, :] ** 2
     return RitzQuadrature(nodes=nodes, weights=weights,
-                          z_norm_sq=fact.z_norm ** 2, exhausted=fact.exhausted)
+                          z_norm_sq=z_norm ** 2, exhausted=exhausted)
 
 
 def gql_dos(op, probes: ProbeMatrix, steps, bins=BINS, *,

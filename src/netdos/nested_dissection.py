@@ -34,7 +34,7 @@ subgraph of each piece, computed with ``scipy.sparse.csgraph``.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,20 +57,16 @@ class PartitionNode:
     sep: np.ndarray
     left: np.ndarray
     right: np.ndarray
-    children: list = field(default_factory=list)
 
     @property
     def part(self) -> np.ndarray:
         return np.sort(np.concatenate([self.sep, self.left, self.right]))
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.left.size == 0 and self.right.size == 0
-
 
 @dataclass
 class PartitionTree:
-    """Nested-dissection tree; node 0 is the root and ids are pre-order."""
+    """Nested-dissection tree; node 0 is the root and ids are pre-order. A
+    node's children are the nodes that name it as `parent`."""
 
     n: int
     nodes: list
@@ -193,7 +189,7 @@ def build_partition_tree(g: GraphCSR, leaf_size=LEAF_SIZE) -> PartitionTree:
                              left=empty, right=empty)
         nodes.append(node)
         if members.shape[0] <= leaf_size:
-            return node_id
+            return
         comps = _components(g, members)
         if len(comps) > 1:
             comps.sort(key=lambda c: (-c.shape[0], int(c[0])))
@@ -213,7 +209,7 @@ def build_partition_tree(g: GraphCSR, leaf_size=LEAF_SIZE) -> PartitionTree:
                     warnings.warn(
                         f"piece of {members.shape[0]} nodes has no level-set "
                         "separator; keeping it as a dense leaf", stacklevel=2)
-                return node_id
+                return
             sep, left, right = split
             if sep.shape[0] > max(left.shape[0], right.shape[0]):
                 warnings.warn(
@@ -223,9 +219,8 @@ def build_partition_tree(g: GraphCSR, leaf_size=LEAF_SIZE) -> PartitionTree:
         node.sep = np.sort(sep)
         node.left = left
         node.right = right
-        node.children.append(recurse(left, node_id))
-        node.children.append(recurse(right, node_id))
-        return node_id
+        recurse(left, node_id)
+        recurse(right, node_id)
 
     recurse(np.arange(g.n, dtype=np.int64), -1)
     return PartitionTree(n=g.n, nodes=nodes)
@@ -268,11 +263,9 @@ def load_partition(path, n=None) -> PartitionTree:
     if [t.node_id for t in ordered] != list(range(len(ordered))):
         raise PartitionError("partition node ids must be 0..count-1")
     for t in ordered:
-        if t.parent != -1:
-            if t.parent not in nodes:
-                raise PartitionError(f"{path}: tree node {t.node_id} names "
-                                     f"parent {t.parent}, which has no line")
-            nodes[t.parent].children.append(t.node_id)
+        if t.parent != -1 and t.parent not in nodes:
+            raise PartitionError(f"{path}: tree node {t.node_id} names "
+                                 f"parent {t.parent}, which has no line")
     total = ordered[0].part.shape[0]
     return PartitionTree(n=int(n) if n is not None else int(total), nodes=ordered)
 

@@ -9,7 +9,9 @@ block extraction (needed by the nested-dissection recurrence) is cheap.
 The Chebyshev recurrences need H = (op - shift·I) / scale, with spectrum in
 [-1, 1]. `rescale_operator` folds that map into the CSR arrays once, so KPM,
 nested dissection and Lanczos all see the same operator type, and a matvec
-costs the same with or without a shift.
+costs the same with or without a shift. The range (lo, hi) itself is given
+by the user, read from `ANALYTIC_RANGES` for the kinds whose bounds are known
+in closed form, or estimated by `lanczos.estimate_spectral_range`.
 
 Isolated nodes under the normalized kinds use the convention D^{-1/2} = 0:
 the node contributes eigenvalue 0 to the normalized adjacency and
@@ -24,7 +26,6 @@ from enum import Enum
 import numpy as np
 
 from . import _kernels
-from .errors import SpectralRangeError
 from .graph import GraphCSR
 
 
@@ -54,10 +55,9 @@ IDENTITY_MAP = ScaleMap(0.0, 1.0)
 # The operator the command line and the pipelines use unless told otherwise.
 OPERATOR = OperatorKind.NORMALIZED_ADJACENCY
 
-# Defaults of the spectral-range estimate: Lanczos steps, and the widening of
-# the Ritz interval as a fraction of its spread.
-RANGE_STEPS = 100
-RANGE_MARGIN = 0.01
+# Spectral ranges known without computing: every normalized adjacency has
+# its spectrum in [-1, 1].
+ANALYTIC_RANGES = {OperatorKind.NORMALIZED_ADJACENCY: (-1.0, 1.0)}
 
 
 class SymmetricCSROperator:
@@ -152,32 +152,3 @@ def rescale_operator(op: SymmetricCSROperator,
     arrays = _sorted_csr(n, rows, op.indices, op.data / scale, diag)
     return SymmetricCSROperator(n, *arrays, op.kind, ScaleMap(shift, scale),
                                 (lmin, lmax))
-
-
-def estimate_spectral_range(op, probe_seed=0, steps=RANGE_STEPS,
-                            margin=RANGE_MARGIN):
-    """Estimate (lambda_min, lambda_max) by Lanczos extremal Ritz values.
-
-    The Ritz interval is inflated symmetrically by `margin` times the Ritz
-    spread so the Chebyshev recurrence sees a spectrum strictly inside
-    [-1, 1]. The normalized adjacency returns its analytic bounds (-1, 1)
-    without iteration.
-    """
-    if op.kind is OperatorKind.NORMALIZED_ADJACENCY:
-        return (-1.0, 1.0)
-    if steps < 2:
-        raise ValueError("steps must be >= 2")
-    from .lanczos import lanczos_factorize  # local import: avoids a cycle
-
-    n = op.n
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([int(probe_seed), 0x52414E47])))
-    z = rng.standard_normal(n)
-    fact = lanczos_factorize(op, z, min(steps, n))
-    if not (np.all(np.isfinite(fact.alphas)) and np.all(np.isfinite(fact.betas))):
-        raise SpectralRangeError("NaN breakdown during range estimation",
-                                 iterations=len(fact.alphas))
-    ritz = fact.ritz_values()
-    lo, hi = float(ritz[0]), float(ritz[-1])
-    spread = hi - lo
-    pad = margin * (spread if spread > 0 else max(1.0, abs(hi)))
-    return (lo - pad, hi + pad)

@@ -11,12 +11,12 @@ from dataclasses import dataclass, field
 
 from .density import BINS, SpectralHistogram, histogram_from_moments
 from .kpm import ChebMoments, dos_moments, pdos_moments
+from .lanczos import estimate_spectral_range
 from .lanczos import gql_dos as _gql_dos
 from .motifs import FilterAdjustment, MotifKind, detect_motifs, filter_probes
 from .nested_dissection import LEAF_SIZE, build_partition_tree, nd_pdos_moments
 from .operators import (OPERATOR, OperatorKind, SymmetricCSROperator,
-                        build_operator, estimate_spectral_range,
-                        rescale_operator)
+                        build_operator, rescale_operator)
 from .probes import ProbeKind, make_probes
 
 # The estimators' reproduction presets; each other preset is named in the
@@ -88,11 +88,12 @@ def kpm_pdos(g, operator=OPERATOR, m_max=KPM_MOMENTS, nz=PROBES,
 
 def gql_dos_pipeline(g, operator=OPERATOR, steps=GQL_STEPS, nz=PROBES,
                      probe_kind=PROBE_KIND, seed=0, bins=BINS, range_=None):
-    """Histogram from averaged per-probe Ritz quadratures (no rescaling
-    needed, but the range pins the bin edges)."""
+    """Histogram from averaged per-probe Ritz quadratures, and the range
+    (lo, hi) it was binned over (no rescaling needed, but the range pins the
+    bin edges)."""
     op, range_ = _operator_and_range(g, operator, seed, range_)
     probes = make_probes(g.n, nz, kind=probe_kind, seed=seed)
-    return _gql_dos(op, probes, steps, bins=bins, spectral_range=range_)
+    return _gql_dos(op, probes, steps, bins=bins, spectral_range=range_), range_
 
 
 def nd_pdos_pipeline(g, operator=OPERATOR, m_max=ND_MOMENTS, seed=0,

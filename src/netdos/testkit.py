@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import GraphCSR, _csr_from_canonical
+from .graph import GraphCSR, _csr_from_arrays
 
 DENSE_ORACLE_CAP = 5000
 
@@ -85,9 +85,6 @@ def erdos_renyi(n, p, seed=0) -> GraphCSR:
     rng = np.random.default_rng(seed)
     total = n * (n - 1) // 2
     k = int(rng.binomial(total, p)) if total else 0
-    if k == 0:
-        return _csr_from_canonical(n, np.zeros(0, dtype=np.int64),
-                                   np.zeros(0, dtype=np.int64), np.zeros(0), False)
     # First k distinct values of an i.i.d. uniform stream form a uniform
     # k-subset of the pair indices.
     seen = set()
@@ -99,7 +96,7 @@ def erdos_renyi(n, p, seed=0) -> GraphCSR:
             seen.add(t)
     chosen = np.fromiter(seen, dtype=np.int64, count=k)
     u, v = _pairs_from_linear(np.sort(chosen), n)
-    return _csr_from_canonical(n, u, v, np.ones(k), False)
+    return _csr_from_arrays(u, v, np.ones(k), False, n)
 
 
 def preferential_attachment(n, m, seed=0) -> GraphCSR:
@@ -125,7 +122,7 @@ def preferential_attachment(n, m, seed=0) -> GraphCSR:
             endpoints.extend((t, v))
     u = np.array(us, dtype=np.int64)
     v = np.array(vs, dtype=np.int64)
-    return _csr_from_canonical(n, u, v, np.ones(u.shape[0]), False)
+    return _csr_from_arrays(u, v, np.ones(u.shape[0]), False, n)
 
 
 def small_world(n, k, p, seed=0) -> GraphCSR:
@@ -162,8 +159,8 @@ def small_world(n, k, p, seed=0) -> GraphCSR:
                     present.add(cand)
                     break
     pairs = np.array(sorted(present), dtype=np.int64)
-    return _csr_from_canonical(n, pairs[:, 0], pairs[:, 1],
-                               np.ones(pairs.shape[0]), False)
+    return _csr_from_arrays(pairs[:, 0], pairs[:, 1], np.ones(pairs.shape[0]),
+                            False, n)
 
 
 # The model names `netdos generate --model` accepts ("ba" is a second name

@@ -24,6 +24,31 @@ def oracle_smoothed_density(eigenvalues, sigma, at) -> np.ndarray:
     return kern.mean(axis=1)
 
 
+def oracle_lanczos(a, z, steps):
+    """(alphas, betas) of Lanczos on the dense symmetric matrix `a` from z.
+
+    Each new vector is orthogonalized against every earlier one in turn
+    (modified Gram-Schmidt), twice. Stops early when the residual vanishes
+    relative to the largest coefficient so far.
+    """
+    basis = [z / np.linalg.norm(z)]
+    alphas, betas = [], []
+    for j in range(min(steps, z.shape[0])):
+        w = a @ basis[j]
+        alphas.append(float(basis[j] @ w))
+        if j == steps - 1:
+            break
+        for _ in range(2):
+            for q in basis:
+                w = w - (q @ w) * q
+        beta = float(np.linalg.norm(w))
+        if beta <= 1e-12 * max(np.abs(alphas).max(), *betas, 1e-300):
+            break
+        betas.append(beta)
+        basis.append(w / beta)
+    return np.array(alphas), np.array(betas)
+
+
 def wasserstein1(spec_a, spec_b) -> float:
     """Earth-mover distance between two equal-cardinality uniform spectra.
 

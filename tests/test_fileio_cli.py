@@ -568,10 +568,10 @@ def test_histogram_payload_filter_block():
 def test_reproduction_presets():
     # each preset is named once, in the module that owns its concept, and the
     # command line and the pipelines default to that name
-    from netdos import density, nested_dissection, operators, pipeline
+    from netdos import density, lanczos, nested_dissection, operators, pipeline
     from netdos.probes import ProbeKind
     assert operators.OPERATOR is operators.OperatorKind.NORMALIZED_ADJACENCY
-    assert (operators.RANGE_STEPS, operators.RANGE_MARGIN) == (100, 0.01)
+    assert (lanczos.RANGE_STEPS, lanczos.RANGE_MARGIN) == (100, 0.01)
     assert density.BINS == 50
     assert nested_dissection.LEAF_SIZE == 256
     assert pipeline.KPM_MOMENTS == 500
@@ -722,7 +722,8 @@ def test_cli_motif_kinds(tmp_path, capsys):
 
 
 def test_cli_range_is_the_preset_estimate_or_the_override(tmp_path, capsys):
-    from netdos.operators import OperatorKind, build_operator, estimate_spectral_range
+    from netdos.lanczos import estimate_spectral_range
+    from netdos.operators import OperatorKind, build_operator
     gpath = str(tmp_path / "g.txt")
     main(["generate", "--model", "er", "--n", "100", "--p", "0.08", "--seed", "3",
           "--out", gpath])
@@ -747,6 +748,32 @@ def test_cli_range_is_the_preset_estimate_or_the_override(tmp_path, capsys):
             main(["dos", "--input", gpath, option, "5"])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("operator", ["laplacian", "normalized-adjacency"])
+def test_cli_gql_records_the_range_it_binned_over(tmp_path, operator):
+    gpath = str(tmp_path / "g.txt")
+    main(["generate", "--model", "pa", "--n", "80", "--m", "2", "--seed", "4",
+          "--out", gpath])
+
+    def record(command, *extra):
+        out = str(tmp_path / f"{command}.json")
+        assert main([command, "--input", gpath, "--operator", operator,
+                     "--moments", "30", "--probes", "4", "--seed", "5",
+                     "--bins", "8", *extra, "--out", out]) == 0
+        return json.loads(open(out).read())
+
+    gql, dos = record("gql"), record("dos")
+    assert (gql["lambda_min"], gql["lambda_max"]) == (dos["lambda_min"],
+                                                      dos["lambda_max"])
+    assert (gql["edges"][0], gql["edges"][-1]) == (gql["lambda_min"],
+                                                   gql["lambda_max"])
+    # the keys follow the run's own fields, as in the dos record
+    keys = list(gql)
+    assert keys[keys.index("bins") + 1:keys.index("record")] == [
+        "lambda_min", "lambda_max"]
+    wide = record("gql", "--range=-1.5,20.25")
+    assert (wide["lambda_min"], wide["lambda_max"]) == (-1.5, 20.25)
 
 
 @pytest.mark.parametrize("command", ["gql", "hist"])

@@ -34,16 +34,16 @@ def test_p5_tree_shape():
     tree = build_partition_tree(g, leaf_size=2)
     root = tree.nodes[0]
     assert root.sep.tolist() == [2]
-    kids = [tree.nodes[c] for c in root.children]
+    kids = [t for t in tree.nodes if t.parent == root.node_id]
     assert sorted(len(k.part) for k in kids) == [2, 2]
-    assert all(k.is_leaf for k in kids)
+    assert all(k.left.size == 0 and k.right.size == 0 for k in kids)
 
 
 def test_disconnected_graph_gets_empty_separator():
     g = build_csr([(0, 1), (1, 2), (3, 4), (4, 5)])
     tree = build_partition_tree(g, leaf_size=3)
     assert tree.nodes[0].sep.size == 0
-    assert len(tree.nodes[0].children) == 2
+    assert sum(t.parent == 0 for t in tree.nodes) == 2
 
 
 def test_grid_tree_separator_property():

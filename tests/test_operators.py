@@ -4,6 +4,7 @@ import pytest
 from netdos import (OperatorKind, ScaleMap, SpectralRangeError,
                     SymmetricCSROperator, build_csr, build_operator,
                     estimate_spectral_range, rescale_operator)
+from netdos.lanczos import RANGE_MARGIN, RANGE_STEPS
 from netdos.operators import IDENTITY_MAP
 from netdos.testkit import dense_matrix, erdos_renyi, exact_spectrum
 
@@ -73,13 +74,20 @@ def test_apply_is_linear():
 def test_normalized_adjacency_range_is_analytic(star4):
     op = build_operator(star4, OperatorKind.NORMALIZED_ADJACENCY)
     assert estimate_spectral_range(op) == (-1.0, 1.0)
+    # once rescaled, the analytic bounds no longer hold: it is estimated
+    sop = rescale_operator(op, (-0.5, 0.5))
+    ev = exact_spectrum(sop).eigenvalues
+    lo, hi = estimate_spectral_range(sop)
+    assert lo <= ev[0] and ev[-1] <= hi and hi > 1.9
 
 
 def test_k3_adjacency_exact_krylov_range(triangle):
+    # 3 steps span the Krylov space: the Ritz extremes are the eigenvalues
+    # -1 and 2, each widened by RANGE_MARGIN times their spread of 3
     op = build_operator(triangle, OperatorKind.ADJACENCY)
-    lo, hi = estimate_spectral_range(op, probe_seed=1, steps=3, margin=0.0)
-    assert abs(lo - (-1.0)) < 1e-9
-    assert abs(hi - 2.0) < 1e-9
+    lo, hi = estimate_spectral_range(op, probe_seed=1)
+    assert abs(lo - (-1.0 - 3 * RANGE_MARGIN)) < 1e-9
+    assert abs(hi - (2.0 + 3 * RANGE_MARGIN)) < 1e-9
 
 
 def test_estimated_range_contains_oracle_spectrum():
@@ -90,12 +98,6 @@ def test_estimated_range_contains_oracle_spectrum():
         lo, hi = estimate_spectral_range(op, probe_seed=0)
         ev = exact_spectrum(op).eigenvalues
         assert lo <= ev[0] and ev[-1] <= hi
-
-
-def test_range_requires_two_steps(triangle):
-    op = build_operator(triangle, OperatorKind.ADJACENCY)
-    with pytest.raises(ValueError, match="steps"):
-        estimate_spectral_range(op, steps=1)
 
 
 def test_rescale_identity_when_range_is_unit(path3):
@@ -272,7 +274,7 @@ def test_range_estimation_flags_nan_with_iteration_count():
     bad = SymmetricCSROperator(3, np.array([0, 1, 2, 3]), np.array([1, 0, 2]),
                                np.array([1.0, np.nan, 1.0]), OperatorKind.ADJACENCY)
     with pytest.raises(SpectralRangeError) as err:
-        estimate_spectral_range(bad, steps=3)
+        estimate_spectral_range(bad)
     assert err.value.iterations is not None
 
 
@@ -285,13 +287,12 @@ def test_range_estimate_keeps_one_krylov_basis():
 
     g = preferential_attachment(5000, 1, seed=2)
     op = build_operator(g, OperatorKind.LAPLACIAN)
-    estimate_spectral_range(op, steps=4)  # the kernel's one-time set-up
-    steps = 100
+    estimate_spectral_range(op)  # the kernel's one-time set-up
     tracemalloc.start()
     try:
-        estimate_spectral_range(op, steps=steps)
+        estimate_spectral_range(op)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    basis = steps * g.n * 8
+    basis = RANGE_STEPS * g.n * 8
     assert peak <= basis + basis // 4, f"peak {peak} B vs one basis {basis} B"

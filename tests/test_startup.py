@@ -3,8 +3,12 @@ scipy (``generate``, ``motifs``, ``hist``), must load no scipy module; the
 commands that multiply (``dos``, ``pdos``, ``gql``) load only the compiled
 ``scipy.sparse._sparsetools`` extension, never the ``scipy.sparse`` package.
 The package import costs ~0.25 s per command, more than the commands' work
-on a benchmark-sized graph."""
+on a benchmark-sized graph. So the only imports inside function bodies are
+of scipy: netdos's own modules import each other at the top, without
+cycles."""
 
+import ast
+import glob
 import json
 import os
 import subprocess
@@ -114,3 +118,38 @@ def test_benchmark_trace_lookups_resolve(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.strip().splitlines()[-1]) == []
+
+
+def _local_netdos_imports(source):
+    """(line, statement) of each import of a netdos module made inside a
+    function body of `source`."""
+    inner = {node for fn in ast.walk(ast.parse(source))
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(fn)
+             if isinstance(node, (ast.Import, ast.ImportFrom))}
+    found = []
+    for node in inner:
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:  # a relative import is of a netdos module
+            names = [node.module if node.level == 0 else "netdos"]
+        if any(name.split(".")[0] == "netdos" for name in names):
+            found.append((node.lineno, ast.unparse(node)))
+    return sorted(found)
+
+
+def test_no_function_imports_a_netdos_module():
+    """A function-local import of a netdos module hides an import cycle;
+    the lazy scipy imports stay allowed."""
+    assert _local_netdos_imports(
+        "import scipy\ndef f():\n    from scipy.linalg import eigh\n"
+        "    import numpy.linalg\n") == []
+    assert [line for line, _ in _local_netdos_imports(
+        "def f():\n    from .lanczos import x\n"
+        "def g():\n    def h():\n        import netdos.kpm\n")] == [2, 5]
+    found = []
+    for path in sorted(glob.glob(os.path.join(SRC, "netdos", "*.py"))):
+        with open(path) as fh:
+            found += [f"{os.path.basename(path)}:{line}: {stmt}"
+                      for line, stmt in _local_netdos_imports(fh.read())]
+    assert found == []
