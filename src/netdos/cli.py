@@ -242,8 +242,11 @@ def _cmd_exact(args):
     payload = {"record": "exact", **_meta(args, g),
                "eigenvalues": spec.eigenvalues.tolist()}
     if args.bins:
-        rng = args.range or ANALYTIC_RANGES.get(
-            op.kind, (float(spec.eigenvalues[0]), float(spec.eigenvalues[-1])))
+        lo, hi = float(spec.eigenvalues[0]), float(spec.eigenvalues[-1])
+        rng = args.range or ANALYTIC_RANGES.get(op.kind, (lo, hi))
+        if rng[0] == rng[1]:
+            raise NetdosError(f"the spectrum is the single point {lo:g}, "
+                              "which spans no bins; pass --range LO,HI")
         edges = np.linspace(rng[0], rng[1], args.bins + 1)
         payload["edges"] = edges.tolist()
         payload["masses"] = testkit.oracle_histogram(spec.eigenvalues, edges).tolist()
@@ -370,10 +373,7 @@ def main(argv=None) -> int:
                      "record of gql --node")
     try:
         return args.fn(args)
-    except NetdosError as exc:
-        print(f"netdos: error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (NetdosError, ValueError, OSError, MemoryError) as exc:
         print(f"netdos: error: {exc}", file=sys.stderr)
         return 1
 

@@ -4,10 +4,15 @@ Moments are taken against H from `operators.rescale_operator`, a CSR
 operator whose arrays already hold (op - shift·I) / scale, so each step is
 one kernel call. The global sequence is d_m = trace(T_m(H)) / N and the
 per-node sequence is c_mk = T_m(H)_kk, both estimated through probe vectors
-with the three-term recurrence T_{m+1} = 2 H T_m - T_{m-1} in one checked
-loop. Each step negates T_{m-1} z in place and accumulates (2·H) T_m z into
-it with one kernel call, so only two recurrence blocks are kept and memory
-is O(n * nz) independent of the number of moments.
+with the three-term recurrence T_{m+1} = 2 H T_m - T_{m-1}.
+
+`chebyshev_recurrence` is the one driver of that recurrence: it advances a
+list of `ColumnBlock`s, here one block of probe columns and in
+`nested_dissection` one block per tree node. Each step negates T_{m-1} in
+place and accumulates (2·H) T_m into it with one kernel call, so only two
+recurrence blocks are kept and memory is O(n * nz) independent of the
+number of moments. `check_moments` then certifies the series: while the
+spectrum of H lies in [-1, 1], |T_m| <= 1 bounds every moment.
 
 Global moments use the doubling identity T_2m = 2 T_m^2 - T_0 and
 T_2m+1 = 2 T_m+1 T_m - T_1: each step's block t_m = T_m(H) z yields two
@@ -82,48 +87,94 @@ def _moment_count(m_max):
     return m_max + 1
 
 
-def check_finite(values):
-    """Raise RecurrenceBlowupError unless every moment in `values` is finite.
+# Roundoff allowance of the moment certificate |mu_m| <= bound·(1 + MOMENT_TOL).
+# Rounding H's entries can move an eigenvalue at ±1 (the normalized
+# adjacency's analytic ends) out by about 2·eps, which T_m amplifies by m^2:
+# 1e-6 admits that up to about 4e4 moments, and an excess this small moves
+# no moment by more than it.
+MOMENT_TOL = 1e-6
 
-    A moment that is not finite means the spectrum of H is not inside
-    [-1, 1]: the spectral range the operator was scaled by is too narrow.
+
+def check_moments(sop, rows, bound):
+    """Raise RecurrenceBlowupError unless |rows[m]| <= bound·(1 + MOMENT_TOL)
+    for every m; `rows` is (m_max + 1, width) and `bound` is per column.
+
+    |T_m(x)| <= 1 on [-1, 1], so while the spectrum of H lies inside, each
+    probe's moments obey |z^T T_m(H) z| <= z^T z and each exact diagonal
+    moment |T_m(H)_kk| <= 1. A moment past its bound, NaN or inf means the
+    spectral range H was scaled by misses part of the spectrum. An operator
+    scaled by no range (`spectral_range` None) claims no such bound, and
+    only NaN or inf fails it.
     """
-    if not np.all(np.isfinite(values)):
-        raise RecurrenceBlowupError(
-            "Chebyshev recurrence overflowed: the spectrum is not inside the "
-            "spectral range; pass a wider --range, or estimate the range "
-            "with a larger margin")
+    bound = np.broadcast_to(bound, rows.shape[1:])
+    limit = (bound * (1.0 + MOMENT_TOL) if sop.spectral_range is not None
+             else np.finfo(np.float64).max)
+    for m, row in enumerate(rows):
+        bad = ~(np.abs(row) <= limit)  # NaN compares False
+        if bad.any():
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = np.max(np.abs(row[bad]) / bound[bad])
+            raise RecurrenceBlowupError(
+                f"Chebyshev recurrence overflowed its bound at moment {m}: "
+                f"|moment| / bound = {ratio:.3g}, above 1 + {MOMENT_TOL:g}; "
+                "the spectrum is not inside the spectral range, so pass a "
+                "wider --range")
+
+
+@dataclass
+class ColumnBlock:
+    """Columns of T_m(H) advanced together: `twice_h` is (indptr, indices,
+    data) of 2·H over the top `rows` rows; `cur` and `prev` hold T_m and
+    T_{m-1} (T_0 and a spare to start). Before each step, every (source,
+    pos, lo, hi) in `gathers` copies rows `pos` of an earlier block's T_m,
+    in its `prev` once it has stepped, transposed into cur[lo:hi]."""
+
+    twice_h: tuple
+    cur: np.ndarray
+    prev: np.ndarray
+    rows: int
+    gathers: list
+
+
+def chebyshev_recurrence(blocks, steps, collect):
+    """Step every block from T_0 to T_steps, calling collect(m) once all
+    hold T_m. T_1 = ½·(2·H)·T_0 is bit-equal to H·T_0 (doubling and halving
+    are exact); T_m = 2·H·T_{m-1} - T_{m-2} overwrites T_{m-2}: negate it,
+    then let the kernel accumulate (2·H)·T_{m-1} into it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        collect(0)
+        for m in range(1, steps + 1):
+            for b in blocks:
+                for source, pos, lo, hi in b.gathers:
+                    b.cur[lo:hi] = source.prev[pos].T
+                top = b.prev[:b.rows]
+                if m == 1:
+                    _kernels.csr_matvec(*b.twice_h, b.cur, out=top)
+                    top *= 0.5
+                else:
+                    np.negative(top, out=top)
+                    _kernels.csr_matvec(*b.twice_h, b.cur, out=top,
+                                        accumulate=True)
+                b.prev, b.cur = b.cur, b.prev
+            collect(m)
 
 
 def _recurrence(sop, probes: ProbeMatrix, rows, steps, collect):
     """Fill `rows`, (m_max + 1, width), by collect from t_0 .. t_steps.
 
-    t_m = T_m(H) z comes from the three-term recurrence, and
-    collect(rows, z, m, t_{m-1}, t_m) runs once per m (t_{-1} is None).
+    The probe columns z are one block of every row, and
+    collect(rows, z, m, t_{m-1}, t_m) runs once per m (t_{-1} is unset).
     `rows` may be a view, such as the transpose of a result array.
-    Raises RecurrenceBlowupError when a row is not finite, which means the
-    spectrum of H is not inside [-1, 1].
     """
     if sop.n != probes.n:
         raise ValueError("probe dimension does not match operator")
     z = probes.columns
     # Copy: the recurrence overwrites this buffer, and z must stay intact.
-    t_prev = np.array(z, dtype=np.float64, order="C", copy=True)
-    with np.errstate(over="ignore", invalid="ignore"):
-        collect(rows, z, 0, None, t_prev)
-        if steps >= 1:
-            t_cur = sop.apply(t_prev)
-            collect(rows, z, 1, t_prev, t_cur)
-            # t_m+1 = 2 H t_m - t_m-1 overwrites t_m-1: negate it, then let
-            # the kernel accumulate (2·H) t_m into it (doubling is exact)
-            twice = 2.0 * sop.data
-            for m in range(2, steps + 1):
-                np.negative(t_prev, out=t_prev)
-                _kernels.csr_matvec(sop.indptr, sop.indices, twice, t_cur,
-                                    out=t_prev, accumulate=True)
-                t_prev, t_cur = t_cur, t_prev
-                collect(rows, z, m, t_prev, t_cur)
-    check_finite(rows)
+    t0 = np.array(z, dtype=np.float64, order="C", copy=True)
+    block = ColumnBlock((sop.indptr, sop.indices, 2.0 * sop.data), t0,
+                        np.empty_like(t0), sop.n, [])
+    chebyshev_recurrence([block], steps, lambda m: collect(
+        rows, z, m, block.prev, block.cur))
 
 
 def _per_probe_doubled(rows, z, m, t_prev, t):
@@ -141,11 +192,6 @@ def _per_probe_doubled(rows, z, m, t_prev, t):
         rows[2 * m] = 2.0 * np.einsum("ij,ij->j", t, t) - rows[0]
 
 
-def _per_node(rows, z, m, t_prev, t):
-    """rows[m, k] = sum_j z_kj (T_m(H) z_j)_k, one moment per step."""
-    rows[m] = np.einsum("ij,ij->i", z, t)
-
-
 def dos_moments(sop, probes: ProbeMatrix, m_max: int,
                 effective_dim=None) -> ChebMoments:
     """Global moments d_m = tr(T_m(H)) / N via stochastic trace estimation.
@@ -156,6 +202,7 @@ def dos_moments(sop, probes: ProbeMatrix, m_max: int,
     """
     contrib = np.empty((_moment_count(m_max), probes.nz))
     _recurrence(sop, probes, contrib, (m_max + 1) // 2, _per_probe_doubled)
+    check_moments(sop, contrib, contrib[0])
     denom = float(effective_dim) if effective_dim is not None else float(sop.n)
     values = contrib.sum(axis=1) * (probes.trace_scale / denom)
     return ChebMoments(mode=MODE_GLOBAL, values=values,
@@ -171,7 +218,15 @@ def pdos_moments(sop, probes: ProbeMatrix, m_max: int) -> ChebMoments:
     result block, which is then divided in place.
     """
     values = np.empty((probes.n, _moment_count(m_max)))
-    _recurrence(sop, probes, values.T, m_max, _per_node)
+    sums = np.empty((values.shape[1], probes.nz))
+
+    def per_node(rows, z, m, t_prev, t):
+        # one moment per node, and the per-probe sums the certificate bounds
+        rows[m] = np.einsum("ij,ij->i", z, t)
+        sums[m] = np.einsum("ij,ij->j", z, t)
+
+    _recurrence(sop, probes, values.T, m_max, per_node)
+    check_moments(sop, sums, sums[0])
     z = probes.columns
     den = np.einsum("ij,ij->i", z, z)
     if np.any(den == 0.0):

@@ -17,15 +17,16 @@ each tree node's block is cut: a row reaching outside I_p and the ancestor
 separators, or an ancestor part without I_s whose rows are needed, raises
 PartitionError. `PartitionTree.validate` checks only the tree's shape.
 
-Each tree node holds one CSR block of 2·H over the rows I_p and the columns
-[I_p; the ancestor separators that I_p touches], and two dense buffers of
-that many rows by |I_s| columns. A step copies the ancestors' T_m rows into
-the bottom of the current buffer, negates the top of the previous one and
-advances the node with a single in-place accumulate,
-prev += (2·H block) @ cur, before the two buffers swap roles. Memory is
-therefore at most 2·(|I_p| + Σ|ancestor I_s|)·|I_s| floats per tree node,
-and time and memory grow with the separator sizes: a graph without small
-separators (an expander, a small world) costs close to dense.
+Each tree node is one `kpm.ColumnBlock`, stepped by the driver that KPM
+runs on its probes, `kpm.chebyshev_recurrence`: a CSR block of 2·H over
+the rows I_p and the columns [I_p; the ancestor separators that I_p
+touches], and two dense buffers of that many rows by |I_s| columns. Before
+each step the ancestors' T_m rows are gathered into the rows below I_p;
+then the I_p rows advance with one kernel call. Memory is therefore at
+most 2·(|I_p| + Σ|ancestor I_s|)·|I_s| floats per tree node, and time and
+memory grow with the separator sizes: a graph without small separators (an
+expander, a small world) costs close to dense. The moments are exact, so
+`kpm.check_moments` holds each to |c_mk| <= 1.
 
 The tree is built from level sets of breadth-first searches on the induced
 subgraph of each piece, computed with ``scipy.sparse.csgraph``.
@@ -38,10 +39,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .errors import PartitionError
 from .graph import GraphCSR
-from .kpm import MODE_PER_NODE, ChebMoments, check_finite
+from .kpm import (MODE_PER_NODE, ChebMoments, ColumnBlock, check_moments,
+                  chebyshev_recurrence)
 from .operators import SymmetricCSROperator
 
 # Pieces of at most this many nodes become leaves of the partition tree.
@@ -270,45 +271,31 @@ def load_partition(path, n=None) -> PartitionTree:
     return PartitionTree(n=int(n) if n is not None else int(total), nodes=ordered)
 
 
-class _BlockState:
-    """One tree node's share of the recurrence.
-
-    `block` is 2·H restricted to the rows of the node's part and the columns
-    [part; touched ancestor separators], so one accumulate advances all of
-    the node's columns. `prev` and `cur` each hold T(part, sep) in their top
-    rows; before every step the rows below receive T_m(anc_sep, sep) for
-    each ancestor in `gathers`, copied from the ancestor's own block.
-    """
-
-    __slots__ = ("sep", "npart", "diag", "block", "gathers", "prev", "cur")
-
-
-def _node_state(t, tree, parts, states, indptr, indices, data, lookup):
-    st = _BlockState()
-    part = parts[t.node_id]
-    st.sep = t.sep
-    st.npart = part.shape[0]
-    ns = st.sep.shape[0]
-    st.diag = np.searchsorted(part, st.sep) * ns + np.arange(ns)
+def _node_state(t, tree, parts, blocks, sop, lookup):
+    """Tree node t's `ColumnBlock`, whose T_0 is the identity on the
+    separator's columns, and the flat positions of T(sep, sep)'s diagonal."""
+    part, sep = parts[t.node_id], t.sep
+    npart, ns = part.shape[0], sep.shape[0]
 
     # cut 2·H over the rows `part` and the columns [part; ancestor
     # separators]; the recurrence is exact only if no row reaches further
-    ancs = [a for a in tree.ancestors(t.node_id) if states[a] is not None]
-    bounds = np.cumsum([st.npart] + [states[a].sep.shape[0] for a in ancs])
-    lookup[part] = np.arange(st.npart)
-    for a, lo in zip(ancs, bounds[:-1]):
-        lookup[states[a].sep] = np.arange(lo, lo + states[a].sep.shape[0])
-    take, counts = _row_entries(indptr, part)
-    cols = lookup[indices[take]]
+    ancs = [a for a in tree.ancestors(t.node_id) if blocks[a] is not None]
+    anc_seps = [tree.nodes[a].sep for a in ancs]
+    bounds = np.cumsum([npart] + [s.shape[0] for s in anc_seps])
+    lookup[part] = np.arange(npart)
+    for s, lo in zip(anc_seps, bounds[:-1]):
+        lookup[s] = np.arange(lo, lo + s.shape[0])
+    take, counts = _row_entries(sop.indptr, part)
+    cols = lookup[sop.indices[take]]
     lookup[part] = -1
-    for a in ancs:
-        lookup[states[a].sep] = -1
-    ptr = np.zeros(st.npart + 1, dtype=np.int64)
+    for s in anc_seps:
+        lookup[s] = -1
+    ptr = np.zeros(npart + 1, dtype=np.int64)
     np.cumsum(counts, out=ptr[1:])
     outside = np.flatnonzero(cols < 0)
     if outside.size:
         u = part[np.searchsorted(ptr, outside[0], side="right") - 1]
-        v = indices[take[outside[0]]]
+        v = sop.indices[take[outside[0]]]
         raise PartitionError(
             f"edge ({u}, {v}) leaves tree node {t.node_id}: {v} is neither "
             "in its part nor in an ancestor's separator")
@@ -319,31 +306,27 @@ def _node_state(t, tree, parts, states, indptr, indices, data, lookup):
     used = np.bincount(seg, minlength=bounds.shape[0]) > 0
     used[0] = True
     shift = np.cumsum(np.diff(bounds, prepend=0) * ~used)
-    st.block = (ptr, cols - shift[seg], 2.0 * data[take])
-    st.gathers = []
-    lo = st.npart
-    for a, keep in zip(ancs, used[1:]):
+    gathers = []
+    lo = npart
+    for a, s, keep in zip(ancs, anc_seps, used[1:]):
         if keep:
             # T_m(anc_sep, sep) is, by symmetry, the transpose of rows
             # `sep` of the ancestor's T_m(anc_part, anc_sep)
             anc_part = parts[a]
-            pos = np.searchsorted(anc_part, st.sep)
-            if not np.array_equal(anc_part.take(pos, mode="clip"), st.sep):
+            pos = np.searchsorted(anc_part, sep)
+            if not np.array_equal(anc_part.take(pos, mode="clip"), sep):
                 raise PartitionError(
                     f"tree node {t.node_id} reads rows of its ancestor {a}, "
                     "whose part does not hold its separator")
-            k = states[a].sep.shape[0]
-            st.gathers.append((a, pos, lo, lo + k))
-            lo += k
+            gathers.append((blocks[a], pos, lo, lo + s.shape[0]))
+            lo += s.shape[0]
 
-    st.prev = np.zeros((lo, ns))
-    st.prev.reshape(-1)[st.diag] = 1.0
-    # T_1 = ½·(2·H block)·T_0 exactly: each entry is a single product by 1
-    st.cur = np.zeros((lo, ns))
-    top = st.cur[:st.npart]
-    _kernels.csr_matvec(*st.block, st.prev, out=top)
-    top *= 0.5
-    return st
+    diag = np.searchsorted(part, sep) * ns + np.arange(ns)
+    t0 = np.zeros((lo, ns))
+    t0.reshape(-1)[diag] = 1.0
+    block = ColumnBlock((ptr, cols - shift[seg], 2.0 * sop.data[take]), t0,
+                        np.empty_like(t0), npart, gathers)
+    return block, diag
 
 
 def nd_pdos_moments(sop: SymmetricCSROperator, tree: PartitionTree,
@@ -354,38 +337,26 @@ def nd_pdos_moments(sop: SymmetricCSROperator, tree: PartitionTree,
         raise ValueError("m_max must be >= 0")
     n = sop.n
     parts = tree.validate(n)
-    indptr, indices, data = sop.indptr, sop.indices, sop.data
 
     lookup = np.full(n, -1, dtype=np.int64)
-    states = [None] * len(tree.nodes)
+    blocks = [None] * len(tree.nodes)
+    fills = []
     for t in tree.nodes:
         # a node with an empty separator owns no columns and feeds no one
         if t.sep.size:
-            states[t.node_id] = _node_state(t, tree, parts, states, indptr,
-                                            indices, data, lookup)
-    active = [st for st in states if st is not None]
+            blocks[t.node_id], diag = _node_state(t, tree, parts, blocks,
+                                                  sop, lookup)
+            fills.append((blocks[t.node_id], t.sep, diag))
 
     moments = np.empty((n, m_max + 1))
-    moments[:, 0] = 1.0
-    if m_max >= 1:
-        for st in active:
-            moments[st.sep, 1] = np.take(st.cur, st.diag)
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        for m in range(1, m_max):
-            for st in active:
-                # pre-order: every ancestor has already stepped, so its
-                # `prev` now holds T_m
-                for a, anc_pos, lo, hi in st.gathers:
-                    st.cur[lo:hi] = states[a].prev[anc_pos].T
-                top = st.prev[:st.npart]
-                np.negative(top, out=top)
-                ptr, idx, val = st.block
-                _kernels.csr_matvec(ptr, idx, val, st.cur, out=top,
-                                    accumulate=True)
-                st.prev, st.cur = st.cur, st.prev
-                moments[st.sep, m + 1] = np.take(st.cur, st.diag)
-    check_finite(moments)
+    def collect(m):
+        for block, sep, diag in fills:
+            moments[sep, m] = np.take(block.cur, diag)
+
+    # pre-order: every ancestor steps before the nodes that gather from it
+    chebyshev_recurrence([f[0] for f in fills], m_max, collect)
+    check_moments(sop, moments.T, 1.0)
 
     return ChebMoments(mode=MODE_PER_NODE, values=moments,
                        scale_map=sop.scale_map,

@@ -16,6 +16,11 @@ def oracle_moments(eigenvalues_scaled, m_max) -> np.ndarray:
     return chebyshev_values(m_max, eigenvalues_scaled).mean(axis=1)
 
 
+def oracle_node_moments(eigenvalues_scaled, eigenvectors, m_max) -> np.ndarray:
+    """c_mk = T_m(H)_kk = sum_i v_ki^2 T_m(lambda_i), shape (n, m_max + 1)."""
+    return (eigenvectors ** 2) @ chebyshev_values(m_max, eigenvalues_scaled).T
+
+
 def oracle_smoothed_density(eigenvalues, sigma, at) -> np.ndarray:
     """(K_sigma * mu)(lambda) for the exact point-mass spectrum."""
     at = np.atleast_1d(np.asarray(at, dtype=np.float64))

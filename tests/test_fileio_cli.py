@@ -649,6 +649,31 @@ def _star_with_chains(path):
     return str(path)
 
 
+def test_cli_exact_bins_refuse_a_one_point_spectrum(tmp_path, capsys):
+    gpath, out = tmp_path / "empty.txt", tmp_path / "exact.json"
+    gpath.write_text("# nodes 5 edges 0\n")
+    args = ["exact", "--input", str(gpath), "--operator", "adjacency",
+            "--bins", "5", "--out", str(out)]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert "single point 0" in err and "--range" in err
+    assert not out.exists()
+    assert main([*args, "--range=-1,1"]) == 0
+    assert json.loads(out.read_text())["masses"] == [0.0, 0.0, 1.0, 0.0, 0.0]
+
+
+def test_cli_out_of_memory_is_an_error_line(tmp_path, capsys):
+    # 30 nodes × (10^15 + 1) moments is 240 PB, beyond any address space:
+    # the first allocation fails at once, before any work
+    gpath, out = tmp_path / "g.txt", tmp_path / "pdos.json"
+    write_graph_edgelist(generate_graph("pa", n=30, m=2, seed=1), gpath)
+    assert main(["pdos", "--input", str(gpath), "--range=-20,20",
+                 "--moments", str(10 ** 15), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("netdos: error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cli_allow_self_loops(tmp_path, capsys):
     gpath = tmp_path / "loop.txt"
     gpath.write_text("0 0 1\n0 1\n")

@@ -6,7 +6,10 @@ import pytest
 from netdos import (OperatorKind, ProbeKind, RecurrenceBlowupError, build_csr,
                     build_operator, chebyshev_values, detect_motifs,
                     dos_moments, filter_probes, jackson_coefficients,
-                    make_probes, pdos_moments, rescale_operator)
+                    make_probes, pdos_moments, rescale_operator,
+                    write_graph_edgelist)
+from netdos import pipeline
+from netdos.cli import main
 from netdos.pipeline import scaled_operator_for
 from netdos.testkit import erdos_renyi, exact_spectrum, preferential_attachment
 
@@ -186,8 +189,42 @@ def test_recurrence_blowup_detected(path3):
     op = build_operator(path3, OperatorKind.LAPLACIAN)
     bad = rescale_operator(op, (0.0, 1.5))  # true range is [0, 3]
     p = make_probes(3, 2, ProbeKind.RADEMACHER, seed=0)
-    with pytest.raises(RecurrenceBlowupError, match="margin"):
+    with pytest.raises(RecurrenceBlowupError, match="wider --range"):
         dos_moments(bad, p, 600)
+
+
+# Each Chebyshev command, through the library and the CLI, at 60 moments
+CERTIFIED = {
+    "dos": (lambda g, range_: pipeline.kpm_dos(
+        g, "laplacian", m_max=60, damping=False, range_=range_),
+        ["dos", "--no-damping"]),
+    "pdos": (lambda g, range_: pipeline.kpm_pdos(
+        g, "laplacian", m_max=60, range_=range_), ["pdos"]),
+    "nd-pdos": (lambda g, range_: pipeline.nd_pdos_pipeline(
+        g, "laplacian", m_max=60, range_=range_), ["nd-pdos"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(CERTIFIED))
+def test_finite_moments_past_their_bound_are_refused(command, tmp_path,
+                                                     capsys):
+    # a range 2 % short of the Laplacian's largest eigenvalue: the moments
+    # grow past their bound but stay far from overflowing in 60 steps
+    g = preferential_attachment(400, 2, seed=1)
+    lam_max = exact_spectrum(build_operator(g, "laplacian")).eigenvalues[-1]
+    hi = 0.98 * float(lam_max)
+    run, argv = CERTIFIED[command]
+    with pytest.raises(RecurrenceBlowupError,
+                       match=r"bound at moment \d+: .* wider --range"):
+        run(g, (0.0, hi))
+
+    gpath, out = tmp_path / "g.txt", tmp_path / "out.json"
+    write_graph_edgelist(g, gpath)
+    assert main([*argv, "--input", str(gpath), "--operator", "laplacian",
+                 "--moments", "60", f"--range=0,{hi!r}",
+                 "--out", str(out)]) == 1
+    assert "overflowed its bound" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_hadamard_not_worse_than_rademacher_for_trace_noise():

@@ -11,22 +11,22 @@ from hypothesis import strategies as st
 from netdos import (PartitionError, ProbeKind, RecurrenceBlowupError,
                     build_csr, build_operator, build_partition_tree,
                     dos_moments, load_partition, make_probes, nd_pdos_moments,
-                    save_partition, write_graph_edgelist)
+                    pdos_moments, save_partition, write_graph_edgelist)
 from netdos import nested_dissection
 from netdos.cli import main
-from netdos.kpm import chebyshev_values
 from netdos.nested_dissection import PartitionNode, PartitionTree
 from netdos.pipeline import scaled_operator_for
 from netdos.testkit import erdos_renyi, exact_spectrum, preferential_attachment
 
 from conftest import grid_graph, separator_warnings
+from oracles import oracle_node_moments
 
 
 def _oracle_node_moments(g, kind, m_max, seed=0, range_=None):
     sop = scaled_operator_for(g, kind, seed=seed, range_=range_)
     spec = exact_spectrum(build_operator(g, kind), want_vectors=True)
-    t = chebyshev_values(m_max, sop.scale_map.to_scaled(spec.eigenvalues))
-    return sop, (spec.eigenvectors ** 2) @ t.T
+    return sop, oracle_node_moments(sop.scale_map.to_scaled(spec.eigenvalues),
+                                    spec.eigenvectors, m_max)
 
 
 def test_p5_tree_shape():
@@ -155,7 +155,7 @@ def test_overflowing_recurrence_is_refused(tmp_path, capsys):
     # range given: T_m grows like 8^m and overflows before m = 400
     g = grid_graph(20, 20)
     sop = scaled_operator_for(g, "adjacency", range_=(-0.5, 0.5))
-    with pytest.raises(RecurrenceBlowupError, match="margin"):
+    with pytest.raises(RecurrenceBlowupError, match="wider --range"):
         nd_pdos_moments(sop, build_partition_tree(g), 400)
 
     gpath, out = tmp_path / "g.txt", tmp_path / "nd.json"
@@ -421,3 +421,39 @@ def test_corrupted_tree_is_refused_or_exact():
     outcomes = set()
     _raises_or_is_exact(outcomes)
     assert outcomes == {"refused", "exact"}
+
+
+OPERATORS = ["adjacency", "laplacian", "normalized-laplacian",
+             "normalized-adjacency"]
+
+
+@st.composite
+def _small_graphs(draw):
+    """A small random graph (isolated nodes allowed), an operator and a
+    leaf size small enough that most trees have ancestors to gather from."""
+    n = draw(st.integers(2, 9))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1)),
+                          min_size=1, max_size=20))
+    edges = sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v})
+    assume(edges)
+    return (build_csr(edges, n=n), draw(st.sampled_from(OPERATORS)),
+            draw(st.integers(1, 6)))
+
+
+@separator_warnings
+@settings(max_examples=80, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+@given(case=_small_graphs())
+def test_standard_basis_pdos_and_nd_pdos_match_the_oracle(case):
+    # both run the one Chebyshev driver: pdos on one block of every row,
+    # nd-pdos on tree-node blocks that gather their ancestors' rows
+    g, kind, leaf_size = case
+    m_max = 12
+    sop, want = _oracle_node_moments(g, kind, m_max)
+    probes = make_probes(g.n, g.n, ProbeKind.STANDARD_BASIS, seed=0)
+    assert np.abs(pdos_moments(sop, probes, m_max).values - want).max() < 1e-10
+    tree = build_partition_tree(g, leaf_size=leaf_size)
+    got = nd_pdos_moments(sop, tree, m_max)
+    assert np.abs(got.values - want).max() < 1e-10

@@ -153,3 +153,23 @@ def test_no_function_imports_a_netdos_module():
             found += [f"{os.path.basename(path)}:{line}: {stmt}"
                       for line, stmt in _local_netdos_imports(fh.read())]
     assert found == []
+
+
+def _accumulating_kernel_calls(source):
+    """Lines of the calls ``_kernels.csr_matvec(..., accumulate=True)``."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and ast.unparse(node.func) == "_kernels.csr_matvec"
+            and any(k.arg == "accumulate" and isinstance(k.value, ast.Constant)
+                    and k.value.value is True for k in node.keywords)]
+
+
+def test_one_chebyshev_step_accumulates_into_the_kernel():
+    """The recurrence's negate-and-accumulate step is written once, in the
+    driver that both KPM and nested dissection run."""
+    found = []
+    for path in sorted(glob.glob(os.path.join(SRC, "netdos", "*.py"))):
+        with open(path) as fh:
+            found += [f"{os.path.basename(path)}:{line}"
+                      for line in _accumulating_kernel_calls(fh.read())]
+    assert len(found) == 1 and found[0].startswith("kpm.py:"), found
