@@ -77,7 +77,7 @@ def histogram_from_moments(moments: ChebMoments, bins=BINS, damping=True,
     smap = moments.scale_map
     edges = smap.from_scaled(np.linspace(-1.0, 1.0, bins + 1))
     table = cheb_bin_masses(moments.m_max, smap.to_scaled(edges))
-    coef = moments.values.copy()
+    coef = moments.values
     if damping:
         coef = coef * jackson_coefficients(moments.m_max)
     masses = coef @ table

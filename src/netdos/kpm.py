@@ -11,8 +11,11 @@ list of `ColumnBlock`s, here one block of probe columns and in
 `nested_dissection` one block per tree node. Each step negates T_{m-1} in
 place and accumulates (2·H) T_m into it with one kernel call, so only two
 recurrence blocks are kept and memory is O(n * nz) independent of the
-number of moments. `check_moments` then certifies the series: while the
-spectrum of H lies in [-1, 1], |T_m| <= 1 bounds every moment.
+number of moments. The driver also certifies each moment as it is made:
+while the spectrum of H lies in [-1, 1], |T_m| <= 1 bounds every moment by
+its degree-0 value (z_j^T z_j per probe, 1 per exact diagonal entry), so a
+moment past it means the range H was scaled by misses part of the
+spectrum, and the run stops at that degree.
 
 Global moments use the doubling identity T_2m = 2 T_m^2 - T_0 and
 T_2m+1 = 2 T_m+1 T_m - T_1: each step's block t_m = T_m(H) z yields two
@@ -95,32 +98,6 @@ def _moment_count(m_max):
 MOMENT_TOL = 1e-6
 
 
-def check_moments(sop, rows, bound):
-    """Raise RecurrenceBlowupError unless |rows[m]| <= bound·(1 + MOMENT_TOL)
-    for every m; `rows` is (m_max + 1, width) and `bound` is per column.
-
-    |T_m(x)| <= 1 on [-1, 1], so while the spectrum of H lies inside, each
-    probe's moments obey |z^T T_m(H) z| <= z^T z and each exact diagonal
-    moment |T_m(H)_kk| <= 1. A moment past its bound, NaN or inf means the
-    spectral range H was scaled by misses part of the spectrum. An operator
-    scaled by no range (`spectral_range` None) claims no such bound, and
-    only NaN or inf fails it.
-    """
-    bound = np.broadcast_to(bound, rows.shape[1:])
-    limit = (bound * (1.0 + MOMENT_TOL) if sop.spectral_range is not None
-             else np.finfo(np.float64).max)
-    for m, row in enumerate(rows):
-        bad = ~(np.abs(row) <= limit)  # NaN compares False
-        if bad.any():
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.max(np.abs(row[bad]) / bound[bad])
-            raise RecurrenceBlowupError(
-                f"Chebyshev recurrence overflowed its bound at moment {m}: "
-                f"|moment| / bound = {ratio:.3g}, above 1 + {MOMENT_TOL:g}; "
-                "the spectrum is not inside the spectral range, so pass a "
-                "wider --range")
-
-
 @dataclass
 class ColumnBlock:
     """Columns of T_m(H) advanced together: `twice_h` is (indptr, indices,
@@ -136,15 +113,21 @@ class ColumnBlock:
     gathers: list
 
 
-def chebyshev_recurrence(blocks, steps, collect):
-    """Step every block from T_0 to T_steps, calling collect(m) once all
-    hold T_m. T_1 = ½·(2·H)·T_0 is bit-equal to H·T_0 (doubling and halving
-    are exact); T_m = 2·H·T_{m-1} - T_{m-2} overwrites T_{m-2}: negate it,
+def chebyshev_recurrence(sop, blocks, steps, collect):
+    """Step every block from T_0 to T_steps. collect(m) runs once all hold
+    T_m and returns, in moment order, the moment rows that degree m
+    completes. The first row that exceeds the absolute degree-0 row times
+    1 + MOMENT_TOL, or holds NaN or inf, raises RecurrenceBlowupError
+    before another step. An operator scaled by no range (`spectral_range`
+    None) is held only to finite rows.
+
+    T_1 = ½·(2·H)·T_0 is bit-equal to H·T_0 (doubling and halving are
+    exact); T_m = 2·H·T_{m-1} - T_{m-2} overwrites T_{m-2}: negate it,
     then let the kernel accumulate (2·H)·T_{m-1} into it."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        collect(0)
-        for m in range(1, steps + 1):
-            for b in blocks:
+    moment, bound = 0, None
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for m in range(steps + 1):
+            for b in blocks if m else ():
                 for source, pos, lo, hi in b.gathers:
                     b.cur[lo:hi] = source.prev[pos].T
                 top = b.prev[:b.rows]
@@ -156,14 +139,29 @@ def chebyshev_recurrence(blocks, steps, collect):
                     _kernels.csr_matvec(*b.twice_h, b.cur, out=top,
                                         accumulate=True)
                 b.prev, b.cur = b.cur, b.prev
-            collect(m)
+            for row in collect(m):
+                if bound is None:
+                    bound = np.abs(row)
+                    limit = (bound * (1.0 + MOMENT_TOL)
+                             if sop.spectral_range is not None
+                             else np.finfo(np.float64).max)
+                bad = ~(np.abs(row) <= limit)  # NaN compares False
+                if bad.any():
+                    ratio = np.max(np.abs(row[bad]) / bound[bad])
+                    raise RecurrenceBlowupError(
+                        "Chebyshev recurrence overflowed its bound at moment "
+                        f"{moment}: |moment| / bound = {ratio:.3g}, above "
+                        f"1 + {MOMENT_TOL:g}; the spectrum is not inside the "
+                        "spectral range, so pass a wider --range")
+                moment += 1
 
 
 def _recurrence(sop, probes: ProbeMatrix, rows, steps, collect):
     """Fill `rows`, (m_max + 1, width), by collect from t_0 .. t_steps.
 
     The probe columns z are one block of every row, and
-    collect(rows, z, m, t_{m-1}, t_m) runs once per m (t_{-1} is unset).
+    collect(rows, z, m, t_{m-1}, t_m) runs once per m (t_{-1} is unset) and
+    returns the per-probe moment rows that m completes.
     `rows` may be a view, such as the transpose of a result array.
     """
     if sop.n != probes.n:
@@ -173,7 +171,7 @@ def _recurrence(sop, probes: ProbeMatrix, rows, steps, collect):
     t0 = np.array(z, dtype=np.float64, order="C", copy=True)
     block = ColumnBlock((sop.indptr, sop.indices, 2.0 * sop.data), t0,
                         np.empty_like(t0), sop.n, [])
-    chebyshev_recurrence([block], steps, lambda m: collect(
+    chebyshev_recurrence(sop, [block], steps, lambda m: collect(
         rows, z, m, block.prev, block.cur))
 
 
@@ -190,6 +188,7 @@ def _per_probe_doubled(rows, z, m, t_prev, t):
         rows[2 * m - 1] = 2.0 * np.einsum("ij,ij->j", t, t_prev) - rows[1]
     if 0 < 2 * m < rows.shape[0]:
         rows[2 * m] = 2.0 * np.einsum("ij,ij->j", t, t) - rows[0]
+    return rows[max(2 * m - 1, 0):2 * m + 1]
 
 
 def dos_moments(sop, probes: ProbeMatrix, m_max: int,
@@ -202,7 +201,6 @@ def dos_moments(sop, probes: ProbeMatrix, m_max: int,
     """
     contrib = np.empty((_moment_count(m_max), probes.nz))
     _recurrence(sop, probes, contrib, (m_max + 1) // 2, _per_probe_doubled)
-    check_moments(sop, contrib, contrib[0])
     denom = float(effective_dim) if effective_dim is not None else float(sop.n)
     values = contrib.sum(axis=1) * (probes.trace_scale / denom)
     return ChebMoments(mode=MODE_GLOBAL, values=values,
@@ -218,15 +216,13 @@ def pdos_moments(sop, probes: ProbeMatrix, m_max: int) -> ChebMoments:
     result block, which is then divided in place.
     """
     values = np.empty((probes.n, _moment_count(m_max)))
-    sums = np.empty((values.shape[1], probes.nz))
 
     def per_node(rows, z, m, t_prev, t):
-        # one moment per node, and the per-probe sums the certificate bounds
+        # one moment per node; the per-probe sums are what the driver bounds
         rows[m] = np.einsum("ij,ij->i", z, t)
-        sums[m] = np.einsum("ij,ij->j", z, t)
+        return [np.einsum("ij,ij->j", z, t)]
 
     _recurrence(sop, probes, values.T, m_max, per_node)
-    check_moments(sop, sums, sums[0])
     z = probes.columns
     den = np.einsum("ij,ij->i", z, z)
     if np.any(den == 0.0):

@@ -202,7 +202,7 @@ def _equal_rows(ptr, cols, vals, nodes):
     shared[order[1:][tie]] = shared[order[:-1][tie]] = True
 
     classes = []
-    for size in np.unique(length[shared]).tolist():
+    for size in np.flatnonzero(np.bincount(length[shared])).tolist():
         group = nodes[shared & (length == size)]
         at = ptr[group][:, None] + np.arange(size)
         rows = np.concatenate([cols[at], bits[at]], axis=1)
@@ -285,7 +285,8 @@ def detect_motifs(g: GraphCSR, kinds=None, operator=OPERATOR) -> list:
 
     degree = g.degrees()
     rows = np.repeat(np.arange(g.n), np.diff(g.row_ptr))
-    loop_free = np.setdiff1d(np.arange(g.n), rows[g.col_idx == rows])
+    loop_free = np.flatnonzero(
+        np.bincount(rows[g.col_idx == rows], minlength=g.n) == 0)
     out = []
     if MotifKind.OPEN_TWIN in kinds:
         out += [_twin_instance(MotifKind.OPEN_TWIN, m, operator, degree[m[0]])

@@ -26,7 +26,8 @@ then the I_p rows advance with one kernel call. Memory is therefore at
 most 2·(|I_p| + Σ|ancestor I_s|)·|I_s| floats per tree node, and time and
 memory grow with the separator sizes: a graph without small separators (an
 expander, a small world) costs close to dense. The moments are exact, so
-`kpm.check_moments` holds each to |c_mk| <= 1.
+the driver holds each column m of the diagonal to its degree-0 value,
+|c_mk| <= 1, as it is made.
 
 The tree is built from level sets of breadth-first searches on the induced
 subgraph of each piece, computed with ``scipy.sparse.csgraph``.
@@ -41,7 +42,7 @@ import numpy as np
 
 from .errors import PartitionError
 from .graph import GraphCSR
-from .kpm import (MODE_PER_NODE, ChebMoments, ColumnBlock, check_moments,
+from .kpm import (MODE_PER_NODE, ChebMoments, ColumnBlock,
                   chebyshev_recurrence)
 from .operators import SymmetricCSROperator
 
@@ -136,11 +137,27 @@ def _induced_subgraph(g, members):
                      shape=(members.shape[0], members.shape[0]))
 
 
-def _split_component(g, members):
-    """Level-set separator from a pseudo-peripheral BFS; None if inseparable."""
-    from scipy.sparse.csgraph import breadth_first_order, shortest_path
+def _split(g, members):
+    """(sep, left, right) of a piece as `build_partition_tree` splits it,
+    from one build of its induced subgraph; None if it is connected and its
+    BFS has no interior level."""
+    from scipy.sparse.csgraph import (breadth_first_order,
+                                      connected_components, shortest_path)
 
     sub = _induced_subgraph(g, members)
+    count, labels = connected_components(sub, directed=False)
+    if count > 1:
+        order = np.argsort(labels, kind="stable")
+        comps = np.split(members[order], np.cumsum(np.bincount(labels))[:-1])
+        comps.sort(key=lambda c: (-c.shape[0], int(c[0])))
+        side = [[], []]
+        sizes = [0, 0]
+        for comp in comps:
+            pick = 0 if sizes[0] <= sizes[1] else 1
+            side[pick].append(comp)
+            sizes[pick] += comp.shape[0]
+        return (np.zeros(0, dtype=np.int64), np.sort(np.concatenate(side[0])),
+                np.sort(np.concatenate(side[1])))
     order = breadth_first_order(sub, 0, directed=True,
                                 return_predecessors=False)
     lv = shortest_path(sub, unweighted=True,
@@ -153,22 +170,7 @@ def _split_component(g, members):
     # most balanced interior level; the first one wins ties
     cost = np.maximum(below[:depth - 1], below[depth] - below[1:depth])
     best = 1 + int(np.argmin(cost))
-    sep = members[lv == best]
-    left = members[lv < best]
-    right = members[lv > best]
-    return sep, left, right
-
-
-def _components(g, members):
-    """Connected pieces of the induced subgraph, sorted, by smallest member."""
-    from scipy.sparse.csgraph import connected_components
-
-    _, labels = connected_components(_induced_subgraph(g, members),
-                                     directed=False)
-    order = np.argsort(labels, kind="stable")
-    comps = np.split(members[order], np.cumsum(np.bincount(labels))[:-1])
-    comps.sort(key=lambda c: int(c[0]))
-    return comps
+    return members[lv == best], members[lv < best], members[lv > best]
 
 
 def build_partition_tree(g: GraphCSR, leaf_size=LEAF_SIZE) -> PartitionTree:
@@ -191,32 +193,18 @@ def build_partition_tree(g: GraphCSR, leaf_size=LEAF_SIZE) -> PartitionTree:
         nodes.append(node)
         if members.shape[0] <= leaf_size:
             return
-        comps = _components(g, members)
-        if len(comps) > 1:
-            comps.sort(key=lambda c: (-c.shape[0], int(c[0])))
-            side = [[], []]
-            sizes = [0, 0]
-            for comp in comps:
-                pick = 0 if sizes[0] <= sizes[1] else 1
-                side[pick].append(comp)
-                sizes[pick] += comp.shape[0]
-            sep = empty
-            left = np.sort(np.concatenate(side[0]))
-            right = np.sort(np.concatenate(side[1]))
-        else:
-            split = _split_component(g, members)
-            if split is None:
-                if members.shape[0] > leaf_size:
-                    warnings.warn(
-                        f"piece of {members.shape[0]} nodes has no level-set "
-                        "separator; keeping it as a dense leaf", stacklevel=2)
-                return
-            sep, left, right = split
-            if sep.shape[0] > max(left.shape[0], right.shape[0]):
-                warnings.warn(
-                    f"separator ({sep.shape[0]} nodes) larger than both sides "
-                    f"({left.shape[0]}, {right.shape[0]}); recurrence stays "
-                    "exact but loses its cost advantage", stacklevel=2)
+        split = _split(g, members)
+        if split is None:
+            warnings.warn(
+                f"piece of {members.shape[0]} nodes has no level-set "
+                "separator; keeping it as a dense leaf", stacklevel=2)
+            return
+        sep, left, right = split
+        if sep.shape[0] > max(left.shape[0], right.shape[0]):
+            warnings.warn(
+                f"separator ({sep.shape[0]} nodes) larger than both sides "
+                f"({left.shape[0]}, {right.shape[0]}); recurrence stays "
+                "exact but loses its cost advantage", stacklevel=2)
         node.sep = np.sort(sep)
         node.left = left
         node.right = right
@@ -353,10 +341,10 @@ def nd_pdos_moments(sop: SymmetricCSROperator, tree: PartitionTree,
     def collect(m):
         for block, sep, diag in fills:
             moments[sep, m] = np.take(block.cur, diag)
+        return [moments[:, m]]
 
     # pre-order: every ancestor steps before the nodes that gather from it
-    chebyshev_recurrence([f[0] for f in fills], m_max, collect)
-    check_moments(sop, moments.T, 1.0)
+    chebyshev_recurrence(sop, [f[0] for f in fills], m_max, collect)
 
     return ChebMoments(mode=MODE_PER_NODE, values=moments,
                        scale_map=sop.scale_map,

@@ -7,7 +7,7 @@ with everything needed to serialize them reproducibly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .density import BINS, SpectralHistogram, histogram_from_moments
 from .kpm import ChebMoments, dos_moments, pdos_moments
@@ -34,7 +34,6 @@ class DosResult:
     moments: ChebMoments
     scaled_op: SymmetricCSROperator
     adjustment: FilterAdjustment | None = None
-    instances: list = field(default_factory=list)
 
 
 def _operator_and_range(g, operator, seed, range_):
@@ -76,7 +75,7 @@ def kpm_dos(g, operator=OPERATOR, m_max=KPM_MOMENTS, nz=PROBES,
         filter_adjustment=adjustment if reinsert_spikes else None,
         negativity_tol=negativity_tol)
     return DosResult(histogram=hist, moments=moments, scaled_op=sop,
-                     adjustment=adjustment, instances=instances)
+                     adjustment=adjustment)
 
 
 def kpm_pdos(g, operator=OPERATOR, m_max=KPM_MOMENTS, nz=PROBES,

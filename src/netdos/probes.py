@@ -71,7 +71,7 @@ def _sylvester_columns(n, nz):
     return 1.0 - 2.0 * parity.astype(np.float64)
 
 
-def make_probes(n, nz, kind=ProbeKind.RADEMACHER, seed=0) -> ProbeMatrix:
+def make_probes(n, nz, kind, seed=0) -> ProbeMatrix:
     """Deterministic function of (n, nz, kind, seed)."""
     kind = ProbeKind(kind)
     if nz < 1:

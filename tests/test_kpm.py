@@ -1,17 +1,21 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from netdos import (OperatorKind, ProbeKind, RecurrenceBlowupError, build_csr,
-                    build_operator, chebyshev_values, detect_motifs,
-                    dos_moments, filter_probes, jackson_coefficients,
-                    make_probes, pdos_moments, rescale_operator,
-                    write_graph_edgelist)
-from netdos import pipeline
+from netdos import (MotifKind, OperatorKind, ProbeKind, RecurrenceBlowupError,
+                    build_csr, build_operator, chebyshev_values,
+                    detect_motifs, dos_moments, filter_probes,
+                    jackson_coefficients, make_probes, pdos_moments,
+                    rescale_operator, write_graph_edgelist)
+from netdos import _kernels, pipeline
 from netdos.cli import main
 from netdos.pipeline import scaled_operator_for
-from netdos.testkit import erdos_renyi, exact_spectrum, preferential_attachment
+from netdos.testkit import (erdos_renyi, exact_spectrum,
+                            preferential_attachment, small_world)
 
 from oracles import oracle_moments
 
@@ -193,30 +197,43 @@ def test_recurrence_blowup_detected(path3):
         dos_moments(bad, p, 600)
 
 
-# Each Chebyshev command, through the library and the CLI, at 60 moments
+# Each Chebyshev command, through the library and the CLI, at 60 moments,
+# and the recurrence degree that completes moment k
 CERTIFIED = {
     "dos": (lambda g, range_: pipeline.kpm_dos(
         g, "laplacian", m_max=60, damping=False, range_=range_),
-        ["dos", "--no-damping"]),
+        ["dos", "--no-damping"], lambda k: (k + 1) // 2),
     "pdos": (lambda g, range_: pipeline.kpm_pdos(
-        g, "laplacian", m_max=60, range_=range_), ["pdos"]),
+        g, "laplacian", m_max=60, range_=range_), ["pdos"], lambda k: k),
     "nd-pdos": (lambda g, range_: pipeline.nd_pdos_pipeline(
-        g, "laplacian", m_max=60, range_=range_), ["nd-pdos"]),
+        g, "laplacian", m_max=60, range_=range_), ["nd-pdos"], lambda k: k),
 }
 
 
 @pytest.mark.parametrize("command", sorted(CERTIFIED))
 def test_finite_moments_past_their_bound_are_refused(command, tmp_path,
-                                                     capsys):
+                                                     capsys, monkeypatch):
     # a range 2 % short of the Laplacian's largest eigenvalue: the moments
     # grow past their bound but stay far from overflowing in 60 steps
     g = preferential_attachment(400, 2, seed=1)
     lam_max = exact_spectrum(build_operator(g, "laplacian")).eigenvalues[-1]
     hi = 0.98 * float(lam_max)
-    run, argv = CERTIFIED[command]
+    run, argv, degree = CERTIFIED[command]
+    calls = []
+    matvec = _kernels.csr_matvec
+    monkeypatch.setattr(_kernels, "csr_matvec",
+                        lambda *a, **kw: calls.append(1) or matvec(*a, **kw))
     with pytest.raises(RecurrenceBlowupError,
-                       match=r"bound at moment \d+: .* wider --range"):
+                       match=r"bound at moment \d+: .* wider --range") as err:
         run(g, (0.0, hi))
+    refused = len(calls)
+    # the run stops at the degree that completes the failing moment: it
+    # makes that many of the kernel calls that a full run makes per degree
+    failing = degree(int(re.search(r"moment (\d+)", str(err.value))[1]))
+    calls.clear()
+    run(g, (0.0, 1.01 * float(lam_max)))
+    assert 0 < failing < degree(60)
+    assert refused * degree(60) == failing * len(calls)
 
     gpath, out = tmp_path / "g.txt", tmp_path / "out.json"
     write_graph_edgelist(g, gpath)
@@ -225,6 +242,38 @@ def test_finite_moments_past_their_bound_are_refused(command, tmp_path,
                  "--out", str(out)]) == 1
     assert "overflowed its bound" in capsys.readouterr().err
     assert not out.exists()
+
+
+@st.composite
+def _small_models(draw):
+    """A seeded ER, PA or WS graph of 20-60 nodes with at least one edge."""
+    n, seed = draw(st.integers(20, 60)), draw(st.integers(0, 1 << 16))
+    model = draw(st.sampled_from(["er", "pa", "ws"]))
+    if model == "er":
+        g = erdos_renyi(n, draw(st.sampled_from([0.05, 0.1, 0.3])), seed=seed)
+    elif model == "pa":
+        g = preferential_attachment(n, draw(st.integers(1, 3)), seed=seed)
+    else:
+        g = small_world(n, draw(st.sampled_from([2, 4])),
+                        draw(st.sampled_from([0.0, 0.1, 0.5])), seed=seed)
+    assume(g.nnz)
+    return g
+
+
+MOTIF_KINDS = [k.value for k in MotifKind if k is not MotifKind.CUSTOM]
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(g=_small_models(), filtered=st.booleans())
+def test_no_run_at_the_preset_range_is_refused(g, filtered):
+    # the estimated range (the analytic one for the normalized adjacency)
+    # holds the spectrum, so the certificate passes every preset run;
+    # undamped, so that only the certificate can refuse a dos run
+    for kind in OperatorKind:
+        pipeline.kpm_dos(g, kind, damping=False,
+                         filter_kinds=MOTIF_KINDS if filtered else ())
+        pipeline.kpm_pdos(g, kind)
+        pipeline.nd_pdos_pipeline(g, kind)
 
 
 def test_hadamard_not_worse_than_rademacher_for_trace_noise():

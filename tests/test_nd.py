@@ -208,7 +208,15 @@ def _bfs_levels(g, members_mask, start):
     return levels, order
 
 
-def _reference_split_component(g, members):
+def _reference_split(g, members):
+    comps = _reference_components(g, members)
+    if len(comps) > 1:
+        # largest component first, each onto the side holding fewer nodes
+        left, right = [], []
+        for comp in sorted(comps, key=lambda c: (-len(c), int(c[0]))):
+            (left if len(left) <= len(right) else right).extend(comp.tolist())
+        return (np.zeros(0, dtype=np.int64), np.array(sorted(left)),
+                np.array(sorted(right)))
     mask = np.zeros(g.n, dtype=bool)
     mask[members] = True
     _, order = _bfs_levels(g, mask, int(members[0]))
@@ -263,10 +271,7 @@ def test_partition_matches_reference_splitter(monkeypatch, make_graph, leaf_size
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         got = build_partition_tree(g, leaf_size=leaf_size)
-        monkeypatch.setattr(nested_dissection, "_split_component",
-                            _reference_split_component)
-        monkeypatch.setattr(nested_dissection, "_components",
-                            _reference_components)
+        monkeypatch.setattr(nested_dissection, "_split", _reference_split)
         want = build_partition_tree(g, leaf_size=leaf_size)
     assert len(got.nodes) == len(want.nodes) > 1
     for a, b in zip(got.nodes, want.nodes):

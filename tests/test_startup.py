@@ -31,6 +31,7 @@ import netdos.cli
 after_cli = scipy_modules()
 codes = [netdos.cli.main(argv) for argv in json.loads(sys.argv[1])]
 after_commands = scipy_modules()
+masked = "numpy.ma" in sys.modules
 from netdos import _kernels
 route = None if _kernels._matvec is None else _kernels._matvec.__name__
 # a later import of the package must still bind its own extension module
@@ -38,7 +39,8 @@ import scipy.sparse
 bound = hasattr(scipy.sparse, "_sparsetools")
 print(json.dumps({"package": after_package, "cli": after_cli,
                   "commands": after_commands, "codes": codes,
-                  "route": route, "bound": bound}))
+                  "route": route, "bound": bound,
+                  "masked": masked}))
 """
 
 
@@ -77,6 +79,8 @@ def test_numpy_only_commands_load_no_scipy(tmp_path):
     ])
     assert got["commands"] == []
     assert got["route"] is None  # nothing multiplied
+    # np.unique and np.setdiff1d import numpy.ma, 13 ms of start-up
+    assert not got["masked"]
     assert json.loads((tmp_path / "motifs.json").read_text())
     assert len(json.loads((tmp_path / "hist.json").read_text())["masses"]) == 10
 
