@@ -66,7 +66,9 @@ def histogram_from_moments(moments: ChebMoments, bins=BINS, damping=True,
     The edges split the operator's scaled domain [-1, 1] into equal bins,
     reported in original eigenvalue units. filter_adjustment rescales the
     masses to the deflated dimension and re-inserts the removed spike mass at
-    its eigenvalues, so displayed mass still totals the normalization.
+    its eigenvalues, so displayed mass still totals the normalization; an
+    eigenvalue outside the edges (beyond a 1e-9 share of their span) raises
+    ValueError.
 
     A mass below -negativity_tol raises ValueError. With damping the
     tolerance defaults to 1e-3, checked on the node-averaged masses for
@@ -93,7 +95,13 @@ def histogram_from_moments(moments: ChebMoments, bins=BINS, damping=True,
         n_total = filter_adjustment.total_dim
         r = filter_adjustment.deflated_dim
         masses = masses * ((n_total - r) / n_total)
+        # the same snap tolerance as `lanczos.gql_dos`
+        snap = 1e-9 * (edges[-1] - edges[0])
         for lam, count in sorted(filter_adjustment.removed.items()):
+            if not edges[0] - snap <= lam <= edges[-1] + snap:
+                raise ValueError(f"removed eigenvalue {lam:g} lies outside the "
+                                 f"bins [{edges[0]:g}, {edges[-1]:g}]; pass a "
+                                 "--range that holds it")
             masses[bin_index(edges, lam)] += count / n_total
 
     checked, what = masses, "bin mass"

@@ -15,7 +15,8 @@ number of moments. The driver also certifies each moment as it is made:
 while the spectrum of H lies in [-1, 1], |T_m| <= 1 bounds every moment by
 its degree-0 value (z_j^T z_j per probe, 1 per exact diagonal entry), so a
 moment past it means the range H was scaled by misses part of the
-spectrum, and the run stops at that degree.
+spectrum, and the run stops at that degree. The bound holds every
+operator: an unscaled one whose spectrum leaves [-1, 1] is refused too.
 
 Global moments use the doubling identity T_2m = 2 T_m^2 - T_0 and
 T_2m+1 = 2 T_m+1 T_m - T_1: each step's block t_m = T_m(H) z yields two
@@ -113,13 +114,12 @@ class ColumnBlock:
     gathers: list
 
 
-def chebyshev_recurrence(sop, blocks, steps, collect):
+def chebyshev_recurrence(blocks, steps, collect):
     """Step every block from T_0 to T_steps. collect(m) runs once all hold
     T_m and returns, in moment order, the moment rows that degree m
     completes. The first row that exceeds the absolute degree-0 row times
     1 + MOMENT_TOL, or holds NaN or inf, raises RecurrenceBlowupError
-    before another step. An operator scaled by no range (`spectral_range`
-    None) is held only to finite rows.
+    before another step.
 
     T_1 = ½·(2·H)·T_0 is bit-equal to H·T_0 (doubling and halving are
     exact); T_m = 2·H·T_{m-1} - T_{m-2} overwrites T_{m-2}: negate it,
@@ -142,9 +142,7 @@ def chebyshev_recurrence(sop, blocks, steps, collect):
             for row in collect(m):
                 if bound is None:
                     bound = np.abs(row)
-                    limit = (bound * (1.0 + MOMENT_TOL)
-                             if sop.spectral_range is not None
-                             else np.finfo(np.float64).max)
+                    limit = bound * (1.0 + MOMENT_TOL)
                 bad = ~(np.abs(row) <= limit)  # NaN compares False
                 if bad.any():
                     ratio = np.max(np.abs(row[bad]) / bound[bad])
@@ -171,7 +169,7 @@ def _recurrence(sop, probes: ProbeMatrix, rows, steps, collect):
     t0 = np.array(z, dtype=np.float64, order="C", copy=True)
     block = ColumnBlock((sop.indptr, sop.indices, 2.0 * sop.data), t0,
                         np.empty_like(t0), sop.n, [])
-    chebyshev_recurrence(sop, [block], steps, lambda m: collect(
+    chebyshev_recurrence([block], steps, lambda m: collect(
         rows, z, m, block.prev, block.cur))
 
 

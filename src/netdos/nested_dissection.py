@@ -25,9 +25,11 @@ each step the ancestors' T_m rows are gathered into the rows below I_p;
 then the I_p rows advance with one kernel call. Memory is therefore at
 most 2·(|I_p| + Σ|ancestor I_s|)·|I_s| floats per tree node, and time and
 memory grow with the separator sizes: a graph without small separators (an
-expander, a small world) costs close to dense. The moments are exact, so
-the driver holds each column m of the diagonal to its degree-0 value,
-|c_mk| <= 1, as it is made.
+expander, a small world) costs close to dense. That cost is judged in one
+place, for built and loaded trees alike: `nd_pdos_moments` states it in
+the record's `probe_meta["tree"]`. The moments are exact, so the driver
+holds each column m of the diagonal to its degree-0 value, |c_mk| <= 1,
+as it is made.
 
 The tree is built from level sets of breadth-first searches on the induced
 subgraph of each piece, computed with ``scipy.sparse.csgraph``.
@@ -35,7 +37,6 @@ subgraph of each piece, computed with ``scipy.sparse.csgraph``.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,7 +180,8 @@ def build_partition_tree(g: GraphCSR, leaf_size=LEAF_SIZE) -> PartitionTree:
     Connected pieces are split at the most balanced BFS level set grown from
     a pseudo-peripheral node; disconnected pieces split with an empty
     separator. Pieces whose BFS depth admits no interior level (dense blobs)
-    become leaves regardless of size.
+    become leaves regardless of size. What the tree costs is judged where it
+    is used: `nd_pdos_moments` reports it.
     """
     if leaf_size < 1:
         raise ValueError("leaf_size must be >= 1")
@@ -195,16 +197,8 @@ def build_partition_tree(g: GraphCSR, leaf_size=LEAF_SIZE) -> PartitionTree:
             return
         split = _split(g, members)
         if split is None:
-            warnings.warn(
-                f"piece of {members.shape[0]} nodes has no level-set "
-                "separator; keeping it as a dense leaf", stacklevel=2)
             return
         sep, left, right = split
-        if sep.shape[0] > max(left.shape[0], right.shape[0]):
-            warnings.warn(
-                f"separator ({sep.shape[0]} nodes) larger than both sides "
-                f"({left.shape[0]}, {right.shape[0]}); recurrence stays "
-                "exact but loses its cost advantage", stacklevel=2)
         node.sep = np.sort(sep)
         node.left = left
         node.right = right
@@ -320,7 +314,11 @@ def _node_state(t, tree, parts, blocks, sop, lookup):
 def nd_pdos_moments(sop: SymmetricCSROperator, tree: PartitionTree,
                     m_max) -> ChebMoments:
     """Exact per-node moments c_mk = T_m(H)_kk via the partition tree, for
-    H = `sop` as returned by `rescale_operator`."""
+    H = `sop` as returned by `rescale_operator`.
+
+    `probe_meta["tree"]` states what the tree costs: its node count, the
+    root's separator size, the largest separator (a leaf's is its whole
+    piece) and the bytes of the blocks' dense buffers."""
     if m_max < 0:
         raise ValueError("m_max must be >= 0")
     n = sop.n
@@ -344,8 +342,12 @@ def nd_pdos_moments(sop: SymmetricCSROperator, tree: PartitionTree,
         return [moments[:, m]]
 
     # pre-order: every ancestor steps before the nodes that gather from it
-    chebyshev_recurrence(sop, [f[0] for f in fills], m_max, collect)
+    chebyshev_recurrence([f[0] for f in fills], m_max, collect)
 
+    cost = {"nodes": len(tree.nodes), "root_separator": tree.nodes[0].sep.size,
+            "largest_separator": max(t.sep.size for t in tree.nodes),
+            "buffer_bytes": sum(b.cur.nbytes + b.prev.nbytes for b, _, _ in fills)}
     return ChebMoments(mode=MODE_PER_NODE, values=moments,
                        scale_map=sop.scale_map,
-                       probe_meta={"kind": "exact", "method": "nested-dissection"})
+                       probe_meta={"kind": "exact", "method": "nested-dissection",
+                                   "tree": cost})

@@ -5,10 +5,12 @@ Probe columns are generated from per-column counter-based PRNG streams
 of the other columns and generation order.
 
 The estimates themselves are the m = 1 moments of the probe recurrence in
-`kpm`: the Hutchinson trace of H is n times
+`kpm`: for H with its spectrum in [-1, 1], such as `rescale_operator`
+returns, the Hutchinson trace of H is n times
 `dos_moments(H, probes, 1).values[1]`, and the diagonal estimate
 (sum_j z_j * H z_j) / (sum_j z_j * z_j), taken elementwise, is
-`pdos_moments(H, probes, 1).values[:, 1]`.
+`pdos_moments(H, probes, 1).values[:, 1]`. The recurrence refuses an H
+whose moments break that bound.
 """
 
 from __future__ import annotations
@@ -45,10 +47,11 @@ class ProbeMatrix:
         """Multiplier turning sum_j z_j^T H z_j into a trace estimate.
 
         Mean-zero unit-variance probes estimate the full trace per column
-        (average over columns); standard-basis columns each contribute one
-        diagonal entry (plain sum, exact at nz = n).
+        (average over columns); standard-basis columns each give one
+        diagonal entry, and n times their mean is the estimate (n/nz is
+        exactly 1 at nz = n).
         """
-        return 1.0 if self.deterministic else 1.0 / self.nz
+        return self.n / self.nz if self.deterministic else 1.0 / self.nz
 
     def meta(self) -> dict:
         return {"kind": self.kind.value, "seed": self.seed, "nz": self.nz,

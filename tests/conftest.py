@@ -20,13 +20,6 @@ def star4():
     return build_csr([(0, 1), (0, 2), (0, 3)])
 
 
-# The partitioner's two separator-quality warnings, which a test on a graph
-# without small separators expects; any other UserWarning fails the test.
-separator_warnings = pytest.mark.filterwarnings(
-    "ignore:separator .* larger than both sides:UserWarning",
-    "ignore:piece of .* has no level-set separator:UserWarning")
-
-
 def grid_graph(rows, cols):
     edges = []
     for i in range(rows):

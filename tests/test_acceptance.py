@@ -16,7 +16,6 @@ from netdos.kpm import chebyshev_values
 from netdos.probes import ProbeKind
 
 import oracles
-from conftest import separator_warnings
 
 
 def _report(num, text):
@@ -70,7 +69,6 @@ def test_criterion_02_motif_filtering_improves_and_trace_identity():
                f"{e_unf:.4f}; trace identity gap {gap:.2e} (<1e-8), r={r}")
 
 
-@separator_warnings
 def test_criterion_03_moment_exactness_suite():
     rng = np.random.default_rng(2024)
     worst_dm, worst_nd = 0.0, 0.0

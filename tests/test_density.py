@@ -108,6 +108,19 @@ def test_spike_reinsertion_bookkeeping():
     assert hist.masses[3] >= 3 / 20
 
 
+def test_spike_outside_the_bins_is_refused():
+    mom = ChebMoments(MODE_GLOBAL, np.array([1.0, 0.0, 0.0]), IDENTITY_MAP, {})
+    # within 1e-9 of the span beyond an edge, a spike lands in the edge bin
+    adj = FilterAdjustment(removed={1.0 + 1e-9: 1}, total_dim=4)
+    hist = histogram_from_moments(mom, bins=4, damping=False, filter_adjustment=adj)
+    assert hist.masses[3] >= 1 / 4
+    for lam in (5.0, -1.0 - 3e-9):
+        adj = FilterAdjustment(removed={0.0: 2, lam: 1}, total_dim=4)
+        with pytest.raises(ValueError, match="outside the bins.*--range"):
+            histogram_from_moments(mom, bins=4, damping=False,
+                                   filter_adjustment=adj)
+
+
 def test_bin_index_matches_numpy_histogram_conventions():
     edges = np.linspace(-1, 1, 6)
     for x in (-1.0, -0.999, -0.6, 0.0, 0.2, 0.6, 1.0):

@@ -735,6 +735,39 @@ def test_cli_no_spikes(tmp_path):
     assert json.loads(open(hist_out).read())["masses"] == b["masses"]
 
 
+def test_cli_spike_outside_range_is_refused(tmp_path, capsys):
+    # K5's Laplacian: the motif filter removes eigenvalue 5 four times and
+    # leaves the complement {0}, which passes the moment certificate; a
+    # --range of [-1, 1] cannot hold the spike
+    gpath = tmp_path / "k5.txt"
+    gpath.write_text("".join(f"{i} {j}\n" for i in range(5)
+                             for j in range(i + 1, 5)))
+    out = tmp_path / "k5.json"
+    assert main(["dos", "--input", str(gpath), "--operator", "laplacian",
+                 "--filter-motifs", "all", "--probes", "4", "--moments", "20",
+                 "--bins", "4", "--range=-1,1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "removed eigenvalue 5 lies outside the bins" in err
+    assert "--range" in err
+    assert not out.exists()
+
+
+def test_cli_standard_basis_dos_has_unit_mass(tmp_path):
+    # five standard-basis probes sample five diagonal entries; their mean,
+    # not their sum over n, is the estimate, as gql averages its probes
+    gpath = str(tmp_path / "pa.txt")
+    assert main(["generate", "--model", "pa", "--n", "600", "--m", "2",
+                 "--seed", "1", "--out", gpath]) == 0
+    masses = {}
+    for cmd in ("dos", "gql"):
+        out = tmp_path / f"{cmd}.json"
+        assert main([cmd, "--input", gpath, "--probe-kind", "standard-basis",
+                     "--probes", "5", "--moments", "10", "--out", str(out)]) == 0
+        masses[cmd] = sum(json.loads(out.read_text())["masses"])
+    assert abs(masses["dos"] - 1.0) < 1e-12
+    assert abs(masses["gql"] - 1.0) < 1e-12
+
+
 def test_cli_motif_kinds(tmp_path, capsys):
     gpath = _star_with_chains(tmp_path / "star.txt")
     assert main(["motifs", "--input", gpath]) == 0

@@ -1,6 +1,9 @@
+import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
-import warnings
 from collections import deque
 
 import numpy as np
@@ -18,7 +21,7 @@ from netdos.nested_dissection import PartitionNode, PartitionTree
 from netdos.pipeline import scaled_operator_for
 from netdos.testkit import erdos_renyi, exact_spectrum, preferential_attachment
 
-from conftest import grid_graph, separator_warnings
+from conftest import grid_graph
 from oracles import oracle_node_moments
 
 
@@ -75,7 +78,6 @@ def test_p5_moments_exact():
     assert np.array_equal(got.values[:, 0], np.ones(5))
 
 
-@separator_warnings
 def test_exactness_across_graphs_and_kinds():
     cases = [
         (grid_graph(30, 30), "laplacian"),
@@ -138,16 +140,20 @@ def test_partition_load_rejects_malformed(tmp_path):
         load_partition(path)
 
 
-def test_inseparable_blob_becomes_leaf_with_warning():
+def test_inseparable_blob_becomes_one_leaf():
     # complete graph: BFS depth 1, no interior level set exists
     n = 12
     g = build_csr([(i, j) for i in range(n) for j in range(i + 1, n)])
-    with pytest.warns(UserWarning, match="dense leaf"):
-        tree = build_partition_tree(g, leaf_size=4)
+    tree = build_partition_tree(g, leaf_size=4)
     assert len(tree.nodes) == 1
+    assert tree.nodes[0].sep.tolist() == list(range(n))
     sop, want = _oracle_node_moments(g, "adjacency", 8)
     got = nd_pdos_moments(sop, tree, 8)
     assert np.abs(got.values - want).max() < 1e-10
+    # the record names the dense leaf: its separator is the whole piece
+    assert got.probe_meta["tree"] == {"nodes": 1, "root_separator": n,
+                                      "largest_separator": n,
+                                      "buffer_bytes": 2 * n * n * 8}
 
 
 def test_overflowing_recurrence_is_refused(tmp_path, capsys):
@@ -168,6 +174,52 @@ def test_overflowing_recurrence_is_refused(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_nd_pdos_on_a_graph_without_small_separators_is_quiet(tmp_path):
+    # pa-600's root separator holds 291 nodes, more than either side; the
+    # record states that, and the command writes nothing to stderr
+    assert main(["generate", "--model", "pa", "--n", "600", "--m", "2",
+                 "--seed", "1", "--out", str(tmp_path / "pa.txt")]) == 0
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nested_dissection.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "netdos.cli", "nd-pdos", "--input", "pa.txt",
+         "--moments", "5", "--range=-60,60", "--out", "nd.json"],
+        env=dict(os.environ, PYTHONPATH=src), cwd=tmp_path,
+        capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    tree = json.loads((tmp_path / "nd.json").read_text())["probe_meta"]["tree"]
+    assert tree["nodes"] == 3 and tree["root_separator"] == 291
+
+
+def _partition_figures(path):
+    """(tree nodes, root separator, largest separator) of a partition file."""
+    seps = {}
+    with open(path) as fh:
+        for line in fh:
+            node_id, _, sep = line.split()[:3]
+            seps[int(node_id)] = len([x for x in sep[len("sep:"):].split(",") if x])
+    return len(seps), seps[0], max(seps.values())
+
+
+def test_record_states_the_cost_of_built_and_loaded_trees(tmp_path):
+    gpath, part = str(tmp_path / "g.txt"), str(tmp_path / "part.txt")
+    write_graph_edgelist(erdos_renyi(400, 0.01, seed=4), gpath)
+    base = ["nd-pdos", "--input", gpath, "--moments", "8", "--leaf-size", "40"]
+    built, loaded = tmp_path / "built.json", tmp_path / "loaded.json"
+    assert main([*base, "--save-partition", part, "--out", str(built)]) == 0
+    assert main([*base, "--partition", part, "--out", str(loaded)]) == 0
+    nodes, root, largest = _partition_figures(part)
+    assert nodes > 3 and largest > root
+    costs = [json.loads(path.read_text())["probe_meta"]["tree"]
+             for path in (built, loaded)]
+    for cost in costs:
+        assert list(cost) == ["nodes", "root_separator", "largest_separator",
+                              "buffer_bytes"]
+        assert all(type(v) is int for v in cost.values())
+        assert (cost["nodes"], cost["root_separator"],
+                cost["largest_separator"]) == (nodes, root, largest)
+    assert costs[0] == costs[1]
+
+
 def test_m_zero_only():
     g = grid_graph(4, 4)
     sop = scaled_operator_for(g, "normalized-adjacency")
@@ -176,7 +228,6 @@ def test_m_zero_only():
     assert np.array_equal(got.values, np.ones((16, 1)))
 
 
-@separator_warnings
 def test_exactness_with_isolated_nodes():
     # isolated nodes create globally empty rows inside blocks, which the
     # block cut must handle
@@ -268,11 +319,9 @@ def _disconnected_graph():
 ], ids=["grid-64", "grid-20", "disconnected", "er", "pa-tree"])
 def test_partition_matches_reference_splitter(monkeypatch, make_graph, leaf_size):
     g = make_graph()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        got = build_partition_tree(g, leaf_size=leaf_size)
-        monkeypatch.setattr(nested_dissection, "_split", _reference_split)
-        want = build_partition_tree(g, leaf_size=leaf_size)
+    got = build_partition_tree(g, leaf_size=leaf_size)
+    monkeypatch.setattr(nested_dissection, "_split", _reference_split)
+    want = build_partition_tree(g, leaf_size=leaf_size)
     assert len(got.nodes) == len(want.nodes) > 1
     for a, b in zip(got.nodes, want.nodes):
         assert a.parent == b.parent
@@ -311,10 +360,11 @@ def test_moment_memory_stays_within_two_buffers_per_node():
     sop = scaled_operator_for(g, "laplacian", seed=0)
     tree = build_partition_tree(g, leaf_size=64)
     m_max = 30
-    buffers = largest = 0
+    least = buffers = largest = 0
     for t in tree.nodes:
         rows = t.part.size + sum(tree.nodes[a].sep.size
                                  for a in tree.ancestors(t.node_id))
+        least += 2 * t.part.size * t.sep.size * 8
         buffers += 2 * rows * t.sep.size * 8
         largest = max(largest, rows * t.sep.size * 8)
     moments = g.n * (m_max + 1) * 8
@@ -322,11 +372,14 @@ def test_moment_memory_stays_within_two_buffers_per_node():
     slack = largest + 32 * g.nnz
     tracemalloc.start()
     try:
-        nd_pdos_moments(sop, tree, m_max)
+        got = nd_pdos_moments(sop, tree, m_max)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < buffers + moments + slack, (peak, buffers, moments, slack)
+    # the record's buffer bytes lie between the part's own rows and all
+    # ancestor separators' rows on top of them
+    assert least <= got.probe_meta["tree"]["buffer_bytes"] <= buffers
 
 
 # Partition files that name a tree the recurrence cannot run on. Each must
@@ -421,7 +474,6 @@ def _raises_or_is_exact(outcomes, case):
     outcomes.add("exact")
 
 
-@separator_warnings
 def test_corrupted_tree_is_refused_or_exact():
     outcomes = set()
     _raises_or_is_exact(outcomes)
@@ -446,7 +498,6 @@ def _small_graphs(draw):
             draw(st.integers(1, 6)))
 
 
-@separator_warnings
 @settings(max_examples=80, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.filter_too_much])

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
-from netdos import (OperatorKind, ProbeKind, SymmetricCSROperator, build_csr,
-                    build_operator, dos_moments, make_probes, pdos_moments)
+from netdos import (OperatorKind, ProbeKind, RecurrenceBlowupError,
+                    SymmetricCSROperator, build_csr, build_operator,
+                    dos_moments, make_probes, pdos_moments)
 from netdos.testkit import dense_matrix, erdos_renyi
 
 
@@ -15,15 +18,26 @@ def _dense_op(h):
     return SymmetricCSROperator(h.shape[0], indptr, cols, h[rows, cols], None)
 
 
+def _in_unit_range(op):
+    """op divided by a power of two at least its absolute entry sum, which
+    bounds its spectrum, so the recurrence's certificate holds; and that
+    power. Both the division and the multiplication back are exact."""
+    scale = 2.0 ** math.frexp(float(np.abs(op.data).sum()))[1]
+    return SymmetricCSROperator(op.n, op.indptr, op.indices, op.data / scale,
+                                op.kind), scale
+
+
 def _trace(op, probes):
     """Hutchinson trace estimate: n times the m = 1 global moment."""
-    return float(dos_moments(op, probes, 1).values[1] * op.n)
+    h, scale = _in_unit_range(op)
+    return float(dos_moments(h, probes, 1).values[1] * op.n * scale)
 
 
 def _diagonal(op, probes):
     """Diagonal estimate (sum_j z_j * H z_j) / (sum_j z_j * z_j), elementwise:
     the m = 1 per-node moments."""
-    return pdos_moments(op, probes, 1).values[:, 1]
+    h, scale = _in_unit_range(op)
+    return pdos_moments(h, probes, 1).values[:, 1] * scale
 
 
 def test_rademacher_entries_are_signs():
@@ -143,3 +157,28 @@ def test_dimension_mismatch_rejected():
     p = make_probes(4, 2, ProbeKind.RADEMACHER, seed=0)
     with pytest.raises(ValueError, match="dimension"):
         _trace(op, p)
+
+
+def test_unscaled_operator_is_refused():
+    # K5's Laplacian has eigenvalue 5; unscaled, T_m(5) breaks |T_m| <= 1
+    k5 = build_csr([(i, j) for i in range(5) for j in range(i + 1, 5)])
+    op = build_operator(k5, OperatorKind.LAPLACIAN)
+    p = make_probes(5, 4, ProbeKind.RADEMACHER, seed=0)
+    with pytest.raises(RecurrenceBlowupError, match="--range"):
+        dos_moments(op, p, 10)
+    with pytest.raises(RecurrenceBlowupError, match="--range"):
+        pdos_moments(op, p, 10)
+
+
+def test_standard_basis_trace_averages_the_sampled_diagonal():
+    # nz < n: the estimate is n times the mean of the sampled entries, so
+    # the density has total mass d_0 = 1 and its moments are the mean of
+    # those nodes' exact local moments
+    g = erdos_renyi(60, 0.1, seed=1)
+    op = build_operator(g, OperatorKind.LAPLACIAN)
+    h, _ = _in_unit_range(op)
+    p = make_probes(60, 5, ProbeKind.STANDARD_BASIS, seed=0)
+    got = dos_moments(h, p, 6).values
+    exact = pdos_moments(h, make_probes(60, 60, ProbeKind.STANDARD_BASIS), 6)
+    assert got[0] == 1.0
+    assert np.abs(got - exact.values[:5].mean(axis=0)).max() < 1e-12
