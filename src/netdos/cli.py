@@ -217,7 +217,7 @@ def _cmd_gql(args):
 
 def _cmd_nd_pdos(args):
     g, node_ids = _load_graph(args)
-    tree = load_partition(args.partition, n=g.n) if args.partition else None
+    tree = load_partition(args.partition) if args.partition else None
     moments, sop, tree = pipeline.nd_pdos_pipeline(
         g, operator=args.operator, m_max=args.moments, seed=args.seed,
         leaf_size=args.leaf_size, tree=tree, range_=args.range)

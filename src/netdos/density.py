@@ -76,9 +76,12 @@ def histogram_from_moments(moments: ChebMoments, bins=BINS, damping=True,
     """
     if bins < 1:
         raise ValueError("bins must be >= 1")
-    smap = moments.scale_map
-    edges = smap.from_scaled(np.linspace(-1.0, 1.0, bins + 1))
-    table = cheb_bin_masses(moments.m_max, smap.to_scaled(edges))
+    # the table is built on the scaled edges themselves: mapped out and
+    # back, an outer edge can land an ulp inside ±1, which arccos turns
+    # into about 1e-8 of lost mass
+    scaled = np.linspace(-1.0, 1.0, bins + 1)
+    edges = moments.scale_map.from_scaled(scaled)
+    table = cheb_bin_masses(moments.m_max, scaled)
     coef = moments.values
     if damping:
         coef = coef * jackson_coefficients(moments.m_max)

@@ -104,9 +104,11 @@ def estimate_spectral_range(op, probe_seed=0):
     """Estimate (lambda_min, lambda_max) by Lanczos extremal Ritz values.
 
     RANGE_STEPS steps from a seeded Gaussian start; the Ritz interval is
-    widened on each side by RANGE_MARGIN times its spread, so the Chebyshev
-    recurrence sees a spectrum strictly inside [-1, 1]. An unscaled operator
-    with analytic bounds (`ANALYTIC_RANGES`) returns them without iteration.
+    widened on each side by RANGE_MARGIN times its spread, since Ritz values
+    lie inside the spectrum. The widening guarantees nothing: whether the
+    range holds the spectrum is checked by the moment certificate of
+    `kpm.chebyshev_recurrence`. An unscaled operator with analytic bounds
+    (`ANALYTIC_RANGES`) returns them without iteration.
     """
     if op.spectral_range is None and op.kind in ANALYTIC_RANGES:
         return ANALYTIC_RANGES[op.kind]

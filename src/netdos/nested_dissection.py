@@ -14,8 +14,10 @@ below are cut from directly.
 
 The recurrence is exact only under that invariant, which is checked as
 each tree node's block is cut: a row reaching outside I_p and the ancestor
-separators, or an ancestor part without I_s whose rows are needed, raises
-PartitionError. `PartitionTree.validate` checks only the tree's shape.
+separators raises PartitionError. A tree stores only each node's parent and
+separator; `PartitionTree.validate` checks that shape and derives every
+I_p from it, as the separator and the children's parts, so an ancestor's
+part holds every separator below it.
 
 Each tree node is one `kpm.ColumnBlock`, stepped by the driver that KPM
 runs on its probes, `kpm.chebyshev_recurrence`: a CSR block of 2·H over
@@ -53,31 +55,26 @@ LEAF_SIZE = 256
 
 @dataclass
 class PartitionNode:
-    """One tree node: separator plus left/right node sets (leaf: sep only)."""
+    """One tree node: its parent's id (-1 at the root) and its sorted
+    separator; a leaf's separator is its whole piece."""
 
-    node_id: int
     parent: int
     sep: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-
-    @property
-    def part(self) -> np.ndarray:
-        return np.sort(np.concatenate([self.sep, self.left, self.right]))
 
 
 @dataclass
 class PartitionTree:
-    """Nested-dissection tree; node 0 is the root and ids are pre-order. A
-    node's children are the nodes that name it as `parent`."""
+    """Nested-dissection tree; a node's id is its position in `nodes`, node
+    0 is the root and ids are pre-order. A node's children are the nodes
+    that name it as `parent`, and its part is its separator plus their
+    parts."""
 
-    n: int
     nodes: list
 
-    def ancestors(self, node_id):
-        """Path of strict ancestors, root first."""
+    def ancestors(self, i):
+        """Path of strict ancestors of tree node i, root first."""
         path = []
-        cur = self.nodes[node_id].parent
+        cur = self.nodes[i].parent
         while cur >= 0:
             path.append(cur)
             cur = self.nodes[cur].parent
@@ -85,8 +82,8 @@ class PartitionTree:
 
     def validate(self, n):
         """Check the tree's shape: the separators hold the ids 0..n-1 once
-        each, parents precede children, and each node's pieces are disjoint
-        and within 0..n-1. Returns each node's part, by node id.
+        each, and parents precede children. Returns each node's part, by
+        node id: the sorted union of its separator and its children's parts.
 
         Whether the tree separates the graph is checked where the recurrence
         cuts each node's block (`nd_pdos_moments`).
@@ -95,16 +92,14 @@ class PartitionTree:
         if not np.array_equal(seps, np.arange(n)):
             raise PartitionError(
                 f"the separators do not hold each node id 0..{n - 1} once")
-        parts = []
-        for t in self.nodes:
-            if t.parent >= t.node_id:
+        parts = [[t.sep] for t in self.nodes]
+        for i in range(len(self.nodes) - 1, -1, -1):
+            parent = self.nodes[i].parent
+            if parent >= i:
                 raise PartitionError("tree node ids must order parents before children")
-            part = t.part
-            if part.size and (part[0] < 0 or part[-1] >= n
-                              or np.any(part[1:] == part[:-1])):
-                raise PartitionError(f"tree node {t.node_id} has overlapping "
-                                     f"pieces or an id outside 0..{n - 1}")
-            parts.append(part)
+            parts[i] = np.sort(np.concatenate(parts[i]))
+            if parent >= 0:
+                parts[parent].append(parts[i])
         return parts
 
 
@@ -139,9 +134,9 @@ def _induced_subgraph(g, members):
 
 
 def _split(g, members):
-    """(sep, left, right) of a piece as `build_partition_tree` splits it,
-    from one build of its induced subgraph; None if it is connected and its
-    BFS has no interior level."""
+    """(sep, left, right) of a sorted piece as `build_partition_tree` splits
+    it, each sorted, from one build of its induced subgraph; None if it is
+    connected and its BFS has no interior level."""
     from scipy.sparse.csgraph import (breadth_first_order,
                                       connected_components, shortest_path)
 
@@ -188,38 +183,28 @@ def build_partition_tree(g: GraphCSR, leaf_size=LEAF_SIZE) -> PartitionTree:
     nodes = []
 
     def recurse(members, parent):
-        node_id = len(nodes)
-        empty = np.zeros(0, dtype=np.int64)
-        node = PartitionNode(node_id=node_id, parent=parent, sep=members,
-                             left=empty, right=empty)
-        nodes.append(node)
-        if members.shape[0] <= leaf_size:
-            return
-        split = _split(g, members)
-        if split is None:
-            return
-        sep, left, right = split
-        node.sep = np.sort(sep)
-        node.left = left
-        node.right = right
-        recurse(left, node_id)
-        recurse(right, node_id)
+        i = len(nodes)
+        nodes.append(PartitionNode(parent=parent, sep=members))
+        split = _split(g, members) if members.shape[0] > leaf_size else None
+        if split is not None:
+            nodes[i].sep, left, right = split
+            recurse(left, i)
+            recurse(right, i)
 
     recurse(np.arange(g.n, dtype=np.int64), -1)
-    return PartitionTree(n=g.n, nodes=nodes)
+    return PartitionTree(nodes=nodes)
 
 
 def save_partition(tree: PartitionTree, path):
-    """One line per tree node: `node_id parent_id sep:<ids> left:<ids> right:<ids>`."""
+    """One line per tree node, in id order: `id parent_id sep:<ids>`."""
     with open(path, "w") as fh:
-        for t in tree.nodes:
-            fh.write(f"{t.node_id} {t.parent}"
-                     f" sep:{','.join(map(str, t.sep.tolist()))}"
-                     f" left:{','.join(map(str, t.left.tolist()))}"
-                     f" right:{','.join(map(str, t.right.tolist()))}\n")
+        for i, t in enumerate(tree.nodes):
+            fh.write(f"{i} {t.parent} sep:{','.join(map(str, t.sep.tolist()))}\n")
 
 
-def load_partition(path, n=None) -> PartitionTree:
+def load_partition(path) -> PartitionTree:
+    """Read `save_partition`'s lines; the `left:` and `right:` fields of
+    files written by earlier versions are read and ignored."""
     nodes = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -228,40 +213,40 @@ def load_partition(path, n=None) -> PartitionTree:
                 continue
             try:
                 parts = line.split()
-                node_id, parent = int(parts[0]), int(parts[1])
+                i, parent = int(parts[0]), int(parts[1])
                 fields = {}
                 for tok in parts[2:]:
                     name, _, body = tok.partition(":")
                     ids = [int(x) for x in body.split(",") if x != ""]
                     fields[name] = np.array(sorted(ids), dtype=np.int64)
-                node = PartitionNode(node_id=node_id, parent=parent,
-                                     sep=fields["sep"], left=fields["left"],
-                                     right=fields["right"])
+                node = PartitionNode(parent=parent, sep=fields["sep"])
             except (ValueError, KeyError, IndexError) as exc:
                 raise PartitionError(f"{path}:{lineno}: malformed partition line") from exc
-            nodes[node_id] = node
-    if not nodes or 0 not in nodes:
+            if i in nodes:
+                raise PartitionError(f"{path}:{lineno}: tree node {i} "
+                                     "already has a line")
+            nodes[i] = node
+    if 0 not in nodes:
         raise PartitionError("partition file has no root (node 0)")
-    ordered = [nodes[i] for i in sorted(nodes)]
-    if [t.node_id for t in ordered] != list(range(len(ordered))):
+    if sorted(nodes) != list(range(len(nodes))):
         raise PartitionError("partition node ids must be 0..count-1")
-    for t in ordered:
+    ordered = [nodes[i] for i in range(len(nodes))]
+    for i, t in enumerate(ordered):
         if t.parent != -1 and t.parent not in nodes:
-            raise PartitionError(f"{path}: tree node {t.node_id} names "
+            raise PartitionError(f"{path}: tree node {i} names "
                                  f"parent {t.parent}, which has no line")
-    total = ordered[0].part.shape[0]
-    return PartitionTree(n=int(n) if n is not None else int(total), nodes=ordered)
+    return PartitionTree(nodes=ordered)
 
 
-def _node_state(t, tree, parts, blocks, sop, lookup):
-    """Tree node t's `ColumnBlock`, whose T_0 is the identity on the
+def _node_state(i, tree, parts, blocks, sop, lookup):
+    """Tree node i's `ColumnBlock`, whose T_0 is the identity on the
     separator's columns, and the flat positions of T(sep, sep)'s diagonal."""
-    part, sep = parts[t.node_id], t.sep
+    part, sep = parts[i], tree.nodes[i].sep
     npart, ns = part.shape[0], sep.shape[0]
 
     # cut 2·H over the rows `part` and the columns [part; ancestor
     # separators]; the recurrence is exact only if no row reaches further
-    ancs = [a for a in tree.ancestors(t.node_id) if blocks[a] is not None]
+    ancs = [a for a in tree.ancestors(i) if blocks[a] is not None]
     anc_seps = [tree.nodes[a].sep for a in ancs]
     bounds = np.cumsum([npart] + [s.shape[0] for s in anc_seps])
     lookup[part] = np.arange(npart)
@@ -279,7 +264,7 @@ def _node_state(t, tree, parts, blocks, sop, lookup):
         u = part[np.searchsorted(ptr, outside[0], side="right") - 1]
         v = sop.indices[take[outside[0]]]
         raise PartitionError(
-            f"edge ({u}, {v}) leaves tree node {t.node_id}: {v} is neither "
+            f"edge ({u}, {v}) leaves tree node {i}: {v} is neither "
             "in its part nor in an ancestor's separator")
 
     # drop the ancestor separators that no row of the part touches; the
@@ -294,13 +279,8 @@ def _node_state(t, tree, parts, blocks, sop, lookup):
         if keep:
             # T_m(anc_sep, sep) is, by symmetry, the transpose of rows
             # `sep` of the ancestor's T_m(anc_part, anc_sep)
-            anc_part = parts[a]
-            pos = np.searchsorted(anc_part, sep)
-            if not np.array_equal(anc_part.take(pos, mode="clip"), sep):
-                raise PartitionError(
-                    f"tree node {t.node_id} reads rows of its ancestor {a}, "
-                    "whose part does not hold its separator")
-            gathers.append((blocks[a], pos, lo, lo + s.shape[0]))
+            gathers.append((blocks[a], np.searchsorted(parts[a], sep),
+                            lo, lo + s.shape[0]))
             lo += s.shape[0]
 
     diag = np.searchsorted(part, sep) * ns + np.arange(ns)
@@ -327,12 +307,11 @@ def nd_pdos_moments(sop: SymmetricCSROperator, tree: PartitionTree,
     lookup = np.full(n, -1, dtype=np.int64)
     blocks = [None] * len(tree.nodes)
     fills = []
-    for t in tree.nodes:
+    for i, t in enumerate(tree.nodes):
         # a node with an empty separator owns no columns and feeds no one
         if t.sep.size:
-            blocks[t.node_id], diag = _node_state(t, tree, parts, blocks,
-                                                  sop, lookup)
-            fills.append((blocks[t.node_id], t.sep, diag))
+            blocks[i], diag = _node_state(i, tree, parts, blocks, sop, lookup)
+            fills.append((blocks[i], t.sep, diag))
 
     moments = np.empty((n, m_max + 1))
 

@@ -35,11 +35,13 @@ def _oracle_node_moments(g, kind, m_max, seed=0, range_=None):
 def test_p5_tree_shape():
     g = build_csr([(0, 1), (1, 2), (2, 3), (3, 4)])
     tree = build_partition_tree(g, leaf_size=2)
-    root = tree.nodes[0]
-    assert root.sep.tolist() == [2]
-    kids = [t for t in tree.nodes if t.parent == root.node_id]
-    assert sorted(len(k.part) for k in kids) == [2, 2]
-    assert all(k.left.size == 0 and k.right.size == 0 for k in kids)
+    assert tree.nodes[0].sep.tolist() == [2]
+    # two leaves under the root, each its whole two-node piece
+    assert [t.parent for t in tree.nodes] == [-1, 0, 0]
+    assert sorted(t.sep.tolist() for t in tree.nodes[1:]) == [[0, 1], [3, 4]]
+    parts = tree.validate(g.n)
+    assert parts[0].tolist() == [0, 1, 2, 3, 4]
+    assert all(np.array_equal(p, t.sep) for p, t in zip(parts[1:], tree.nodes[1:]))
 
 
 def test_disconnected_graph_gets_empty_separator():
@@ -52,11 +54,15 @@ def test_disconnected_graph_gets_empty_separator():
 def test_grid_tree_separator_property():
     g = grid_graph(20, 20)
     tree = build_partition_tree(g, leaf_size=50)
-    # explicit edge scan at every internal node
-    for t in tree.nodes:
-        if t.left.size and t.right.size:
-            right = set(t.right.tolist())
-            for u in t.left.tolist():
+    parts = tree.validate(g.n)
+    # explicit edge scan at every internal node: no edge joins the parts of
+    # two of its children
+    for i in range(len(tree.nodes)):
+        kids = [parts[j] for j, t in enumerate(tree.nodes) if t.parent == i]
+        assert len(kids) in (0, 2)
+        if kids:
+            right = set(kids[1].tolist())
+            for u in kids[0].tolist():
                 assert not right & set(g.neighbors(u).tolist())
 
 
@@ -115,13 +121,102 @@ def test_partition_file_round_trip(tmp_path):
     tree = build_partition_tree(g, leaf_size=12)
     path = tmp_path / "part.txt"
     save_partition(tree, path)
-    loaded = load_partition(path, n=g.n)
+    loaded = load_partition(path)
     loaded.validate(g.n)
     assert len(loaded.nodes) == len(tree.nodes)
     sop = scaled_operator_for(g, "normalized-adjacency")
     a = nd_pdos_moments(sop, tree, 10)
     b = nd_pdos_moments(sop, loaded, 10)
     assert np.array_equal(a.values, b.values)
+
+
+# The 4 x 5 grid's tree at leaf size 3 as earlier versions wrote it: each
+# line also lists the node's two pieces, as `left:` and `right:`.
+_GRID45_WITH_PIECES = """\
+0 -1 sep:4,8,12,16 left:9,13,14,17,18,19 right:0,1,2,3,5,6,7,10,11,15
+1 0 sep:13,19 left:17,18 right:9,14
+2 1 sep:17,18 left: right:
+3 1 sep:9,14 left: right:
+4 0 sep:0,6 left:5,10,11,15 right:1,2,3,7
+5 4 sep:10 left:15 right:5,11
+6 5 sep:15 left: right:
+7 5 sep:5,11 left: right:
+8 4 sep:2 left:7 right:1,3
+9 8 sep:7 left: right:
+10 8 sep:1,3 left: right:
+"""
+
+
+def test_partition_file_with_pieces_reads_as_the_built_tree(tmp_path):
+    gpath, old, new = (str(tmp_path / name) for name in ("g.txt", "old.txt",
+                                                          "new.txt"))
+    write_graph_edgelist(grid_graph(4, 5), gpath)
+    with open(old, "w") as fh:
+        fh.write(_GRID45_WITH_PIECES)
+    base = ["nd-pdos", "--input", gpath, "--moments", "12"]
+    assert main([*base, "--leaf-size", "3", "--save-partition", new,
+                 "--out", str(tmp_path / "built.json")]) == 0
+    # the saved file is the old one without its pieces, each id named once
+    with open(new) as fh:
+        assert fh.read() == re.sub(r" left:\S* right:\S*", "", _GRID45_WITH_PIECES)
+    outs = []
+    for path in (new, old):
+        out = tmp_path / f"from-{os.path.basename(path)}.json"
+        assert main([*base, "--partition", path, "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    built = json.loads((tmp_path / "built.json").read_text())
+    assert json.loads(outs[0])["values"] == built["values"]
+
+
+def _with_pieces(tree, parts):
+    """A tree's lines as earlier versions wrote them, with each node's two
+    pieces, the parts of its children, as `left:` and `right:`."""
+    def ids(a):
+        return ",".join(map(str, a.tolist()))
+    lines = []
+    for i, t in enumerate(tree.nodes):
+        kids = [parts[j] for j, c in enumerate(tree.nodes) if c.parent == i]
+        left, right = kids or [np.zeros(0, dtype=np.int64)] * 2
+        lines.append(f"{i} {t.parent} sep:{ids(t.sep)} left:{ids(left)} "
+                     f"right:{ids(right)}\n")
+    return "".join(lines)
+
+
+@st.composite
+def _built_trees(draw):
+    """The tree built on a small ER, PA or grid graph."""
+    model, seed = draw(st.sampled_from(["er", "pa", "grid"])), draw(st.integers(0, 99))
+    if model == "er":
+        g = erdos_renyi(draw(st.integers(1, 40)), 0.1, seed=seed)
+    elif model == "pa":
+        g = preferential_attachment(draw(st.integers(4, 40)),
+                                    draw(st.integers(1, 3)), seed=seed)
+    else:
+        g = grid_graph(draw(st.integers(2, 9)), draw(st.integers(1, 9)))
+    return g, build_partition_tree(g, leaf_size=draw(st.integers(1, 8)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=_built_trees())
+def _saved_trees_read_back(directory, case):
+    g, tree = case
+    new, old = directory / "new.txt", directory / "old.txt"
+    save_partition(tree, new)
+    old.write_text(_with_pieces(tree, tree.validate(g.n)))
+    sop = scaled_operator_for(g, "normalized-adjacency")
+    want = nd_pdos_moments(sop, tree, 6).values
+    for path in (new, old):
+        loaded = load_partition(path)
+        assert [t.parent for t in loaded.nodes] == [t.parent for t in tree.nodes]
+        assert all(np.array_equal(a.sep, b.sep)
+                   for a, b in zip(loaded.nodes, tree.nodes, strict=True))
+        assert np.array_equal(nd_pdos_moments(sop, loaded, 6).values, want)
+
+
+def test_saved_trees_read_back_with_and_without_pieces(tmp_path):
+    _saved_trees_read_back(tmp_path)
 
 
 def test_partition_validation_rejects_wrong_graph():
@@ -323,10 +418,9 @@ def test_partition_matches_reference_splitter(monkeypatch, make_graph, leaf_size
     monkeypatch.setattr(nested_dissection, "_split", _reference_split)
     want = build_partition_tree(g, leaf_size=leaf_size)
     assert len(got.nodes) == len(want.nodes) > 1
-    for a, b in zip(got.nodes, want.nodes):
-        assert a.parent == b.parent
-        for name in ("sep", "left", "right"):
-            assert np.array_equal(getattr(a, name), getattr(b, name)), (a.node_id, name)
+    for i, (a, b) in enumerate(zip(got.nodes, want.nodes)):
+        assert a.parent == b.parent, i
+        assert np.array_equal(a.sep, b.sep), i
 
 
 def test_crossing_edge_is_named():
@@ -341,14 +435,13 @@ def test_crossing_edge_is_named():
         return ids(*(r * 6 + c for r in range(6) for c in cs))
 
     below = ids(12, 13, 18, 19, 24, 25, 30, 31)
-    nodes = [
-        PartitionNode(0, -1, cols(2), cols(0, 1), cols(3, 4, 5)),
-        PartitionNode(1, 0, ids(0), ids(1, 6, 7), below),
-        PartitionNode(2, 1, ids(1, 6, 7), ids(), ids()),
-        PartitionNode(3, 1, below, ids(), ids()),
-        PartitionNode(4, 0, cols(3, 4, 5), ids(), ids()),
-    ]
-    tree = PartitionTree(n=g.n, nodes=nodes)
+    tree = PartitionTree([
+        PartitionNode(-1, cols(2)),
+        PartitionNode(0, ids(0)),
+        PartitionNode(1, ids(1, 6, 7)),
+        PartitionNode(1, below),
+        PartitionNode(0, cols(3, 4, 5)),
+    ])
     # leaf 2 is the first tree node with a row that crosses
     msg = r"edge \(6, 12\) leaves tree node 2"
     with pytest.raises(PartitionError, match=msg):
@@ -361,10 +454,10 @@ def test_moment_memory_stays_within_two_buffers_per_node():
     tree = build_partition_tree(g, leaf_size=64)
     m_max = 30
     least = buffers = largest = 0
-    for t in tree.nodes:
-        rows = t.part.size + sum(tree.nodes[a].sep.size
-                                 for a in tree.ancestors(t.node_id))
-        least += 2 * t.part.size * t.sep.size * 8
+    for i, (t, part) in enumerate(zip(tree.nodes, tree.validate(g.n))):
+        rows = part.size + sum(tree.nodes[a].sep.size
+                               for a in tree.ancestors(i))
+        least += 2 * part.size * t.sep.size * 8
         buffers += 2 * rows * t.sep.size * 8
         largest = max(largest, rows * t.sep.size * 8)
     moments = g.n * (m_max + 1) * 8
@@ -388,26 +481,28 @@ def test_moment_memory_stays_within_two_buffers_per_node():
 _PATH5 = "0 1\n1 2\n2 3\n3 4\n"
 MALFORMED_PARTITIONS = {
     "children-do-not-split-parent": (
-        _PATH5,
-        "0 -1 sep:2 left:0,1 right:3,4\n1 0 sep:0,3 left: right:\n"
-        "2 0 sep:1,4 left: right:\n",
+        _PATH5, "0 -1 sep:2\n1 0 sep:0,3\n2 0 sep:1,4\n",
         r"edge \(0, 1\) leaves tree node 1"),
     "unknown-parent": (
         _PATH5,
         "0 -1 sep:2 left:0,1 right:3,4\n1 7 sep:0,1 left: right:\n"
         "2 0 sep:3,4 left: right:\n",
         "tree node 1 names parent 7, which has no line"),
+    "parent-after-child": (
+        _PATH5, "0 -1 sep:2\n1 2 sep:0,1\n2 0 sep:3,4\n",
+        "tree node ids must order parents before children"),
     "id-beyond-n": (
-        _PATH5, "0 -1 sep:0,1,2,3,7 left: right:\n",
+        _PATH5, "0 -1 sep:0,1,2,3,7\n",
         r"separators do not hold each node id 0\.\.4 once"),
     "negative-id": (
         _PATH5, "0 -1 sep:-1,0,1,2,3 left: right:\n",
         r"separators do not hold each node id 0\.\.4 once"),
-    "leaf-outside-parent": (
-        "# nodes 5 edges 2\n0 1\n1 2\n",
-        "0 -1 sep: left:0,1,2 right:3,4\n1 0 sep:1 left:0 right:2\n"
-        "2 1 sep:0,3 left: right:\n3 1 sep:2,4 left: right:\n",
-        "tree node 2 reads rows of its ancestor 1"),
+    "repeated-id": (
+        _PATH5, "0 -1 sep:2,3,4\n1 0 sep:9\n1 0 sep:0,1\n",
+        r"part\.txt:3: tree node 1 already has a line"),
+    "repeated-id-valid-last": (
+        _PATH5, "0 -1 sep:2,3,4\n1 0 sep:0,1\n1 0 sep:9\n",
+        r"part\.txt:3: tree node 1 already has a line"),
 }
 
 
@@ -434,8 +529,8 @@ def _corrupted_trees(draw):
     pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
                                     st.integers(0, n - 1)),
                           min_size=1, max_size=3 * n))
-    # nodes 0..lone-1 are isolated; moved into another tree node's
-    # separator, such a node lies outside the parts of its ancestors
+    # nodes 0..lone-1 are isolated, so one moved into any separator leaves
+    # the tree exact
     lone = draw(st.integers(0, 3))
     edges = sorted({(lone + min(u, v), lone + max(u, v))
                     for u, v in pairs if u != v})
@@ -451,8 +546,8 @@ def _corrupted_trees(draw):
         dst.sep = np.sort(np.append(dst.sep, v))
     else:
         # a parent at or after the node itself is refused before any cut
-        t = draw(st.sampled_from(nodes[1:]))
-        t.parent = draw(st.integers(-1, t.node_id - 1))
+        i = draw(st.sampled_from(range(1, len(nodes))))
+        nodes[i].parent = draw(st.integers(-1, i - 1))
     return g, tree
 
 

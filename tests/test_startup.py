@@ -9,13 +9,18 @@ cycles."""
 
 import ast
 import glob
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 
 import netdos
+from netdos import build_partition_tree, nd_pdos_moments
 from netdos.cli import main
+from netdos.pipeline import scaled_operator_for
+
+from conftest import grid_graph
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(netdos.__file__)))
 
@@ -122,6 +127,27 @@ def test_benchmark_trace_lookups_resolve(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.strip().splitlines()[-1]) == []
+
+
+def test_benchmark_trace_counts_the_partition_tree():
+    """The traced benchmark counts a built tree's nodes and root separator
+    from the tree's attributes; a renamed one would only show as a note,
+    with the count missing."""
+    spec = importlib.util.spec_from_file_location(
+        "traced", os.path.join(os.path.dirname(SRC), "perfbench", "traced.py"))
+    traced = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traced)
+    g = grid_graph(20, 20)
+    tree = build_partition_tree(g, leaf_size=50)
+    tracer = traced.Tracer()
+    tracer.observe("build_partition_tree", (g,), tree)
+    cost = nd_pdos_moments(scaled_operator_for(g, "adjacency"), tree,
+                           2).probe_meta["tree"]
+    assert cost["nodes"] > 1 and cost["root_separator"] > 0
+    assert tracer.counts == {
+        "nested_dissection.tree_nodes": cost["nodes"],
+        "nested_dissection.separator_nodes": cost["root_separator"]}
+    assert tracer.notes == []
 
 
 def _local_netdos_imports(source):
