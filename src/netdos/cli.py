@@ -29,7 +29,7 @@ from .probes import ProbeKind
 
 _OPERATORS = [k.value for k in OperatorKind]
 _PROBE_KINDS = [k.value for k in ProbeKind]
-_MOTIF_KINDS = [k.value for k in MotifKind if k is not MotifKind.CUSTOM]
+_MOTIF_KINDS = [k.value for k in MotifKind]
 
 
 def _add_graph_command(sub, name, fn, help, csv=False):
@@ -180,7 +180,7 @@ def _cmd_dos(args):
     meta = _meta(args, g, "kpm", result.scaled_op.spectral_range,
                  bins=args.bins, damping=not args.no_damping)
     # one record: the moments' keys, then the histogram's, typed "dos"
-    payload = {**fileio.moments_payload(result.moments, meta, result.adjustment),
+    payload = {**fileio.moments_payload(result.moments, meta),
                **fileio.histogram_payload(result.histogram), "record": "dos"}
     return _write(args, payload, result.histogram)
 
@@ -277,13 +277,13 @@ def _cmd_generate(args):
 
 
 def _cmd_hist(args):
-    moments, adjustment, payload = fileio.load_moments(args.moments_file)
+    moments, payload = fileio.load_moments(args.moments_file)
     if args.out_format == "csv" and moments.mode == MODE_PER_NODE:
         # refused before binning, as `write_histogram_csv` would refuse it
         raise NetdosError("CSV output supports global histograms only")
     hist = histogram_from_moments(
         moments, bins=args.bins, damping=not args.no_damping,
-        filter_adjustment=None if args.no_spikes else adjustment,
+        reinsert_spikes=not args.no_spikes,
         negativity_tol=args.negativity_tol)
     meta = {"method": payload.get("method", "rebin"),
             "operator": payload.get("operator"), "bins": args.bins,

@@ -22,6 +22,11 @@ from .kpm import MODE_GLOBAL, MODE_PER_NODE, ChebMoments, jackson_coefficients
 # Histogram bins unless told otherwise.
 BINS = 50
 
+# A point mass within this share of the bins' span outside an outer edge
+# (an eigenvalue on an analytic range edge, moved by roundoff) counts in that
+# edge's bin: a re-inserted spike here, a Ritz value in `lanczos.gql_dos`.
+SNAP_TOL = 1e-9
+
 
 @dataclass
 class SpectralHistogram:
@@ -59,16 +64,17 @@ def cheb_bin_masses(m_max, scaled_edges) -> np.ndarray:
 
 
 def histogram_from_moments(moments: ChebMoments, bins=BINS, damping=True,
-                           filter_adjustment=None,
+                           reinsert_spikes=True,
                            negativity_tol=None) -> SpectralHistogram:
     """Integrate the (optionally Jackson-damped) moment series over bins.
 
     The edges split the operator's scaled domain [-1, 1] into equal bins,
-    reported in original eigenvalue units. filter_adjustment rescales the
-    masses to the deflated dimension and re-inserts the removed spike mass at
-    its eigenvalues, so displayed mass still totals the normalization; an
-    eigenvalue outside the edges (beyond a 1e-9 share of their span) raises
-    ValueError.
+    reported in original eigenvalue units. A series of deflated probes
+    carries its `adjustment`; with reinsert_spikes its masses are rescaled
+    from the N - r deflated dimensions to all N, and the removed spike mass
+    is re-inserted at its eigenvalues, so displayed mass still totals the
+    normalization. A removed eigenvalue outside the edges (beyond SNAP_TOL of
+    their span) raises ValueError.
 
     A mass below -negativity_tol raises ValueError. With damping the
     tolerance defaults to 1e-3, checked on the node-averaged masses for
@@ -92,15 +98,12 @@ def histogram_from_moments(moments: ChebMoments, bins=BINS, damping=True,
     else:
         normalization = coef[..., 0].copy()
 
-    if filter_adjustment is not None and filter_adjustment.deflated_dim:
-        if moments.mode != MODE_GLOBAL:
-            raise ValueError("spike re-insertion applies to global moments only")
-        n_total = filter_adjustment.total_dim
-        r = filter_adjustment.deflated_dim
+    adjustment = moments.adjustment
+    if reinsert_spikes and adjustment is not None:
+        n_total, r = adjustment.total_dim, adjustment.deflated_dim
         masses = masses * ((n_total - r) / n_total)
-        # the same snap tolerance as `lanczos.gql_dos`
-        snap = 1e-9 * (edges[-1] - edges[0])
-        for lam, count in sorted(filter_adjustment.removed.items()):
+        snap = SNAP_TOL * (edges[-1] - edges[0])
+        for lam, count in sorted(adjustment.removed.items()):
             if not edges[0] - snap <= lam <= edges[-1] + snap:
                 raise ValueError(f"removed eigenvalue {lam:g} lies outside the "
                                  f"bins [{edges[0]:g}, {edges[-1]:g}]; pass a "

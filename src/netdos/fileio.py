@@ -37,9 +37,9 @@ from itertools import compress
 
 import numpy as np
 
-from .errors import FileFormatError
+from .errors import FileFormatError, MotifError
 from .graph import GraphCSR, _csr_from_arrays
-from .kpm import MODE_GLOBAL, MODE_PER_NODE, ChebMoments
+from .kpm import MODE_GLOBAL, ChebMoments
 from .density import SpectralHistogram
 from .lanczos import RitzQuadrature
 from .motifs import FilterAdjustment
@@ -215,7 +215,7 @@ def _adjustment_obj(adj):
 def _adjustment_from_obj(obj):
     if obj is None:
         return None
-    return FilterAdjustment(removed={float(l): int(c) for l, c in obj["removed"]},
+    return FilterAdjustment(removed={float(l): c for l, c in obj["removed"]},
                             total_dim=int(obj["total_dim"]))
 
 
@@ -228,14 +228,14 @@ def histogram_payload(hist: SpectralHistogram, meta=None) -> dict:
     return out
 
 
-def moments_payload(moments: ChebMoments, meta=None, adjustment=None) -> dict:
+def moments_payload(moments: ChebMoments, meta=None) -> dict:
     out = dict(meta or {})
     out["record"] = "moments"
     out["mode"] = moments.mode
     out["m_max"] = moments.m_max
     out["scale_map"] = _scale_map_obj(moments.scale_map)
     out["probe_meta"] = moments.probe_meta
-    out["filter"] = _adjustment_obj(adjustment)
+    out["filter"] = _adjustment_obj(moments.adjustment)
     out["values"] = moments.values
     return out
 
@@ -367,12 +367,13 @@ def write_histogram_csv(hist: SpectralHistogram, path):
 
 
 def load_moments(path):
-    """Reload a moments JSON: (ChebMoments, FilterAdjustment | None, payload).
+    """Reload a moments JSON: (ChebMoments, payload).
 
     The payload is the file's record without its "values", which live on
-    only as the moments' array. A file that holds no moments record, or
-    whose scale map or values do not describe a finite moment series,
-    raises FileFormatError.
+    only as the moments' array; a "filter" lives on as the moments'
+    adjustment too. A file that holds no moments record, whose scale map or
+    values do not describe a finite moment series, or whose filter is not a
+    valid adjustment of a global series, raises FileFormatError.
     """
     with open(path) as fh:
         obj = json.load(fh)
@@ -381,20 +382,19 @@ def load_moments(path):
         raise FileFormatError(f"{path}: not a moments file")
     mode = obj.get("mode", MODE_GLOBAL)
     try:
-        rank = {MODE_GLOBAL: 1, MODE_PER_NODE: 2}.get(mode)
         shift, scale = (float(obj["scale_map"][k]) for k in ("shift", "scale"))
-        values = np.asarray(obj.pop("values"), dtype=np.float64)
-        adjustment = _adjustment_from_obj(obj.get("filter"))
-    except (KeyError, TypeError, ValueError) as exc:
+        moments = ChebMoments(np.asarray(obj.pop("values"), dtype=np.float64),
+                              ScaleMap(shift, scale), obj.get("probe_meta", {}),
+                              _adjustment_from_obj(obj.get("filter")))
+    except (KeyError, TypeError, ValueError, MotifError) as exc:
         raise FileFormatError(f"{path}: malformed moments record ({exc!r})") from exc
+    values = moments.values
     if not (np.isfinite(shift) and 0.0 < scale < np.inf):
         raise FileFormatError(f"{path}: scale_map needs a finite shift and a "
                               f"finite positive scale, got {shift!r}, {scale!r}")
-    if rank is None or values.ndim != rank:
+    if values.ndim not in (1, 2) or moments.mode != mode:
         raise FileFormatError(f"{path}: mode {mode!r} does not fit values of "
                               f"shape {values.shape}")
     if values.size == 0 or not np.all(np.isfinite(values)):
         raise FileFormatError(f"{path}: values must be non-empty and finite")
-    moments = ChebMoments(mode=mode, values=values, scale_map=ScaleMap(shift, scale),
-                          probe_meta=obj.get("probe_meta", {}))
-    return moments, adjustment, obj
+    return moments, obj

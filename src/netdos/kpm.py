@@ -35,9 +35,11 @@ import numpy as np
 
 from . import _kernels
 from .errors import RecurrenceBlowupError
+from .motifs import FilterAdjustment
 from .operators import ScaleMap
 from .probes import ProbeMatrix
 
+# The record's names for the two modes, which the rank of the values fixes
 MODE_GLOBAL = "global"
 MODE_PER_NODE = "per_node"
 
@@ -46,14 +48,24 @@ MODE_PER_NODE = "per_node"
 class ChebMoments:
     """Moment sequences plus the scale map needed to interpret them.
 
-    values has shape (m_max + 1,) in global mode and (n, m_max + 1) in
-    per-node mode.
+    values has shape (m_max + 1,) for a global series and (n, m_max + 1)
+    for per-node rows. A global series of motif-deflated probes carries the
+    deflation's `adjustment`; a per-node series carries none.
     """
 
-    mode: str
     values: np.ndarray
     scale_map: ScaleMap
     probe_meta: dict
+    adjustment: FilterAdjustment | None = None
+
+    def __post_init__(self):
+        if self.adjustment is not None and self.values.ndim != 1:
+            raise ValueError("a deflation adjustment belongs to a global "
+                             "moment series, not to per-node rows")
+
+    @property
+    def mode(self) -> str:
+        return MODE_GLOBAL if self.values.ndim == 1 else MODE_PER_NODE
 
     @property
     def m_max(self) -> int:
@@ -190,19 +202,21 @@ def _per_probe_doubled(rows, z, m, t_prev, t):
 
 
 def dos_moments(sop, probes: ProbeMatrix, m_max: int,
-                effective_dim=None) -> ChebMoments:
+                adjustment: FilterAdjustment | None = None) -> ChebMoments:
     """Global moments d_m = tr(T_m(H)) / N via stochastic trace estimation.
 
-    With deflated probes pass effective_dim = N - r so the moments describe
-    the density over the complement subspace. The doubling identity gives
-    the M + 1 moments from ceil(M / 2) matvecs.
+    For probes deflated by `motifs.filter_probes`, pass the adjustment it
+    returned: the trace is then divided by N - r, r its deflated dimension,
+    so the moments describe the density over the complement subspace, and
+    the series carries the adjustment, from which `histogram_from_moments`
+    re-inserts the removed spikes. The doubling identity gives the M + 1
+    moments from ceil(M / 2) matvecs.
     """
     contrib = np.empty((_moment_count(m_max), probes.nz))
     _recurrence(sop, probes, contrib, (m_max + 1) // 2, _per_probe_doubled)
-    denom = float(effective_dim) if effective_dim is not None else float(sop.n)
-    values = contrib.sum(axis=1) * (probes.trace_scale / denom)
-    return ChebMoments(mode=MODE_GLOBAL, values=values,
-                       scale_map=sop.scale_map, probe_meta=probes.meta())
+    r = 0 if adjustment is None else adjustment.deflated_dim
+    values = contrib.sum(axis=1) * (probes.trace_scale / float(sop.n - r))
+    return ChebMoments(values, sop.scale_map, probes.meta(), adjustment)
 
 
 def pdos_moments(sop, probes: ProbeMatrix, m_max: int) -> ChebMoments:
@@ -227,5 +241,4 @@ def pdos_moments(sop, probes: ProbeMatrix, m_max: int) -> ChebMoments:
         k = int(np.argmax(den == 0.0))
         raise ValueError(f"zero probe mass at node {k}; its moments are unrecoverable")
     values /= den[:, None]
-    return ChebMoments(mode=MODE_PER_NODE, values=values,
-                       scale_map=sop.scale_map, probe_meta=probes.meta())
+    return ChebMoments(values, sop.scale_map, probes.meta())

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import BINS, SpectralHistogram
+from .density import BINS, SNAP_TOL, SpectralHistogram
 from .errors import SpectralRangeError
 from .operators import ANALYTIC_RANGES
 from .probes import ProbeMatrix
@@ -163,10 +163,9 @@ def gql_dos(op, probes: ProbeMatrix, steps, bins=BINS, *,
     weights = np.concatenate(all_weights)
     lo, hi = spectral_range
     edges = np.linspace(lo, hi, bins + 1)
-    # A Ritz value within roundoff outside an edge (an eigenvalue sitting on
-    # an analytic range edge) counts in that edge's bin; farther out, as for
-    # a narrower user window, it is left out.
-    snap = 1e-9 * (hi - lo)
+    # A Ritz value within SNAP_TOL outside an edge counts in that edge's
+    # bin; farther out, as for a narrower user window, it is left out.
+    snap = SNAP_TOL * (hi - lo)
     near = (nodes >= lo - snap) & (nodes <= hi + snap)
     nodes = np.where(near, np.clip(nodes, lo, hi), nodes)
     masses, _ = np.histogram(nodes, bins=edges, weights=weights)

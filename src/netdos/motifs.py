@@ -32,7 +32,10 @@ construction. Deflation accepts instances greedily, one node claim per
 (kind, nodes) key, stacks the rows of each accepted key into a block B and
 removes it from the probes' rows on those nodes with one projection,
 Z[nodes] -= B^T (B Z[nodes]). Claims keep the supports of different keys
-disjoint, so orthonormality only has to hold within each block.
+disjoint, so orthonormality only has to hold within each block; detected
+blocks are orthonormal by construction, and a block that is not is refused.
+The removed multiplicities travel as a `FilterAdjustment`, which the moment
+series of the deflated probes carries (`kpm.dos_moments`).
 """
 
 from __future__ import annotations
@@ -53,14 +56,12 @@ class MotifKind(str, Enum):
     OPEN_TWIN = "open-twin"
     CLOSED_TWIN = "closed-twin"
     DANGLING_TWO_CHAIN = "dangling-two-chain"
-    CUSTOM = "custom"
 
 
-# a deflation block whose Gram matrix is off I by more is re-orthonormalized
-REORTH_TOL = 1e-8
+# a deflation block whose Gram matrix is off I by more is refused
+ORTHONORMAL_TOL = 1e-8
 
-_KIND_RANK = {MotifKind.OPEN_TWIN: 0, MotifKind.CLOSED_TWIN: 1,
-              MotifKind.DANGLING_TWO_CHAIN: 2, MotifKind.CUSTOM: 3}
+_KIND_RANK = {kind: i for i, kind in enumerate(MotifKind)}
 
 
 def _rank(inst):
@@ -75,7 +76,7 @@ class MotifInstance:
     eigvecs is a float64 array of shape (multiplicity, len(nodes)) with
     orthonormal rows; row i holds eigenvector i on `nodes`, in that order,
     and is zero off them. Each row u satisfies H u = eigenvalue * u for the
-    operator kind used at detection. Custom instances are checked for that
+    operator kind used at detection. Every instance is checked for that
     shape and for distinct nodes when built. The block is stored in C order,
     so deflation gives the same bits whatever layout it was built in.
     """
@@ -100,10 +101,21 @@ class MotifInstance:
 
 @dataclass
 class FilterAdjustment:
-    """Per-eigenvalue multiplicities removed by deflation."""
+    """Per-eigenvalue multiplicities removed by deflation from `total_dim`
+    dimensions. Checked when built: every eigenvalue finite, every count a
+    positive int, and 0 <= deflated_dim < total_dim."""
 
     removed: dict
     total_dim: int
+
+    def __post_init__(self):
+        if not all(np.isfinite(lam) and type(count) is int and count > 0
+                   for lam, count in self.removed.items()):
+            raise MotifError("removed spikes need finite eigenvalues and "
+                             f"positive int counts, got {self.removed}")
+        if not 0 <= self.deflated_dim < self.total_dim:
+            raise MotifError(f"deflated_dim {self.deflated_dim} must lie in "
+                             f"0..total_dim - 1 (total_dim {self.total_dim})")
 
     @property
     def deflated_dim(self) -> int:
@@ -277,11 +289,8 @@ def detect_motifs(g: GraphCSR, kinds=None, operator=OPERATOR) -> list:
     motif's definition is reported, and nothing else.
     """
     if kinds is None:
-        kinds = {MotifKind.OPEN_TWIN, MotifKind.CLOSED_TWIN,
-                 MotifKind.DANGLING_TWO_CHAIN}
+        kinds = MotifKind
     kinds = {MotifKind(k) for k in kinds}
-    if MotifKind.CUSTOM in kinds:
-        raise MotifError("custom instances are supplied by the caller, not detected")
 
     degree = g.degrees()
     rows = np.repeat(np.arange(g.n), np.diff(g.row_ptr))
@@ -303,30 +312,16 @@ def detect_motifs(g: GraphCSR, kinds=None, operator=OPERATOR) -> list:
     return out
 
 
-def _orthonormal_rows(block):
-    """The block itself when its rows are orthonormal to REORTH_TOL, else an
-    orthonormal basis of the same row space; errors on degeneracy."""
-    gram = block @ block.T
-    gram.flat[::block.shape[0] + 1] -= 1.0
-    if np.abs(gram).max(initial=0.0) <= REORTH_TOL:
-        return block
-    q, r = np.linalg.qr(block.T)
-    if block.shape[0] > block.shape[1] or np.abs(np.diag(r)).min() < REORTH_TOL:
-        raise MotifError("motif eigenvectors are linearly dependent; "
-                         "cannot re-orthonormalize the deflation set")
-    return q.T
-
-
 def filter_probes(probes: ProbeMatrix, instances):
     """Project motif eigenvectors out of every probe column.
 
     Overlapping instances are resolved by greedy acceptance in detection
     order (kind, smallest node id, eigenvalue); instances with the same
     (kind, nodes) key share one node claim and are co-accepted (the two
-    chain modes of one hub, or repeated custom instances). The stacked rows
-    of each key are checked for orthonormality, re-orthonormalized by QR if
-    needed, and projected out in one step. Returns the deflated probes and
-    the per-eigenvalue multiplicities removed.
+    chain modes of one hub). The stacked rows of each key must be
+    orthonormal to ORTHONORMAL_TOL, else MotifError; they are projected out
+    in one step. Returns the deflated probes and the per-eigenvalue
+    multiplicities removed.
     """
     claimed = set()
     accepted = {}  # (kind, nodes) -> instances, in claim order
@@ -346,7 +341,12 @@ def filter_probes(probes: ProbeMatrix, instances):
     for (_, nodes), group in accepted.items():
         for inst in group:
             removed[float(inst.eigenvalue)] += inst.multiplicity
-        block = _orthonormal_rows(np.concatenate([i.eigvecs for i in group]))
+        block = np.concatenate([i.eigvecs for i in group])
+        gram = block @ block.T
+        gram.flat[::block.shape[0] + 1] -= 1.0
+        if np.abs(gram).max(initial=0.0) > ORTHONORMAL_TOL:
+            raise MotifError(f"the motif eigenvectors on nodes {nodes} are "
+                             "not orthonormal")
         idx = np.array(nodes)
         cols[idx] -= block.T @ (block @ cols[idx])
     return with_columns(probes, cols), FilterAdjustment(removed=dict(removed),

@@ -45,8 +45,7 @@ import numpy as np
 
 from .errors import PartitionError
 from .graph import GraphCSR
-from .kpm import (MODE_PER_NODE, ChebMoments, ColumnBlock,
-                  chebyshev_recurrence)
+from .kpm import ChebMoments, ColumnBlock, chebyshev_recurrence
 from .operators import SymmetricCSROperator
 
 # Pieces of at most this many nodes become leaves of the partition tree.
@@ -326,7 +325,5 @@ def nd_pdos_moments(sop: SymmetricCSROperator, tree: PartitionTree,
     cost = {"nodes": len(tree.nodes), "root_separator": tree.nodes[0].sep.size,
             "largest_separator": max(t.sep.size for t in tree.nodes),
             "buffer_bytes": sum(b.cur.nbytes + b.prev.nbytes for b, _, _ in fills)}
-    return ChebMoments(mode=MODE_PER_NODE, values=moments,
-                       scale_map=sop.scale_map,
-                       probe_meta={"kind": "exact", "method": "nested-dissection",
-                                   "tree": cost})
+    return ChebMoments(moments, sop.scale_map,
+                       {"kind": "exact", "method": "nested-dissection", "tree": cost})

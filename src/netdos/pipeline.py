@@ -13,7 +13,7 @@ from .density import BINS, SpectralHistogram, histogram_from_moments
 from .kpm import ChebMoments, dos_moments, pdos_moments
 from .lanczos import estimate_spectral_range
 from .lanczos import gql_dos as _gql_dos
-from .motifs import FilterAdjustment, MotifKind, detect_motifs, filter_probes
+from .motifs import MotifKind, detect_motifs, filter_probes
 from .nested_dissection import LEAF_SIZE, build_partition_tree, nd_pdos_moments
 from .operators import (OPERATOR, OperatorKind, SymmetricCSROperator,
                         build_operator, rescale_operator)
@@ -33,7 +33,6 @@ class DosResult:
     histogram: SpectralHistogram
     moments: ChebMoments
     scaled_op: SymmetricCSROperator
-    adjustment: FilterAdjustment | None = None
 
 
 def _operator_and_range(g, operator, seed, range_):
@@ -55,27 +54,22 @@ def kpm_dos(g, operator=OPERATOR, m_max=KPM_MOMENTS, nz=PROBES,
             filter_kinds=(), range_=None, reinsert_spikes=True,
             negativity_tol=None) -> DosResult:
     """Full KPM pipeline: scale, (optionally) deflate motifs, estimate
-    moments, integrate into a histogram with spike re-insertion."""
+    moments, which carry the deflation, and integrate them into a histogram
+    with spike re-insertion."""
     sop = scaled_operator_for(g, operator, seed=seed, range_=range_)
     probes = make_probes(g.n, nz, kind=probe_kind, seed=seed)
 
-    instances = []
     adjustment = None
-    effective_dim = None
     if filter_kinds:
         instances = detect_motifs(g, kinds={MotifKind(k) for k in filter_kinds},
                                   operator=OperatorKind(operator))
-    if instances:
         probes, adjustment = filter_probes(probes, instances)
-        effective_dim = g.n - adjustment.deflated_dim
 
-    moments = dos_moments(sop, probes, m_max, effective_dim=effective_dim)
-    hist = histogram_from_moments(
-        moments, bins=bins, damping=damping,
-        filter_adjustment=adjustment if reinsert_spikes else None,
-        negativity_tol=negativity_tol)
-    return DosResult(histogram=hist, moments=moments, scaled_op=sop,
-                     adjustment=adjustment)
+    moments = dos_moments(sop, probes, m_max, adjustment)
+    hist = histogram_from_moments(moments, bins=bins, damping=damping,
+                                  reinsert_spikes=reinsert_spikes,
+                                  negativity_tol=negativity_tol)
+    return DosResult(histogram=hist, moments=moments, scaled_op=sop)
 
 
 def kpm_pdos(g, operator=OPERATOR, m_max=KPM_MOMENTS, nz=PROBES,

@@ -54,12 +54,12 @@ def test_criterion_02_motif_filtering_improves_and_trace_identity():
     sop = pipeline.scaled_operator_for(g, "normalized-adjacency")
     probes = nd.make_probes(g.n, g.n, ProbeKind.STANDARD_BASIS, seed=0)
     insts = nd.detect_motifs(g)
-    filtered, adj = nd.filter_probes(probes, insts)
-    r = adj.deflated_dim
     m_unf = nd.dos_moments(sop, probes, 100)
-    m_fil = nd.dos_moments(sop, filtered, 100, effective_dim=g.n - r)
+    filtered, adj = nd.filter_probes(probes, insts)
+    m_fil = nd.dos_moments(sop, filtered, 100, adj)
+    r = m_fil.adjustment.deflated_dim
     removed = np.zeros(101)
-    for lam, cnt in adj.removed.items():
+    for lam, cnt in m_fil.adjustment.removed.items():
         removed += cnt * chebyshev_values(
             100, sop.scale_map.to_scaled(np.array([lam])))[:, 0]
     gap = float(np.abs(g.n * m_unf.values -

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from netdos import (ProbeKind, SmoothedDensity, build_operator, dos_moments,
-                    evaluate_density, histogram_from_moments, make_probes)
-from netdos.density import bin_index, cheb_bin_masses
-from netdos.kpm import MODE_GLOBAL, ChebMoments, chebyshev_values
+from netdos import (MotifError, ProbeKind, SmoothedDensity, build_operator,
+                    dos_moments, evaluate_density, histogram_from_moments,
+                    make_probes)
+from netdos.density import SNAP_TOL, bin_index, cheb_bin_masses
+from netdos.kpm import MODE_GLOBAL, MODE_PER_NODE, ChebMoments, chebyshev_values
 from netdos.motifs import FilterAdjustment
 from netdos.operators import IDENTITY_MAP, ScaleMap
 from netdos.pipeline import scaled_operator_for
@@ -14,12 +15,12 @@ from oracles import oracle_smoothed_density
 
 
 def _point_mass_moments(x0, m_max):
-    return ChebMoments(MODE_GLOBAL, chebyshev_values(m_max, np.array([x0]))[:, 0],
+    return ChebMoments(chebyshev_values(m_max, np.array([x0]))[:, 0],
                        IDENTITY_MAP, {"kind": "exact"})
 
 
 def test_single_bin_carries_all_mass():
-    mom = ChebMoments(MODE_GLOBAL, np.array([1.0, 0.0, 0.0]), IDENTITY_MAP, {})
+    mom = ChebMoments(np.array([1.0, 0.0, 0.0]), IDENTITY_MAP, {})
     hist = histogram_from_moments(mom, bins=1, damping=False)
     assert hist.edges.tolist() == [-1.0, 1.0]
     assert hist.masses[0] == pytest.approx(1.0, abs=1e-14)
@@ -89,7 +90,7 @@ def test_total_mass_is_d0_when_the_range_does_not_round_trip():
     values = np.zeros(100)
     values[0] = 1.0
     for damping in (True, False):
-        hist = histogram_from_moments(ChebMoments(MODE_GLOBAL, values, smap, {}),
+        hist = histogram_from_moments(ChebMoments(values, smap, {}),
                                       bins=50, damping=damping)
         assert hist.masses.sum() == pytest.approx(1.0, abs=1e-14)
 
@@ -111,28 +112,56 @@ def test_negativity_rejected_without_damping_guard():
     assert hist.masses.min() < 0  # Gibbs ringing is real
 
 
+def _deflated(values, removed, total_dim):
+    return ChebMoments(np.asarray(values, dtype=np.float64), IDENTITY_MAP, {},
+                       FilterAdjustment(removed=removed, total_dim=total_dim))
+
+
 def test_spike_reinsertion_bookkeeping():
-    mom = ChebMoments(MODE_GLOBAL, np.zeros(3), IDENTITY_MAP, {})
-    mom.values[0] = 1.0
-    adj = FilterAdjustment(removed={0.0: 5, 0.5: 3}, total_dim=20)
-    hist = histogram_from_moments(mom, bins=4, damping=False, filter_adjustment=adj)
-    # remaining 12/20 of mass spread uniformly, spikes in bins 2 ([0,.5)) and 3
+    mom = _deflated([1.0, 0.0, 0.0], {0.0: 5, 0.5: 3}, 20)
+    hist = histogram_from_moments(mom, bins=4, damping=False)
+    # without re-insertion the series is binned as it stands
+    bare = histogram_from_moments(mom, bins=4, damping=False,
+                                  reinsert_spikes=False)
+    assert np.allclose(bare.masses, [1 / 3, 1 / 6, 1 / 6, 1 / 3], rtol=0, atol=1e-15)
+    # with it, the series keeps 12/20 of the mass and the spikes land in
+    # bins 2 ([0, .5)) and 3
+    want = bare.masses * 12 / 20 + [0.0, 0.0, 5 / 20, 3 / 20]
+    assert np.allclose(hist.masses, want, rtol=0, atol=1e-15)
     assert hist.masses.sum() == pytest.approx(1.0, abs=1e-12)
-    assert hist.masses[2] >= 5 / 20
-    assert hist.masses[3] >= 3 / 20
 
 
 def test_spike_outside_the_bins_is_refused():
-    mom = ChebMoments(MODE_GLOBAL, np.array([1.0, 0.0, 0.0]), IDENTITY_MAP, {})
-    # within 1e-9 of the span beyond an edge, a spike lands in the edge bin
-    adj = FilterAdjustment(removed={1.0 + 1e-9: 1}, total_dim=4)
-    hist = histogram_from_moments(mom, bins=4, damping=False, filter_adjustment=adj)
+    # within SNAP_TOL of the span beyond an edge, a spike lands in the edge bin
+    mom = _deflated([1.0, 0.0, 0.0], {1.0 + SNAP_TOL: 1}, 4)
+    hist = histogram_from_moments(mom, bins=4, damping=False)
     assert hist.masses[3] >= 1 / 4
-    for lam in (5.0, -1.0 - 3e-9):
-        adj = FilterAdjustment(removed={0.0: 2, lam: 1}, total_dim=4)
+    for lam in (5.0, -1.0 - 3 * SNAP_TOL):
+        mom = _deflated([1.0, 0.0, 0.0], {0.0: 2, lam: 1}, 4)
         with pytest.raises(ValueError, match="outside the bins.*--range"):
-            histogram_from_moments(mom, bins=4, damping=False,
-                                   filter_adjustment=adj)
+            histogram_from_moments(mom, bins=4, damping=False)
+        # the spikes are not binned at all without re-insertion
+        histogram_from_moments(mom, bins=4, damping=False, reinsert_spikes=False)
+
+
+def test_adjustment_checks_itself():
+    for removed, total_dim, what in [
+            ({0.5: -3}, 10, "positive int"), ({0.5: 0}, 10, "positive int"),
+            ({0.5: 2.0}, 10, "positive int"), ({0.5: True}, 10, "positive int"),
+            ({float("nan"): 1}, 10, "finite"), ({float("inf"): 1}, 10, "finite"),
+            ({0.5: 3}, 0, "deflated_dim 3"), ({0.5: 3}, 3, "deflated_dim 3"),
+            ({}, 0, "deflated_dim 0")]:
+        with pytest.raises(MotifError, match=what):
+            FilterAdjustment(removed=removed, total_dim=total_dim)
+    assert FilterAdjustment(removed={0.5: 3}, total_dim=4).deflated_dim == 3
+
+
+def test_per_node_series_carries_no_adjustment():
+    adj = FilterAdjustment(removed={0.0: 1}, total_dim=2)
+    with pytest.raises(ValueError, match="global"):
+        ChebMoments(np.ones((2, 3)), IDENTITY_MAP, {}, adj)
+    assert ChebMoments(np.ones((2, 3)), IDENTITY_MAP, {}).mode == MODE_PER_NODE
+    assert ChebMoments(np.ones(3), IDENTITY_MAP, {}, adj).mode == MODE_GLOBAL
 
 
 def test_bin_index_matches_numpy_histogram_conventions():
@@ -163,7 +192,7 @@ def test_per_node_default_check_uses_node_average():
     assert hist.masses.mean(axis=0).min() > -1e-3
     with pytest.raises(ValueError, match="^bin mass"):
         histogram_from_moments(mom, bins=50, negativity_tol=1e-3)
-    bad = ChebMoments(mom.mode, mom.values.copy(), mom.scale_map, {})
+    bad = ChebMoments(mom.values.copy(), mom.scale_map, {})
     bad.values[:, 1] += 1.0  # a bias shared by every row shows in the average
     with pytest.raises(ValueError, match="node-averaged bin mass"):
         histogram_from_moments(bad, bins=50)

@@ -1,5 +1,6 @@
 import json
 import os
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -18,6 +19,7 @@ from netdos.fileio import (histogram_payload, load_moments, moments_payload,
                            motifs_payload, quadrature_payload,
                            write_histogram_csv, write_json)
 from netdos.kpm import MODE_GLOBAL, ChebMoments
+from netdos.motifs import FilterAdjustment
 from netdos.operators import IDENTITY_MAP
 from netdos.testkit import generate_graph
 
@@ -221,19 +223,29 @@ def test_csv_preserves_float_bits(tmp_path):
 
 
 def test_moments_json_round_trip(tmp_path):
-    mom = ChebMoments(MODE_GLOBAL, np.array([1.0, 0.0]), IDENTITY_MAP,
-                      {"kind": "exact"})
+    mom = ChebMoments(np.array([1.0, 0.0]), IDENTITY_MAP, {"kind": "exact"})
     payload = moments_payload(mom, {"operator": "adjacency"})
     assert np.array_equal(payload["values"], [1.0, 0.0])
-    assert payload["m_max"] == 1
+    assert payload["m_max"] == 1 and payload["mode"] == MODE_GLOBAL
+    assert payload["filter"] is None
     path = tmp_path / "m.json"
     write_json(payload, path)
-    back, adj, obj = load_moments(path)
+    back, obj = load_moments(path)
     assert np.array_equal(back.values, mom.values)
-    assert adj is None
+    assert back.adjustment is None
     assert obj["operator"] == "adjacency"
     # the parsed values live on only as the moments' array
     assert "values" not in obj
+    # a deflated series writes its adjustment as the record's filter and
+    # reads it back from there
+    mom.adjustment = FilterAdjustment(removed={0.0: 3, -0.5: 1}, total_dim=10)
+    payload = moments_payload(mom)
+    assert payload["filter"] == {"removed": [[-0.5, 1], [0.0, 3]],
+                                 "deflated_dim": 4, "total_dim": 10}
+    write_json(payload, path)
+    back, obj = load_moments(path)
+    assert back.adjustment == mom.adjustment
+    assert obj["filter"] == payload["filter"]
 
 
 def _moments_record(**change):
@@ -253,6 +265,18 @@ MALFORMED_MOMENTS = {
     "zero-scale": _moments_record(scale_map={"shift": 0.0, "scale": 0.0}),
     "negative-scale": _moments_record(scale_map={"shift": 0.0, "scale": -1.0}),
     "nan-values": _moments_record(values=[1.0, float("nan"), 0.0]),
+    "filter-zero-total-dim": _moments_record(filter={
+        "removed": [[0.5, 1]], "deflated_dim": 1, "total_dim": 0}),
+    "filter-negative-count": _moments_record(filter={
+        "removed": [[0.5, -3]], "deflated_dim": -3, "total_dim": 10}),
+    "filter-count-above-total-dim": _moments_record(filter={
+        "removed": [[0.5, 11]], "deflated_dim": 11, "total_dim": 10}),
+    "filter-nan-eigenvalue": _moments_record(filter={
+        "removed": [[float("nan"), 1]], "deflated_dim": 1, "total_dim": 10}),
+    "filter-without-removed": _moments_record(filter={"total_dim": 10}),
+    "per-node-with-filter": _moments_record(
+        mode="per_node", values=[[1.0, 0.0, -0.5], [1.0, 0.5, 0.0]],
+        filter={"removed": [[0.5, 1]], "deflated_dim": 1, "total_dim": 2}),
 }
 
 
@@ -261,11 +285,14 @@ def test_cli_hist_refuses_malformed_moments(tmp_path, capsys, name):
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(MALFORMED_MOMENTS[name]))
     out = tmp_path / "h.json"
-    assert main(["hist", "--moments-file", str(path), "--bins", "4",
-                 "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("netdos: error: ") and str(path) in err
-    assert not out.exists()
+    for spikes in ([], ["--no-spikes"]):
+        assert main(["hist", "--moments-file", str(path), "--bins", "4",
+                     *spikes, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        # one line, no traceback
+        assert err.startswith("netdos: error: ") and err.count("\n") == 1
+        assert str(path) in err
+        assert not out.exists()
     with pytest.raises(FileFormatError) as exc:
         load_moments(path)
     assert str(path) in str(exc.value)
@@ -585,7 +612,7 @@ def test_record_payloads_name_their_record(tmp_path):
     from netdos.lanczos import RitzQuadrature
     hist = SpectralHistogram(edges=np.array([-1.0, 0.0, 1.0]),
                              masses=np.array([0.25, 0.75]))
-    mom = ChebMoments(MODE_GLOBAL, np.array([1.0, 0.5]), IDENTITY_MAP, {})
+    mom = ChebMoments(np.array([1.0, 0.5]), IDENTITY_MAP, {})
     quad = RitzQuadrature(nodes=np.array([0.0]), weights=np.array([1.0]),
                           z_norm_sq=4.0)
     for record, payload in [("histogram", histogram_payload(hist)),
@@ -696,7 +723,7 @@ def test_cli_no_damping(tmp_path):
         out = str(tmp_path / f"{name}.json")
         assert main(["dos", "--input", gpath, "--moments", "60", "--probes", "8",
                      "--bins", "20", *flag, "--out", out]) == 0
-        moments, _, records[name] = load_moments(out)
+        moments, records[name] = load_moments(out)
     raw = records["raw"]
     assert records["damped"]["damping"] is True and raw["damping"] is False
     assert raw["masses"] == histogram_from_moments(
@@ -858,12 +885,25 @@ def test_cli_csv_output_matches_json(tmp_path, command):
         read_histogram_csv(json_out)
 
 
-def test_benchmark_command_lines_parse(monkeypatch):
+ROOT = Path(__file__).parents[1]
+BENCHMARK_WORKLOADS = [w["name"] for w in
+                       json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    """The benchmark's `workloads` module, imported from perfbench/ without
+    writing bytecode there."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+    return workloads
+
+
+def test_benchmark_command_lines_parse(workloads):
     """Every command line of the benchmark's workloads parses as `main`
     parses it, so an option the benchmark passes (such as `motifs --seed`
     or `--threads`) cannot be dropped unnoticed. Nothing is run."""
-    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
-    import workloads
     parser = cli.build_parser()
     for w in workloads.WORKLOADS.values():
         for cmd in w.commands(seed=1, threads=2, graph_path=w.graph):
@@ -872,6 +912,28 @@ def test_benchmark_command_lines_parse(monkeypatch):
             except SystemExit:
                 pytest.fail(f"{w.name}: {' '.join(cmd.argv)} does not parse")
             assert args.command == cmd.argv[0]
+
+
+@pytest.mark.parametrize("name", BENCHMARK_WORKLOADS)
+def test_benchmark_outputs_pass_its_checks(tmp_path, monkeypatch, workloads, name):
+    """A workload's commands, run through `main` on its seed-1 input in a
+    scratch directory, write outputs that pass the benchmark's checks, and
+    every corruption of its self-test is rejected; so a record change that
+    the benchmark would refuse fails here first."""
+    w = workloads.WORKLOADS[name]
+    monkeypatch.chdir(tmp_path)
+    w.make_input(1, w.graph)
+    ref = w.reference(w.graph, 1)
+    outputs = {}
+    for cmd in w.commands(seed=1, threads=1, graph_path=w.graph):
+        assert main(list(cmd.argv)) == 0, cmd.argv
+        outputs[cmd.label] = json.loads(Path(cmd.out).read_text())
+        assert w.check(cmd.label, outputs, ref) == [], cmd.label
+    corrupted = [(label, *made) for label in outputs
+                 for made in w.corrupted(label, outputs, ref.seed)]
+    assert corrupted
+    for label, desc, bad in corrupted:
+        assert w.check(label, bad, ref), f"not rejected: {desc}"
 
 
 # The writer against json.dumps of the same payload with its arrays as

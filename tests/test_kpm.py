@@ -112,7 +112,7 @@ def test_moment_exactness_against_eigenvalue_oracle():
         want = (n * oracle_moments(to_scaled(ev), 51)
                 - chebyshev_values(51, to_scaled(spikes)).sum(axis=1)) / (n - r)
         for m_max in EXACTNESS_M_MAX:
-            mom = dos_moments(sop, probes, m_max, effective_dim=n - r)
+            mom = dos_moments(sop, probes, m_max, adj)
             assert mom.values.shape == (m_max + 1,)
             assert np.abs(mom.values - want[: m_max + 1]).max() < 1e-10, m_max
 
@@ -260,7 +260,7 @@ def _small_models(draw):
     return g
 
 
-MOTIF_KINDS = [k.value for k in MotifKind if k is not MotifKind.CUSTOM]
+MOTIF_KINDS = [k.value for k in MotifKind]
 
 
 @settings(max_examples=15, deadline=None, derandomize=True, database=None)

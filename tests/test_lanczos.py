@@ -4,6 +4,7 @@ import pytest
 from netdos import (OperatorKind, ProbeKind, build_csr, build_operator,
                     chebyshev_values, dos_moments, gql_dos, gql_pdos,
                     lanczos_quadrature, make_probes, rescale_operator)
+from netdos.density import SNAP_TOL
 from netdos.lanczos import _lanczos
 from netdos.pipeline import gql_dos_pipeline, scaled_operator_for
 from netdos.testkit import dense_matrix, erdos_renyi, exact_spectrum, oracle_histogram
@@ -258,3 +259,11 @@ def test_gql_keeps_mass_at_the_range_edge():
     narrow, _ = gql_dos_pipeline(g, operator="normalized-adjacency", steps=40,
                                  nz=10, seed=1, range_=(-0.5, 0.5))
     assert narrow.masses.sum() < 0.99
+    # the Ritz value at 1 counts within SNAP_TOL of the span beyond the top
+    # edge, as a re-inserted spike does (`histogram_from_moments`), and is
+    # left out three times that far
+    for share, kept in [(0.9, True), (3.0, False)]:
+        top = 1.0 - share * SNAP_TOL * 2.0
+        hist, _ = gql_dos_pipeline(g, operator="normalized-adjacency", steps=40,
+                                   nz=10, seed=1, range_=(-1.0, top))
+        assert bool(abs(hist.masses.sum() - 1.0) <= 1e-12) is kept, share

@@ -155,7 +155,7 @@ def test_star_filtered_moments_identity(star4):
     probes = make_probes(4, 4, ProbeKind.STANDARD_BASIS, seed=0)
     filtered, adj = filter_probes(probes, insts)
     m_unf = dos_moments(sop, probes, 30)
-    m_fil = dos_moments(sop, filtered, 30, effective_dim=4 - adj.deflated_dim)
+    m_fil = dos_moments(sop, filtered, 30, adj)
     t_at_zero = chebyshev_values(30, sop.scale_map.to_scaled(np.array([0.0])))[:, 0]
     want = (4 * m_unf.values - 2 * t_at_zero) / 2
     assert np.abs(m_fil.values - want).max() < 1e-12
@@ -172,11 +172,11 @@ def test_trace_decomposition_on_planted_graphs():
         sop = scaled_operator_for(g, "normalized-adjacency")
         probes = make_probes(g.n, g.n, ProbeKind.STANDARD_BASIS, seed=0)
         filtered, adj = filter_probes(probes, insts)
-        r = adj.deflated_dim
         m_unf = dos_moments(sop, probes, 50)
-        m_fil = dos_moments(sop, filtered, 50, effective_dim=g.n - r)
+        m_fil = dos_moments(sop, filtered, 50, adj)
+        r = m_fil.adjustment.deflated_dim
         removed = np.zeros(51)
-        for lam, cnt in adj.removed.items():
+        for lam, cnt in m_fil.adjustment.removed.items():
             removed += cnt * chebyshev_values(
                 50, sop.scale_map.to_scaled(np.array([lam])))[:, 0]
         lhs = g.n * m_unf.values
@@ -187,48 +187,59 @@ def test_trace_decomposition_on_planted_graphs():
 def test_overlapping_claims_resolved_deterministically():
     g = build_csr([(0, 1), (0, 2), (0, 3)])
     twin = detect_motifs(g, kinds={MotifKind.OPEN_TWIN})[0]
-    fake = MotifInstance(kind=MotifKind.CUSTOM, nodes=(2, 3), eigenvalue=0.25,
+    fake = MotifInstance(kind=MotifKind.CLOSED_TWIN, nodes=(2, 3),
+                         eigenvalue=0.25,
                          eigvecs=[[1 / np.sqrt(2), -1 / np.sqrt(2)]])
     probes = make_probes(4, 2, ProbeKind.GAUSSIAN, seed=0)
-    _, adj = filter_probes(probes, [twin, fake])
-    # open twin claims nodes 1..3 first; the custom overlap is dropped
+    _, adj = filter_probes(probes, [fake, twin])
+    # the open twin claims nodes 1..3 first; the closed-twin overlap is dropped
     assert adj.removed == {0.0: 2}
 
 
 def test_custom_instance_deflation():
     g = build_csr([(0, 1), (1, 2)])
     sop = scaled_operator_for(g, "normalized-adjacency")
-    # middle eigenvector of P3 (eigenvalue 0) supplied by hand
-    inst = MotifInstance(kind=MotifKind.CUSTOM, nodes=(0, 2), eigenvalue=0.0,
+    # middle eigenvector of P3 (eigenvalue 0), the open twins 0 and 2,
+    # supplied by hand
+    inst = MotifInstance(kind=MotifKind.OPEN_TWIN, nodes=(0, 2), eigenvalue=0.0,
                          eigvecs=[[1 / np.sqrt(2), -1 / np.sqrt(2)]])
     probes = make_probes(3, 3, ProbeKind.STANDARD_BASIS, seed=0)
     filtered, adj = filter_probes(probes, [inst])
-    m_fil = dos_moments(sop, filtered, 8, effective_dim=2)
+    m_fil = dos_moments(sop, filtered, 8, adj)
     want = chebyshev_values(8, np.array([-1.0, 1.0])).mean(axis=1)
     assert np.abs(m_fil.values - want).max() < 1e-12
 
 
 def test_degenerate_custom_vectors_rejected():
     probes = make_probes(4, 2, ProbeKind.GAUSSIAN, seed=0)
-    a = MotifInstance(kind=MotifKind.CUSTOM, nodes=(0, 1), eigenvalue=0.0,
+    a = MotifInstance(kind=MotifKind.OPEN_TWIN, nodes=(0, 1), eigenvalue=0.0,
                       eigvecs=[[1.0, 0.0]])
-    b = MotifInstance(kind=MotifKind.CUSTOM, nodes=(0, 1), eigenvalue=0.5,
+    b = MotifInstance(kind=MotifKind.OPEN_TWIN, nodes=(0, 1), eigenvalue=0.5,
                       eigvecs=[[1.0, 0.0]])
-    with pytest.raises(MotifError, match="dependent"):
+    with pytest.raises(MotifError, match="not orthonormal"):
         filter_probes(probes, [a, b])
 
 
-def test_non_orthogonal_custom_rows_are_reorthonormalized():
-    # two instances on one node set share a claim; their rows span e0, e1
+def test_non_orthogonal_custom_rows_are_refused():
+    # two instances on one node set share a claim, so their rows stack into
+    # one block: deflation projects out an orthonormal block as it is and
+    # refuses any other rather than repair it
     probes = make_probes(4, 3, ProbeKind.GAUSSIAN, seed=2)
-    a = MotifInstance(kind=MotifKind.CUSTOM, nodes=(0, 1, 2), eigenvalue=0.0,
+    a = MotifInstance(kind=MotifKind.OPEN_TWIN, nodes=(0, 1, 2), eigenvalue=0.0,
                       eigvecs=[[1.0, 0.0, 0.0]])
-    b = MotifInstance(kind=MotifKind.CUSTOM, nodes=(0, 1, 2), eigenvalue=0.5,
-                      eigvecs=[[1 / np.sqrt(2), 1 / np.sqrt(2), 0.0]])
-    filtered, adj = filter_probes(probes, [a, b])
-    assert np.abs(filtered.columns[:2]).max() <= 1e-12
-    assert np.array_equal(filtered.columns[2:], probes.columns[2:])
-    assert adj.removed == {0.0: 1, 0.5: 1}
+    for row, ok in [([1 / np.sqrt(2), 1 / np.sqrt(2), 0.0], False),
+                    ([2e-8, 1.0, 0.0], False), ([5e-9, 1.0, 0.0], True),
+                    ([0.0, 1.0, 0.0], True)]:
+        b = MotifInstance(kind=MotifKind.OPEN_TWIN, nodes=(0, 1, 2),
+                          eigenvalue=0.5, eigvecs=[row])
+        if not ok:
+            with pytest.raises(MotifError, match=r"\(0, 1, 2\) are not orthonormal"):
+                filter_probes(probes, [a, b])
+            continue
+        filtered, adj = filter_probes(probes, [a, b])
+        assert np.abs(filtered.columns[:2]).max() <= 1e-8
+        assert np.array_equal(filtered.columns[2:], probes.columns[2:])
+        assert adj.removed == {0.0: 1, 0.5: 1}
 
 
 @pytest.mark.parametrize("eigvecs", [
@@ -238,13 +249,13 @@ def test_non_orthogonal_custom_rows_are_reorthonormalized():
 ])
 def test_custom_block_shape_must_match_nodes(eigvecs):
     with pytest.raises(MotifError, match="shape"):
-        MotifInstance(kind=MotifKind.CUSTOM, nodes=(0, 1, 2), eigenvalue=0.0,
+        MotifInstance(kind=MotifKind.OPEN_TWIN, nodes=(0, 1, 2), eigenvalue=0.0,
                       eigvecs=eigvecs)
 
 
 def test_custom_nodes_must_be_distinct():
     with pytest.raises(MotifError, match="repeat"):
-        MotifInstance(kind=MotifKind.CUSTOM, nodes=(0, 1, 0), eigenvalue=0.0,
+        MotifInstance(kind=MotifKind.OPEN_TWIN, nodes=(0, 1, 0), eigenvalue=0.0,
                       eigvecs=np.zeros((1, 3)))
 
 
@@ -285,11 +296,6 @@ def test_filter_probes_matches_dense_projection(name):
         for inst in insts:
             counts[inst.eigenvalue] = counts.get(inst.eigenvalue, 0) + inst.multiplicity
         assert adj.removed == counts
-
-
-def test_detect_rejects_custom_kind(star4):
-    with pytest.raises(MotifError, match="custom"):
-        detect_motifs(star4, kinds={MotifKind.CUSTOM})
 
 
 def test_chain_detection_skips_p3_components():
@@ -340,3 +346,37 @@ def test_detection_matches_brute_force(g, kind):
     assert got == brute_force_motifs(g)
     for inst in insts:
         _check_instance(inst, g, kind)
+
+
+@st.composite
+def _spiky_graphs(draw):
+    """Small generated graphs, among them trees, where twins and dangling
+    chains are common."""
+    n, seed = draw(st.integers(8, 40)), draw(st.integers(0, 1 << 16))
+    model = draw(st.sampled_from(["er", "pa", "ws"]))
+    if model == "er":
+        return erdos_renyi(n, draw(st.sampled_from([0.05, 0.1, 0.3])), seed=seed)
+    if model == "pa":
+        return preferential_attachment(n, draw(st.integers(1, 2)), seed=seed)
+    return small_world(n, 2, draw(st.sampled_from([0.0, 0.3])), seed=seed)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(g=_spiky_graphs())
+def test_trace_identity_with_deflation(g):
+    # exact probes: n d_m = (n - r) d_m^deflated + sum count T_m(lam), with
+    # r and the spikes read from the deflated series alone
+    m_max = 24
+    probes = make_probes(g.n, g.n, ProbeKind.STANDARD_BASIS, seed=0)
+    for kind in OperatorKind:
+        sop = scaled_operator_for(g, kind)
+        plain = dos_moments(sop, probes, m_max)
+        filtered, adj = filter_probes(probes, detect_motifs(g, operator=kind))
+        deflated = dos_moments(sop, filtered, m_max, adj)
+        r = deflated.adjustment.deflated_dim
+        spikes = np.zeros(m_max + 1)
+        for lam, count in deflated.adjustment.removed.items():
+            spikes += count * chebyshev_values(
+                m_max, sop.scale_map.to_scaled(lam))[:, 0]
+        gap = g.n * plain.values - ((g.n - r) * deflated.values + spikes)
+        assert np.abs(gap).max() <= 1e-10, kind
