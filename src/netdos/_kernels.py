@@ -21,8 +21,8 @@ scipy folder without importing it, and ``ExtensionFileLoader`` loads
 ``importlib.machinery.EXTENSION_SUFFIXES`` that exists. That ``__init__``
 costs about 0.25 s, mostly ``scipy._lib.array_api_compat`` importing
 ``numpy.f2py``, ``numpy.testing`` and ``numpy.ma``; the extension alone
-loads in under 2 ms. An extension already in ``sys.modules`` (``nd-pdos``
-imports ``scipy.sparse`` for csgraph) is reused, and one loaded here is
+loads in under 2 ms. An extension already in ``sys.modules`` (a caller
+that imported ``scipy.sparse`` itself) is reused, and one loaded here is
 kept out of ``sys.modules``. Any failure to load it selects the public
 product, which imports ``scipy.sparse`` as usual.
 

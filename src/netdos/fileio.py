@@ -216,7 +216,7 @@ def _adjustment_from_obj(obj):
     if obj is None:
         return None
     return FilterAdjustment(removed={float(l): c for l, c in obj["removed"]},
-                            total_dim=int(obj["total_dim"]))
+                            total_dim=obj["total_dim"])
 
 
 def histogram_payload(hist: SpectralHistogram, meta=None) -> dict:

@@ -43,6 +43,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
+from operator import index
 
 import numpy as np
 
@@ -103,12 +104,18 @@ class MotifInstance:
 class FilterAdjustment:
     """Per-eigenvalue multiplicities removed by deflation from `total_dim`
     dimensions. Checked when built: every eigenvalue finite, every count a
-    positive int, and 0 <= deflated_dim < total_dim."""
+    positive int, `total_dim` an integer (stored as an int), and
+    0 <= deflated_dim < total_dim."""
 
     removed: dict
     total_dim: int
 
     def __post_init__(self):
+        try:
+            self.total_dim = index(self.total_dim)
+        except TypeError as exc:
+            raise MotifError("total_dim must be an integer, "
+                             f"got {self.total_dim!r}") from exc
         if not all(np.isfinite(lam) and type(count) is int and count > 0
                    for lam, count in self.removed.items()):
             raise MotifError("removed spikes need finite eigenvalues and "

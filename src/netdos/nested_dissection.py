@@ -34,7 +34,8 @@ holds each column m of the diagonal to its degree-0 value, |c_mk| <= 1,
 as it is made.
 
 The tree is built from level sets of breadth-first searches on the induced
-subgraph of each piece, computed with ``scipy.sparse.csgraph``.
+subgraph of each piece, computed on its CSR arrays with numpy alone, so
+``nd-pdos`` starts without ``scipy.sparse``.
 """
 
 from __future__ import annotations
@@ -107,20 +108,17 @@ def _row_entries(indptr, rows):
     number of entries in each row."""
     starts = indptr[rows]
     counts = indptr[rows + 1] - starts
-    take = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    take = (starts + counts - counts.cumsum()).repeat(counts)
     return take + np.arange(take.shape[0]), counts
 
 
 def _induced_subgraph(g, members):
-    """Adjacency of the subgraph induced by sorted `members`, in member-local ids.
+    """CSR arrays ``(indptr, indices)`` of the subgraph induced by sorted
+    `members`, in member-local ids.
 
     Rows keep their stored column order, so traversals visit neighbours in
     the same order as a walk over ``g`` itself would.
     """
-    # scipy is imported by the functions that use it, so that commands
-    # without nested dissection start without it
-    from scipy.sparse import csr_array
-
     take, counts = _row_entries(g.row_ptr, members)
     cols = g.col_idx[take]
     local = np.minimum(np.searchsorted(members, cols), members.shape[0] - 1)
@@ -128,35 +126,83 @@ def _induced_subgraph(g, members):
     rows = np.repeat(np.arange(members.shape[0]), counts)[keep]
     indptr = np.zeros(members.shape[0] + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=members.shape[0]), out=indptr[1:])
-    return csr_array((np.ones(rows.shape[0]), local[keep], indptr),
-                     shape=(members.shape[0], members.shape[0]))
+    return indptr, local[keep]
+
+
+def _bfs(indptr, indices, start):
+    """Breadth-first levels from `start` (-1 where unreached) and the node
+    visited last.
+
+    Each level is the previous level's unvisited neighbours, frontier order
+    first, then stored column order, each node at its first occurrence:
+    the visit order of a FIFO search that takes neighbours in stored order.
+    """
+    # a visited node's mark is -1 - its level; an unvisited neighbour takes
+    # the smallest position it holds in the level's neighbour list, so its
+    # first occurrence is found without a sort, in O(frontier)
+    unseen = indices.shape[0]
+    mark = np.full(indptr.shape[0] - 1, unseen, dtype=np.int64)
+    mark[start] = -1
+    frontier = np.array([start], dtype=np.int64)
+    depth = 0
+    while True:
+        take, _ = _row_entries(indptr, frontier)
+        nbrs = indices[take]
+        pos = np.arange(nbrs.shape[0])
+        np.minimum.at(mark, nbrs, pos)
+        fresh = nbrs[mark[nbrs] == pos]
+        if not fresh.size:
+            return np.maximum(-1 - mark, -1), int(frontier[-1])
+        depth += 1
+        mark[fresh] = -1 - depth
+        frontier = fresh
+
+
+def _components(indptr, indices):
+    """Each node's component label: the smallest node id in its component.
+
+    Min-label hooking with pointer jumping: every root takes the smallest
+    root it shares an edge with, then every node points straight at its
+    root. Labels only fall, so the rounds end; a randomly numbered path of
+    100,000 nodes takes 11.
+    """
+    n = indptr.shape[0] - 1
+    src = np.repeat(np.arange(n), np.diff(indptr))
+    label = np.arange(n)
+    while True:
+        lu, lv = label[src], label[indices]
+        if np.array_equal(lu, lv):
+            return label
+        np.minimum.at(label, lu, lv)
+        while True:
+            up = label[label]
+            if np.array_equal(up, label):
+                break
+            label = up
 
 
 def _split(g, members):
     """(sep, left, right) of a sorted piece as `build_partition_tree` splits
     it, each sorted, from one build of its induced subgraph; None if it is
     connected and its BFS has no interior level."""
-    from scipy.sparse.csgraph import (breadth_first_order,
-                                      connected_components, shortest_path)
-
-    sub = _induced_subgraph(g, members)
-    count, labels = connected_components(sub, directed=False)
-    if count > 1:
-        order = np.argsort(labels, kind="stable")
-        comps = np.split(members[order], np.cumsum(np.bincount(labels))[:-1])
-        comps.sort(key=lambda c: (-c.shape[0], int(c[0])))
-        side = [[], []]
-        sizes = [0, 0]
-        for comp in comps:
-            pick = 0 if sizes[0] <= sizes[1] else 1
-            side[pick].append(comp)
-            sizes[pick] += comp.shape[0]
-        return (np.zeros(0, dtype=np.int64), np.sort(np.concatenate(side[0])),
-                np.sort(np.concatenate(side[1])))
-    order = breadth_first_order(sub, 0, directed=True,
-                                return_predecessors=False)
-    lv = shortest_path(sub, unweighted=True,
-                       indices=int(order[-1])).astype(np.int64)
+    indptr, indices = _induced_subgraph(g, members)
+    lv, last = _bfs(indptr, indices, 0)
+    if lv.min() < 0:
+        # largest component first (smallest id on ties), each onto the side
+        # holding fewer nodes
+        label = _components(indptr, indices)
+        roots = np.flatnonzero(label == np.arange(label.shape[0]))
+        sizes = np.bincount(label)[roots]
+        order = np.lexsort((roots, -sizes))
+        root_right = np.zeros(label.shape[0], dtype=bool)
+        held = [0, 0]
+        for root, size in zip(roots[order].tolist(), sizes[order].tolist()):
+            pick = held[0] > held[1]
+            root_right[root] = pick
+            held[pick] += size
+        right = root_right[label]
+        return np.zeros(0, dtype=np.int64), members[~right], members[right]
+    lv, _ = _bfs(indptr, indices, last)
     depth = int(lv.max())
     if depth < 2:
         return None

@@ -150,10 +150,15 @@ def test_adjustment_checks_itself():
             ({0.5: 2.0}, 10, "positive int"), ({0.5: True}, 10, "positive int"),
             ({float("nan"): 1}, 10, "finite"), ({float("inf"): 1}, 10, "finite"),
             ({0.5: 3}, 0, "deflated_dim 3"), ({0.5: 3}, 3, "deflated_dim 3"),
-            ({}, 0, "deflated_dim 0")]:
+            ({}, 0, "deflated_dim 0"), ({0.5: 3}, 10.7, "total_dim must be an integer"),
+            ({0.5: 3}, 10.0, "total_dim must be an integer"),
+            ({0.5: 3}, "10", "total_dim must be an integer")]:
         with pytest.raises(MotifError, match=what):
             FilterAdjustment(removed=removed, total_dim=total_dim)
     assert FilterAdjustment(removed={0.5: 3}, total_dim=4).deflated_dim == 3
+    # a numpy int, as `filter_probes` may pass from `ProbeMatrix.n`, is kept
+    # as a Python int
+    assert type(FilterAdjustment(removed={}, total_dim=np.int64(4)).total_dim) is int
 
 
 def test_per_node_series_carries_no_adjustment():

@@ -274,6 +274,8 @@ MALFORMED_MOMENTS = {
     "filter-nan-eigenvalue": _moments_record(filter={
         "removed": [[float("nan"), 1]], "deflated_dim": 1, "total_dim": 10}),
     "filter-without-removed": _moments_record(filter={"total_dim": 10}),
+    "filter-fractional-total-dim": _moments_record(filter={
+        "removed": [[0.5, 3]], "deflated_dim": 3, "total_dim": 10.7}),
     "per-node-with-filter": _moments_record(
         mode="per_node", values=[[1.0, 0.0, -0.5], [1.0, 0.5, 0.0]],
         filter={"removed": [[0.5, 1]], "deflated_dim": 1, "total_dim": 2}),

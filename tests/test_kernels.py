@@ -278,8 +278,9 @@ def test_every_estimator_calls_the_kernel_entry_point(monkeypatch):
 
 
 def test_imported_extension_is_reused():
-    # once scipy.sparse is imported (nd-pdos imports csgraph), the kernel
-    # takes the extension module of that import and leaves it registered
+    # once scipy.sparse is imported (by a library caller that imports it
+    # itself), the kernel takes the extension module of that import and
+    # leaves it registered
     _sparsetools = pytest.importorskip("scipy.sparse._sparsetools")
 
     got = _kernels._private_matvecs.__wrapped__()

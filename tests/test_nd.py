@@ -19,7 +19,8 @@ from netdos import nested_dissection
 from netdos.cli import main
 from netdos.nested_dissection import PartitionNode, PartitionTree
 from netdos.pipeline import scaled_operator_for
-from netdos.testkit import erdos_renyi, exact_spectrum, preferential_attachment
+from netdos.testkit import (erdos_renyi, exact_spectrum, preferential_attachment,
+                            small_world)
 
 from conftest import grid_graph
 from oracles import oracle_node_moments
@@ -405,13 +406,27 @@ def _disconnected_graph():
     return build_csr(edges, n=65)
 
 
+def _self_loop_graph():
+    # an ER graph with a self-loop on every fifth node, then ten isolated
+    # nodes, every other one with a self-loop of its own
+    base = erdos_renyi(300, 0.012, seed=9)
+    u, v, _ = base.edge_list()
+    edges = list(zip(u.tolist(), v.tolist()))
+    edges += [(i, i) for i in range(0, 300, 5)] + [(i, i) for i in range(300, 310, 2)]
+    return build_csr(edges, n=310, allow_self_loops=True)
+
+
 @pytest.mark.parametrize("make_graph, leaf_size", [
     (lambda: grid_graph(64, 64), 256),
     (lambda: grid_graph(20, 20), 50),
     (_disconnected_graph, 6),
     (lambda: erdos_renyi(300, 0.012, seed=5), 24),
     (lambda: preferential_attachment(500, 1, seed=2), 20),
-], ids=["grid-64", "grid-20", "disconnected", "er", "pa-tree"])
+    # many levels, and wide frontiers whose nodes share neighbours
+    (lambda: small_world(3000, 4, 0.02), 64),
+    (_self_loop_graph, 12),
+], ids=["grid-64", "grid-20", "disconnected", "er", "pa-tree", "small-world",
+        "self-loops"])
 def test_partition_matches_reference_splitter(monkeypatch, make_graph, leaf_size):
     g = make_graph()
     got = build_partition_tree(g, leaf_size=leaf_size)

@@ -1,7 +1,8 @@
 """Start-up cost: importing netdos, and running the commands that need no
 scipy (``generate``, ``motifs``, ``hist``), must load no scipy module; the
-commands that multiply (``dos``, ``pdos``, ``gql``) load only the compiled
-``scipy.sparse._sparsetools`` extension, never the ``scipy.sparse`` package.
+commands that multiply (``dos``, ``pdos``, ``gql``, ``nd-pdos``) load only
+the compiled ``scipy.sparse._sparsetools`` extension, never the
+``scipy.sparse`` package. No command but ``exact`` imports a scipy package.
 The package import costs ~0.25 s per command, more than the commands' work
 on a benchmark-sized graph. So the only imports inside function bodies are
 of scipy: netdos's own modules import each other at the top, without
@@ -93,17 +94,23 @@ def test_numpy_only_commands_load_no_scipy(tmp_path):
 def test_matvec_commands_load_only_the_sparsetools_extension(tmp_path):
     graph = _tree(tmp_path)
     common = ["--input", graph, "--operator", "laplacian", "--probes", "4"]
+    partition = str(tmp_path / "tree.part")
+    nd = ["nd-pdos", "--input", graph, "--moments", "10", "--leaf-size", "8"]
     got = _run_child(tmp_path, [
         ["dos", *common, "--moments", "20", "--filter-motifs", "all",
          "--out", str(tmp_path / "dos.json")],
         ["pdos", *common, "--moments", "10", "--out", str(tmp_path / "pdos.json")],
         ["gql", *common, "--moments", "8", "--out", str(tmp_path / "gql.json")],
+        # one run builds the partition tree, one loads it
+        [*nd, "--save-partition", partition, "--out", str(tmp_path / "nd.json")],
+        [*nd, "--partition", partition, "--out", str(tmp_path / "nd-loaded.json")],
     ])
     # the extension is loaded from its file and kept out of sys.modules
     assert got["commands"] == []
     assert got["route"] == "_sparsetools_matvec"
-    for name in ("dos", "pdos", "gql"):
+    for name in ("dos", "pdos", "gql", "nd", "nd-loaded"):
         assert json.loads((tmp_path / f"{name}.json").read_text())
+    assert len(open(partition).readlines()) > 1
 
 
 LOOKUPS = """
