@@ -1,18 +1,25 @@
-"""The sparse kernel: a CSR matrix times a dense column block, on scipy.
+"""The sparse kernel: a CSR matrix times a dense vector or column block, on scipy.
 
-``out = A @ x`` runs in scipy's compiled CSR-times-dense-block loop, which
-walks each row once and accumulates into the output in stored order. Nothing
-of size nnz is allocated, so a matvec needs at most one (rows, k) block of
-scratch and the moment loop keeps its O(n * nz) memory bound. The loop is
-serial and deterministic: the same inputs give the same bits.
+``out = A @ x`` runs in one of scipy's compiled CSR loops, which walk each
+row once and accumulate into the output in stored order: ``csr_matvec``
+for a single vector x of shape (n,), ``csr_matvecs`` for a block of shape
+(n, k). Nothing of size nnz is allocated, so a matvec needs at most one
+(rows, k) block of scratch and the moment loop keeps its O(n * nz) memory
+bound. Both loops are serial and deterministic: the same inputs give the
+same bits, and a vector gives the same bits through either loop (each row
+sums its products in stored order, starting from the output's value).
+The single-vector loop skips the block loop's per-entry inner loop of
+length one: on an 8,000-node tree Laplacian (24k stored entries) it took
+70 us against 116 us for the block loop at k = 1 (best of 5 x 2,000 calls,
+2-CPU x86 host), and every Lanczos step makes one.
 
-The loop is reached through ``scipy.sparse._sparsetools.csr_matvecs``, which
-writes straight into ``out`` with no scratch at all. That name is private
-scipy API, so it is used only if it loads and passes a small self-check,
-run on the first ``csr_matvec`` call; otherwise the public ``csr_array @ x``
-product is computed and copied into ``out``. With ``accumulate=True`` the
-product is added to ``out`` instead: the private loop simply skips zeroing
-``out`` first.
+The loops are reached through ``scipy.sparse._sparsetools``, whose entry
+points write straight into ``out`` with no scratch at all. That module is
+private scipy API, so it is used only if it loads and both entry points
+pass a small self-check, run on the first ``csr_matvec`` call; otherwise
+the public ``csr_array @ x`` product is computed and copied into ``out``,
+for vectors and blocks alike. With ``accumulate=True`` the product is added
+to ``out`` instead: the private loops simply skip zeroing ``out`` first.
 
 The compiled extension is loaded from its own file, without running
 ``scipy.sparse/__init__``: ``importlib.util.find_spec("scipy")`` finds the
@@ -47,15 +54,18 @@ _EXTENSION = "scipy.sparse._sparsetools"
 
 
 @cache
-def _private_matvecs():
-    """scipy's in-place ``_sparsetools.csr_matvecs``, or None if it is gone."""
+def _private_kernels():
+    """scipy's in-place ``_sparsetools`` loops as (csr_matvec, csr_matvecs),
+    for one vector and for a column block, or None if either is gone."""
     module = sys.modules.get(_EXTENSION)
     if module is None:
         try:
             module = _load_extension()
         except Exception:  # private scipy layout: any failure means no route
             return None
-    return getattr(module, "csr_matvecs", None)
+    loops = (getattr(module, "csr_matvec", None),
+             getattr(module, "csr_matvecs", None))
+    return None if None in loops else loops
 
 
 def _load_extension():
@@ -81,7 +91,7 @@ def _load_extension():
 
 
 def _public_matvec(indptr, indices, data, x, out, accumulate=False):
-    """out (+)= A @ x through the public scipy product (one (rows, k) temporary)."""
+    """out (+)= A @ x through the public scipy product (one temporary like out)."""
     from scipy import sparse
 
     a = sparse.csr_array((data, indices, indptr),
@@ -93,32 +103,42 @@ def _public_matvec(indptr, indices, data, x, out, accumulate=False):
 
 
 def _sparsetools_matvec(indptr, indices, data, x, out, accumulate=False):
-    """out (+)= A @ x accumulated in place by scipy's csr_matvecs (no scratch)."""
+    """out (+)= A @ x accumulated in place by scipy's csr_matvec for a
+    vector, csr_matvecs for a block (no scratch)."""
     if not out.flags.c_contiguous:
         # out.ravel() would copy, and the result would never reach `out`
         _public_matvec(indptr, indices, data, x, out, accumulate)
         return
     if not accumulate:
         out.fill(0.0)
-    _private_matvecs()(indptr.shape[0] - 1, x.shape[0], x.shape[1],
-                       indptr, indices, data, x.ravel(), out.ravel())
+    matvec, matvecs = _private_kernels()
+    if x.ndim == 1:
+        matvec(indptr.shape[0] - 1, x.shape[0], indptr, indices, data, x, out)
+    else:
+        matvecs(indptr.shape[0] - 1, x.shape[0], x.shape[1],
+                indptr, indices, data, x.ravel(), out.ravel())
 
 
 def _select_matvec():
-    """The in-place private entry point if it works here, else the public one."""
-    if _private_matvecs() is None:
+    """The in-place private entry points if both work here, else the public
+    product."""
+    if _private_kernels() is None:
         return _public_matvec
     indptr = np.array([0, 1, 1, 3], dtype=np.int64)
     indices = np.array([0, 0, 1], dtype=np.int64)
     data = np.array([2.0, 3.0, 4.0])
-    x = np.array([[1.0, 2.0], [3.0, 4.0]])
-    got = np.full((3, 2), np.nan)
-    try:
-        _sparsetools_matvec(indptr, indices, data, x, got)
-    except (TypeError, ValueError):
-        return _public_matvec
-    want = np.array([[2.0, 4.0], [0.0, 0.0], [15.0, 22.0]])
-    return _sparsetools_matvec if np.array_equal(got, want) else _public_matvec
+    block = np.array([[1.0, 2.0], [3.0, 4.0]])
+    product = np.array([[2.0, 4.0], [0.0, 0.0], [15.0, 22.0]])
+    # the block, then its second column alone as a vector
+    for x, want in [(block, product), (block[:, 1].copy(), product[:, 1])]:
+        got = np.full(want.shape, np.nan)
+        try:
+            _sparsetools_matvec(indptr, indices, data, x, got)
+        except (TypeError, ValueError):
+            return _public_matvec
+        if not np.array_equal(got, want):
+            return _public_matvec
+    return _sparsetools_matvec
 
 
 _matvec = None  # the selected route; chosen on the first csr_matvec call
@@ -131,7 +151,7 @@ def csr_matvec(indptr, indices, data, x, out=None, accumulate=False):
     when given, must be a C-contiguous float64 buffer of shape (rows,) or
     (rows, k) like x, and it is required when accumulating. Returns `out`.
     """
-    x2 = np.ascontiguousarray(x[:, None] if x.ndim == 1 else x, dtype=np.float64)
+    x = np.ascontiguousarray(x, dtype=np.float64)
     if out is None:
         if accumulate:
             raise ValueError("accumulate=True needs an `out` buffer")
@@ -139,6 +159,5 @@ def csr_matvec(indptr, indices, data, x, out=None, accumulate=False):
     global _matvec
     if _matvec is None:
         _matvec = _select_matvec()
-    _matvec(indptr, indices, data, x2, out[:, None] if out.ndim == 1 else out,
-            accumulate)
+    _matvec(indptr, indices, data, x, out, accumulate)
     return out

@@ -2,11 +2,12 @@
 
 Subcommands: dos, pdos, gql, nd-pdos, motifs, exact, generate, hist.
 All randomness hangs off --seed, outputs carry no timestamps, and identical
-invocations produce byte-identical files at a fixed BLAS thread count: the
-Lanczos runs (every gql, and a range estimate for any operator but the
-normalized adjacency) orthogonalize through BLAS products whose summation
-order may follow the thread count. Exit codes: 0 success, 1 runtime error
-(message on stderr), 2 usage error.
+invocations produce byte-identical files. For gql that holds at a fixed BLAS
+thread count: its Lanczos runs orthogonalize through BLAS products whose
+summation order may follow the thread count. The range estimate of dos,
+pdos and nd-pdos reduces in numpy's fixed order, so their files do not
+depend on it. Exit codes: 0 success, 1 runtime error (message on stderr),
+2 usage error.
 """
 
 from __future__ import annotations

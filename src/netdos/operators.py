@@ -11,7 +11,8 @@ The Chebyshev recurrences need H = (op - shift·I) / scale, with spectrum in
 nested dissection and Lanczos all see the same operator type, and a matvec
 costs the same with or without a shift. The range (lo, hi) itself is given
 by the user, read from `ANALYTIC_RANGES` for the kinds whose bounds are known
-in closed form, or estimated by `lanczos.estimate_spectral_range`.
+in closed form, or estimated by `lanczos.estimate_spectral_range`, which
+keeps the ends that `EXACT_BOUNDS` fixes.
 
 Isolated nodes under the normalized kinds use the convention D^{-1/2} = 0:
 the node contributes eigenvalue 0 to the normalized adjacency and
@@ -58,6 +59,13 @@ OPERATOR = OperatorKind.NORMALIZED_ADJACENCY
 # Spectral ranges known without computing: every normalized adjacency has
 # its spectrum in [-1, 1].
 ANALYTIC_RANGES = {OperatorKind.NORMALIZED_ADJACENCY: (-1.0, 1.0)}
+
+# Spectral bounds that hold exactly where the range is estimated: (lower
+# end, cap on the upper end). Both Laplacians are positive semidefinite and
+# have the eigenvalue 0 (the normalized one once the graph has an edge), and
+# the normalized Laplacian's spectrum lies in [0, 2].
+EXACT_BOUNDS = {OperatorKind.LAPLACIAN: (0.0, np.inf),
+                OperatorKind.NORMALIZED_LAPLACIAN: (0.0, 2.0)}
 
 
 class SymmetricCSROperator:

@@ -1,7 +1,24 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
 from netdos import build_csr
+from netdos.testkit import erdos_renyi, preferential_attachment, small_world
+
+# On a failing property test, hypothesis's pytest plugin imports this module
+# to print the falsifying example; its import of libcst raises a
+# DeprecationWarning, which the pyproject filters turn into an error, and
+# pytest then reports an INTERNALERROR instead of the example. Imported here
+# once with that warning ignored, it is already loaded when a test fails.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # without libcst the plugin prints no patch at all
+        pass
 
 
 @pytest.fixture
@@ -49,3 +66,19 @@ def dense_from_graph(g, kind):
     if kind == "normalized-adjacency":
         return na
     return np.eye(g.n) - na
+
+
+@st.composite
+def small_models(draw):
+    """A seeded ER, PA or WS graph of 20-60 nodes with at least one edge."""
+    n, seed = draw(st.integers(20, 60)), draw(st.integers(0, 1 << 16))
+    model = draw(st.sampled_from(["er", "pa", "ws"]))
+    if model == "er":
+        g = erdos_renyi(n, draw(st.sampled_from([0.05, 0.1, 0.3])), seed=seed)
+    elif model == "pa":
+        g = preferential_attachment(n, draw(st.integers(1, 3)), seed=seed)
+    else:
+        g = small_world(n, draw(st.sampled_from([2, 4])),
+                        draw(st.sampled_from([0.0, 0.1, 0.5])), seed=seed)
+    assume(g.nnz)
+    return g

@@ -1,6 +1,7 @@
 """Validation oracles the tests compare netdos against: moments and
 smoothed densities straight from eigenvalues, spectral metrics, shape
-checks on histograms, and a reader for the CSV histograms the CLI writes.
+checks on histograms, a reference Lanczos and its Gauss rule, and a reader
+for the CSV histograms the CLI writes.
 
 None of these is on a command's path, so they live with the tests.
 """
@@ -52,6 +53,16 @@ def oracle_lanczos(a, z, steps):
         betas.append(beta)
         basis.append(w / beta)
     return np.array(alphas), np.array(betas)
+
+
+def oracle_gauss_rule(a, z, steps):
+    """(nodes, weights) of the Gauss rule for z^T f(a) z / z^T z: the
+    tridiagonal of `oracle_lanczos`, which runs two Gram-Schmidt passes on
+    every step, eigensolved densely."""
+    alphas, betas = oracle_lanczos(a, z, steps)
+    t = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+    nodes, vecs = np.linalg.eigh(t)
+    return nodes, vecs[0] ** 2
 
 
 def wasserstein1(spec_a, spec_b) -> float:

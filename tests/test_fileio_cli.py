@@ -1,5 +1,6 @@
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -600,7 +601,7 @@ def test_reproduction_presets():
     from netdos import density, lanczos, nested_dissection, operators, pipeline
     from netdos.probes import ProbeKind
     assert operators.OPERATOR is operators.OperatorKind.NORMALIZED_ADJACENCY
-    assert (lanczos.RANGE_STEPS, lanczos.RANGE_MARGIN) == (100, 0.01)
+    assert (lanczos.RANGE_STEPS, lanczos.RANGE_MARGIN) == (40, 0.01)
     assert density.BINS == 50
     assert nested_dissection.LEAF_SIZE == 256
     assert pipeline.KPM_MOMENTS == 500
@@ -936,6 +937,31 @@ def test_benchmark_outputs_pass_its_checks(tmp_path, monkeypatch, workloads, nam
     assert corrupted
     for label, desc, bad in corrupted:
         assert w.check(label, bad, ref), f"not rejected: {desc}"
+
+
+def test_estimated_range_runs_do_not_depend_on_the_blas_thread_count(
+        tmp_path, workloads):
+    """`dos` and `nd-pdos` under the Laplacian estimate their range, and
+    write the same bytes with one BLAS thread and with two. The input is the
+    benchmark's seed-1 8,000-node tree, on which a range estimate that
+    reduced through BLAS products was seen to change its last bits with
+    the thread count."""
+    graph = tmp_path / "tree.txt"
+    workloads.WORKLOADS["laplacian-tree"].make_input(1, graph)
+    src = str(Path(cli.__file__).parents[1])
+    for command in ("dos", "nd-pdos"):
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{command}-{threads}.json"
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run(
+                [sys.executable, "-m", "netdos.cli", command, "--input",
+                 str(graph), "--operator", "laplacian", "--seed", "1",
+                 "--moments", "2", "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1], command
 
 
 # The writer against json.dumps of the same payload with its arrays as

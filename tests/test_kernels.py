@@ -1,10 +1,13 @@
-"""SpMV kernel checks: both scipy routes (the in-place private ``csr_matvecs``
-loop and the public ``csr_array @ x`` product) and the ``csr_matvec`` entry
-point match the dense product to 1e-12, with and without accumulating into
-`out`; the first call picks the route by a self-check and falls back to the
-public product when that fails or the extension file is missing; the
-scratch of a matvec stays within O(rows * k); and every estimator reaches
-the kernel through the one ``_kernels.csr_matvec`` attribute."""
+"""SpMV kernel checks: both scipy routes (the in-place private
+``csr_matvec``/``csr_matvecs`` loops and the public ``csr_array @ x``
+product) and the ``csr_matvec`` entry point match the dense product to
+1e-12, for vectors and blocks, with and without accumulating into `out`; a
+vector gives the same bits through the vector loop, the k = 1 block loop
+and the public product; the first call picks the route by a self-check of
+both loops and falls back to the public product when either fails or the
+extension file is missing; the scratch of a matvec stays within
+O(rows * k); and every estimator reaches the kernel through the one
+``_kernels.csr_matvec`` attribute."""
 
 import importlib.machinery
 import sys
@@ -15,7 +18,7 @@ import pytest
 
 from netdos import _kernels, pipeline, testkit
 from netdos.lanczos import estimate_spectral_range
-from netdos.operators import SymmetricCSROperator, build_operator
+from netdos.operators import OperatorKind, SymmetricCSROperator, build_operator
 
 
 def _random_csr(rng, n, density):
@@ -39,7 +42,7 @@ def _random_csr(rng, n, density):
 def _routes():
     """(name, kernel(indptr, indices, data, x, out, accumulate)) per route."""
     routes = [("public-scipy", _kernels._public_matvec)]
-    if _kernels._private_matvecs() is not None:
+    if _kernels._private_kernels() is not None:
         routes.append(("sparsetools", _kernels._sparsetools_matvec))
     return routes
 
@@ -124,15 +127,40 @@ def _fuzz_blocks(seed):
 
 def test_fuzz_rectangular_blocks_with_empty_rows():
     # submatrix extraction feeds rectangular CSR blocks whose trailing rows
-    # are often empty; every route must agree with the dense product
-    for indptr, idx, val, dense, x in _fuzz_blocks(3):
-        want = dense @ x
-        got = _kernels.csr_matvec(indptr, idx, val, x)
-        assert np.allclose(got, want, atol=1e-12)
-        for name, kernel in _routes():
-            out = np.full_like(want, np.nan)
-            kernel(indptr, idx, val, x, out)
-            assert np.allclose(out, want, atol=1e-12), name
+    # are often empty; every route must agree with the dense product, for
+    # the block and for a single vector
+    vectors = np.random.default_rng(6)
+    for indptr, idx, val, dense, block in _fuzz_blocks(3):
+        for x in (block, vectors.standard_normal(dense.shape[1])):
+            want = dense @ x
+            got = _kernels.csr_matvec(indptr, idx, val, x)
+            assert got.shape == want.shape
+            assert np.allclose(got, want, atol=1e-12)
+            for name, kernel in _routes():
+                out = np.full_like(want, np.nan)
+                kernel(indptr, idx, val, x, out)
+                assert np.allclose(out, want, atol=1e-12), name
+
+
+def test_vector_loop_is_bit_equal_to_the_block_loop_and_public_product():
+    # each row sums its products in stored order in every route, so a
+    # vector's bits do not depend on which one the kernel took
+    if _kernels._private_kernels() is None:
+        pytest.skip("scipy has no _sparsetools loops")
+    rng = np.random.default_rng(10)
+    g = testkit.preferential_attachment(2000, 3, seed=4)
+    cases = [(op.indptr, op.indices, op.data, op.n) for op in
+             (build_operator(g, kind) for kind in OperatorKind)]
+    cases += [(p, i, v, d.shape[1]) for p, i, v, d, _ in _fuzz_blocks(5)]
+    for indptr, idx, val, ncol in cases:
+        x = rng.standard_normal(ncol)
+        rows = indptr.shape[0] - 1
+        vector, block, public = np.empty(rows), np.empty((rows, 1)), np.empty(rows)
+        _kernels._sparsetools_matvec(indptr, idx, val, x, vector)
+        _kernels._sparsetools_matvec(indptr, idx, val, x[:, None].copy(), block)
+        _kernels._public_matvec(indptr, idx, val, x, public)
+        assert np.array_equal(vector, block[:, 0])
+        assert np.array_equal(vector, public)
 
 
 _ACCUMULATE_PATHS = {
@@ -147,8 +175,8 @@ _ACCUMULATE_PATHS = {
 
 @pytest.mark.parametrize("path", sorted(_ACCUMULATE_PATHS))
 def test_accumulate_adds_the_product(path):
-    if path == "sparsetools" and _kernels._private_matvecs() is None:
-        pytest.skip("scipy has no _sparsetools.csr_matvecs")
+    if path == "sparsetools" and _kernels._private_kernels() is None:
+        pytest.skip("scipy has no _sparsetools loops")
     kernel = _ACCUMULATE_PATHS[path]
     rng = np.random.default_rng(5)
     for indptr, idx, val, dense, x in _fuzz_blocks(3):
@@ -159,28 +187,32 @@ def test_accumulate_adds_the_product(path):
 
 
 def test_first_call_self_checks_and_picks_sparsetools(monkeypatch):
-    real = _kernels._private_matvecs()
+    real = _kernels._private_kernels()
     if real is None:
-        pytest.skip("scipy has no _sparsetools.csr_matvecs")
+        pytest.skip("scipy has no _sparsetools loops")
     calls = []
 
-    def spy(*args):
-        calls.append(1)
-        return real(*args)
+    def spy(name, loop):
+        def call(*args):
+            calls.append(name)
+            return loop(*args)
+        return call
 
-    monkeypatch.setattr(_kernels, "_private_matvecs", lambda: spy)
+    monkeypatch.setattr(_kernels, "_private_kernels",
+                        lambda: (spy("vector", real[0]), spy("block", real[1])))
     monkeypatch.setattr(_kernels, "_matvec", None)
     indptr, idx, val, dense = _random_csr(np.random.default_rng(8), 12, 0.3)
     x = np.ones((12, 3))
     assert np.allclose(_kernels.csr_matvec(indptr, idx, val, x), dense @ x,
                        atol=1e-12)
     assert _kernels._matvec is _kernels._sparsetools_matvec
-    assert len(calls) == 2  # the self-check, then the product
-    _kernels.csr_matvec(indptr, idx, val, x)
-    assert len(calls) == 3  # the route is kept: no second self-check
+    # the self-check runs both loops, then the product runs the block loop
+    assert calls == ["block", "vector", "block"]
+    _kernels.csr_matvec(indptr, idx, val, x[:, 0])
+    assert calls[3:] == ["vector"]  # the route is kept: no second self-check
 
 
-def _skips_the_product(n_row, n_col, n_vec, indptr, indices, data, x, out):
+def _skips_the_product(*args):
     pass
 
 
@@ -188,26 +220,46 @@ def _rejects_the_arguments(*args):
     raise TypeError("unexpected argument types")
 
 
+def _broken_vector_loop():
+    """The real block loop beside a vector loop that writes nothing."""
+    real = _kernels._private_kernels.__wrapped__()
+    return None if real is None else (_skips_the_product, real[1])
+
+
+def _broken_block_loop():
+    real = _kernels._private_kernels.__wrapped__()
+    return None if real is None else (real[0], _rejects_the_arguments)
+
+
 MISSING_EXTENSION_FILE = "missing extension file"
 
 
-@pytest.mark.parametrize("private", [_skips_the_product, _rejects_the_arguments,
-                                     None, MISSING_EXTENSION_FILE])
+@pytest.mark.parametrize("private", [
+    pytest.param((_skips_the_product,) * 2, id="_skips_the_product"),
+    pytest.param((_rejects_the_arguments,) * 2, id="_rejects_the_arguments"),
+    _broken_vector_loop, _broken_block_loop, None, MISSING_EXTENSION_FILE])
 def test_failed_self_check_falls_back_to_public(monkeypatch, private):
     if private == MISSING_EXTENSION_FILE:
         # the real loader, where scipy has no _sparsetools file to load
         monkeypatch.delitem(sys.modules, _kernels._EXTENSION, raising=False)
         monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES",
                             [".missing"])
-        private = _kernels._private_matvecs.__wrapped__()
+        private = _kernels._private_kernels.__wrapped__()
         assert private is None
-    monkeypatch.setattr(_kernels, "_private_matvecs", lambda: private)
+    elif callable(private):
+        private = private()
+        if private is None:
+            pytest.skip("scipy has no _sparsetools loops")
+    monkeypatch.setattr(_kernels, "_private_kernels", lambda: private)
     monkeypatch.setattr(_kernels, "_matvec", None)
     indptr, idx, val, dense = _random_csr(np.random.default_rng(9), 12, 0.3)
     x = np.ones((12, 3))
     assert np.allclose(_kernels.csr_matvec(indptr, idx, val, x), dense @ x,
                        atol=1e-12)
     assert _kernels._matvec is _kernels._public_matvec
+    # the public product serves vectors too
+    assert np.allclose(_kernels.csr_matvec(indptr, idx, val, x[:, 0]),
+                       dense @ x[:, 0], atol=1e-12)
 
 
 def test_accumulate_needs_out():
@@ -283,6 +335,6 @@ def test_imported_extension_is_reused():
     # leaves it registered
     _sparsetools = pytest.importorskip("scipy.sparse._sparsetools")
 
-    got = _kernels._private_matvecs.__wrapped__()
-    assert got is _sparsetools.csr_matvecs
+    got = _kernels._private_kernels.__wrapped__()
+    assert got == (_sparsetools.csr_matvec, _sparsetools.csr_matvecs)
     assert sys.modules[_kernels._EXTENSION] is _sparsetools

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netdos import (MotifKind, OperatorKind, ProbeKind, RecurrenceBlowupError,
@@ -14,9 +14,9 @@ from netdos import (MotifKind, OperatorKind, ProbeKind, RecurrenceBlowupError,
 from netdos import _kernels, pipeline
 from netdos.cli import main
 from netdos.pipeline import scaled_operator_for
-from netdos.testkit import (erdos_renyi, exact_spectrum,
-                            preferential_attachment, small_world)
+from netdos.testkit import erdos_renyi, exact_spectrum, preferential_attachment
 
+from conftest import small_models
 from oracles import oracle_moments
 
 
@@ -244,27 +244,11 @@ def test_finite_moments_past_their_bound_are_refused(command, tmp_path,
     assert not out.exists()
 
 
-@st.composite
-def _small_models(draw):
-    """A seeded ER, PA or WS graph of 20-60 nodes with at least one edge."""
-    n, seed = draw(st.integers(20, 60)), draw(st.integers(0, 1 << 16))
-    model = draw(st.sampled_from(["er", "pa", "ws"]))
-    if model == "er":
-        g = erdos_renyi(n, draw(st.sampled_from([0.05, 0.1, 0.3])), seed=seed)
-    elif model == "pa":
-        g = preferential_attachment(n, draw(st.integers(1, 3)), seed=seed)
-    else:
-        g = small_world(n, draw(st.sampled_from([2, 4])),
-                        draw(st.sampled_from([0.0, 0.1, 0.5])), seed=seed)
-    assume(g.nnz)
-    return g
-
-
 MOTIF_KINDS = [k.value for k in MotifKind]
 
 
 @settings(max_examples=15, deadline=None, derandomize=True, database=None)
-@given(g=_small_models(), filtered=st.booleans())
+@given(g=small_models(), filtered=st.booleans())
 def test_no_run_at_the_preset_range_is_refused(g, filtered):
     # the estimated range (the analytic one for the normalized adjacency)
     # holds the spectrum, so the certificate passes every preset run;

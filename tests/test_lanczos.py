@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netdos import (OperatorKind, ProbeKind, build_csr, build_operator,
                     chebyshev_values, dos_moments, gql_dos, gql_pdos,
-                    lanczos_quadrature, make_probes, rescale_operator)
+                    lanczos, lanczos_quadrature, make_probes, rescale_operator)
 from netdos.density import SNAP_TOL
 from netdos.lanczos import _lanczos
 from netdos.pipeline import gql_dos_pipeline, scaled_operator_for
-from netdos.testkit import dense_matrix, erdos_renyi, exact_spectrum, oracle_histogram
+from netdos.testkit import (dense_matrix, erdos_renyi, exact_spectrum,
+                            oracle_histogram, preferential_attachment)
 
-from oracles import oracle_lanczos
+from conftest import small_models
+from oracles import oracle_gauss_rule, oracle_lanczos
 
 
 def test_single_step_is_rayleigh_quotient(path3):
@@ -60,6 +64,64 @@ def test_gauss_exactness_random_pairs():
             want = z @ powers(h, k) @ z / (z @ z)
             got = quad.weights @ quad.nodes ** k
             assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+
+def _check_gauss_rule(op, z, steps):
+    """The M-step rule's ||z||^2 sum_i w_i T_p(x_i), p <= 2M - 1, against the
+    dense z^T T_p(H) z and against the two-pass reference rule, with H the
+    operator rescaled just past its exact spectrum."""
+    ev = exact_spectrum(op).eigenvalues
+    pad = 0.01 * (ev[-1] - ev[0]) + 1e-3
+    sop = rescale_operator(op, (ev[0] - pad, ev[-1] + pad))
+    h = dense_matrix(sop)
+    degree = 2 * steps - 1
+    quad = lanczos_quadrature(sop, z, steps)
+    got = quad.z_norm_sq * (chebyshev_values(degree, quad.nodes) @ quad.weights)
+    want = np.empty(degree + 1)  # z^T T_p(H) z by the recurrence on z
+    prev, cur = z, h @ z
+    want[0], want[1] = z @ z, z @ cur
+    for p in range(2, degree + 1):
+        prev, cur = cur, 2.0 * (h @ cur) - prev
+        want[p] = z @ cur
+    nodes, weights = oracle_gauss_rule(h, z, steps)
+    ref = (z @ z) * (chebyshev_values(degree, nodes) @ weights)
+    tol = 1e-10 * (z @ z)
+    assert np.abs(got - want).max() <= tol
+    assert np.abs(got - ref).max() <= tol
+
+
+@st.composite
+def _starts(draw):
+    """A Gaussian start or a standard basis vector e_k, as a function of n."""
+    seed = draw(st.integers(0, 1 << 16))
+    if draw(st.booleans()):
+        return lambda n: np.random.default_rng(seed).standard_normal(n)
+    return lambda n: np.eye(n)[seed % n]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(g=small_models(), kind=st.sampled_from(list(OperatorKind)),
+       steps=st.integers(1, 8), start=_starts())
+def test_gauss_rule_is_exact_to_degree_2m_minus_1(g, kind, steps, start):
+    _check_gauss_rule(build_operator(g, kind), start(g.n), steps)
+
+
+def test_second_gram_schmidt_pass_keeps_the_rule_exact(monkeypatch):
+    # Run to exhaustion from e_1, the last residual is roundoff that one pass
+    # mostly removes, so the DGKS test asks for a second pass over the same
+    # basis; the rule stays exact.
+    passes = []
+    one_pass = lanczos._project_out
+
+    def counted(q_block, w):
+        passes.append(q_block.shape[0])
+        one_pass(q_block, w)
+
+    monkeypatch.setattr(lanczos, "_project_out", counted)
+    g = preferential_attachment(30, 1, seed=1)
+    _check_gauss_rule(build_operator(g, OperatorKind.ADJACENCY), np.eye(g.n)[1],
+                      g.n)
+    assert len(passes) > len(set(passes)), "no step made a second pass"
 
 
 def test_ritz_interlacing_in_step_count():
