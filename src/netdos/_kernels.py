@@ -20,6 +20,7 @@ pass a small self-check, run on the first ``csr_matvec`` call; otherwise
 the public ``csr_array @ x`` product is computed and copied into ``out``,
 for vectors and blocks alike. With ``accumulate=True`` the product is added
 to ``out`` instead: the private loops simply skip zeroing ``out`` first.
+An ``out`` that is not C-contiguous is refused on either route.
 
 The compiled extension is loaded from its own file, without running
 ``scipy.sparse/__init__``: ``importlib.util.find_spec("scipy")`` finds the
@@ -105,10 +106,6 @@ def _public_matvec(indptr, indices, data, x, out, accumulate=False):
 def _sparsetools_matvec(indptr, indices, data, x, out, accumulate=False):
     """out (+)= A @ x accumulated in place by scipy's csr_matvec for a
     vector, csr_matvecs for a block (no scratch)."""
-    if not out.flags.c_contiguous:
-        # out.ravel() would copy, and the result would never reach `out`
-        _public_matvec(indptr, indices, data, x, out, accumulate)
-        return
     if not accumulate:
         out.fill(0.0)
     matvec, matvecs = _private_kernels()
@@ -156,6 +153,9 @@ def csr_matvec(indptr, indices, data, x, out=None, accumulate=False):
         if accumulate:
             raise ValueError("accumulate=True needs an `out` buffer")
         out = np.empty((indptr.shape[0] - 1,) + x.shape[1:])
+    elif not out.flags.c_contiguous:
+        # the in-place loops write through out.ravel(), which would copy
+        raise ValueError("`out` must be a C-contiguous buffer")
     global _matvec
     if _matvec is None:
         _matvec = _select_matvec()

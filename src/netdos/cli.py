@@ -112,6 +112,9 @@ def _range_arg(text):
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise argparse.ArgumentTypeError(
             f"expects finite LO < HI, got {text!r}")
+    if not np.isfinite(hi - lo):
+        raise argparse.ArgumentTypeError(
+            f"expects a finite span HI - LO, got {text!r}")
     return (lo, hi)
 
 

@@ -5,11 +5,17 @@ Matrix Market coordinate symmetric, whose `pattern` entries have 2 columns
 and `real`/`integer` entries 3. A file is read as Matrix Market exactly
 when it opens with the `%%MatrixMarket` banner, whatever its name. One
 array reader serves both bodies; on a bad file a line-by-line scan names
-the first bad line. Node ids are compacted to 0..n-1 and the id map is
-returned alongside the graph. An edge list whose first line is exactly
-`# nodes N edges M` (what `write_graph_edgelist` writes for compact ids)
-keeps ids 0..N-1, so isolated nodes survive a round trip, and must hold M
-edge lines (none: edgeless).
+the first bad line. A missing weight is 1; a graph is weighted exactly
+when some weight differs from 1, and nothing else records it. Node ids are
+compacted to 0..n-1 and the id map is returned alongside the graph. An
+edge list whose first line is exactly `# nodes N edges M` keeps ids
+0..N-1, so isolated nodes survive, and must hold M edge lines (none:
+edgeless).
+
+`write_graph_edgelist` writes what the reader reads back: weights on every
+line when any weight differs from 1, and the header when the ids it writes
+are 0..n-1. Parsing a file, writing the graph with its id map and parsing
+the result again gives back the same arrays and ids.
 
 Results serialize to JSON (schema includes the method, operator, scale map
 and probe metadata) or CSV histograms (`bin_lo,bin_hi,mass`). Floats are
@@ -33,7 +39,7 @@ from __future__ import annotations
 import io
 import json
 import re
-from itertools import compress
+from itertools import compress, repeat
 
 import numpy as np
 
@@ -55,7 +61,7 @@ _SPACE[list(b" \t\n\r\v\f")] = True
 
 def _read_entries(path, body, lineno, *, base, n, malformed, outside=None,
                   width=None, promised=None):
-    """(u, v, w, weighted) from the `u v [w]` lines of `body`, which holds
+    """(u, v, w) from the `u v [w]` lines of `body`, which holds
     the file from line `lineno` on.
 
     Blank lines and lines whose first token starts with `#` or `%` are
@@ -89,7 +95,7 @@ def _read_entries(path, body, lineno, *, base, n, malformed, outside=None,
     if ok:
         if promised is not None and promised[0] != cols.size:
             raise FileFormatError(f"{promised[1]}, found {cols.size}")
-        return u, v, w, bool(three.any())
+        return u, v, w
 
     lo, hi = (0, n) if n is not None else (-2**63, 2**63)
     for lineno, line in enumerate(body.decode(errors="replace").split("\n"), lineno):
@@ -115,18 +121,18 @@ def _read_entries(path, body, lineno, *, base, n, malformed, outside=None,
 
 
 def _parse_edgelist(path, data):
-    """(u, v, w, weighted, n): n is the node count of a `# nodes N edges M`
-    first line, else None."""
+    """(u, v, w, n): n is the node count of a `# nodes N edges M` first
+    line, else None."""
     header = _NODES_HEADER.match(data)
     n = int(header[1]) if header else None
-    u, v, w, weighted = _read_entries(
+    u, v, w = _read_entries(
         path, data, 1, base=0, n=n, malformed="expected `u v [w]`, got",
         outside=header and f"node id outside 0..{n - 1} declared by the header",
         promised=header and (int(header[2]), f"{path}:1: header promises "
                                               f"{int(header[2])} edges"))
     if n is None and u.size == 0:
         raise FileFormatError(f"{path}: no edges found")
-    return u, v, w, weighted, n
+    return u, v, w, n
 
 
 def _parse_matrix_market(path, data):
@@ -156,11 +162,11 @@ def _parse_matrix_market(path, data):
         raise FileFormatError(f"{path}:{lineno}: bad size line {size_line!r}") from exc
     if rows != cols:
         raise FileFormatError(f"{path}:{lineno}: matrix must be square, got {rows}x{cols}")
-    u, v, w, weighted = _read_entries(
+    u, v, w = _read_entries(
         path, data[pos:], lineno + 1, base=1, n=rows, malformed="malformed entry",
         outside="index out of range", width=2 if field == "pattern" else 3,
         promised=(nnz, f"{path}: size line promises {nnz} entries"))
-    return u, v, w, weighted, rows
+    return u, v, w, rows
 
 
 def parse_graph_file(path, allow_self_loops=False):
@@ -175,29 +181,37 @@ def parse_graph_file(path, allow_self_loops=False):
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     mm = data[:14].lower() == b"%%matrixmarket"
     parse = _parse_matrix_market if mm else _parse_edgelist
-    u, v, w, weighted, n = parse(path, data)
+    u, v, w, n = parse(path, data)
     if n is None:
         ids, compact = np.unique(np.concatenate([u, v]), return_inverse=True)
         u, v, n = compact[:u.size], compact[u.size:], ids.size
     else:
         ids = np.arange(n, dtype=np.int64)
-    return _csr_from_arrays(u, v, w, weighted, n, allow_self_loops, ids), ids
+    return _csr_from_arrays(u, v, w, n, allow_self_loops, ids), ids
 
 
 def write_graph_edgelist(g: GraphCSR, path, node_ids=None):
-    """Canonical `u v [w]` lines (original ids when a map is given); compact
-    ids get the `# nodes N edges M` header that keeps isolated nodes."""
+    """Canonical edge lines of `g`, one per undirected edge, in the ids of
+    `node_ids` (node i is `node_ids[i]`) when a map is given.
+
+    Every line is `u v w` when any weight differs from 1, and `u v`
+    otherwise. Ids 0..n-1 (no map, or the identity map) get the
+    `# nodes N edges M` header, which keeps isolated nodes; a file without
+    it drops them. A map from `parse_graph_file` names an isolated node
+    only if it is the identity, so parsing, writing with that map and
+    parsing again gives back the same graph and map.
+    """
     u, v, w = g.edge_list()
-    if node_ids is not None:
+    # each line's end, chosen once: f-strings format faster than str.format
+    ends = [f" {x!r}\n" for x in w.tolist()] if np.any(w != 1.0) else repeat("\n")
+    compact = node_ids is None or np.array_equal(node_ids, np.arange(g.n))
+    if not compact:
         u, v = np.asarray(node_ids)[u], np.asarray(node_ids)[v]
     with open(path, "w") as fh:
-        if node_ids is None:
+        if compact:
             fh.write(f"# nodes {g.n} edges {u.shape[0]}\n")
-        for a, b, ww in zip(u.tolist(), v.tolist(), w.tolist()):
-            if g.is_weighted:
-                fh.write(f"{a} {b} {ww!r}\n")
-            else:
-                fh.write(f"{a} {b}\n")
+        for a, b, end in zip(u.tolist(), v.tolist(), ends):
+            fh.write(f"{a} {b}{end}")
 
 
 def _scale_map_obj(smap: ScaleMap):

@@ -3,8 +3,10 @@
 GraphCSR is the ground-truth object every other module consumes. It stores
 both directions of each undirected edge, keeps column indices sorted within
 each row, and is immutable after construction, so callers may share it
-freely. `build_csr` turns edge tuples into arrays for `_csr_from_arrays`,
-the one validated assembly, which the file reader and the generators call
+freely. Every edge has a weight, 1 unless stated; a graph is weighted
+exactly when some weight differs from 1, and no flag records it.
+`build_csr` turns edge tuples into arrays for `_csr_from_arrays`, the one
+validated assembly, which the file reader and the generators call
 directly.
 """
 
@@ -31,7 +33,6 @@ class GraphCSR:
     row_ptr: np.ndarray
     col_idx: np.ndarray
     weights: np.ndarray
-    is_weighted: bool
     _degrees: np.ndarray = field(default=None, repr=False, compare=False)
 
     @property
@@ -84,16 +85,14 @@ def build_csr(edges, n=None, allow_self_loops=False) -> GraphCSR:
     # one sequence per tuple position; a missing weight reads as 1.0
     columns = list(zip_longest(*edges, fillvalue=1.0)) or [(), ()]
     u, v = (np.asarray(c, dtype=np.int64) for c in columns[:2])
-    weighted = len(columns) == 3
-    w = np.asarray(columns[2], dtype=np.float64) if weighted else np.ones(u.size)
-    return _csr_from_arrays(u, v, w, weighted, n, allow_self_loops)
+    w = np.asarray(columns[2], dtype=np.float64) if columns[2:] else np.ones(u.size)
+    return _csr_from_arrays(u, v, w, n, allow_self_loops)
 
 
-def _csr_from_arrays(u, v, w, weighted, n=None, allow_self_loops=False,
-                     ids=None):
-    """`build_csr` on arrays: edge i joins u[i] and v[i] with weight w[i];
-    `weighted` says whether any edge stated its weight. Messages call node
-    i `ids[i]` when an id map is given (a file's ids before compaction)."""
+def _csr_from_arrays(u, v, w, n=None, allow_self_loops=False, ids=None):
+    """`build_csr` on arrays: edge i joins u[i] and v[i] with weight w[i].
+    Messages call node i `ids[i]` when an id map is given (a file's ids
+    before compaction)."""
     name = int if ids is None else ids.item
     if u.size and (u.min() < 0 or v.min() < 0):
         raise GraphError("node ids must be nonnegative")
@@ -153,5 +152,4 @@ def _csr_from_arrays(u, v, w, weighted, n=None, allow_self_loops=False,
 
     row_ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=row_ptr[1:])
-    return GraphCSR(n=int(n), row_ptr=row_ptr, col_idx=cols, weights=weights,
-                    is_weighted=bool(weighted and not np.all(weights == 1.0)))
+    return GraphCSR(n=int(n), row_ptr=row_ptr, col_idx=cols, weights=weights)

@@ -147,13 +147,16 @@ def rescale_operator(op: SymmetricCSROperator,
     diagonal; a row with no stored diagonal gets one, inserted in column
     order. Entries that come out exactly 0.0 are dropped. The rows of `op`
     must hold each column at most once, as `build_operator` gives them; no
-    entry is re-sorted.
+    entry is re-sorted. A range whose shift (lo + hi) / 2 is not finite, or
+    whose scale (hi - lo) / 2 is not finite and positive, raises ValueError.
     """
     lmin, lmax = float(spectral_range[0]), float(spectral_range[1])
-    if not lmin < lmax:
-        raise ValueError(f"degenerate spectral range ({lmin}, {lmax})")
     shift = 0.5 * (lmax + lmin)
     scale = 0.5 * (lmax - lmin)
+    if not (np.isfinite(shift) and 0.0 < scale < np.inf):
+        raise ValueError(f"degenerate spectral range ({lmin}, {lmax}): the map "
+                         "onto [-1, 1] needs a finite shift and a finite "
+                         f"positive scale, got {shift!r}, {scale!r}")
     n = op.n
     rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(op.indptr))
     diag = np.full(n, -shift / scale) if shift != 0.0 else None

@@ -96,7 +96,7 @@ def erdos_renyi(n, p, seed=0) -> GraphCSR:
             seen.add(t)
     chosen = np.fromiter(seen, dtype=np.int64, count=k)
     u, v = _pairs_from_linear(np.sort(chosen), n)
-    return _csr_from_arrays(u, v, np.ones(k), False, n)
+    return _csr_from_arrays(u, v, np.ones(k), n)
 
 
 def preferential_attachment(n, m, seed=0) -> GraphCSR:
@@ -122,7 +122,7 @@ def preferential_attachment(n, m, seed=0) -> GraphCSR:
             endpoints.extend((t, v))
     u = np.array(us, dtype=np.int64)
     v = np.array(vs, dtype=np.int64)
-    return _csr_from_arrays(u, v, np.ones(u.shape[0]), False, n)
+    return _csr_from_arrays(u, v, np.ones(u.shape[0]), n)
 
 
 def small_world(n, k, p, seed=0) -> GraphCSR:
@@ -159,8 +159,7 @@ def small_world(n, k, p, seed=0) -> GraphCSR:
                     present.add(cand)
                     break
     pairs = np.array(sorted(present), dtype=np.int64)
-    return _csr_from_arrays(pairs[:, 0], pairs[:, 1], np.ones(pairs.shape[0]),
-                            False, n)
+    return _csr_from_arrays(pairs[:, 0], pairs[:, 1], np.ones(pairs.shape[0]), n)
 
 
 # The model names `netdos generate --model` accepts ("ba" is a second name

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -40,7 +41,6 @@ def test_parse_weighted_edge(tmp_path):
     p = tmp_path / "g.txt"
     p.write_text("0 1 2.5\n")
     g, _ = parse_graph_file(p)
-    assert g.is_weighted
     assert g.weights.tolist() == [2.5, 2.5]
 
 
@@ -151,7 +151,7 @@ def test_matrix_market_field_fixes_the_columns(tmp_path):
         parse_graph_file(p)
     p.write_text(head.format("integer") + "3 2 2\n% note\n2 1 2\n")
     g, _ = parse_graph_file(p)
-    assert g.is_weighted and g.weights.tolist() == [2.0, 2.0, 2.0, 2.0]
+    assert g.weights.tolist() == [2.0, 2.0, 2.0, 2.0]
 
 
 def test_parse_rejects_non_finite_weights(tmp_path):
@@ -195,7 +195,7 @@ def test_parse_reads_every_line_end(tmp_path):
     for end in ("\n", "\r\n", "\r"):
         p.write_bytes(end.join(["# c", "5 9", "", "9 70 2.0", "%", "70 5"]).encode())
         g, ids = parse_graph_file(p)
-        assert ids.tolist() == [5, 9, 70] and g.is_weighted
+        assert ids.tolist() == [5, 9, 70]
         assert g.weights.tolist() == [1.0, 1.0, 1.0, 2.0, 1.0, 2.0]
     p.write_bytes(b"0 1\r\n1 x\r\n")
     with pytest.raises(FileFormatError, match=r"g\.txt:2: invalid literal"):
@@ -538,6 +538,10 @@ def test_cli_csv_usage_errors_come_before_work(tmp_path, capsys, argv):
      "--negativity-tol: must be finite and >= 0, got -1"),
     (["hist", "--negativity-tol", "nan"],
      "--negativity-tol: must be finite and >= 0, got nan"),
+    # finite ends, but HI - LO is inf: no scale maps the range onto [-1, 1]
+    *[([command, "--range=-1e308,1e308"],
+       "--range: expects a finite span HI - LO, got '-1e308,1e308'")
+      for command in ["dos", "pdos", "gql", "nd-pdos", "exact"]],
 ])
 def test_cli_bad_counts_are_usage_errors(tmp_path, capsys, argv, message):
     # the input does not exist: exit 2, not 1, shows it was never opened
@@ -563,6 +567,30 @@ def test_cli_hist_refuses_per_node_csv_before_binning(tmp_path, capsys,
                  "--out", str(out)]) == 1
     assert "CSV output supports global histograms only" in capsys.readouterr().err
     assert not out.exists()
+
+
+# SHA-256 of `generate --seed 1` files: a change to the generators or to the
+# edge-list writer must not move the seeded graphs that measurements name
+GENERATED_SHA256 = {
+    ("er", "--n", "500", "--p", "0.01"):
+        "bdb97669bd836b803f4645773afaffdeb904c7ccb92ec233b8131a401ccd7bbc",
+    ("er", "--n", "50", "--p", "0"):
+        "f61b677419bb9729e10ea245f4093639ebd68d032cf5f5e425e7d58ea4656aa2",
+    ("pa", "--n", "2000", "--m", "3"):
+        "9cb6629555a278b80284f383ed3c1c1f2d3fd1168629ae24a232caa9bb648ff1",
+    ("ba", "--n", "300", "--m", "2"):
+        "a84619a4da77c54823285221125fef5e2b1130c176add6c55600a684d9912da4",
+    ("ws", "--n", "600", "--k", "4", "--p", "0.1"):
+        "a5db7aac96b668f8061e0ece207e23f1ec17248fdf73f26d4a38a2666804963f",
+}
+
+
+@pytest.mark.parametrize("model", sorted(GENERATED_SHA256))
+def test_cli_generate_bytes_are_pinned(tmp_path, model):
+    out = tmp_path / "g.txt"
+    assert main(["generate", "--model", *model, "--seed", "1",
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GENERATED_SHA256[model]
 
 
 def test_cli_generate_names_the_model_missing_m(tmp_path, capsys):

@@ -9,7 +9,7 @@ def test_two_edge_path():
     assert g.n == 3
     assert g.nnz == 4
     assert g.num_edges == 2
-    assert not g.is_weighted
+    assert np.all(g.weights == 1.0)
     assert np.array_equal(g.degrees(), [1.0, 2.0, 1.0])
 
 
@@ -24,7 +24,7 @@ def test_same_direction_duplicates_sum():
     g = build_csr([(0, 1, 2.0), (0, 1, 3.0)])
     assert g.num_edges == 1
     assert np.array_equal(np.unique(g.weights), [5.0])
-    assert g.is_weighted
+    assert not np.any(g.weights == 1.0)
 
 
 def test_conflicting_bidirectional_weights_rejected():

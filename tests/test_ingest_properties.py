@@ -3,8 +3,9 @@
 The reference below is the tuple parser and `build_csr` that the array path
 replaced: one Python `int()`/`float()` per token, a dict id remap, and a
 loop over pairs. On every file it accepts, `parse_graph_file` must give the
-same CSR arrays, weight flag and id map bit for bit; where it refuses one,
-the same error.
+same CSR arrays and id map bit for bit; where it refuses one,
+the same error. A parsed file that `write_graph_edgelist` writes back, with
+its id map or without one, parses to the same arrays again.
 """
 
 import os
@@ -13,10 +14,11 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from netdos import FileFormatError, GraphError, build_csr, parse_graph_file
+from netdos import (FileFormatError, GraphError, build_csr, parse_graph_file,
+                    write_graph_edgelist)
 from netdos.graph import GraphCSR
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
@@ -30,14 +32,8 @@ def _reference_build_csr(edges, n=None, allow_self_loops=False, ids=None):
     # messages call node i ids[i] when an id map is given
     name = (lambda i: int(i)) if ids is None else (lambda i: int(ids[i]))
     us, vs, ws = [], [], []
-    explicit_weight = False
     for e in edges:
-        if len(e) == 3:
-            u, v, w = e
-            explicit_weight = True
-        else:
-            u, v = e
-            w = 1.0
+        u, v, w = e if len(e) == 3 else (*e, 1.0)
         us.append(u)
         vs.append(v)
         ws.append(w)
@@ -60,8 +56,7 @@ def _reference_build_csr(edges, n=None, allow_self_loops=False, ids=None):
         raise GraphError(f"n={n} smaller than 1 + max node id ({n_min})")
     if u.size == 0:
         return GraphCSR(n=int(n), row_ptr=np.zeros(n + 1, dtype=np.int64),
-                        col_idx=np.zeros(0, dtype=np.int64), weights=np.zeros(0),
-                        is_weighted=False)
+                        col_idx=np.zeros(0, dtype=np.int64), weights=np.zeros(0))
     cu, cv = np.minimum(u, v), np.maximum(u, v)
     key = (cu * np.int64(n) + cv) * 2 + (u > v)
     order = np.argsort(key, kind="stable")
@@ -93,8 +88,7 @@ def _reference_build_csr(edges, n=None, allow_self_loops=False, ids=None):
     row_ptr = np.zeros(n + 1, dtype=np.int64)
     np.add.at(row_ptr, ru + 1, 1)
     np.cumsum(row_ptr, out=row_ptr)
-    return GraphCSR(n=int(n), row_ptr=row_ptr, col_idx=rc, weights=rw,
-                    is_weighted=bool(explicit_weight and not np.all(weight == 1.0)))
+    return GraphCSR(n=int(n), row_ptr=row_ptr, col_idx=rc, weights=rw)
 
 
 def _reference_parse(path, allow_self_loops=False):
@@ -138,7 +132,7 @@ def _outcome(fn, *args, **kwargs):
     except GraphError as exc:
         return type(exc).__name__, str(exc)
     return (g.n, g.row_ptr.tobytes(), g.col_idx.tobytes(), g.weights.tobytes(),
-            g.is_weighted, ids.tobytes())
+            ids.tobytes())
 
 
 WEIGHTS = st.one_of(st.sampled_from(["1", "1.0", "2", "0.5", "3.25", "1e-2"]),
@@ -252,7 +246,7 @@ def test_build_csr_invariants(triples, allow_self_loops):
         assert str(exc) == str(ref.value)
         return
     want = _reference_build_csr(edges, allow_self_loops=allow_self_loops)
-    assert g.n == want.n and g.is_weighted == want.is_weighted
+    assert g.n == want.n
     assert g.row_ptr.tobytes() == want.row_ptr.tobytes()
     assert g.col_idx.tobytes() == want.col_idx.tobytes()
     assert g.weights.tobytes() == want.weights.tobytes()
@@ -263,3 +257,54 @@ def test_build_csr_invariants(triples, allow_self_loops):
         dense[i, cols] = g.weights[g.neighbor_slice(i)]
     assert np.array_equal(dense, dense.T)
     assert np.all(np.isfinite(g.weights)) and np.all(g.weights > 0)
+
+
+@st.composite
+def consistent_edge_files(draw):
+    """The text of an edge list that parses: ids up to 2**62, or 0..N-1
+    under a `# nodes N edges M` header, which may leave nodes isolated;
+    each edge stated on one to three lines, weighted or not, and sometimes
+    restated the other way round with the same lines."""
+    header = draw(st.booleans())
+    if header:
+        n = draw(st.integers(1, 10))
+        ids = list(range(n))
+    else:
+        ids = draw(st.lists(st.integers(0, 2**62), min_size=1, max_size=10,
+                            unique=True))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)),
+                          min_size=0 if header else 1, max_size=12,
+                          unique_by=lambda p: (min(p), max(p))))
+    lines = []
+    for u, v in pairs:
+        weights = draw(st.lists(st.none() | WEIGHTS, min_size=1, max_size=3))
+        lines += [(u, v, w) for w in weights]
+        if u != v and draw(st.booleans()):
+            lines += [(v, u, w) for w in weights]
+    lines = draw(st.permutations(lines))
+    text = "".join(f"{u} {v}\n" if w is None else f"{u} {v} {w}\n"
+                   for u, v, w in lines)
+    return f"# nodes {n} edges {len(lines)}\n" + text if header else text
+
+
+def _arrays(g):
+    return g.n, g.row_ptr.tobytes(), g.col_idx.tobytes(), g.weights.tobytes()
+
+
+@settings(SETTINGS, max_examples=50)
+@given(consistent_edge_files())
+# repeated unweighted lines sum to weight 2, which the file must keep
+@example("0 1\n0 1\n1 2\n")
+# isolated nodes need the header, with the identity map too
+@example("# nodes 5 edges 1\n0 1\n")
+def test_parse_write_parse_is_the_identity(text):
+    with tempfile.TemporaryDirectory() as d:
+        path, again = _write(d, text), os.path.join(d, "again.txt")
+        g, ids = parse_graph_file(path, allow_self_loops=True)
+        write_graph_edgelist(g, again, node_ids=ids)
+        g2, ids2 = parse_graph_file(again, allow_self_loops=True)
+        assert _arrays(g2) == _arrays(g) and ids2.tolist() == ids.tolist()
+        # without the map the file holds the compact ids 0..n-1
+        write_graph_edgelist(g, again)
+        g3, ids3 = parse_graph_file(again, allow_self_loops=True)
+        assert _arrays(g3) == _arrays(g) and ids3.tolist() == list(range(g.n))

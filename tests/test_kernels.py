@@ -6,8 +6,9 @@ vector gives the same bits through the vector loop, the k = 1 block loop
 and the public product; the first call picks the route by a self-check of
 both loops and falls back to the public product when either fails or the
 extension file is missing; the scratch of a matvec stays within
-O(rows * k); and every estimator reaches the kernel through the one
-``_kernels.csr_matvec`` attribute."""
+O(rows * k); an `out` that is not C-contiguous is refused; and every
+estimator reaches the kernel through the one ``_kernels.csr_matvec``
+attribute."""
 
 import importlib.machinery
 import sys
@@ -266,6 +267,17 @@ def test_accumulate_needs_out():
     indptr, idx, val, _ = _random_csr(np.random.default_rng(7), 5, 0.5)
     with pytest.raises(ValueError, match="out"):
         _kernels.csr_matvec(indptr, idx, val, np.ones((5, 2)), accumulate=True)
+
+
+@pytest.mark.parametrize("accumulate", [False, True])
+def test_non_contiguous_out_is_refused(accumulate):
+    indptr, idx, val, _ = _random_csr(np.random.default_rng(7), 5, 0.5)
+    # a column-major block and a strided vector, each left untouched
+    for x, out in [(np.ones((5, 2)), np.zeros((2, 5)).T),
+                   (np.ones(5), np.zeros(10)[::2])]:
+        with pytest.raises(ValueError, match="C-contiguous"):
+            _kernels.csr_matvec(indptr, idx, val, x, out=out, accumulate=accumulate)
+        assert not out.any()
 
 
 _SCRATCH_KERNELS = {

@@ -140,8 +140,13 @@ def test_rescale_maps_endpoints(path3, triangle):
 
 def test_rescale_rejects_degenerate_range(path3):
     op = build_operator(path3, OperatorKind.ADJACENCY)
-    with pytest.raises(ValueError, match="degenerate"):
-        rescale_operator(op, (1.0, 1.0))
+    # finite ends whose scale overflows, whose shift overflows, and whose
+    # scale underflows to 0
+    for spectral_range in [(1.0, 1.0), (2.0, 1.0), (0.0, np.nan), (-np.inf, 0.0),
+                           (-1e308, 1e308), (1e308, 1.7e308), (0.0, 5e-324)]:
+        with pytest.raises(ValueError, match="degenerate spectral range .*finite "
+                                             "shift and a finite positive scale"):
+            rescale_operator(op, spectral_range)
 
 
 def test_scaled_spectrum_in_unit_interval_with_exact_bounds():
