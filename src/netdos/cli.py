@@ -24,7 +24,7 @@ from .kpm import MODE_PER_NODE
 from .lanczos import gql_pdos
 from .motifs import MotifKind, detect_motifs
 from .nested_dissection import LEAF_SIZE, load_partition, save_partition
-from .operators import (ANALYTIC_RANGES, OPERATOR, OperatorKind,
+from .operators import (ANALYTIC_RANGES, OPERATOR, OperatorKind, ScaleMap,
                         build_operator)
 from .probes import ProbeKind
 
@@ -115,6 +115,12 @@ def _range_arg(text):
     if not np.isfinite(hi - lo):
         raise argparse.ArgumentTypeError(
             f"expects a finite span HI - LO, got {text!r}")
+    try:  # the condition `rescale_operator` applies
+        ScaleMap.onto_unit((lo, hi))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "expects a finite midpoint (LO + HI) / 2 and a positive half-span "
+            f"(HI - LO) / 2, got {text!r}")
     return (lo, hi)
 
 
@@ -378,6 +384,13 @@ def main(argv=None) -> int:
         if getattr(args, "node", None) is not None:
             ap.error("--out-format csv writes histograms, not the quadrature "
                      "record of gql --node")
+    # bins over a user range must be wider than zero, before any input is read
+    if (getattr(args, "range", None) is not None
+            and getattr(args, "bins", None) is not None):
+        lo, hi = args.range
+        if not np.all(np.diff(np.linspace(lo, hi, args.bins + 1)) > 0.0):
+            ap.error(f"--range {lo!r},{hi!r} is too narrow for --bins "
+                     f"{args.bins}: its bin edges do not increase")
     try:
         return args.fn(args)
     except (NetdosError, ValueError, OSError, MemoryError) as exc:

@@ -44,6 +44,20 @@ class ScaleMap:
     shift: float
     scale: float
 
+    @classmethod
+    def onto_unit(cls, spectral_range):
+        """The map of [lo, hi] onto [-1, 1]: shift (lo + hi) / 2 and scale
+        (hi - lo) / 2. A range whose shift is not finite, or whose scale is
+        not finite and positive, raises ValueError."""
+        lmin, lmax = float(spectral_range[0]), float(spectral_range[1])
+        shift = 0.5 * (lmax + lmin)
+        scale = 0.5 * (lmax - lmin)
+        if not (np.isfinite(shift) and 0.0 < scale < np.inf):
+            raise ValueError(f"degenerate spectral range ({lmin}, {lmax}): the "
+                             "map onto [-1, 1] needs a finite shift and a "
+                             f"finite positive scale, got {shift!r}, {scale!r}")
+        return cls(shift, scale)
+
     def to_scaled(self, lam):
         return (np.asarray(lam, dtype=np.float64) - self.shift) / self.scale
 
@@ -147,19 +161,21 @@ def rescale_operator(op: SymmetricCSROperator,
     diagonal; a row with no stored diagonal gets one, inserted in column
     order. Entries that come out exactly 0.0 are dropped. The rows of `op`
     must hold each column at most once, as `build_operator` gives them; no
-    entry is re-sorted. A range whose shift (lo + hi) / 2 is not finite, or
-    whose scale (hi - lo) / 2 is not finite and positive, raises ValueError.
+    entry is re-sorted. A range that `ScaleMap.onto_unit` refuses, or one so
+    narrow that an entry divided by its scale is not finite, raises
+    ValueError.
     """
     lmin, lmax = float(spectral_range[0]), float(spectral_range[1])
-    shift = 0.5 * (lmax + lmin)
-    scale = 0.5 * (lmax - lmin)
-    if not (np.isfinite(shift) and 0.0 < scale < np.inf):
-        raise ValueError(f"degenerate spectral range ({lmin}, {lmax}): the map "
-                         "onto [-1, 1] needs a finite shift and a finite "
-                         f"positive scale, got {shift!r}, {scale!r}")
+    smap = ScaleMap.onto_unit((lmin, lmax))
+    shift, scale = smap.shift, smap.scale
+    with np.errstate(over="ignore"):
+        data = op.data / scale
+    if not np.isfinite(data).all():
+        raise ValueError(f"spectral range ({lmin}, {lmax}) is too narrow for "
+                         f"this operator: its entries divided by the scale "
+                         f"{scale!r} overflow")
     n = op.n
     rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(op.indptr))
     diag = np.full(n, -shift / scale) if shift != 0.0 else None
-    arrays = _sorted_csr(n, rows, op.indices, op.data / scale, diag)
-    return SymmetricCSROperator(n, *arrays, op.kind, ScaleMap(shift, scale),
-                                (lmin, lmax))
+    arrays = _sorted_csr(n, rows, op.indices, data, diag)
+    return SymmetricCSROperator(n, *arrays, op.kind, smap, (lmin, lmax))

@@ -1,4 +1,6 @@
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,16 @@ with warnings.catch_warnings():
         import hypothesis.extra._patching  # noqa: F401
     except ImportError:  # without libcst the plugin prints no patch at all
         pass
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    """The benchmark's `workloads` module, imported from perfbench/ without
+    writing bytecode there."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    import workloads
+    return workloads
 
 
 @pytest.fixture

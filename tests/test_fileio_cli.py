@@ -552,6 +552,47 @@ def test_cli_bad_counts_are_usage_errors(tmp_path, capsys, argv, message):
     assert f"argument {message}" in capsys.readouterr().err
 
 
+_RANGE_COMMANDS = ["dos", "pdos", "gql", "nd-pdos", "exact"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    # finite ends and span, but the midpoint overflows or the half-span
+    # underflows to 0: `rescale_operator` could not map either onto [-1, 1]
+    *[([command, f"--range={text}"],
+       "argument --range: expects a finite midpoint (LO + HI) / 2 and a "
+       f"positive half-span (HI - LO) / 2, got '{text}'")
+      for command in _RANGE_COMMANDS for text in ["1e308,1.7e308", "0,5e-324"]],
+    # a span too narrow for its bin count: np.linspace repeats an edge
+    *[([command, "--range=0,1e-322", "--bins", "50"],
+       "--range 0.0,1e-322 is too narrow for --bins 50: its bin edges do not "
+       "increase") for command in ["dos", "gql", "exact"]],
+])
+def test_cli_ranges_that_map_or_bin_nothing_are_usage_errors(
+        tmp_path, capsys, argv, message):
+    gpath = tmp_path / "cycle.txt"
+    _write_cycle(gpath)
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--input", str(gpath), "--out", str(out)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_range_too_narrow_for_the_operator_fails_without_a_warning(
+        tmp_path, capsys):
+    # one bin fits in [0, 1e-322], but the adjacency's entries divided by its
+    # half-span overflow: a runtime error (exit 1), not a numpy warning,
+    # which the test configuration turns into an exception
+    gpath = tmp_path / "cycle.txt"
+    _write_cycle(gpath)
+    out = tmp_path / "out.json"
+    assert main(["dos", "--input", str(gpath), "--operator", "adjacency",
+                 "--range=0,1e-322", "--bins", "1", "--out", str(out)]) == 1
+    assert "is too narrow for this operator" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_hist_refuses_per_node_csv_before_binning(tmp_path, capsys,
                                                       monkeypatch):
     path = tmp_path / "nd.json"
@@ -919,16 +960,6 @@ def test_cli_csv_output_matches_json(tmp_path, command):
 ROOT = Path(__file__).parents[1]
 BENCHMARK_WORKLOADS = [w["name"] for w in
                        json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
-
-
-@pytest.fixture
-def workloads(monkeypatch):
-    """The benchmark's `workloads` module, imported from perfbench/ without
-    writing bytecode there."""
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
-    import workloads
-    return workloads
 
 
 def test_benchmark_command_lines_parse(workloads):

@@ -7,6 +7,7 @@ from netdos import (OperatorKind, ProbeKind, build_csr, build_operator,
                     chebyshev_values, dos_moments, gql_dos, gql_pdos,
                     lanczos, lanczos_quadrature, make_probes, rescale_operator)
 from netdos.density import SNAP_TOL
+from netdos.fileio import parse_graph_file
 from netdos.lanczos import _lanczos
 from netdos.pipeline import gql_dos_pipeline, scaled_operator_for
 from netdos.testkit import (dense_matrix, erdos_renyi, exact_spectrum,
@@ -104,6 +105,55 @@ def _starts(draw):
        steps=st.integers(1, 8), start=_starts())
 def test_gauss_rule_is_exact_to_degree_2m_minus_1(g, kind, steps, start):
     _check_gauss_rule(build_operator(g, kind), start(g.n), steps)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(g=small_models(), kind=st.sampled_from(list(OperatorKind)),
+       data=st.data(), start=_starts())
+def test_gauss_rule_stays_exact_where_partial_reorthogonalization_fires(
+        g, kind, data, start):
+    # n steps down to 9: long enough for the estimates of q_{j+1}^T q_k to
+    # pass PRO_DELTA, and up to where the Krylov space runs out
+    steps = g.n - data.draw(st.integers(0, g.n - 9), label="n - steps")
+    _check_gauss_rule(build_operator(g, kind), start(g.n), steps)
+
+
+def test_partial_reorthogonalization_on_the_benchmark_tree(tmp_path, monkeypatch,
+                                                           workloads):
+    # The benchmark's gql: its seed-1 8,000-node tree under the Laplacian,
+    # 20 Hadamard probes x 50 steps. Of the 980 steps that can make a
+    # Gram-Schmidt pass (a probe's last makes none), at most a third do, and
+    # the masses match those of rules built with two full passes on every
+    # step. A pass on every step makes 980.
+    w = workloads.WORKLOADS["laplacian-tree"]
+    p = w.params
+    graph = tmp_path / "tree.txt"
+    w.make_input(1, graph)
+    g, _ = parse_graph_file(graph)
+    passes = []
+    one_pass = lanczos._project_out
+
+    def counted(q_block, w):
+        passes.append(q_block.shape[0])
+        one_pass(q_block, w)
+
+    monkeypatch.setattr(lanczos, "_project_out", counted)
+    hist, _ = gql_dos_pipeline(g, operator="laplacian", steps=p["steps"],
+                               nz=p["probes"], probe_kind=ProbeKind.HADAMARD,
+                               seed=1, bins=p["bins"])
+    steps_with_pass = p["probes"] * (p["steps"] - 1)
+    assert 0 < len(passes) <= steps_with_pass // 3, len(passes)
+
+    from scipy.sparse import csr_array
+    op = build_operator(g, OperatorKind.LAPLACIAN)
+    lap = csr_array((op.data, op.indices, op.indptr), shape=(g.n, g.n))
+    probes = make_probes(g.n, p["probes"], ProbeKind.HADAMARD, seed=1)
+    rules = [oracle_gauss_rule(lap, probes.columns[:, j], p["steps"])
+             for j in range(p["probes"])]
+    nodes = np.concatenate([r[0] for r in rules])
+    weights = np.concatenate([r[1] for r in rules]) / p["probes"]
+    want, _ = np.histogram(nodes, bins=hist.edges, weights=weights)
+    assert np.abs(hist.masses - want).max() <= 1e-12
 
 
 def test_second_gram_schmidt_pass_keeps_the_rule_exact(monkeypatch):

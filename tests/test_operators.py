@@ -147,6 +147,17 @@ def test_rescale_rejects_degenerate_range(path3):
         with pytest.raises(ValueError, match="degenerate spectral range .*finite "
                                              "shift and a finite positive scale"):
             rescale_operator(op, spectral_range)
+        with pytest.raises(ValueError, match="degenerate spectral range"):
+            ScaleMap.onto_unit(spectral_range)
+
+
+def test_rescale_rejects_a_range_its_entries_overflow(path3):
+    # the shift and scale are fine, but 1 / 5e-323 overflows; refused with
+    # no numpy warning, which the test configuration would raise instead
+    op = build_operator(path3, OperatorKind.ADJACENCY)
+    assert ScaleMap.onto_unit((0.0, 1e-322)) == ScaleMap(5e-323, 5e-323)
+    with pytest.raises(ValueError, match="too narrow for this operator"):
+        rescale_operator(op, (0.0, 1e-322))
 
 
 def test_scaled_spectrum_in_unit_interval_with_exact_bounds():
