@@ -14,14 +14,14 @@ from .fileio import parse_graph_file, write_graph_edgelist
 from .graph import GraphCSR, build_csr
 from .kpm import (ChebMoments, chebyshev_values, dos_moments,
                   jackson_coefficients, pdos_moments)
-from .lanczos import (RitzQuadrature, estimate_spectral_range, gql_dos,
-                      gql_pdos, lanczos_quadrature)
+from .lanczos import RitzQuadrature, gql_dos, gql_pdos, lanczos_quadrature
 from .motifs import (FilterAdjustment, MotifInstance, MotifKind, detect_motifs,
                      filter_probes)
 from .nested_dissection import (PartitionTree, build_partition_tree,
                                 load_partition, nd_pdos_moments, save_partition)
 from .operators import (OperatorKind, ScaleMap, SymmetricCSROperator,
-                        build_operator, rescale_operator)
+                        build_operator, estimate_spectral_range,
+                        rescale_operator)
 from .probes import ProbeKind, ProbeMatrix, make_probes
 from .testkit import (ExactSpectrum, erdos_renyi, exact_spectrum, generate_graph,
                       oracle_histogram, preferential_attachment, small_world)

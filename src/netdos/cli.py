@@ -1,13 +1,15 @@
 """Command-line interface.
 
 Subcommands: dos, pdos, gql, nd-pdos, motifs, exact, generate, hist.
-All randomness hangs off --seed, outputs carry no timestamps, and identical
+All randomness hangs off --seed, which the commands that draw probes (dos,
+pdos, gql) and generate declare; outputs carry no timestamps, and identical
 invocations produce byte-identical files. For gql that holds at a fixed BLAS
 thread count: its Lanczos runs orthogonalize through BLAS products whose
-summation order may follow the thread count. The range estimate of dos,
-pdos and nd-pdos reduces in numpy's fixed order, so their files do not
-depend on it. Exit codes: 0 success, 1 runtime error (message on stderr),
-2 usage error.
+summation order may follow the thread count. The estimated spectral range
+(`operators.estimate_spectral_range`) is elementwise work from a fixed start,
+so it depends on neither --seed nor the thread count, and neither do the
+files of dos, pdos and nd-pdos. Exit codes: 0 success, 1 runtime error
+(message on stderr), 2 usage error.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import sys
 import numpy as np
 
 from . import fileio, pipeline, testkit
-from .density import BINS, histogram_from_moments
+from .density import BINS, bin_edges, histogram_from_moments
 from .errors import NetdosError
 from .kpm import MODE_PER_NODE
 from .lanczos import gql_pdos
@@ -46,7 +48,6 @@ def _add_graph_command(sub, name, fn, help, csv=False):
 
 def _add_estimator_args(p, moments, min_moments=0):
     p.add_argument("--moments", type=_int_at_least(min_moments), default=moments)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--range", type=_range_arg, default=None, metavar="LO,HI",
                    help="spectral range override (default: estimated)")
     p.add_argument("--threads", type=_int_at_least(1), default=None,
@@ -55,6 +56,7 @@ def _add_estimator_args(p, moments, min_moments=0):
 
 
 def _add_probe_args(p):
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--probes", type=_int_at_least(1), default=pipeline.PROBES)
     p.add_argument("--probe-kind", choices=_PROBE_KINDS,
                    default=pipeline.PROBE_KIND.value)
@@ -229,7 +231,7 @@ def _cmd_nd_pdos(args):
     g, node_ids = _load_graph(args)
     tree = load_partition(args.partition) if args.partition else None
     moments, sop, tree = pipeline.nd_pdos_pipeline(
-        g, operator=args.operator, m_max=args.moments, seed=args.seed,
+        g, operator=args.operator, m_max=args.moments,
         leaf_size=args.leaf_size, tree=tree, range_=args.range)
     if args.save_partition:
         save_partition(tree, args.save_partition)
@@ -335,6 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = _add_graph_command(sub, "nd-pdos", _cmd_nd_pdos,
                            help="exact per-node moments via nested dissection")
     _add_estimator_args(p, pipeline.ND_MOMENTS)
+    p.add_argument("--seed", type=int, default=0,
+                   help="accepted for compatibility; has no effect")
     p.add_argument("--leaf-size", type=_int_at_least(1), default=LEAF_SIZE)
     p.add_argument("--partition", default=None, help="load a partition file")
     p.add_argument("--save-partition", default=None)
@@ -387,10 +391,10 @@ def main(argv=None) -> int:
     # bins over a user range must be wider than zero, before any input is read
     if (getattr(args, "range", None) is not None
             and getattr(args, "bins", None) is not None):
-        lo, hi = args.range
-        if not np.all(np.diff(np.linspace(lo, hi, args.bins + 1)) > 0.0):
-            ap.error(f"--range {lo!r},{hi!r} is too narrow for --bins "
-                     f"{args.bins}: its bin edges do not increase")
+        try:
+            bin_edges(*args.range, args.bins)
+        except ValueError as exc:
+            ap.error(str(exc))
     try:
         return args.fn(args)
     except (NetdosError, ValueError, OSError, MemoryError) as exc:

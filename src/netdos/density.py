@@ -45,6 +45,16 @@ class SpectralHistogram:
         return int(self.edges.shape[0] - 1)
 
 
+def bin_edges(lo, hi, bins) -> np.ndarray:
+    """The bins + 1 edges of `bins` equal bins over [lo, hi]. A range too
+    narrow for them, whose edges do not increase, raises ValueError."""
+    edges = np.linspace(lo, hi, bins + 1)
+    if not np.all(np.diff(edges) > 0.0):
+        raise ValueError(f"--range {lo!r},{hi!r} is too narrow for --bins "
+                         f"{bins}: its bin edges do not increase")
+    return edges
+
+
 def bin_index(edges, lam) -> int:
     """Bin receiving a point mass at lam (matches np.histogram conventions)."""
     i = int(np.searchsorted(edges, lam, side="right")) - 1

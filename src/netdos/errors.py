@@ -10,7 +10,9 @@ class GraphError(NetdosError):
 
 
 class SpectralRangeError(NetdosError):
-    """Extremal eigenvalue estimation failed (NaN breakdown)."""
+    """A spectral computation met a value that is not finite: the bound of
+    `operators.spectral_radius_bound`, or a Lanczos coefficient. `iterations`
+    is the iteration or step that met it."""
 
     def __init__(self, message, iterations=None):
         super().__init__(message)

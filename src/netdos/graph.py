@@ -49,11 +49,12 @@ class GraphCSR:
         return np.repeat(np.arange(self.n, dtype=np.int64), counts)
 
     def degrees(self) -> np.ndarray:
-        """Weighted node degrees D_ii = sum_j a_ij (loop weight counted once)."""
+        """Weighted node degrees D_ii = sum_j a_ij (loop weight counted once),
+        each summed in stored order; a sum past the largest float is inf."""
         if self._degrees is not None:
             return self._degrees
-        deg = np.zeros(self.n)
-        np.add.at(deg, self._row_of_entries(), self.weights)
+        deg = np.bincount(self._row_of_entries(), weights=self.weights,
+                          minlength=self.n)
         object.__setattr__(self, "_degrees", deg)
         return deg
 

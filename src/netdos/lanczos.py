@@ -1,10 +1,10 @@
-"""Lanczos tridiagonalization and the two estimates read from it.
+"""Lanczos tridiagonalization and the Gauss rule read from it.
 
 `_lanczos` reduces an operator to the tridiagonal T of its Krylov space from
 a start vector z. The eigenvalues and first-row weights of T form a Gauss
-rule for z^T f(H) z (`lanczos_quadrature`, behind GQL). The preset spectral
-range that KPM scales by (`estimate_spectral_range`) is read from the
-extreme eigenvalues of a second, plain Lanczos run from a random start.
+rule for z^T f(H) z (`lanczos_quadrature`, behind GQL). The spectral range
+that KPM scales by is not read from here: `operators.estimate_spectral_range`
+takes a guaranteed bound instead of a Ritz interval.
 
 The Gauss rule keeps its basis semi-orthogonal, every |q_i^T q_k| below
 sqrt(eps), by partial reorthogonalization (Simon, "The Lanczos algorithm
@@ -36,12 +36,6 @@ w -= (Q w) Q, runs as two contiguous matrix-vector products. Those, and
 the norms, are BLAS products whose summation order may follow the BLAS
 thread count, so the last bits of a Gauss rule may too.
 
-The range estimate needs only the extreme Ritz values, and those stay
-inside the spectrum without any reorthogonalization (Paige, Linear Algebra
-Appl. 34, 1980): it keeps three n-vectors, not a basis, and forms every dot
-product and norm with ``np.add.reduce``, so no BLAS product is involved and
-its bits do not depend on the thread count.
-
 Probes are run one after another, not in lockstep as one block. A lockstep
 batch keeps a basis per probe alive at once, nz times the memory, and its
 Gram-Schmidt work stays one matrix-vector product per probe, so it buys
@@ -49,10 +43,7 @@ nothing back: on an 8,000-node tree, 20 probes x 50 steps took 0.26-0.29 s
 in lockstep against 0.22 s one probe at a time (2-CPU x86 host).
 
 The k x k tridiagonal (k is the step count, at most a few hundred) is
-eigensolved densely by ``numpy.linalg``, so Lanczos needs no scipy: `eigh`
-where the weights are needed, `eigvalsh` where only the extremes are. The
-two solvers' extreme eigenvalues can differ in the last bits, so each caller
-keeps its own.
+eigensolved densely by ``numpy.linalg.eigh``, so Lanczos needs no scipy.
 """
 
 from __future__ import annotations
@@ -61,9 +52,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import BINS, SNAP_TOL, SpectralHistogram
+from .density import BINS, SNAP_TOL, SpectralHistogram, bin_edges
 from .errors import SpectralRangeError
-from .operators import ANALYTIC_RANGES, EXACT_BOUNDS
 from .probes import ProbeMatrix
 
 BREAKDOWN_RTOL = 1e-12
@@ -78,11 +68,6 @@ REORTH_ETA = 1.0 / np.sqrt(2.0)
 EPS = float(np.finfo(np.float64).eps)
 PRO_DELTA = float(np.sqrt(EPS))
 PRO_ROUND = 0.3
-
-# The preset range estimate: Lanczos steps, and the widening of the Ritz
-# interval as a fraction of its spread.
-RANGE_STEPS = 40
-RANGE_MARGIN = 0.01
 
 
 def _project_out(q_block, w):
@@ -191,73 +176,6 @@ def _omega_step(new, omega, alphas, betas, j, beta):
     np.divide(t, beta, out=new[:j])
 
 
-def _plain_lanczos_ritz(op, z, steps):
-    """Ritz values of `steps` Lanczos steps from z without reorthogonalization.
-
-    Each step forms alpha_j after subtracting beta_{j-1} q_{j-1}, the
-    ordering Paige analysed. Holds three n-vectors (z, overwritten, is the
-    first), and every dot product and norm is an ``np.add.reduce`` in
-    numpy's fixed order.
-    """
-    steps = min(steps, op.n)
-    z /= np.sqrt(np.add.reduce(z * z))
-    q, q_prev, w = z, np.zeros_like(z), np.empty_like(z)
-    alphas, betas = [], []
-    hnorm = 0.0
-    for j in range(steps):
-        op.apply(q, out=w)
-        if betas:
-            w -= betas[-1] * q_prev
-        alpha = float(np.add.reduce(q * w))
-        if not np.isfinite(alpha):
-            raise SpectralRangeError("NaN in Lanczos coefficients", iterations=j + 1)
-        alphas.append(alpha)
-        hnorm = max(hnorm, abs(alpha) + (betas[-1] if betas else 0.0))
-        if j == steps - 1:
-            break
-        w -= alpha * q
-        beta = float(np.sqrt(np.add.reduce(w * w)))
-        if not np.isfinite(beta):
-            raise SpectralRangeError("NaN in Lanczos residual", iterations=j + 1)
-        if beta <= BREAKDOWN_RTOL * max(hnorm, 1e-300):
-            break
-        betas.append(beta)
-        hnorm = max(hnorm, beta)
-        # q_{j+1} = w / beta overwrites q_{j-1}, which no later step reads
-        np.divide(w, beta, out=q_prev)
-        q, q_prev = q_prev, q
-    t = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
-    return np.linalg.eigvalsh(t)
-
-
-def estimate_spectral_range(op, probe_seed=0):
-    """Estimate (lambda_min, lambda_max) by Lanczos extremal Ritz values.
-
-    RANGE_STEPS plain Lanczos steps from a seeded Gaussian start, in O(n)
-    memory. For an unscaled operator with exact bounds (`EXACT_BOUNDS`: both
-    Laplacians), the Ritz lower end is replaced by the exact 0 and the upper
-    end capped at the exact bound; the interval is then widened on each side
-    by RANGE_MARGIN times its spread, since Ritz values lie inside the
-    spectrum. The widening guarantees nothing: whether the range holds the
-    spectrum is checked by the moment certificate of
-    `kpm.chebyshev_recurrence`. An unscaled operator with analytic bounds
-    (`ANALYTIC_RANGES`) returns them without iteration.
-    """
-    unscaled = op.spectral_range is None
-    if unscaled and op.kind in ANALYTIC_RANGES:
-        return ANALYTIC_RANGES[op.kind]
-    rng = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence([int(probe_seed), 0x52414E47])))
-    ritz = _plain_lanczos_ritz(op, rng.standard_normal(op.n), RANGE_STEPS)
-    lo, hi = float(ritz[0]), float(ritz[-1])
-    if unscaled and op.kind in EXACT_BOUNDS:
-        floor, cap = EXACT_BOUNDS[op.kind]
-        lo, hi = floor, min(hi, cap)
-    spread = hi - lo
-    pad = RANGE_MARGIN * (spread if spread > 0 else max(1.0, abs(hi)))
-    return (lo - pad, hi + pad)
-
-
 @dataclass
 class RitzQuadrature:
     """Gauss rule: z^T f(H) z ~= z_norm_sq * sum_i weights_i f(nodes_i)."""
@@ -284,11 +202,15 @@ def lanczos_quadrature(op, z, steps) -> RitzQuadrature:
 def gql_dos(op, probes: ProbeMatrix, steps, bins=BINS, *,
             spectral_range) -> SpectralHistogram:
     """Average per-probe Ritz point masses into a histogram of the density
-    over `spectral_range`, (lo, hi), split into `bins` equal bins."""
+    over `spectral_range`, (lo, hi), split into `bins` equal bins. A range
+    too narrow for its bins (`density.bin_edges`) raises ValueError before
+    any Lanczos step."""
     if op.n != probes.n:
         raise ValueError("probe dimension does not match operator")
     if bins < 1:
         raise ValueError("bins must be >= 1")
+    lo, hi = spectral_range
+    edges = bin_edges(lo, hi, bins)
     all_nodes = []
     all_weights = []
     for j in range(probes.nz):
@@ -297,8 +219,6 @@ def gql_dos(op, probes: ProbeMatrix, steps, bins=BINS, *,
         all_weights.append(quad.weights / probes.nz)
     nodes = np.concatenate(all_nodes)
     weights = np.concatenate(all_weights)
-    lo, hi = spectral_range
-    edges = np.linspace(lo, hi, bins + 1)
     # A Ritz value within SNAP_TOL outside an edge counts in that edge's
     # bin; farther out, as for a narrower user window, it is left out.
     snap = SNAP_TOL * (hi - lo)

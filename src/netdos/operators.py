@@ -10,9 +10,12 @@ The Chebyshev recurrences need H = (op - shift·I) / scale, with spectrum in
 [-1, 1]. `rescale_operator` folds that map into the CSR arrays once, so KPM,
 nested dissection and Lanczos all see the same operator type, and a matvec
 costs the same with or without a shift. The range (lo, hi) itself is given
-by the user, read from `ANALYTIC_RANGES` for the kinds whose bounds are known
-in closed form, or estimated by `lanczos.estimate_spectral_range`, which
-keeps the ends that `EXACT_BOUNDS` fixes.
+by the user, or `estimate_spectral_range` takes it: from `ANALYTIC_RANGES`
+for the two normalized kinds, else from `spectral_radius_bound`, a
+Collatz–Wielandt bound rho_hat >= rho(|H|) that holds by construction.
+Every eigenvalue of H lies in [-rho(|H|), rho(|H|)], and a Laplacian's in
+[0, rho(|H|)]; the bound is elementwise work plus `np.max`, so it depends
+on neither a seed nor the BLAS thread count.
 
 Isolated nodes under the normalized kinds use the convention D^{-1/2} = 0:
 the node contributes eigenvalue 0 to the normalized adjacency and
@@ -27,6 +30,7 @@ from enum import Enum
 import numpy as np
 
 from . import _kernels
+from .errors import GraphError, SpectralRangeError
 from .graph import GraphCSR
 
 
@@ -71,15 +75,17 @@ IDENTITY_MAP = ScaleMap(0.0, 1.0)
 OPERATOR = OperatorKind.NORMALIZED_ADJACENCY
 
 # Spectral ranges known without computing: every normalized adjacency has
-# its spectrum in [-1, 1].
-ANALYTIC_RANGES = {OperatorKind.NORMALIZED_ADJACENCY: (-1.0, 1.0)}
+# its spectrum in [-1, 1], so every normalized Laplacian has its in [0, 2].
+ANALYTIC_RANGES = {OperatorKind.NORMALIZED_ADJACENCY: (-1.0, 1.0),
+                   OperatorKind.NORMALIZED_LAPLACIAN: (0.0, 2.0)}
 
-# Spectral bounds that hold exactly where the range is estimated: (lower
-# end, cap on the upper end). Both Laplacians are positive semidefinite and
-# have the eigenvalue 0 (the normalized one once the graph has an edge), and
-# the normalized Laplacian's spectrum lies in [0, 2].
-EXACT_BOUNDS = {OperatorKind.LAPLACIAN: (0.0, np.inf),
-                OperatorKind.NORMALIZED_LAPLACIAN: (0.0, 2.0)}
+# The preset range estimate: power iterations (one matvec each) behind the
+# Collatz–Wielandt bound of `spectral_radius_bound`.
+RANGE_STEPS = 40
+
+# Iterates are kept at or above this, far above underflow: any positive
+# vector gives a valid bound, and a vanishing entry would give none.
+_ITERATE_FLOOR = 2.0 ** -500
 
 
 class SymmetricCSROperator:
@@ -137,6 +143,10 @@ def build_operator(g: GraphCSR, kind: OperatorKind) -> SymmetricCSROperator:
     rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(g.row_ptr))
     # `eye` is the Laplacians' diagonal term: D, or I for the normalized kinds
     cols, vals, eye = g.col_idx, g.weights, g.degrees()
+    if kind is not OperatorKind.ADJACENCY and not np.isfinite(eye).all():
+        raise GraphError(f"a node's weighted degree overflows (its weights "
+                         f"sum past {np.finfo(np.float64).max:g}), and the "
+                         f"{kind.value} operator is built from the degrees")
     if kind in (OperatorKind.NORMALIZED_ADJACENCY, OperatorKind.NORMALIZED_LAPLACIAN):
         with np.errstate(divide="ignore"):
             dinv = np.where(eye > 0, 1.0 / np.sqrt(np.maximum(eye, 1e-300)), 0.0)
@@ -179,3 +189,60 @@ def rescale_operator(op: SymmetricCSROperator,
     diag = np.full(n, -shift / scale) if shift != 0.0 else None
     arrays = _sorted_csr(n, rows, op.indices, data, diag)
     return SymmetricCSROperator(n, *arrays, op.kind, smap, (lmin, lmax))
+
+
+def spectral_radius_bound(op: SymmetricCSROperator) -> float:
+    """rho_hat >= rho(|H|), the spectral radius of H with every stored entry
+    made nonnegative, and so >= |lambda| for every eigenvalue of H.
+
+    For a nonnegative B and any x > 0, rho(B) <= max_i (B x)_i / x_i
+    (Collatz, Math. Z. 48, 1942; Wielandt, Math. Z. 52, 1950). RANGE_STEPS
+    power iterations on |H| + I from the all-ones vector supply the x; the
+    +I keeps them converging on bipartite graphs, and each gives a valid
+    bound, of which the smallest is kept. It is then widened by the factor
+    1 + 4·(k + 3)·eps, k the longest row: each computed (|H| x)_i sums k
+    nonnegative products, so it is within k·eps (to first order) of the
+    exact sum, and the division and the widening round once each, (k + 2)·eps
+    in all; the factor leaves room for the higher-order terms. That holds
+    wherever no product underflows. A zero operator (an edgeless
+    graph's adjacency or Laplacian) gets 1. A bound that is not finite (an
+    entry that is NaN, or row sums that overflow) raises SpectralRangeError
+    with the iteration that met it.
+    """
+    data = np.abs(op.data)
+    longest = int(np.diff(op.indptr).max(initial=0))
+    x, y = np.ones(op.n), np.empty(op.n)
+    best = np.inf
+    with np.errstate(all="ignore"):  # a non-finite bound is raised below
+        for step in range(1, RANGE_STEPS + 1):
+            _kernels.csr_matvec(op.indptr, op.indices, data, x, out=y)
+            bound = float(np.max(y / x, initial=0.0))
+            if not np.isfinite(bound):
+                raise SpectralRangeError(
+                    f"the spectral-radius bound is not finite ({bound}) at "
+                    f"iteration {step}: the operator's entries hold NaN or "
+                    "its row sums overflow", iterations=step)
+            best = min(best, bound)
+            y += x
+            np.divide(y, y.max(initial=0.0), out=x)
+            np.maximum(x, _ITERATE_FLOOR, out=x)
+    rho = best * (1.0 + 4.0 * (longest + 3) * float(np.finfo(np.float64).eps))
+    return rho if rho > 0.0 else 1.0
+
+
+def estimate_spectral_range(op: SymmetricCSROperator):
+    """A range (lo, hi) that holds the spectrum of op by construction.
+
+    An unscaled operator of a normalized kind takes its `ANALYTIC_RANGES`
+    entry, with no matvec. Else rho_hat = `spectral_radius_bound(op)`
+    gives (0, rho_hat) for an unscaled Laplacian, which is positive
+    semidefinite, and (-rho_hat, rho_hat) for the adjacency and any
+    already-scaled operator.
+    """
+    unscaled = op.spectral_range is None
+    if unscaled and op.kind in ANALYTIC_RANGES:
+        return ANALYTIC_RANGES[op.kind]
+    rho = spectral_radius_bound(op)
+    if unscaled and op.kind is OperatorKind.LAPLACIAN:
+        return (0.0, rho)
+    return (-rho, rho)

@@ -22,7 +22,7 @@ from netdos.fileio import (histogram_payload, load_moments, moments_payload,
                            write_histogram_csv, write_json)
 from netdos.kpm import MODE_GLOBAL, ChebMoments
 from netdos.motifs import FilterAdjustment
-from netdos.operators import IDENTITY_MAP
+from netdos.operators import IDENTITY_MAP, OperatorKind
 from netdos.testkit import generate_graph
 
 from oracles import read_histogram_csv
@@ -667,10 +667,10 @@ def test_histogram_payload_filter_block():
 def test_reproduction_presets():
     # each preset is named once, in the module that owns its concept, and the
     # command line and the pipelines default to that name
-    from netdos import density, lanczos, nested_dissection, operators, pipeline
+    from netdos import density, nested_dissection, operators, pipeline
     from netdos.probes import ProbeKind
     assert operators.OPERATOR is operators.OperatorKind.NORMALIZED_ADJACENCY
-    assert (lanczos.RANGE_STEPS, lanczos.RANGE_MARGIN) == (40, 0.01)
+    assert operators.RANGE_STEPS == 40
     assert density.BINS == 50
     assert nested_dissection.LEAF_SIZE == 256
     assert pipeline.KPM_MOMENTS == 500
@@ -879,8 +879,7 @@ def test_cli_motif_kinds(tmp_path, capsys):
 
 
 def test_cli_range_is_the_preset_estimate_or_the_override(tmp_path, capsys):
-    from netdos.lanczos import estimate_spectral_range
-    from netdos.operators import OperatorKind, build_operator
+    from netdos.operators import build_operator, estimate_spectral_range
     gpath = str(tmp_path / "g.txt")
     main(["generate", "--model", "er", "--n", "100", "--p", "0.08", "--seed", "3",
           "--out", gpath])
@@ -895,7 +894,7 @@ def test_cli_range_is_the_preset_estimate_or_the_override(tmp_path, capsys):
         obj = json.loads(open(out).read())
         return obj["lambda_min"], obj["lambda_max"]
 
-    assert lambdas() == estimate_spectral_range(op, probe_seed=5)
+    assert lambdas() == estimate_spectral_range(op)
     # a record's range, passed back as --range, is taken as it stands
     wide = (-1.5, 20.25)
     assert lambdas(f"--range={wide[0]},{wide[1]}") == wide
@@ -905,6 +904,48 @@ def test_cli_range_is_the_preset_estimate_or_the_override(tmp_path, capsys):
             main(["dos", "--input", gpath, option, "5"])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+
+
+def test_estimated_range_does_not_depend_on_the_seed(tmp_path):
+    # the range is a seedless bound: the records of dos, pdos and gql carry
+    # the same lambda_min/lambda_max under any --seed, and nd-pdos, which
+    # draws nothing at random, writes the same bytes
+    gpath = str(tmp_path / "g.txt")
+    main(["generate", "--model", "pa", "--n", "120", "--m", "2", "--seed", "2",
+          "--out", gpath])
+    for operator in ("adjacency", "laplacian"):
+        common = ["--input", gpath, "--operator", operator, "--moments", "12"]
+        for command in ("dos", "pdos", "gql"):
+            ranges = set()
+            for seed in ("1", "2"):
+                out = tmp_path / f"{command}-{seed}.json"
+                assert main([command, *common, "--probes", "3", "--seed", seed,
+                             "--out", str(out)]) == 0
+                obj = json.loads(out.read_text())
+                ranges.add((obj["lambda_min"], obj["lambda_max"]))
+            assert len(ranges) == 1, (operator, command, ranges)
+        files = []
+        for seed in ("1", "2"):
+            out = tmp_path / f"nd-{seed}.json"
+            assert main(["nd-pdos", *common, "--seed", seed,
+                         "--out", str(out)]) == 0
+            files.append(out.read_bytes())
+        assert files[0] == files[1], operator
+
+
+@pytest.mark.parametrize("operator", [k.value for k in OperatorKind])
+def test_cli_overflowing_weights_exit_cleanly(tmp_path, capsys, operator):
+    # the middle node's degree, and every operator's row sums there, pass
+    # the largest float: one error line and exit 1, with no numpy warning
+    # (the test configuration turns one into an exception)
+    gpath = tmp_path / "big.txt"
+    gpath.write_text("0 1 1e308\n1 2 1e308\n")
+    out = tmp_path / "out.json"
+    assert main(["dos", "--input", str(gpath), "--operator", operator,
+                 "--moments", "10", "--probes", "2", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("netdos: error: "), err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("operator", ["laplacian", "normalized-adjacency"])

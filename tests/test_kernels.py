@@ -18,8 +18,8 @@ import numpy as np
 import pytest
 
 from netdos import _kernels, pipeline, testkit
-from netdos.lanczos import estimate_spectral_range
-from netdos.operators import OperatorKind, SymmetricCSROperator, build_operator
+from netdos.operators import (OperatorKind, SymmetricCSROperator,
+                              build_operator, estimate_spectral_range)
 
 
 def _random_csr(rng, n, density):

@@ -20,8 +20,8 @@ from conftest import small_models
 from oracles import oracle_moments
 
 
-def _scaled(g, kind=OperatorKind.NORMALIZED_ADJACENCY, seed=0):
-    return scaled_operator_for(g, kind, seed=seed)
+def _scaled(g, kind=OperatorKind.NORMALIZED_ADJACENCY):
+    return scaled_operator_for(g, kind)
 
 
 def test_jackson_j0_is_one():

@@ -26,8 +26,8 @@ from conftest import grid_graph
 from oracles import oracle_node_moments
 
 
-def _oracle_node_moments(g, kind, m_max, seed=0, range_=None):
-    sop = scaled_operator_for(g, kind, seed=seed, range_=range_)
+def _oracle_node_moments(g, kind, m_max, range_=None):
+    sop = scaled_operator_for(g, kind, range_=range_)
     spec = exact_spectrum(build_operator(g, kind), want_vectors=True)
     return sop, oracle_node_moments(sop.scale_map.to_scaled(spec.eigenvalues),
                                     spec.eigenvectors, m_max)
@@ -111,7 +111,7 @@ def test_global_agreement_with_exact_probes():
 
 def test_leaf_size_does_not_change_result():
     g = grid_graph(15, 11)
-    sop = scaled_operator_for(g, "laplacian", seed=2)
+    sop = scaled_operator_for(g, "laplacian")
     a = nd_pdos_moments(sop, build_partition_tree(g, leaf_size=8), 20)
     b = nd_pdos_moments(sop, build_partition_tree(g, leaf_size=60), 20)
     assert np.abs(a.values - b.values).max() < 1e-9
@@ -465,7 +465,7 @@ def test_crossing_edge_is_named():
 
 def test_moment_memory_stays_within_two_buffers_per_node():
     g = grid_graph(40, 40)
-    sop = scaled_operator_for(g, "laplacian", seed=0)
+    sop = scaled_operator_for(g, "laplacian")
     tree = build_partition_tree(g, leaf_size=64)
     m_max = 30
     least = buffers = largest = 0
