@@ -174,9 +174,9 @@ def _recurrence(sop, probes: ProbeMatrix, rows, steps, collect):
     returns the per-probe moment rows that m completes.
     `rows` may be a view, such as the transpose of a result array.
     """
-    if sop.n != probes.n:
-        raise ValueError("probe dimension does not match operator")
     z = probes.columns
+    if sop.n != z.shape[0]:
+        raise ValueError("probe dimension does not match operator")
     # Copy: the recurrence overwrites this buffer, and z must stay intact.
     t0 = np.array(z, dtype=np.float64, order="C", copy=True)
     block = ColumnBlock((sop.indptr, sop.indices, 2.0 * sop.data), t0,
@@ -205,17 +205,21 @@ def dos_moments(sop, probes: ProbeMatrix, m_max: int,
                 adjustment: FilterAdjustment | None = None) -> ChebMoments:
     """Global moments d_m = tr(T_m(H)) / N via stochastic trace estimation.
 
-    For probes deflated by `motifs.filter_probes`, pass the adjustment it
-    returned: the trace is then divided by N - r, r its deflated dimension,
-    so the moments describe the density over the complement subspace, and
-    the series carries the adjustment, from which `histogram_from_moments`
-    re-inserts the removed spikes. The doubling identity gives the M + 1
-    moments from ceil(M / 2) matvecs.
+    After `motifs.filter_probes`, pass the quotient operator, the quotient's
+    probes and the adjustment it returned: N is then the quotient's order
+    n - r, r the deflated dimension, so the moments describe the density
+    over the complement of the removed eigenvectors, while the trace scale
+    stays that of the n-row probes. The series carries the adjustment, from
+    which `histogram_from_moments` re-inserts the removed spikes. Probes
+    whose rows are not n - r raise ValueError. The doubling identity gives
+    the M + 1 moments from ceil(M / 2) matvecs.
     """
+    r = 0 if adjustment is None else adjustment.deflated_dim
+    if probes.columns.shape[0] != probes.n - r:
+        raise ValueError("deflated probes must come from filter_probes (n - r rows)")
     contrib = np.empty((_moment_count(m_max), probes.nz))
     _recurrence(sop, probes, contrib, (m_max + 1) // 2, _per_probe_doubled)
-    r = 0 if adjustment is None else adjustment.deflated_dim
-    values = contrib.sum(axis=1) * (probes.trace_scale / float(sop.n - r))
+    values = contrib.sum(axis=1) * (probes.trace_scale / float(sop.n))
     return ChebMoments(values, sop.scale_map, probes.meta(), adjustment)
 
 

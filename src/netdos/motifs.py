@@ -14,6 +14,10 @@ eigenvectors supported only on the structure's nodes:
   chains of one hub that sum to zero give two eigenvector families, at
   +-1/sqrt(2) for the normalized adjacency.
 
+Every structure's eigenvectors span the vectors supported on it that sum to
+zero within each of its classes of nodes: a twin class is one class, and a
+hub's dangling chains are two, their leaves and their middles.
+
 Detection is exact and uses no randomness. Open twins are the classes of
 loop-free nodes whose CSR rows hold the same columns and bitwise the same
 weights. Closed-twin candidates are the classes of equal rows of the
@@ -21,27 +25,26 @@ pattern of A + I, split by a check that each pair's rows agree in weight
 outside the pair. Rows are grouped by one sort over (length, id sum,
 weight-bit sum) and then, among the nodes that share all three, by sorting
 the rows themselves. Dangling chains are found with array operations on
-the row lengths and grouped by hub. Deflating the eigenvectors out of the
-probe block lets the smooth remainder of the spectrum be approximated with
-far fewer moments; the removed spike mass is re-inserted at histogram time.
+the row lengths and grouped by hub. Deflating the eigenvectors lets the
+smooth remainder of the spectrum be approximated with far fewer moments;
+the removed spike mass is re-inserted at histogram time.
 
-Each instance holds its eigenvectors as one dense block of shape
-(multiplicity, len(nodes)): row i is eigenvector i restricted to the
-instance's nodes, in that order, so the support lies inside the nodes by
-construction. Deflation accepts instances greedily, one node claim per
-(kind, nodes) key, stacks the rows of each accepted key into a block B and
-removes it from the probes' rows on those nodes with one projection,
-Z[nodes] -= B^T (B Z[nodes]). Claims keep the supports of different keys
-disjoint, so orthonormality only has to hold within each block; detected
-blocks are orthonormal by construction, and a block that is not is refused.
-The removed multiplicities travel as a `FilterAdjustment`, which the moment
-series of the deflated probes carries (`kpm.dos_moments`).
+Deflation keeps the complement of those vectors, the vectors constant on
+each class. H maps it into itself, and its orthonormal basis 1_C/sqrt|C|,
+one column of P per class (and per unclaimed node), turns H on it into
+the quotient Q = P^T H P of an equitable partition (Godsil and Royle,
+Algebraic Graph Theory, section 9.3). For any probe z, z^T P P^T T_m(H)
+P P^T z = (P^T z)^T T_m(Q) (P^T z), so the recurrence runs on Q, of order
+n - r, with the probes P^T z. Instances are accepted greedily, one node
+claim per (kind, nodes) key. The removed multiplicities travel as a
+`FilterAdjustment`, which the moment series of the quotient carries
+(`kpm.dos_moments`).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from operator import index
 
@@ -49,8 +52,8 @@ import numpy as np
 
 from .errors import MotifError
 from .graph import GraphCSR
-from .operators import OPERATOR, OperatorKind
-from .probes import ProbeMatrix, with_columns
+from .operators import OPERATOR, OperatorKind, quotient_operator
+from .probes import ProbeMatrix
 
 
 class MotifKind(str, Enum):
@@ -59,45 +62,43 @@ class MotifKind(str, Enum):
     DANGLING_TWO_CHAIN = "dangling-two-chain"
 
 
-# a deflation block whose Gram matrix is off I by more is refused
-ORTHONORMAL_TOL = 1e-8
-
 _KIND_RANK = {kind: i for i, kind in enumerate(MotifKind)}
 
 
 def _rank(inst):
     """Report order of detect_motifs and claim order of filter_probes."""
-    return (_KIND_RANK[inst.kind], min(inst.nodes), inst.eigenvalue)
+    return (_KIND_RANK[inst.kind], inst.nodes[0], inst.eigenvalue)
 
 
 @dataclass
 class MotifInstance:
-    """One detected structure: nodes, eigenvalue, locally supported vectors.
+    """One detected structure: classes of nodes, an eigenvalue and its
+    multiplicity.
 
-    eigvecs is a float64 array of shape (multiplicity, len(nodes)) with
-    orthonormal rows; row i holds eigenvector i on `nodes`, in that order,
-    and is zero off them. Each row u satisfies H u = eigenvalue * u for the
-    operator kind used at detection. Every instance is checked for that
-    shape and for distinct nodes when built. The block is stored in C order,
-    so deflation gives the same bits whatever layout it was built in.
+    The structure's eigenvectors for the operator kind used at detection
+    lie in the vectors on `nodes` that sum to zero within each class. A
+    twin instance has one class, its nodes, and multiplicity |class| - 1. A
+    hub's dangling chains have two classes, the leaves and their middles
+    (the middle of leaves[i] at middles[i]), and split that space into two
+    modes, one instance each, of multiplicity (chains - 1). `nodes` is the
+    union of the classes, ascending. Checked when built: at least one
+    class, each of two or more node ids (an id that is not an integer
+    raises TypeError), and no node twice.
     """
 
     kind: MotifKind
-    nodes: tuple
+    classes: tuple
     eigenvalue: float
-    eigvecs: np.ndarray
+    multiplicity: int
+    nodes: tuple = field(init=False)
 
     def __post_init__(self):
-        self.eigvecs = np.ascontiguousarray(self.eigvecs, dtype=np.float64)
-        if self.eigvecs.ndim != 2 or self.eigvecs.shape[1] != len(self.nodes):
-            raise MotifError(f"eigvecs has shape {self.eigvecs.shape}; expected "
-                             f"(multiplicity, {len(self.nodes)}), one column per node")
-        if len(set(self.nodes)) != len(self.nodes):
-            raise MotifError(f"nodes {self.nodes} repeat a node")
-
-    @property
-    def multiplicity(self) -> int:
-        return int(self.eigvecs.shape[0])
+        self.classes = tuple(tuple(map(index, c)) for c in self.classes)
+        self.nodes = tuple(sorted(x for c in self.classes for x in c))
+        if (min(map(len, self.classes), default=0) < 2
+                or len(set(self.nodes)) != len(self.nodes)):
+            raise MotifError(f"classes {self.classes} need two or more nodes "
+                             "each and may not repeat a node")
 
 
 @dataclass
@@ -129,16 +130,6 @@ class FilterAdjustment:
         return int(sum(self.removed.values()))
 
 
-def _helmert_rows(size):
-    """Orthonormal basis of the sum-zero subspace of R^size, (size-1) rows."""
-    rows = np.zeros((size - 1, size))
-    for k in range(1, size):
-        rows[k - 1, :k] = 1.0
-        rows[k - 1, k] = -float(k)
-        rows[k - 1] /= np.sqrt(k * (k + 1.0))
-    return rows
-
-
 def _twin_modes(kind, motif, degree, weight):
     """Eigenvalue of a twin-difference vector for each operator kind."""
     kind = OperatorKind(kind)
@@ -158,44 +149,21 @@ def _twin_modes(kind, motif, degree, weight):
 
 
 def _chain_modes(kind):
-    """(eigenvalue, x-amplitude, middle-amplitude) for the two chain modes.
-
-    Derived from the 2x2 restriction of the operator to one pendant path
-    (x, b); the hub row vanishes because chain amplitudes sum to zero.
-    """
-    kind = OperatorKind(kind)
-    s2 = 1.0 / np.sqrt(2.0)
-    if kind is OperatorKind.NORMALIZED_ADJACENCY:
-        return ((s2, s2, s2), (-s2, s2, -s2))
-    if kind is OperatorKind.ADJACENCY:
-        return ((1.0, s2, s2), (-1.0, s2, -s2))
-    if kind is OperatorKind.NORMALIZED_LAPLACIAN:
-        return ((1.0 - s2, s2, s2), (1.0 + s2, s2, -s2))
-    # Laplacian: eigenpairs of [[1, -1], [-1, 2]].
-    out = []
-    for lam in ((3.0 - np.sqrt(5.0)) / 2.0, (3.0 + np.sqrt(5.0)) / 2.0):
-        alpha, beta = 1.0, 1.0 - lam
-        norm = np.hypot(alpha, beta)
-        out.append((lam, alpha / norm, beta / norm))
-    return tuple(out)
+    """Eigenvalues of the two chain modes: those of the 2x2 restriction of
+    the operator to one pendant path (leaf, middle); the hub row vanishes
+    because chain amplitudes sum to zero."""
+    s2, r5 = 1.0 / np.sqrt(2.0), np.sqrt(5.0)
+    return {OperatorKind.ADJACENCY: (1.0, -1.0),
+            OperatorKind.NORMALIZED_ADJACENCY: (s2, -s2),
+            # the eigenvalues of [[1, -1], [-1, 2]]
+            OperatorKind.LAPLACIAN: ((3.0 - r5) / 2.0, (3.0 + r5) / 2.0),
+            OperatorKind.NORMALIZED_LAPLACIAN: (1.0 - s2, 1.0 + s2)}[OperatorKind(kind)]
 
 
 def _twin_instance(motif, members, operator, degree, weight=1.0):
-    nodes = tuple(int(x) for x in members)
-    return MotifInstance(motif, nodes,
+    return MotifInstance(motif, (members,),
                          float(_twin_modes(operator, motif, degree, weight)),
-                         _helmert_rows(len(nodes)))
-
-
-def _chain_instances(leaves, middles, operator):
-    """The two instances of one hub's chains leaves[i] - middles[i] - hub."""
-    nodes = np.concatenate([leaves, middles])
-    order = np.argsort(nodes)
-    amp = _helmert_rows(leaves.size)
-    return [MotifInstance(MotifKind.DANGLING_TWO_CHAIN,
-                          tuple(nodes[order].tolist()), float(lam),
-                          np.concatenate([amp * alpha, amp * beta], axis=1)[:, order])
-            for lam, alpha, beta in _chain_modes(operator)]
+                         len(members) - 1)
 
 
 def _equal_rows(ptr, cols, vals, nodes):
@@ -313,23 +281,31 @@ def detect_motifs(g: GraphCSR, kinds=None, operator=OPERATOR) -> list:
         out += [_twin_instance(MotifKind.CLOSED_TWIN, m, operator, degree[m[0]], w)
                 for m, w in _closed_twin_classes(g, candidates)]
     if MotifKind.DANGLING_TWO_CHAIN in kinds:
-        for leaves, middles in _dangling_chains(g):
-            out += _chain_instances(leaves, middles, operator)
+        # two instances per hub of chains leaves[i] - middles[i] - hub
+        out += [MotifInstance(MotifKind.DANGLING_TWO_CHAIN, (leaves, middles),
+                              float(lam), leaves.size - 1)
+                for leaves, middles in _dangling_chains(g)
+                for lam in _chain_modes(operator)]
     out.sort(key=_rank)
     return out
 
 
-def filter_probes(probes: ProbeMatrix, instances):
-    """Project motif eigenvectors out of every probe column.
+def filter_probes(sop, probes: ProbeMatrix, instances):
+    """Deflate motif eigenvectors by passing to the quotient on their
+    complement.
 
     Overlapping instances are resolved by greedy acceptance in detection
     order (kind, smallest node id, eigenvalue); instances with the same
     (kind, nodes) key share one node claim and are co-accepted (the two
-    chain modes of one hub). The stacked rows of each key must be
-    orthonormal to ORTHONORMAL_TOL, else MotifError; they are projected out
-    in one step. Returns the deflated probes and the per-eigenvalue
-    multiplicities removed.
+    chain modes of one hub). A key's instances must state the same classes
+    and multiplicities totalling sum(|C| - 1) over them, else MotifError.
+    Returns ((Q, probes of Q), adjustment): Q = P^T sop P from
+    `operators.quotient_operator`, the probes P^T z with the metadata of
+    `probes`, and the per-eigenvalue multiplicities removed, out of
+    `probes.n` dimensions. With nothing accepted, (sop, probes) themselves.
     """
+    if sop.n != probes.n:
+        raise ValueError("probe dimension does not match operator")
     claimed = set()
     accepted = {}  # (kind, nodes) -> instances, in claim order
     for inst in sorted(instances, key=_rank):
@@ -340,21 +316,27 @@ def filter_probes(probes: ProbeMatrix, instances):
             accepted[key] = [inst]
             claimed.update(inst.nodes)
 
-    if not accepted:
-        return probes, FilterAdjustment(removed={}, total_dim=probes.n)
-
     removed = defaultdict(int)
-    cols = probes.columns.copy()
+    label = np.arange(probes.n)  # a class's nodes take its first node's id
     for (_, nodes), group in accepted.items():
+        classes = group[0].classes
+        if (any(inst.classes != classes for inst in group)
+                or sum(i.multiplicity for i in group) != sum(len(c) - 1 for c in classes)):
+            raise MotifError(f"the instances on nodes {nodes} need the same classes "
+                             "and multiplicities totalling sum(|C| - 1)")
         for inst in group:
             removed[float(inst.eigenvalue)] += inst.multiplicity
-        block = np.concatenate([i.eigvecs for i in group])
-        gram = block @ block.T
-        gram.flat[::block.shape[0] + 1] -= 1.0
-        if np.abs(gram).max(initial=0.0) > ORTHONORMAL_TOL:
-            raise MotifError(f"the motif eigenvectors on nodes {nodes} are "
-                             "not orthonormal")
-        idx = np.array(nodes)
-        cols[idx] -= block.T @ (block @ cols[idx])
-    return with_columns(probes, cols), FilterAdjustment(removed=dict(removed),
-                                                        total_dim=probes.n)
+        for c in classes:
+            label[list(c)] = c[0]
+    adjustment = FilterAdjustment(removed=dict(removed), total_dim=probes.n)
+    if not accepted:
+        return (sop, probes), adjustment
+
+    # block of node i: the rank of its class's first node among the
+    # blocks' first nodes
+    label = (np.cumsum(label == np.arange(probes.n)) - 1)[label]
+    size = np.bincount(label)
+    rows = probes.columns[np.argsort(label, kind="stable")]
+    cols = np.add.reduceat(rows, np.cumsum(size) - size) / np.sqrt(size)[:, None]
+    return ((quotient_operator(sop, label), replace(probes, columns=cols)),
+            adjustment)

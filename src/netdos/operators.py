@@ -191,6 +191,36 @@ def rescale_operator(op: SymmetricCSROperator,
     return SymmetricCSROperator(n, *arrays, op.kind, smap, (lmin, lmax))
 
 
+def quotient_operator(op: SymmetricCSROperator, label) -> SymmetricCSROperator:
+    """P^T op P for the partition that puts node i in block label[i], where
+    P has the orthonormal columns 1_C/sqrt|C|, one per block, and the labels
+    are 0..q-1, each used.
+
+    Entry (a, b) is the sum of op over block a x block b, in CSR order,
+    divided by sqrt(|a|·|b|). It is summed once, for a <= b, and mirrored,
+    so the quotient is symmetric bit for bit. Entries that come out exactly
+    0.0 are dropped. Kind, scale map and spectral range are op's.
+    """
+    size = np.bincount(label)
+    q = size.shape[0]
+    rows = label[np.repeat(np.arange(op.n), np.diff(op.indptr))]
+    cols = label[op.indices]
+    upper = rows <= cols
+    key = rows[upper] * q + cols[upper]
+    order = np.argsort(key, kind="stable")
+    first = np.flatnonzero(np.diff(key[order], prepend=-1))
+    key = key[order][first]
+    rows, cols = np.divmod(key, q)
+    vals = (np.add.reduceat(op.data[upper][order], first)
+            / np.sqrt(size[rows] * size[cols]))
+    off = rows != cols  # each entry above the diagonal is mirrored below it
+    key = np.concatenate([key, cols[off] * q + rows[off]])
+    order = np.argsort(key)
+    vals = np.concatenate([vals, vals[off]])[order]
+    arrays = _sorted_csr(q, *np.divmod(key[order], q), vals)
+    return SymmetricCSROperator(q, *arrays, op.kind, op.scale_map, op.spectral_range)
+
+
 def spectral_radius_bound(op: SymmetricCSROperator) -> float:
     """rho_hat >= rho(|H|), the spectral radius of H with every stored entry
     made nonnegative, and so >= |lambda| for every eigenvalue of H.

@@ -52,19 +52,20 @@ def kpm_dos(g, operator=OPERATOR, m_max=KPM_MOMENTS, nz=PROBES,
             probe_kind=PROBE_KIND, seed=0, bins=BINS, damping=True,
             filter_kinds=(), range_=None, reinsert_spikes=True,
             negativity_tol=None) -> DosResult:
-    """Full KPM pipeline: scale, (optionally) deflate motifs, estimate
-    moments, which carry the deflation, and integrate them into a histogram
-    with spike re-insertion."""
+    """Full KPM pipeline: scale, (optionally) deflate motifs by passing to
+    the quotient on their complement, estimate moments, which carry the
+    deflation, and integrate them into a histogram with spike
+    re-insertion."""
     sop = scaled_operator_for(g, operator, range_=range_)
-    probes = make_probes(g.n, nz, kind=probe_kind, seed=seed)
+    op, probes = sop, make_probes(g.n, nz, kind=probe_kind, seed=seed)
 
     adjustment = None
     if filter_kinds:
         instances = detect_motifs(g, kinds={MotifKind(k) for k in filter_kinds},
                                   operator=OperatorKind(operator))
-        probes, adjustment = filter_probes(probes, instances)
+        (op, probes), adjustment = filter_probes(sop, probes, instances)
 
-    moments = dos_moments(sop, probes, m_max, adjustment)
+    moments = dos_moments(op, probes, m_max, adjustment)
     hist = histogram_from_moments(moments, bins=bins, damping=damping,
                                   reinsert_spikes=reinsert_spikes,
                                   negativity_tol=negativity_tol)

@@ -15,7 +15,7 @@ whose moments break that bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -30,7 +30,12 @@ class ProbeKind(str, Enum):
 
 @dataclass(frozen=True)
 class ProbeMatrix:
-    """n x nz block of probe columns plus the metadata that generated it."""
+    """nz probe columns plus the metadata that generated them.
+
+    `n` is the order of the graph the probes were drawn for: the columns
+    have n rows, or n - r once `motifs.filter_probes` has mapped them into
+    the quotient left by r deflated dimensions.
+    """
 
     n: int
     nz: int
@@ -98,8 +103,3 @@ def make_probes(n, nz, kind, seed=0) -> ProbeMatrix:
                 cols[:, j] = 1.0 - 2.0 * rng.integers(0, 2, size=n).astype(np.float64)
     return ProbeMatrix(n=n, nz=nz, kind=kind, seed=int(seed),
                        columns=np.ascontiguousarray(cols))
-
-
-def with_columns(probes: ProbeMatrix, columns: np.ndarray) -> ProbeMatrix:
-    """Copy of `probes` carrying replacement columns (e.g. after deflation)."""
-    return replace(probes, columns=np.ascontiguousarray(columns))

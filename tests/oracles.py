@@ -65,6 +65,46 @@ def oracle_gauss_rule(a, z, steps):
     return nodes, vecs[0] ** 2
 
 
+def oracle_probe_moments(h, z, m_max) -> np.ndarray:
+    """sum_j z_j^T T_m(h) z_j for m = 0..m_max, by the plain three-term
+    recurrence on the dense symmetric matrix `h`."""
+    out = np.empty(m_max + 1)
+    prev, cur = z, h @ z
+    out[0] = np.sum(z * z)
+    for m in range(1, m_max + 1):
+        out[m] = np.sum(z * cur)
+        prev, cur = cur, 2.0 * (h @ cur) - prev
+    return out
+
+
+def motif_eigenvectors(inst, h) -> np.ndarray:
+    """Orthonormal rows of length n spanning an instance's eigenvectors,
+    built from its classes alone. A twin's one class takes the Helmert rows
+    (orthonormal, summing to zero) on its nodes. A hub's chains, classes
+    (leaves, middles), take the Helmert rows on the leaves times the leaf
+    and middle amplitudes of the eigenvector of the dense 2x2 restriction
+    of the operator `h` to one path (leaf, middle) whose eigenvalue is
+    nearest the instance's."""
+    first = inst.classes[0]
+    size = len(first)
+    amp = np.zeros((size - 1, size))
+    for k in range(1, size):
+        amp[k - 1, :k] = 1.0
+        amp[k - 1, k] = -float(k)
+        amp[k - 1] /= np.sqrt(k * (k + 1.0))
+    out = np.zeros((size - 1, h.shape[0]))
+    if len(inst.classes) == 1:
+        out[:, list(first)] = amp
+        return out
+    leaves, middles = inst.classes
+    path = [leaves[0], middles[0]]
+    lam, vec = np.linalg.eigh(h[np.ix_(path, path)])
+    leaf_amp, middle_amp = vec[:, np.argmin(np.abs(lam - inst.eigenvalue))]
+    out[:, list(leaves)] = leaf_amp * amp
+    out[:, list(middles)] = middle_amp * amp
+    return out
+
+
 def wasserstein1(spec_a, spec_b) -> float:
     """Earth-mover distance between two equal-cardinality uniform spectra.
 

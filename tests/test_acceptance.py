@@ -55,8 +55,8 @@ def test_criterion_02_motif_filtering_improves_and_trace_identity():
     probes = nd.make_probes(g.n, g.n, ProbeKind.STANDARD_BASIS, seed=0)
     insts = nd.detect_motifs(g)
     m_unf = nd.dos_moments(sop, probes, 100)
-    filtered, adj = nd.filter_probes(probes, insts)
-    m_fil = nd.dos_moments(sop, filtered, 100, adj)
+    (q, filtered), adj = nd.filter_probes(sop, probes, insts)
+    m_fil = nd.dos_moments(q, filtered, 100, adj)
     r = m_fil.adjustment.deflated_dim
     removed = np.zeros(101)
     for lam, cnt in m_fil.adjustment.removed.items():

@@ -156,8 +156,7 @@ def test_adjustment_checks_itself():
         with pytest.raises(MotifError, match=what):
             FilterAdjustment(removed=removed, total_dim=total_dim)
     assert FilterAdjustment(removed={0.5: 3}, total_dim=4).deflated_dim == 3
-    # a numpy int, as `filter_probes` may pass from `ProbeMatrix.n`, is kept
-    # as a Python int
+    # a numpy int total_dim, as a caller may pass, is kept as a Python int
     assert type(FilterAdjustment(removed={}, total_dim=np.int64(4)).total_dim) is int
 
 

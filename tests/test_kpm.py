@@ -101,8 +101,8 @@ def test_moment_exactness_against_eigenvalue_oracle():
         n = int(rng.integers(60, 120))
         g = preferential_attachment(n, 1, seed=int(rng.integers(1 << 30)))
         sop = _scaled(g, kind)
-        probes, adj = filter_probes(
-            make_probes(n, n, ProbeKind.STANDARD_BASIS, seed=0),
+        (q, probes), adj = filter_probes(
+            sop, make_probes(n, n, ProbeKind.STANDARD_BASIS, seed=0),
             detect_motifs(g, operator=kind))
         r = adj.deflated_dim
         assert r > 0
@@ -112,7 +112,7 @@ def test_moment_exactness_against_eigenvalue_oracle():
         want = (n * oracle_moments(to_scaled(ev), 51)
                 - chebyshev_values(51, to_scaled(spikes)).sum(axis=1)) / (n - r)
         for m_max in EXACTNESS_M_MAX:
-            mom = dos_moments(sop, probes, m_max, adj)
+            mom = dos_moments(q, probes, m_max, adj)
             assert mom.values.shape == (m_max + 1,)
             assert np.abs(mom.values - want[: m_max + 1]).max() < 1e-10, m_max
 

@@ -12,20 +12,13 @@ from netdos.pipeline import scaled_operator_for
 from netdos.testkit import (dense_matrix, erdos_renyi, preferential_attachment,
                            small_world)
 
-from oracles import brute_force_motifs
-
-
-def _as_dense(inst, n):
-    """The instance's eigenvectors as rows of length n."""
-    u = np.zeros((inst.multiplicity, n))
-    u[:, list(inst.nodes)] = inst.eigvecs
-    return u
+from oracles import brute_force_motifs, motif_eigenvectors, oracle_probe_moments
 
 
 def _check_instance(inst, g, kind):
     h = dense_matrix(build_operator(g, kind))
-    assert inst.eigvecs.shape == (inst.multiplicity, len(inst.nodes))
-    vecs = _as_dense(inst, g.n)
+    vecs = motif_eigenvectors(inst, h)
+    assert vecs.shape == (inst.multiplicity, g.n)
     for i, u in enumerate(vecs):
         assert np.linalg.norm(h @ u - inst.eigenvalue * u) <= 1e-10
         assert abs(u @ u - 1.0) <= 1e-12
@@ -51,10 +44,9 @@ def test_pendant_pair_difference_vector():
     assert len(insts) == 1
     inst = insts[0]
     assert inst.nodes == (1, 2)
+    assert inst.classes == ((1, 2),)
     assert inst.eigenvalue == 0.0
-    u = _as_dense(inst, g.n)[0]
-    assert np.allclose(np.sort(np.abs(u[[1, 2]])), [1 / np.sqrt(2)] * 2)
-    assert u[1] * u[2] < 0
+    assert inst.multiplicity == 1
     _check_instance(inst, g, OperatorKind.NORMALIZED_ADJACENCY)
 
 
@@ -77,6 +69,7 @@ def test_dangling_chain_modes():
     assert lams == pytest.approx([-1 / np.sqrt(2), 1 / np.sqrt(2)])
     for inst in insts:
         assert inst.nodes == (1, 2, 3, 4)
+        assert inst.classes == ((2, 4), (1, 3))  # leaves, then their middles
         _check_instance(inst, g, OperatorKind.NORMALIZED_ADJACENCY)
 
 
@@ -132,19 +125,27 @@ def test_detection_complete_on_planted_pairs():
 
 
 def test_filter_probes_annihilates_difference(star4):
+    # the quotient keeps node 0 and the class {1, 2, 3}: P^T z sums the
+    # class's rows over sqrt 3, and no component along their differences
     insts = detect_motifs(star4, kinds={MotifKind.OPEN_TWIN})
+    sop = scaled_operator_for(star4, "normalized-adjacency")
     probes = make_probes(4, 6, ProbeKind.GAUSSIAN, seed=3)
-    filtered, adj = filter_probes(probes, insts)
-    z = filtered.columns
-    assert np.abs(z[1] - z[2]).max() < 1e-12
-    assert np.abs(z[2] - z[3]).max() < 1e-12
+    (q, filtered), adj = filter_probes(sop, probes, insts)
+    z = probes.columns
+    assert q.n == 2 and filtered.columns.shape == (2, 6)
+    assert np.array_equal(filtered.columns[0], z[0])
+    assert np.abs(filtered.columns[1] - z[1:].sum(axis=0) / np.sqrt(3)).max() < 1e-12
+    assert (filtered.n, filtered.nz, filtered.meta()) == (4, 6, probes.meta())
     assert adj.deflated_dim == 2
     assert adj.removed == {0.0: 2}
 
 
 def test_filter_probes_empty_instances_noop():
+    sop = scaled_operator_for(build_csr([(0, 1), (1, 2), (2, 3), (3, 4)]),
+                              "normalized-adjacency")
     probes = make_probes(5, 3, ProbeKind.RADEMACHER, seed=1)
-    filtered, adj = filter_probes(probes, [])
+    (q, filtered), adj = filter_probes(sop, probes, [])
+    assert q is sop
     assert filtered is probes
     assert adj.deflated_dim == 0
 
@@ -153,12 +154,23 @@ def test_star_filtered_moments_identity(star4):
     insts = detect_motifs(star4, kinds={MotifKind.OPEN_TWIN})
     sop = scaled_operator_for(star4, "normalized-adjacency")
     probes = make_probes(4, 4, ProbeKind.STANDARD_BASIS, seed=0)
-    filtered, adj = filter_probes(probes, insts)
+    (q, filtered), adj = filter_probes(sop, probes, insts)
     m_unf = dos_moments(sop, probes, 30)
-    m_fil = dos_moments(sop, filtered, 30, adj)
+    m_fil = dos_moments(q, filtered, 30, adj)
     t_at_zero = chebyshev_values(30, sop.scale_map.to_scaled(np.array([0.0])))[:, 0]
     want = (4 * m_unf.values - 2 * t_at_zero) / 2
     assert np.abs(m_fil.values - want).max() < 1e-12
+
+
+def test_deflated_moments_need_the_quotient_probes(star4):
+    # an adjustment with the n-row probes, or the quotient's probes without
+    # one, would divide the trace by the wrong dimension
+    sop = scaled_operator_for(star4, "normalized-adjacency")
+    probes = make_probes(4, 2, ProbeKind.RADEMACHER, seed=0)
+    (q, filtered), adj = filter_probes(sop, probes, detect_motifs(star4))
+    for op, p, a in [(sop, probes, adj), (q, filtered, None)]:
+        with pytest.raises(ValueError, match=r"filter_probes \(n - r rows\)"):
+            dos_moments(op, p, 4, a)
 
 
 def test_trace_decomposition_on_planted_graphs():
@@ -171,9 +183,9 @@ def test_trace_decomposition_on_planted_graphs():
             continue
         sop = scaled_operator_for(g, "normalized-adjacency")
         probes = make_probes(g.n, g.n, ProbeKind.STANDARD_BASIS, seed=0)
-        filtered, adj = filter_probes(probes, insts)
+        (q, filtered), adj = filter_probes(sop, probes, insts)
         m_unf = dos_moments(sop, probes, 50)
-        m_fil = dos_moments(sop, filtered, 50, adj)
+        m_fil = dos_moments(q, filtered, 50, adj)
         r = m_fil.adjustment.deflated_dim
         removed = np.zeros(51)
         for lam, cnt in m_fil.adjustment.removed.items():
@@ -187,11 +199,11 @@ def test_trace_decomposition_on_planted_graphs():
 def test_overlapping_claims_resolved_deterministically():
     g = build_csr([(0, 1), (0, 2), (0, 3)])
     twin = detect_motifs(g, kinds={MotifKind.OPEN_TWIN})[0]
-    fake = MotifInstance(kind=MotifKind.CLOSED_TWIN, nodes=(2, 3),
-                         eigenvalue=0.25,
-                         eigvecs=[[1 / np.sqrt(2), -1 / np.sqrt(2)]])
+    fake = MotifInstance(kind=MotifKind.CLOSED_TWIN, classes=((2, 3),),
+                         eigenvalue=0.25, multiplicity=1)
+    sop = scaled_operator_for(g, "normalized-adjacency")
     probes = make_probes(4, 2, ProbeKind.GAUSSIAN, seed=0)
-    _, adj = filter_probes(probes, [fake, twin])
+    _, adj = filter_probes(sop, probes, [fake, twin])
     # the open twin claims nodes 1..3 first; the closed-twin overlap is dropped
     assert adj.removed == {0.0: 2}
 
@@ -201,62 +213,74 @@ def test_custom_instance_deflation():
     sop = scaled_operator_for(g, "normalized-adjacency")
     # middle eigenvector of P3 (eigenvalue 0), the open twins 0 and 2,
     # supplied by hand
-    inst = MotifInstance(kind=MotifKind.OPEN_TWIN, nodes=(0, 2), eigenvalue=0.0,
-                         eigvecs=[[1 / np.sqrt(2), -1 / np.sqrt(2)]])
+    inst = MotifInstance(kind=MotifKind.OPEN_TWIN, classes=((2, 0),),
+                         eigenvalue=0.0, multiplicity=1)
+    assert inst.nodes == (0, 2)
     probes = make_probes(3, 3, ProbeKind.STANDARD_BASIS, seed=0)
-    filtered, adj = filter_probes(probes, [inst])
-    m_fil = dos_moments(sop, filtered, 8, adj)
+    (q, filtered), adj = filter_probes(sop, probes, [inst])
+    m_fil = dos_moments(q, filtered, 8, adj)
     want = chebyshev_values(8, np.array([-1.0, 1.0])).mean(axis=1)
     assert np.abs(m_fil.values - want).max() < 1e-12
 
 
-def test_degenerate_custom_vectors_rejected():
-    probes = make_probes(4, 2, ProbeKind.GAUSSIAN, seed=0)
-    a = MotifInstance(kind=MotifKind.OPEN_TWIN, nodes=(0, 1), eigenvalue=0.0,
-                      eigvecs=[[1.0, 0.0]])
-    b = MotifInstance(kind=MotifKind.OPEN_TWIN, nodes=(0, 1), eigenvalue=0.5,
-                      eigvecs=[[1.0, 0.0]])
-    with pytest.raises(MotifError, match="not orthonormal"):
-        filter_probes(probes, [a, b])
+def test_lone_chain_mode_is_refused():
+    # each chain mode removes half of the sum-zero vectors on the two
+    # classes; the quotient removes them all, so it needs both modes
+    g = build_csr([(0, 1), (1, 2), (0, 3), (3, 4), (0, 5)])
+    sop = scaled_operator_for(g, "normalized-adjacency")
+    probes = make_probes(g.n, 2, ProbeKind.GAUSSIAN, seed=0)
+    modes = detect_motifs(g, kinds={MotifKind.DANGLING_TWO_CHAIN})
+    for mode in modes:
+        with pytest.raises(MotifError, match=r"nodes \(1, 2, 3, 4\) need"):
+            filter_probes(sop, probes, [mode])
+    (q, _), adj = filter_probes(sop, probes, modes)
+    assert q.n == g.n - 2 and adj.deflated_dim == 2
 
 
-def test_non_orthogonal_custom_rows_are_refused():
-    # two instances on one node set share a claim, so their rows stack into
-    # one block: deflation projects out an orthonormal block as it is and
-    # refuses any other rather than repair it
-    probes = make_probes(4, 3, ProbeKind.GAUSSIAN, seed=2)
-    a = MotifInstance(kind=MotifKind.OPEN_TWIN, nodes=(0, 1, 2), eigenvalue=0.0,
-                      eigvecs=[[1.0, 0.0, 0.0]])
-    for row, ok in [([1 / np.sqrt(2), 1 / np.sqrt(2), 0.0], False),
-                    ([2e-8, 1.0, 0.0], False), ([5e-9, 1.0, 0.0], True),
-                    ([0.0, 1.0, 0.0], True)]:
-        b = MotifInstance(kind=MotifKind.OPEN_TWIN, nodes=(0, 1, 2),
-                          eigenvalue=0.5, eigvecs=[row])
-        if not ok:
-            with pytest.raises(MotifError, match=r"\(0, 1, 2\) are not orthonormal"):
-                filter_probes(probes, [a, b])
-            continue
-        filtered, adj = filter_probes(probes, [a, b])
-        assert np.abs(filtered.columns[:2]).max() <= 1e-8
-        assert np.array_equal(filtered.columns[2:], probes.columns[2:])
-        assert adj.removed == {0.0: 1, 0.5: 1}
-
-
-@pytest.mark.parametrize("eigvecs", [
-    np.ones((1, 2)),             # two columns for three nodes
-    np.ones(3),                  # one vector, not a block
-    np.ones((2, 4)),             # a column too many
+@pytest.mark.parametrize("stated, ok", [
+    pytest.param([(((0, 1),), 0.0, 1), (((0, 1),), 0.5, 1)], False,
+                 id="two-instances-on-one-dimension"),
+    pytest.param([(((0, 1, 2),), 0.0, 1)], False, id="too-few"),
+    pytest.param([(((0, 1),), 0.0, 0)], False, id="zero-multiplicity"),
+    pytest.param([(((0, 1, 2, 3),), 0.0, 2), (((0, 1), (2, 3)), 0.5, 1)],
+                 False, id="different-classes"),
+    pytest.param([(((0, 1, 2),), 0.0, 1), (((0, 1, 2),), 0.5, 1)], True,
+                 id="two-modes-on-one-class"),
 ])
-def test_custom_block_shape_must_match_nodes(eigvecs):
-    with pytest.raises(MotifError, match="shape"):
-        MotifInstance(kind=MotifKind.OPEN_TWIN, nodes=(0, 1, 2), eigenvalue=0.0,
-                      eigvecs=eigvecs)
+def test_key_multiplicities_must_total_class_dimensions(stated, ok):
+    # instances on one node set share a claim: together they must remove
+    # every vector summing to zero on one set of classes, sum(|C| - 1)
+    g = build_csr([(0, 1), (1, 2), (2, 3), (3, 4)])
+    sop = scaled_operator_for(g, "normalized-adjacency")
+    probes = make_probes(g.n, 3, ProbeKind.GAUSSIAN, seed=2)
+    insts = [MotifInstance(MotifKind.OPEN_TWIN, classes, lam, mult)
+             for classes, lam, mult in stated]
+    if not ok:
+        with pytest.raises(MotifError, match=r"sum\(\|C\| - 1\)"):
+            filter_probes(sop, probes, insts)
+        return
+    (q, filtered), adj = filter_probes(sop, probes, insts)
+    assert q.n == filtered.columns.shape[0] == g.n - 2
+    assert adj.removed == {0.0: 1, 0.5: 1}
+
+
+@pytest.mark.parametrize("classes, error, what", [
+    pytest.param((0, 1, 2), TypeError, "not iterable", id="flat"),
+    pytest.param(((0,),), MotifError, "two or more nodes", id="single-node"),
+    pytest.param((), MotifError, "two or more nodes", id="no-class"),
+    pytest.param(((0, 1.0),), TypeError, "integer", id="float-node"),
+])
+def test_custom_class_shape_is_checked(classes, error, what):
+    # classes are sequences of two or more integer node ids
+    with pytest.raises(error, match=what):
+        MotifInstance(kind=MotifKind.OPEN_TWIN, classes=classes, eigenvalue=0.0,
+                      multiplicity=1)
 
 
 def test_custom_nodes_must_be_distinct():
     with pytest.raises(MotifError, match="repeat"):
-        MotifInstance(kind=MotifKind.OPEN_TWIN, nodes=(0, 1, 0), eigenvalue=0.0,
-                      eigvecs=np.zeros((1, 3)))
+        MotifInstance(kind=MotifKind.OPEN_TWIN, classes=((0, 1), (2, 0)),
+                      eigenvalue=0.0, multiplicity=1)
 
 
 def _deflation_graphs():
@@ -280,18 +304,27 @@ def test_detected_keys_never_share_a_node(name):
 @pytest.mark.parametrize("name", sorted(_deflation_graphs()))
 def test_filter_probes_matches_dense_projection(name):
     # detected instances never share a node across keys, so every one is
-    # accepted; the reference is (I - V V^T) Z with V from a dense QR
+    # accepted; the reference runs the plain recurrence on the dense
+    # operator with (I - V V^T) Z, V from a dense QR of the oracle's
+    # eigenvectors
     g = _deflation_graphs()[name]
+    m_max = 30
     probes = make_probes(g.n, 6, ProbeKind.GAUSSIAN, seed=5)
     for kind in OperatorKind:
+        sop = scaled_operator_for(g, kind)
         insts = detect_motifs(g, operator=kind)
-        dense = np.concatenate([_as_dense(inst, g.n) for inst in insts])
+        h = dense_matrix(build_operator(g, kind))
+        dense = np.concatenate([motif_eigenvectors(inst, h) for inst in insts])
+        del h
         v, _ = np.linalg.qr(dense.T)
         z = probes.columns
-        want = z - v @ (v.T @ z)
-        filtered, adj = filter_probes(probes, insts)
-        assert np.abs(filtered.columns - want).max() <= 1e-12
-        assert adj.deflated_dim == dense.shape[0]
+        z = z - v @ (v.T @ z)
+        (q, filtered), adj = filter_probes(sop, probes, insts)
+        got = dos_moments(q, filtered, m_max, adj).values
+        r = adj.deflated_dim
+        want = oracle_probe_moments(dense_matrix(sop), z, m_max) / (6 * (g.n - r))
+        assert np.abs(got - want).max() <= 1e-12, kind
+        assert r == dense.shape[0]
         counts = {}
         for inst in insts:
             counts[inst.eigenvalue] = counts.get(inst.eigenvalue, 0) + inst.multiplicity
@@ -371,8 +404,9 @@ def test_trace_identity_with_deflation(g):
     for kind in OperatorKind:
         sop = scaled_operator_for(g, kind)
         plain = dos_moments(sop, probes, m_max)
-        filtered, adj = filter_probes(probes, detect_motifs(g, operator=kind))
-        deflated = dos_moments(sop, filtered, m_max, adj)
+        (q, filtered), adj = filter_probes(sop, probes,
+                                           detect_motifs(g, operator=kind))
+        deflated = dos_moments(q, filtered, m_max, adj)
         r = deflated.adjustment.deflated_dim
         spikes = np.zeros(m_max + 1)
         for lam, count in deflated.adjustment.removed.items():
@@ -380,3 +414,21 @@ def test_trace_identity_with_deflation(g):
                 m_max, sop.scale_map.to_scaled(lam))[:, 0]
         gap = g.n * plain.values - ((g.n - r) * deflated.values + spikes)
         assert np.abs(gap).max() <= 1e-10, kind
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(g=_spiky_graphs())
+def test_quotient_spectrum_plus_spikes_is_the_spectrum(g):
+    # the quotient keeps every eigenvalue of H but the removed spikes, and
+    # it is built symmetric bit for bit
+    probes = make_probes(g.n, 1, ProbeKind.RADEMACHER, seed=0)
+    for kind in OperatorKind:
+        sop = scaled_operator_for(g, kind)
+        (q, _), adj = filter_probes(sop, probes, detect_motifs(g, operator=kind))
+        qd = dense_matrix(q)
+        assert np.array_equal(qd, qd.T), kind
+        spikes = np.repeat(list(adj.removed), list(adj.removed.values()))
+        got = np.sort(np.concatenate([np.linalg.eigvalsh(qd),
+                                      sop.scale_map.to_scaled(spikes)]))
+        want = np.linalg.eigvalsh(dense_matrix(sop))
+        assert np.abs(got - want).max() <= 1e-10, kind

@@ -17,7 +17,8 @@ import subprocess
 import sys
 
 import netdos
-from netdos import build_partition_tree, nd_pdos_moments
+from netdos import (ProbeKind, build_partition_tree, detect_motifs, make_probes,
+                    nd_pdos_moments, pipeline, preferential_attachment)
 from netdos.cli import main
 from netdos.pipeline import scaled_operator_for
 
@@ -136,17 +137,21 @@ def test_benchmark_trace_lookups_resolve(tmp_path):
     assert json.loads(proc.stdout.strip().splitlines()[-1]) == []
 
 
-def test_benchmark_trace_counts_the_partition_tree():
-    """The traced benchmark counts a built tree's nodes and root separator
-    from the tree's attributes; a renamed one would only show as a note,
-    with the count missing."""
+def _traced_module():
     spec = importlib.util.spec_from_file_location(
         "traced", os.path.join(os.path.dirname(SRC), "perfbench", "traced.py"))
     traced = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(traced)
+    return traced
+
+
+def test_benchmark_trace_counts_the_partition_tree():
+    """The traced benchmark counts a built tree's nodes and root separator
+    from the tree's attributes; a renamed one would only show as a note,
+    with the count missing."""
     g = grid_graph(20, 20)
     tree = build_partition_tree(g, leaf_size=50)
-    tracer = traced.Tracer()
+    tracer = _traced_module().Tracer()
     tracer.observe("build_partition_tree", (g,), tree)
     cost = nd_pdos_moments(scaled_operator_for(g, "adjacency"), tree,
                            2).probe_meta["tree"]
@@ -154,6 +159,22 @@ def test_benchmark_trace_counts_the_partition_tree():
     assert tracer.counts == {
         "nested_dissection.tree_nodes": cost["nodes"],
         "nested_dissection.separator_nodes": cost["root_separator"]}
+    assert tracer.notes == []
+
+
+def test_benchmark_trace_counts_the_deflated_dimension():
+    """The traced benchmark reads the deflated dimension from the adjustment
+    at index 1 of what `pipeline.filter_probes` returns; a result of another
+    shape would only show as a note, with the count missing."""
+    g = preferential_attachment(300, 1, seed=2)
+    args = (scaled_operator_for(g, "laplacian"),
+            make_probes(g.n, 7, ProbeKind.STANDARD_BASIS),
+            detect_motifs(g, operator="laplacian"))
+    result = pipeline.filter_probes(*args)
+    tracer = _traced_module().Tracer()
+    tracer.observe("filter_probes", args, result)
+    assert result[1].deflated_dim > 0
+    assert tracer.counts == {"motifs.deflated_dim": result[1].deflated_dim}
     assert tracer.notes == []
 
 
