@@ -262,7 +262,7 @@ def _cmd_exact(args):
         if rng[0] == rng[1]:
             raise NetdosError(f"the spectrum is the single point {lo:g}, "
                               "which spans no bins; pass --range LO,HI")
-        edges = np.linspace(rng[0], rng[1], args.bins + 1)
+        edges = bin_edges(*rng, args.bins)
         payload["edges"] = edges.tolist()
         payload["masses"] = testkit.oracle_histogram(spec.eigenvalues, edges).tolist()
     return _write(args, payload)

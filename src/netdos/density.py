@@ -18,13 +18,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kpm import MODE_GLOBAL, MODE_PER_NODE, ChebMoments, jackson_coefficients
+from .operators import ScaleMap
 
 # Histogram bins unless told otherwise.
 BINS = 50
 
-# A point mass within this share of the bins' span outside an outer edge
-# (an eigenvalue on an analytic range edge, moved by roundoff) counts in that
-# edge's bin: a re-inserted spike here, a Ritz value in `lanczos.gql_dos`.
+# Every histogram here places its point masses (a re-inserted spike, a Ritz
+# value in `lanczos.gql_dos`, an eigenvalue in `testkit.oracle_histogram`) by
+# one rule, `point_masses`: a point within this share of the bins' span of an
+# edge counts as on that edge, so an exact eigenvalue such as 0 or an
+# analytic range edge, moved by roundoff, lands in one bin.
 SNAP_TOL = 1e-9
 
 
@@ -45,20 +48,55 @@ class SpectralHistogram:
         return int(self.edges.shape[0] - 1)
 
 
-def bin_edges(lo, hi, bins) -> np.ndarray:
-    """The bins + 1 edges of `bins` equal bins over [lo, hi]. A range too
-    narrow for them, whose edges do not increase, raises ValueError."""
-    edges = np.linspace(lo, hi, bins + 1)
+def _unit_bins(smap, bins, span=None):
+    """(scaled, edges): `bins` equal bins of [-1, 1] and their image under
+    `smap`. Edges that do not increase raise ValueError naming `span`, the
+    range (lo, hi) asked for (by default the edges' own ends)."""
+    if bins < 1:
+        raise ValueError("bins must be >= 1")
+    scaled = np.linspace(-1.0, 1.0, bins + 1)
+    edges = smap.from_scaled(scaled)
     if not np.all(np.diff(edges) > 0.0):
-        raise ValueError(f"--range {lo!r},{hi!r} is too narrow for --bins "
-                         f"{bins}: its bin edges do not increase")
-    return edges
+        lo, hi = span or (edges[0], edges[-1])
+        raise ValueError(f"--range {float(lo)!r},{float(hi)!r} is too narrow "
+                         f"for --bins {bins}: its bin edges do not increase")
+    return scaled, edges
 
 
-def bin_index(edges, lam) -> int:
-    """Bin receiving a point mass at lam (matches np.histogram conventions)."""
-    i = int(np.searchsorted(edges, lam, side="right")) - 1
-    return min(max(i, 0), len(edges) - 2)
+def bin_edges(lo, hi, bins) -> np.ndarray:
+    """The bins + 1 edges of `bins` equal bins over [lo, hi], built as every
+    histogram here builds them: equal bins of [-1, 1] mapped back by
+    ScaleMap.onto_unit((lo, hi)), so a KPM series scaled by that map and a
+    histogram over the range share their edges. A range too narrow for them,
+    whose edges do not increase, raises ValueError, and so does bins < 1."""
+    if lo < hi and 0.5 * (hi - lo) == 0.0:
+        smap = ScaleMap(lo, 0.0)  # a half-span below the least float: no bin fits
+    else:
+        smap = ScaleMap.onto_unit((lo, hi))
+    return _unit_bins(smap, bins, (lo, hi))[1]
+
+
+def point_masses(edges, points, weights):
+    """(masses, outside): the `weights` of `points` (one each, or one for
+    all) summed into the bins of the increasing `edges`, and the mask of the
+    points that lie outside them.
+
+    A point within SNAP_TOL of the span of an edge counts as on that edge. A
+    point on an inner edge falls in the bin above it and one on the top edge
+    in the last bin, as in np.histogram; a point farther out than SNAP_TOL
+    beyond the outer edges is outside and carries no mass.
+    """
+    edges = np.asarray(edges, dtype=np.float64)
+    points = np.asarray(points, dtype=np.float64)
+    last = edges.shape[0] - 2
+    # the nearest edge, the lower one on a tie
+    above = np.clip(np.searchsorted(edges, points), 1, last + 1)
+    near = above - (points - edges[above - 1] <= edges[above] - points)
+    on = np.abs(points - edges[near]) <= SNAP_TOL * (edges[-1] - edges[0])
+    index = np.where(on, np.minimum(near, last), above - 1)
+    inside = on | ((points > edges[0]) & (points < edges[-1]))
+    weights = np.broadcast_to(weights, points.shape)[inside]
+    return np.bincount(index[inside], weights, minlength=last + 1), ~inside
 
 
 def cheb_bin_masses(m_max, scaled_edges) -> np.ndarray:
@@ -79,24 +117,22 @@ def histogram_from_moments(moments: ChebMoments, bins=BINS, damping=True,
     """Integrate the (optionally Jackson-damped) moment series over bins.
 
     The edges split the operator's scaled domain [-1, 1] into equal bins,
-    reported in original eigenvalue units. A series of deflated probes
-    carries its `adjustment`; with reinsert_spikes its masses are rescaled
-    from the N - r deflated dimensions to all N, and the removed spike mass
-    is re-inserted at its eigenvalues, so displayed mass still totals the
-    normalization. A removed eigenvalue outside the edges (beyond SNAP_TOL of
-    their span) raises ValueError.
+    reported in original eigenvalue units, as `bin_edges` builds them; a
+    scale map too narrow for `bins` raises ValueError. A series of deflated
+    probes carries its `adjustment`; with reinsert_spikes its masses are
+    rescaled from the N - r deflated dimensions to all N, and the removed
+    spike mass is re-inserted at its eigenvalues by `point_masses`, so
+    displayed mass still totals the normalization. A removed eigenvalue
+    outside the edges raises ValueError.
 
     A mass below -negativity_tol raises ValueError. With damping the
     tolerance defaults to 1e-3, checked on the node-averaged masses for
     per-node moments; an explicit tolerance is checked on every row.
     """
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
     # the table is built on the scaled edges themselves: mapped out and
     # back, an outer edge can land an ulp inside ±1, which arccos turns
     # into about 1e-8 of lost mass
-    scaled = np.linspace(-1.0, 1.0, bins + 1)
-    edges = moments.scale_map.from_scaled(scaled)
+    scaled, edges = _unit_bins(moments.scale_map, bins)
     table = cheb_bin_masses(moments.m_max, scaled)
     coef = moments.values
     if damping:
@@ -111,14 +147,13 @@ def histogram_from_moments(moments: ChebMoments, bins=BINS, damping=True,
     adjustment = moments.adjustment
     if reinsert_spikes and adjustment is not None:
         n_total, r = adjustment.total_dim, adjustment.deflated_dim
-        masses = masses * ((n_total - r) / n_total)
-        snap = SNAP_TOL * (edges[-1] - edges[0])
-        for lam, count in sorted(adjustment.removed.items()):
-            if not edges[0] - snap <= lam <= edges[-1] + snap:
-                raise ValueError(f"removed eigenvalue {lam:g} lies outside the "
-                                 f"bins [{edges[0]:g}, {edges[-1]:g}]; pass a "
-                                 "--range that holds it")
-            masses[bin_index(edges, lam)] += count / n_total
+        lams, counts = np.array(sorted(adjustment.removed.items())).reshape(-1, 2).T
+        spikes, outside = point_masses(edges, lams, counts / n_total)
+        if outside.any():
+            raise ValueError(f"removed eigenvalue {lams[outside][0]:g} lies "
+                             f"outside the bins [{edges[0]:g}, {edges[-1]:g}]; "
+                             "pass a --range that holds it")
+        masses = masses * ((n_total - r) / n_total) + spikes
 
     checked, what = masses, "bin mass"
     if negativity_tol is None and damping:

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import BINS, SNAP_TOL, SpectralHistogram, bin_edges
+from .density import BINS, SpectralHistogram, bin_edges, point_masses
 from .errors import SpectralRangeError
 from .probes import ProbeMatrix
 
@@ -202,29 +202,18 @@ def lanczos_quadrature(op, z, steps) -> RitzQuadrature:
 def gql_dos(op, probes: ProbeMatrix, steps, bins=BINS, *,
             spectral_range) -> SpectralHistogram:
     """Average per-probe Ritz point masses into a histogram of the density
-    over `spectral_range`, (lo, hi), split into `bins` equal bins. A range
-    too narrow for its bins (`density.bin_edges`) raises ValueError before
-    any Lanczos step."""
+    over `spectral_range`, (lo, hi), in the `bins` bins of
+    `density.bin_edges`. A range too narrow for its bins raises ValueError
+    before any Lanczos step. Ritz values are placed by
+    `density.point_masses`; those outside the range, as for a window
+    narrower than the spectrum, are left out."""
     if op.n != probes.n:
         raise ValueError("probe dimension does not match operator")
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
-    lo, hi = spectral_range
-    edges = bin_edges(lo, hi, bins)
-    all_nodes = []
-    all_weights = []
-    for j in range(probes.nz):
-        quad = lanczos_quadrature(op, probes.columns[:, j], steps)
-        all_nodes.append(quad.nodes)
-        all_weights.append(quad.weights / probes.nz)
-    nodes = np.concatenate(all_nodes)
-    weights = np.concatenate(all_weights)
-    # A Ritz value within SNAP_TOL outside an edge counts in that edge's
-    # bin; farther out, as for a narrower user window, it is left out.
-    snap = SNAP_TOL * (hi - lo)
-    near = (nodes >= lo - snap) & (nodes <= hi + snap)
-    nodes = np.where(near, np.clip(nodes, lo, hi), nodes)
-    masses, _ = np.histogram(nodes, bins=edges, weights=weights)
+    edges = bin_edges(*spectral_range, bins)
+    quads = [lanczos_quadrature(op, z, steps) for z in probes.columns.T]
+    nodes = np.concatenate([quad.nodes for quad in quads])
+    weights = np.concatenate([quad.weights for quad in quads]) / probes.nz
+    masses, _ = point_masses(edges, nodes, weights)
     return SpectralHistogram(edges=edges, masses=masses,
                              normalization=float(weights.sum()))
 

@@ -303,6 +303,10 @@ def filter_probes(sop, probes: ProbeMatrix, instances):
     `operators.quotient_operator`, the probes P^T z with the metadata of
     `probes`, and the per-eigenvalue multiplicities removed, out of
     `probes.n` dimensions. With nothing accepted, (sop, probes) themselves.
+    Standard-basis probes on fewer than all n nodes raise MotifError once an
+    instance is accepted: their n/nz trace scale treats the first nz
+    diagonal entries of P P^T as representative, and those of nodes outside
+    every class are 1, not the mean (n - r)/n.
     """
     if sop.n != probes.n:
         raise ValueError("probe dimension does not match operator")
@@ -331,6 +335,9 @@ def filter_probes(sop, probes: ProbeMatrix, instances):
     adjustment = FilterAdjustment(removed=dict(removed), total_dim=probes.n)
     if not accepted:
         return (sop, probes), adjustment
+    if probes.deterministic and probes.nz < probes.n:
+        raise MotifError("deflation needs standard-basis probes on every node: "
+                         f"pass --probes {probes.n} (n), not {probes.nz}")
 
     # block of node i: the rank of its class's first node among the
     # blocks' first nodes

@@ -3,8 +3,12 @@ histogram behind `netdos exact`, and the seeded random-graph generators
 behind `netdos generate`.
 
 Nothing here is meant for million-node graphs (the dense eigensolve is
-capped). The metrics that only validation needs (Wasserstein-1 distance,
-Cauchy interlacing, spike and unimodality checks) live with the tests.
+capped). The eigensolve is the tests' independent reference; only the rule
+that bins its eigenvalues, `density.point_masses`, is shared with the
+estimators, so comparing their histograms measures the estimate, not two
+conventions for a spike on an edge. The metrics that only validation needs
+(Wasserstein-1 distance, Cauchy interlacing, spike and unimodality checks)
+live with the tests.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .density import point_masses
 from .graph import GraphCSR, _csr_from_arrays
 
 DENSE_ORACLE_CAP = 5000
@@ -45,23 +50,11 @@ def exact_spectrum(op, want_vectors=False, cap=DENSE_ORACLE_CAP) -> ExactSpectru
     return ExactSpectrum(eigenvalues=eigh(h, eigvals_only=True))
 
 
-def oracle_histogram(eigenvalues, edges, snap=1e-9) -> np.ndarray:
-    """Bin masses of the empirical spectral measure (total mass 1).
-
-    Eigenvalues within `snap` of a bin edge are moved onto it, so spikes at
-    exact values (0, +-1, ...) land deterministically instead of splitting
-    across two bins on eigensolver roundoff.
-    """
-    ev = np.asarray(eigenvalues, dtype=np.float64).copy()
-    edges = np.asarray(edges, dtype=np.float64)
-    if snap:
-        pos = np.searchsorted(edges, ev)
-        for cand in (np.clip(pos - 1, 0, len(edges) - 1),
-                     np.clip(pos, 0, len(edges) - 1)):
-            near = np.abs(ev - edges[cand]) <= snap
-            ev[near] = edges[cand[near]]
-    masses, _ = np.histogram(ev, bins=edges)
-    return masses / float(len(ev))
+def oracle_histogram(eigenvalues, edges) -> np.ndarray:
+    """Bin masses of the empirical spectral measure: weight 1/n on each of
+    the n eigenvalues, placed by `density.point_masses`, so a spike at an
+    exact value (0, +-1, ...) lands in one bin whatever its roundoff."""
+    return point_masses(edges, eigenvalues, 1.0 / len(eigenvalues))[0]
 
 
 def _pairs_from_linear(t, n):

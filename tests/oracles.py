@@ -170,6 +170,21 @@ def is_unimodal(masses, rel_tol=0.05) -> bool:
     return bool(ok_up and ok_down)
 
 
+def brute_force_bin(edges, point, tol):
+    """The bin of `point` under the point-mass rule, one point at a time:
+    moved onto the nearest edge when within `tol` of it, then the first
+    half-open bin [e_b, e_b+1) that holds it, the last bin for the top edge,
+    and None when no bin holds it."""
+    gaps = [abs(point - e) for e in edges]
+    nearest = gaps.index(min(gaps))
+    if gaps[nearest] <= tol:
+        point = edges[nearest]
+    for b in range(len(edges) - 1):
+        if edges[b] <= point < edges[b + 1]:
+            return b
+    return len(edges) - 2 if point == edges[-1] else None
+
+
 def semicircle_bin_masses(edges, radius) -> np.ndarray:
     """Bin masses of the semicircle law of the given radius."""
 

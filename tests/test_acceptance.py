@@ -11,7 +11,7 @@ import numpy as np
 import netdos as nd
 from netdos import pipeline, testkit
 from netdos.cli import main as cli_main
-from netdos.density import SmoothedDensity, bin_index, evaluate_density
+from netdos.density import SmoothedDensity, evaluate_density, point_masses
 from netdos.kpm import chebyshev_values
 from netdos.probes import ProbeKind
 
@@ -190,7 +190,7 @@ def test_criterion_08_model_verification():
     r_sparse = pipeline.kpm_dos(g_sparse, m_max=2000, nz=20, seed=3, bins=201)
     r_dense = pipeline.kpm_dos(g_dense, m_max=2000, nz=20, seed=3, bins=201)
     edges = r_sparse.histogram.edges
-    targets = {bin_index(edges, v) for v in (-1.0, 0.0, 1.0)}
+    targets = set(np.flatnonzero(point_masses(edges, [-1.0, 0.0, 1.0], 1.0)[0]).tolist())
     sparse_spikes = set(oracles.spike_bins(r_sparse.histogram.masses))
     dense_spikes = set(oracles.spike_bins(r_dense.histogram.masses))
     assert targets <= sparse_spikes

@@ -4,14 +4,14 @@ import pytest
 from netdos import (MotifError, ProbeKind, SmoothedDensity, build_operator,
                     dos_moments, evaluate_density, histogram_from_moments,
                     make_probes)
-from netdos.density import SNAP_TOL, bin_index, cheb_bin_masses
+from netdos.density import SNAP_TOL, bin_edges, cheb_bin_masses, point_masses
 from netdos.kpm import MODE_GLOBAL, MODE_PER_NODE, ChebMoments, chebyshev_values
 from netdos.motifs import FilterAdjustment
 from netdos.operators import IDENTITY_MAP, ScaleMap
 from netdos.pipeline import scaled_operator_for
 from netdos.testkit import erdos_renyi, exact_spectrum, oracle_histogram
 
-from oracles import oracle_smoothed_density
+from oracles import brute_force_bin, oracle_smoothed_density
 
 
 def _point_mass_moments(x0, m_max):
@@ -168,11 +168,29 @@ def test_per_node_series_carries_no_adjustment():
     assert ChebMoments(np.ones(3), IDENTITY_MAP, {}, adj).mode == MODE_GLOBAL
 
 
-def test_bin_index_matches_numpy_histogram_conventions():
-    edges = np.linspace(-1, 1, 6)
-    for x in (-1.0, -0.999, -0.6, 0.0, 0.2, 0.6, 1.0):
-        want = np.histogram([x], bins=edges)[0].argmax()
-        assert bin_index(edges, x) == want
+@pytest.mark.parametrize("lo, hi", [(-1.0, 1.0), (0.0, 214.0199364540),
+                                     (-7.25, -0.5)],
+                         ids=["unit", "laplacian-range", "negative"])
+def test_point_masses_match_the_per_point_rule(lo, hi):
+    edges = bin_edges(lo, hi, 50)
+    tol = SNAP_TOL * (edges[-1] - edges[0])
+    rng = np.random.default_rng(5)
+    offsets = np.array([0.0, 0.5, -0.5, 3.0, -3.0]) * tol
+    points = np.concatenate([
+        (edges[:, None] + offsets).ravel(),
+        # anywhere in the bins, and well outside them
+        rng.uniform(lo, hi, 200),
+        lo - rng.uniform(1e-6, 10.0, 20) * (hi - lo),
+        hi + rng.uniform(1e-6, 10.0, 20) * (hi - lo)])
+    weights = rng.uniform(0.5, 2.0, points.shape)
+    masses, outside = point_masses(edges, points, weights)
+    want = np.zeros(50)
+    for x, w, out in zip(points.tolist(), weights, outside):
+        b = brute_force_bin(edges.tolist(), x, tol)
+        assert out == (b is None), x
+        if b is not None:
+            want[b] += w
+    assert np.allclose(masses, want, rtol=1e-14, atol=0.0)
 
 
 def test_per_node_histograms():

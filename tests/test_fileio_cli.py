@@ -867,6 +867,55 @@ def test_cli_standard_basis_dos_has_unit_mass(tmp_path):
     assert abs(masses["gql"] - 1.0) < 1e-12
 
 
+def test_cli_deflation_refuses_standard_basis_probes_on_fewer_than_n(
+        tmp_path, capsys):
+    # the first 7 nodes lie outside every class, so their diagonal entries
+    # of P P^T are 1 where the mean is (n - r)/n: the total would read
+    # 300/155; all n probes read the trace exactly
+    gpath = str(tmp_path / "pa.txt")
+    assert main(["generate", "--model", "pa", "--n", "300", "--m", "1",
+                 "--seed", "2", "--out", gpath]) == 0
+    out = tmp_path / "dos.json"
+    args = ["dos", "--input", gpath, "--filter-motifs", "all",
+            "--probe-kind", "standard-basis", "--moments", "40",
+            "--operator", "laplacian", "--out", str(out)]
+    assert main([*args, "--probes", "7"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("netdos: error: ") and "--probes 300" in err
+    assert not out.exists()
+    assert main([*args, "--probes", "300"]) == 0
+    assert abs(sum(json.loads(out.read_text())["masses"]) - 1.0) < 1e-12
+
+
+def test_cli_histograms_over_one_range_share_their_edges(tmp_path):
+    gpath = str(tmp_path / "pa.txt")
+    assert main(["generate", "--model", "pa", "--n", "200", "--m", "2",
+                 "--seed", "4", "--out", gpath]) == 0
+    common = ["--input", gpath, "--operator", "normalized-adjacency",
+              "--range=-1.1,1.3", "--bins", "50"]
+    edges = {}
+    for cmd, extra in [("dos", ["--moments", "20"]), ("gql", ["--moments", "10"]),
+                       ("exact", [])]:
+        out = tmp_path / f"{cmd}.json"
+        assert main([cmd, *common, *extra, "--out", str(out)]) == 0
+        edges[cmd] = json.loads(out.read_text())["edges"]
+    assert edges["dos"] == edges["gql"] == edges["exact"]
+    assert len(edges["dos"]) == 51
+
+
+def test_cli_hist_refuses_a_series_too_narrow_for_its_bins(tmp_path, capsys):
+    # shift 1, scale 1e-300: every edge 1 + 1e-300 x rounds to 1.0
+    path = tmp_path / "narrow.json"
+    path.write_text(json.dumps(_moments_record(
+        scale_map={"shift": 1.0, "scale": 1e-300})))
+    out = tmp_path / "h.json"
+    assert main(["hist", "--moments-file", str(path), "--bins", "4",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "too narrow for --bins 4" in err and "np.float64" not in err
+    assert not out.exists()
+
+
 def test_cli_motif_kinds(tmp_path, capsys):
     gpath = _star_with_chains(tmp_path / "star.txt")
     assert main(["motifs", "--input", gpath]) == 0

@@ -9,6 +9,7 @@ from netdos import (OperatorKind, ProbeKind, build_csr, build_operator,
 from netdos.density import SNAP_TOL
 from netdos.fileio import parse_graph_file
 from netdos.lanczos import _lanczos
+from netdos.operators import OPERATOR
 from netdos.pipeline import gql_dos_pipeline, scaled_operator_for
 from netdos.testkit import (dense_matrix, erdos_renyi, exact_spectrum,
                             oracle_histogram, preferential_attachment)
@@ -225,6 +226,20 @@ def test_gql_dos_er_close_to_oracle():
         errs[steps] = np.abs(hist.masses - oracle_histogram(ev, hist.edges)).sum()
     assert errs[50] < 0.2
     assert errs[120] < errs[50]
+
+
+def test_gql_zero_spike_on_a_bin_edge_lands_in_one_bin():
+    # under the default operator with 50 bins, 0 is the middle edge: the
+    # zero spike of a tree goes to the bin above it whatever the sign of
+    # its Ritz values' roundoff, as the oracle puts it
+    g = preferential_attachment(300, 1, seed=1)
+    hist, _ = gql_dos_pipeline(g, steps=50, nz=20, probe_kind="hadamard",
+                               seed=1, bins=50)
+    op = build_operator(g, OPERATOR)
+    assert hist.edges[25] == 0.0
+    assert hist.masses[24] < 1e-9
+    oracle = oracle_histogram(exact_spectrum(op).eigenvalues, hist.edges)
+    assert np.abs(hist.masses - oracle).sum() < 0.2
 
 
 def test_gql_pdos_isolated_node():

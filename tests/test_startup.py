@@ -168,7 +168,7 @@ def test_benchmark_trace_counts_the_deflated_dimension():
     shape would only show as a note, with the count missing."""
     g = preferential_attachment(300, 1, seed=2)
     args = (scaled_operator_for(g, "laplacian"),
-            make_probes(g.n, 7, ProbeKind.STANDARD_BASIS),
+            make_probes(g.n, 7, ProbeKind.HADAMARD, seed=1),
             detect_motifs(g, operator="laplacian"))
     result = pipeline.filter_probes(*args)
     tracer = _traced_module().Tracer()
@@ -231,3 +231,26 @@ def test_one_chebyshev_step_accumulates_into_the_kernel():
             found += [f"{os.path.basename(path)}:{line}"
                       for line in _accumulating_kernel_calls(fh.read())]
     assert len(found) == 1 and found[0].startswith("kpm.py:"), found
+
+
+def _names_used(source, names):
+    """Lines that use one of `names`: ``np.<name>`` attributes and bare
+    names alike."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if (isinstance(node, ast.Attribute) and ast.unparse(node) in names)
+                  or (isinstance(node, ast.Name) and node.id in names)
+                  or (isinstance(node, ast.alias) and node.name in names))
+
+
+def test_bins_are_built_and_filled_in_density_only():
+    """Every histogram's edges and point masses follow one rule, in
+    `density`: no other module builds an edge array or places a mass."""
+    names = {"np.histogram", "np.linspace", "SNAP_TOL"}
+    assert _names_used("import numpy as np\nfrom x import SNAP_TOL\n"
+                       "np.histogram(a)\nnp.linspace(0, 1)\n", names) == [2, 3, 4]
+    found = []
+    for path in sorted(glob.glob(os.path.join(SRC, "netdos", "*.py"))):
+        with open(path) as fh:
+            found += [f"{os.path.basename(path)}:{line}"
+                      for line in _names_used(fh.read(), names)]
+    assert found and {f.split(":")[0] for f in found} == {"density.py"}, found
