@@ -5,11 +5,18 @@ All randomness hangs off --seed, which the commands that draw probes (dos,
 pdos, gql) and generate declare; outputs carry no timestamps, and identical
 invocations produce byte-identical files. For gql that holds at a fixed BLAS
 thread count: its Lanczos runs orthogonalize through BLAS products whose
-summation order may follow the thread count. The estimated spectral range
-(`operators.estimate_spectral_range`) is elementwise work from a fixed start,
-so it depends on neither --seed nor the thread count, and neither do the
-files of dos, pdos and nd-pdos. Exit codes: 0 success, 1 runtime error
-(message on stderr), 2 usage error.
+summation order may follow the thread count.
+
+Every command that scales or bins by a spectral range (dos, pdos, gql,
+nd-pdos, and exact with --bins) takes one rule: --range LO,HI if given, else
+`operators.estimate_spectral_range`, and writes it as lambda_min/lambda_max.
+The estimate is elementwise work from a fixed start, so it depends on
+neither --seed nor the thread count, and neither do the files of dos, pdos
+and nd-pdos. Without --range the bins of exact, dos and gql therefore
+coincide. A --range passes the one validity check, `ScaleMap`'s, and with
+--bins the one too-narrow check, the bins' own, before any input is read.
+
+Exit codes: 0 success, 1 runtime error (message on stderr), 2 usage error.
 """
 
 from __future__ import annotations
@@ -26,8 +33,8 @@ from .kpm import MODE_PER_NODE
 from .lanczos import gql_pdos
 from .motifs import MotifKind, detect_motifs
 from .nested_dissection import LEAF_SIZE, load_partition, save_partition
-from .operators import (ANALYTIC_RANGES, OPERATOR, OperatorKind, ScaleMap,
-                        build_operator)
+from .operators import (OPERATOR, OperatorKind, ScaleMap, build_operator,
+                        estimate_spectral_range)
 from .probes import ProbeKind
 
 _OPERATORS = [k.value for k in OperatorKind]
@@ -111,18 +118,12 @@ def _range_arg(text):
         lo, hi = (float(x) for x in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expects LO,HI, got {text!r}")
-    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-        raise argparse.ArgumentTypeError(
-            f"expects finite LO < HI, got {text!r}")
-    if not np.isfinite(hi - lo):
-        raise argparse.ArgumentTypeError(
-            f"expects a finite span HI - LO, got {text!r}")
-    try:  # the condition `rescale_operator` applies
+    try:
         ScaleMap.onto_unit((lo, hi))
     except ValueError:
         raise argparse.ArgumentTypeError(
-            "expects a finite midpoint (LO + HI) / 2 and a positive half-span "
-            f"(HI - LO) / 2, got {text!r}")
+            "expects finite LO < HI, with a finite midpoint (LO + HI) / 2 and "
+            f"a finite positive half-span (HI - LO) / 2, got {text!r}")
     return (lo, hi)
 
 
@@ -254,14 +255,12 @@ def _cmd_exact(args):
     g, _ = _load_graph(args)
     op = build_operator(g, OperatorKind(args.operator))
     spec = testkit.exact_spectrum(op)
-    payload = {"record": "exact", **_meta(args, g),
+    rng = None
+    if args.bins:  # the range dos and gql take, so their bins line up
+        rng = args.range or estimate_spectral_range(op)
+    payload = {"record": "exact", **_meta(args, g, spectral_range=rng),
                "eigenvalues": spec.eigenvalues.tolist()}
     if args.bins:
-        lo, hi = float(spec.eigenvalues[0]), float(spec.eigenvalues[-1])
-        rng = args.range or ANALYTIC_RANGES.get(op.kind, (lo, hi))
-        if rng[0] == rng[1]:
-            raise NetdosError(f"the spectrum is the single point {lo:g}, "
-                              "which spans no bins; pass --range LO,HI")
         edges = bin_edges(*rng, args.bins)
         payload["edges"] = edges.tolist()
         payload["masses"] = testkit.oracle_histogram(spec.eigenvalues, edges).tolist()
@@ -394,7 +393,7 @@ def main(argv=None) -> int:
         try:
             bin_edges(*args.range, args.bins)
         except ValueError as exc:
-            ap.error(str(exc))
+            ap.error("--range {!r},{!r}: {}".format(*args.range, exc))
     try:
         return args.fn(args)
     except (NetdosError, ValueError, OSError, MemoryError) as exc:

@@ -36,7 +36,9 @@ class SpectralHistogram:
     """Bin edges in original eigenvalue units plus bin masses.
 
     masses is (B,) for a global density or (n, B) for per-node rows;
-    normalization is the corresponding total mass (scalar or per-row array).
+    normalization is the mass they place (scalar or per-row array): d_0, or
+    under spike re-insertion d_0 (N - r) / N + r / N, or the weight of the
+    Ritz values inside the edges.
     """
 
     edges: np.ndarray
@@ -48,18 +50,18 @@ class SpectralHistogram:
         return int(self.edges.shape[0] - 1)
 
 
-def _unit_bins(smap, bins, span=None):
+def _unit_bins(smap, bins):
     """(scaled, edges): `bins` equal bins of [-1, 1] and their image under
-    `smap`. Edges that do not increase raise ValueError naming `span`, the
-    range (lo, hi) asked for (by default the edges' own ends)."""
+    `smap`. Edges that do not increase raise ValueError naming `smap`, the
+    range judged: this is the one too-narrow check."""
     if bins < 1:
         raise ValueError("bins must be >= 1")
     scaled = np.linspace(-1.0, 1.0, bins + 1)
     edges = smap.from_scaled(scaled)
     if not np.all(np.diff(edges) > 0.0):
-        lo, hi = span or (edges[0], edges[-1])
-        raise ValueError(f"--range {float(lo)!r},{float(hi)!r} is too narrow "
-                         f"for --bins {bins}: its bin edges do not increase")
+        raise ValueError(f"the scale map (shift {float(smap.shift)!r}, scale "
+                         f"{float(smap.scale)!r}) is too narrow for --bins "
+                         f"{bins}: its bin edges do not increase")
     return scaled, edges
 
 
@@ -67,13 +69,10 @@ def bin_edges(lo, hi, bins) -> np.ndarray:
     """The bins + 1 edges of `bins` equal bins over [lo, hi], built as every
     histogram here builds them: equal bins of [-1, 1] mapped back by
     ScaleMap.onto_unit((lo, hi)), so a KPM series scaled by that map and a
-    histogram over the range share their edges. A range too narrow for them,
-    whose edges do not increase, raises ValueError, and so does bins < 1."""
-    if lo < hi and 0.5 * (hi - lo) == 0.0:
-        smap = ScaleMap(lo, 0.0)  # a half-span below the least float: no bin fits
-    else:
-        smap = ScaleMap.onto_unit((lo, hi))
-    return _unit_bins(smap, bins, (lo, hi))[1]
+    histogram over the range share their edges. A range that ScaleMap
+    refuses, or one too narrow for the bins, whose edges do not increase,
+    raises ValueError, and so does bins < 1."""
+    return _unit_bins(ScaleMap.onto_unit((lo, hi)), bins)[1]
 
 
 def point_masses(edges, points, weights):
@@ -153,7 +152,9 @@ def histogram_from_moments(moments: ChebMoments, bins=BINS, damping=True,
             raise ValueError(f"removed eigenvalue {lams[outside][0]:g} lies "
                              f"outside the bins [{edges[0]:g}, {edges[-1]:g}]; "
                              "pass a --range that holds it")
-        masses = masses * ((n_total - r) / n_total) + spikes
+        share = (n_total - r) / n_total
+        masses = masses * share + spikes
+        normalization = normalization * share + r / n_total
 
     checked, what = masses, "bin mass"
     if negativity_tol is None and damping:

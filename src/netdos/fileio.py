@@ -403,9 +403,6 @@ def load_moments(path):
     except (KeyError, TypeError, ValueError, MotifError) as exc:
         raise FileFormatError(f"{path}: malformed moments record ({exc!r})") from exc
     values = moments.values
-    if not (np.isfinite(shift) and 0.0 < scale < np.inf):
-        raise FileFormatError(f"{path}: scale_map needs a finite shift and a "
-                              f"finite positive scale, got {shift!r}, {scale!r}")
     if values.ndim not in (1, 2) or moments.mode != mode:
         raise FileFormatError(f"{path}: mode {mode!r} does not fit values of "
                               f"shape {values.shape}")

@@ -228,9 +228,18 @@ def pdos_moments(sop, probes: ProbeMatrix, m_max: int) -> ChebMoments:
 
     The estimator divides by the per-entry probe mass sum_j z_kj^2 (exact
     diagonal recovery for +-1 probes and for standard-basis probes at
-    nz = n). The recurrence fills the transpose of the one (n, m_max + 1)
-    result block, which is then divided in place.
+    nz = n). A node with no probe mass, as standard-basis probes with
+    nz < n leave, raises ValueError before the recurrence runs. The
+    recurrence fills the transpose of the one (n, m_max + 1) result block,
+    which is then divided in place.
     """
+    z = probes.columns
+    den = np.einsum("ij,ij->i", z, z)
+    unprobed = np.count_nonzero(den == 0.0)
+    if unprobed:
+        raise ValueError(f"per-node moments need probe mass on every node, but "
+                         f"{unprobed} of {probes.n} have zero probe mass: pass "
+                         f"--probes {probes.n} (n), not {probes.nz}")
     values = np.empty((probes.n, _moment_count(m_max)))
 
     def per_node(rows, z, m, t_prev, t):
@@ -239,10 +248,5 @@ def pdos_moments(sop, probes: ProbeMatrix, m_max: int) -> ChebMoments:
         return [np.einsum("ij,ij->j", z, t)]
 
     _recurrence(sop, probes, values.T, m_max, per_node)
-    z = probes.columns
-    den = np.einsum("ij,ij->i", z, z)
-    if np.any(den == 0.0):
-        k = int(np.argmax(den == 0.0))
-        raise ValueError(f"zero probe mass at node {k}; its moments are unrecoverable")
     values /= den[:, None]
     return ChebMoments(values, sop.scale_map, probes.meta())

@@ -206,16 +206,17 @@ def gql_dos(op, probes: ProbeMatrix, steps, bins=BINS, *,
     `density.bin_edges`. A range too narrow for its bins raises ValueError
     before any Lanczos step. Ritz values are placed by
     `density.point_masses`; those outside the range, as for a window
-    narrower than the spectrum, are left out."""
+    narrower than the spectrum, are left out, and the normalization is the
+    weight of those kept."""
     if op.n != probes.n:
         raise ValueError("probe dimension does not match operator")
     edges = bin_edges(*spectral_range, bins)
     quads = [lanczos_quadrature(op, z, steps) for z in probes.columns.T]
     nodes = np.concatenate([quad.nodes for quad in quads])
     weights = np.concatenate([quad.weights for quad in quads]) / probes.nz
-    masses, _ = point_masses(edges, nodes, weights)
+    masses, outside = point_masses(edges, nodes, weights)
     return SpectralHistogram(edges=edges, masses=masses,
-                             normalization=float(weights.sum()))
+                             normalization=float(weights[~outside].sum()))
 
 
 def gql_pdos(op, node, steps) -> RitzQuadrature:

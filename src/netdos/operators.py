@@ -43,24 +43,29 @@ class OperatorKind(str, Enum):
 
 @dataclass(frozen=True)
 class ScaleMap:
-    """The affine map lam -> (lam - shift) / scale and its inverse."""
+    """The affine map lam -> (lam - shift) / scale and its inverse, which
+    takes [-1, 1] onto the spectral range shift ± scale.
+
+    This is the one validity check of a spectral range: a shift that is not
+    finite, or a scale that is not finite and positive, raises ValueError.
+    """
 
     shift: float
     scale: float
 
+    def __post_init__(self):
+        if not (np.isfinite(self.shift) and 0.0 < self.scale < np.inf):
+            raise ValueError(
+                f"degenerate spectral range (shift {float(self.shift)!r}, "
+                f"scale {float(self.scale)!r}): the map onto [-1, 1] needs "
+                "a finite shift and a finite positive scale")
+
     @classmethod
     def onto_unit(cls, spectral_range):
         """The map of [lo, hi] onto [-1, 1]: shift (lo + hi) / 2 and scale
-        (hi - lo) / 2. A range whose shift is not finite, or whose scale is
-        not finite and positive, raises ValueError."""
+        (hi - lo) / 2."""
         lmin, lmax = float(spectral_range[0]), float(spectral_range[1])
-        shift = 0.5 * (lmax + lmin)
-        scale = 0.5 * (lmax - lmin)
-        if not (np.isfinite(shift) and 0.0 < scale < np.inf):
-            raise ValueError(f"degenerate spectral range ({lmin}, {lmax}): the "
-                             "map onto [-1, 1] needs a finite shift and a "
-                             f"finite positive scale, got {shift!r}, {scale!r}")
-        return cls(shift, scale)
+        return cls(0.5 * (lmax + lmin), 0.5 * (lmax - lmin))
 
     def to_scaled(self, lam):
         return (np.asarray(lam, dtype=np.float64) - self.shift) / self.scale
@@ -171,9 +176,8 @@ def rescale_operator(op: SymmetricCSROperator,
     diagonal; a row with no stored diagonal gets one, inserted in column
     order. Entries that come out exactly 0.0 are dropped. The rows of `op`
     must hold each column at most once, as `build_operator` gives them; no
-    entry is re-sorted. A range that `ScaleMap.onto_unit` refuses, or one so
-    narrow that an entry divided by its scale is not finite, raises
-    ValueError.
+    entry is re-sorted. A range that `ScaleMap` refuses, or one so narrow
+    that an entry divided by its scale is not finite, raises ValueError.
     """
     lmin, lmax = float(spectral_range[0]), float(spectral_range[1])
     smap = ScaleMap.onto_unit((lmin, lmax))

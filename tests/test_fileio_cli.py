@@ -15,7 +15,7 @@ from hypothesis.extra import numpy as hnp
 
 from netdos import (FileFormatError, GraphError, SpectralHistogram,
                     build_csr, parse_graph_file, write_graph_edgelist)
-from netdos import cli, fileio
+from netdos import cli, fileio, kpm
 from netdos.cli import main
 from netdos.fileio import (histogram_payload, load_moments, moments_payload,
                            motifs_payload, quadrature_payload,
@@ -508,6 +508,14 @@ def test_cli_csv_usage_errors_come_before_work(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+_RANGE_COMMANDS = ["dos", "pdos", "gql", "nd-pdos", "exact"]
+
+# The one message of `--range` values that no scale map takes onto [-1, 1]
+_RANGE_REFUSED = ("--range: expects finite LO < HI, with a finite midpoint "
+                  "(LO + HI) / 2 and a finite positive half-span (HI - LO) / 2, "
+                  "got '{}'")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["dos", "--bins", "0"], "--bins: must be >= 1, got 0"),
     (["dos", "--probes", "0"], "--probes: must be >= 1, got 0"),
@@ -522,13 +530,11 @@ def test_cli_csv_usage_errors_come_before_work(tmp_path, capsys, argv):
     (["nd-pdos", "--moments", "-1"], "--moments: must be >= 0, got -1"),
     (["exact", "--bins", "-3"], "--bins: must be >= 1, got -3"),
     (["hist", "--bins", "0"], "--bins: must be >= 1, got 0"),
-    (["gql", "--range=0,nan"], "--range: expects finite LO < HI, got '0,nan'"),
-    (["gql", "--range=-inf,inf"],
-     "--range: expects finite LO < HI, got '-inf,inf'"),
-    (["gql", "--range=1,0"], "--range: expects finite LO < HI, got '1,0'"),
-    (["nd-pdos", "--range", "-inf,inf"],
-     "--range: expects finite LO < HI, got '-inf,inf'"),
-    (["exact", "--range=2,2"], "--range: expects finite LO < HI, got '2,2'"),
+    (["gql", "--range=0,nan"], _RANGE_REFUSED.format("0,nan")),
+    (["gql", "--range=-inf,inf"], _RANGE_REFUSED.format("-inf,inf")),
+    (["gql", "--range=1,0"], _RANGE_REFUSED.format("1,0")),
+    (["nd-pdos", "--range", "-inf,inf"], _RANGE_REFUSED.format("-inf,inf")),
+    (["exact", "--range=2,2"], _RANGE_REFUSED.format("2,2")),
     (["dos", "--filter-motifs", "open-twin,bogus"],
      "--filter-motifs: unknown motif kind 'bogus' (valid: open-twin, "
      "closed-twin, dangling-two-chain)"),
@@ -538,10 +544,6 @@ def test_cli_csv_usage_errors_come_before_work(tmp_path, capsys, argv):
      "--negativity-tol: must be finite and >= 0, got -1"),
     (["hist", "--negativity-tol", "nan"],
      "--negativity-tol: must be finite and >= 0, got nan"),
-    # finite ends, but HI - LO is inf: no scale maps the range onto [-1, 1]
-    *[([command, "--range=-1e308,1e308"],
-       "--range: expects a finite span HI - LO, got '-1e308,1e308'")
-      for command in ["dos", "pdos", "gql", "nd-pdos", "exact"]],
 ])
 def test_cli_bad_counts_are_usage_errors(tmp_path, capsys, argv, message):
     # the input does not exist: exit 2, not 1, shows it was never opened
@@ -552,20 +554,17 @@ def test_cli_bad_counts_are_usage_errors(tmp_path, capsys, argv, message):
     assert f"argument {message}" in capsys.readouterr().err
 
 
-_RANGE_COMMANDS = ["dos", "pdos", "gql", "nd-pdos", "exact"]
-
-
 @pytest.mark.parametrize("argv, message", [
     # finite ends and span, but the midpoint overflows or the half-span
     # underflows to 0: `rescale_operator` could not map either onto [-1, 1]
     *[([command, f"--range={text}"],
-       "argument --range: expects a finite midpoint (LO + HI) / 2 and a "
-       f"positive half-span (HI - LO) / 2, got '{text}'")
+       "argument " + _RANGE_REFUSED.format(text))
       for command in _RANGE_COMMANDS for text in ["1e308,1.7e308", "0,5e-324"]],
     # a span too narrow for its bin count: np.linspace repeats an edge
     *[([command, "--range=0,1e-322", "--bins", "50"],
-       "--range 0.0,1e-322 is too narrow for --bins 50: its bin edges do not "
-       "increase") for command in ["dos", "gql", "exact"]],
+       "--range 0.0,1e-322: the scale map (shift 5e-323, scale 5e-323) is too "
+       "narrow for --bins 50: its bin edges do not increase")
+      for command in ["dos", "gql", "exact"]],
 ])
 def test_cli_ranges_that_map_or_bin_nothing_are_usage_errors(
         tmp_path, capsys, argv, message):
@@ -577,6 +576,28 @@ def test_cli_ranges_that_map_or_bin_nothing_are_usage_errors(
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+# Every --range value that the rejection tables above hold: no scale map
+# takes any of them onto [-1, 1]
+_REFUSED_RANGES = ["0,nan", "-inf,inf", "1,0", "2,2", "-1e308,1e308",
+                   "1e308,1.7e308", "0,5e-324"]
+
+
+@pytest.mark.parametrize("command", _RANGE_COMMANDS)
+def test_cli_every_refused_range_is_a_usage_error(tmp_path, capsys, command):
+    # the input does not exist: exit 2, not 1, shows it was never opened
+    cases = [([f"--range={text}"], _RANGE_REFUSED.format(text))
+             for text in _REFUSED_RANGES]
+    cases.append((["--range", "-4"], "--range: expects LO,HI, got '-4'"))
+    if command in ("dos", "gql", "exact"):
+        cases.append((["--range=0,1e-322", "--bins", "50"],
+                      "error: --range 0.0,1e-322: the scale map"))
+    for extra, message in cases:
+        with pytest.raises(SystemExit) as exc:
+            main([command, *extra, "--input", str(tmp_path / "missing.txt")])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 def test_cli_range_too_narrow_for_the_operator_fails_without_a_warning(
@@ -748,17 +769,48 @@ def _star_with_chains(path):
     return str(path)
 
 
-def test_cli_exact_bins_refuse_a_one_point_spectrum(tmp_path, capsys):
+def test_cli_exact_bins_on_a_one_point_spectrum_take_the_estimated_range(
+        tmp_path):
+    # an edgeless graph's adjacency is 0: its spectrum is the one point 0,
+    # and the range is the bound's (-1, 1), as dos and gql take it
     gpath, out = tmp_path / "empty.txt", tmp_path / "exact.json"
     gpath.write_text("# nodes 5 edges 0\n")
     args = ["exact", "--input", str(gpath), "--operator", "adjacency",
-            "--bins", "5", "--out", str(out)]
-    assert main(args) == 1
-    err = capsys.readouterr().err
-    assert "single point 0" in err and "--range" in err
-    assert not out.exists()
-    assert main([*args, "--range=-1,1"]) == 0
-    assert json.loads(out.read_text())["masses"] == [0.0, 0.0, 1.0, 0.0, 0.0]
+            "--out", str(out)]
+    for extra in ([], ["--range=-1,1"]):
+        assert main([*args, "--bins", "5", *extra]) == 0
+        record = json.loads(out.read_text())
+        assert (record["lambda_min"], record["lambda_max"]) == (-1.0, 1.0)
+        assert record["masses"] == [0.0, 0.0, 1.0, 0.0, 0.0]
+    # without --bins there is no range to take, and none is written
+    assert main(args) == 0
+    assert "lambda_min" not in json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("operator", [k.value for k in OperatorKind])
+def test_cli_exact_dos_and_gql_bin_over_one_default_range(tmp_path, operator):
+    # without --range all three take `estimate_spectral_range`: their edges
+    # coincide, and the exact masses total 1 even where an eigenvalue (0 of
+    # the Laplacian, off by roundoff) sits on an outer edge
+    pa, empty = str(tmp_path / "pa.txt"), tmp_path / "empty.txt"
+    assert main(["generate", "--model", "pa", "--n", "300", "--m", "1",
+                 "--seed", "2", "--out", pa]) == 0
+    empty.write_text("# nodes 5 edges 0\n")
+    for gpath in (pa, str(empty)):
+        records = {}
+        for cmd, extra in [("exact", []), ("dos", ["--moments", "20"]),
+                           ("gql", ["--moments", "10"])]:
+            out = tmp_path / f"{cmd}.json"
+            probes = [] if cmd == "exact" else ["--probes", "4", "--seed", "1"]
+            assert main([cmd, "--input", gpath, "--operator", operator,
+                         "--bins", "50", *probes, *extra, "--out", str(out)]) == 0
+            records[cmd] = json.loads(out.read_text())
+        exact = records["exact"]
+        assert exact["edges"] == records["dos"]["edges"] == records["gql"]["edges"]
+        assert len(exact["edges"]) == 51
+        assert all(exact[k] == records["dos"][k] == records["gql"][k]
+                   for k in ("lambda_min", "lambda_max"))
+        assert abs(sum(exact["masses"]) - 1.0) <= 1e-12
 
 
 def test_cli_out_of_memory_is_an_error_line(tmp_path, capsys):
@@ -912,8 +964,61 @@ def test_cli_hist_refuses_a_series_too_narrow_for_its_bins(tmp_path, capsys):
     assert main(["hist", "--moments-file", str(path), "--bins", "4",
                  "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert "too narrow for --bins 4" in err and "np.float64" not in err
+    # hist takes no --range: the message names the record's scale map
+    assert ("the scale map (shift 1.0, scale 1e-300) is too narrow for "
+            "--bins 4" in err)
+    assert "--range" not in err and "np.float64" not in err
     assert not out.exists()
+
+
+def test_cli_normalization_is_the_mass_placed(tmp_path):
+    gpath = str(tmp_path / "pa.txt")
+    assert main(["generate", "--model", "pa", "--n", "300", "--m", "1",
+                 "--seed", "2", "--out", gpath]) == 0
+    # deflated dos places d_0 (n - r)/n of series mass and r/n of spikes,
+    # and so does hist on its record
+    dos, hist = tmp_path / "dos.json", tmp_path / "hist.json"
+    assert main(["dos", "--input", gpath, "--operator", "laplacian",
+                 "--filter-motifs", "all", "--moments", "40",
+                 "--out", str(dos)]) == 0
+    assert main(["hist", "--moments-file", str(dos), "--out", str(hist)]) == 0
+    record = json.loads(dos.read_text())
+    n, r = record["filter"]["total_dim"], record["filter"]["deflated_dim"]
+    assert (n, r) == (300, 145)
+    placed = record["values"][0] * (n - r) / n + r / n
+    assert abs(placed - record["values"][0]) > 1e-3
+    for rec in (record, json.loads(hist.read_text())):
+        assert rec["normalization"] == pytest.approx(placed, rel=0, abs=1e-15)
+        assert abs(sum(rec["masses"]) - rec["normalization"]) <= 1e-12
+    # gql over a window narrower than the spectrum places only the weight
+    # of the Ritz values inside it
+    gql = tmp_path / "gql.json"
+    assert main(["gql", "--input", gpath, "--range=-0.5,0.5", "--moments",
+                 "20", "--out", str(gql)]) == 0
+    record = json.loads(gql.read_text())
+    assert record["normalization"] < 0.5
+    assert abs(sum(record["masses"]) - record["normalization"]) <= 1e-12
+
+
+def test_cli_pdos_refuses_unprobed_nodes_before_the_recurrence(
+        tmp_path, capsys, monkeypatch):
+    gpath = str(tmp_path / "pa.txt")
+    assert main(["generate", "--model", "pa", "--n", "300", "--m", "1",
+                 "--seed", "2", "--out", gpath]) == 0
+    out = tmp_path / "pdos.json"
+    args = ["pdos", "--input", gpath, "--probe-kind", "standard-basis",
+            "--moments", "10", "--out", str(out)]
+
+    def no_recurrence(*a, **k):
+        raise AssertionError("ran the recurrence for nodes no probe reaches")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(kpm, "_recurrence", no_recurrence)
+        assert main(args) == 1
+    err = capsys.readouterr().err
+    assert "280 of 300 have zero probe mass: pass --probes 300 (n), not 20" in err
+    assert not out.exists()
+    assert main([*args, "--probes", "300"]) == 0
 
 
 def test_cli_motif_kinds(tmp_path, capsys):

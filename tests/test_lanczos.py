@@ -397,7 +397,8 @@ def test_gql_keeps_mass_at_the_range_edge():
 
 
 def test_gql_refuses_a_range_too_narrow_for_its_bins(path3, monkeypatch):
-    # (0, 5e-324) splits into 4 bins with repeated edges: refused before any
+    # (0, 1e-323) splits into 4 bins with repeated edges, and (0, 5e-324)
+    # has a half-span that underflows to 0: each is refused before any
     # Lanczos step, as `main` refuses such a --range, not binned to zeros
     def no_lanczos(*args, **kwargs):
         raise AssertionError("ran Lanczos over a range that bins nothing")
@@ -405,8 +406,10 @@ def test_gql_refuses_a_range_too_narrow_for_its_bins(path3, monkeypatch):
     monkeypatch.setattr(lanczos, "lanczos_quadrature", no_lanczos)
     op = build_operator(path3, OperatorKind.ADJACENCY)
     probes = make_probes(3, 2, ProbeKind.RADEMACHER, seed=0)
-    with pytest.raises(ValueError, match="too narrow for --bins 4"):
-        gql_dos(op, probes, steps=3, bins=4, spectral_range=(0.0, 5e-324))
-    with pytest.raises(ValueError, match="too narrow for --bins 4"):
-        gql_dos_pipeline(path3, operator="adjacency", steps=3, nz=2, bins=4,
-                         range_=(0.0, 5e-324))
+    for spectral_range, message in [((0.0, 1e-323), "too narrow for --bins 4"),
+                                    ((0.0, 5e-324), "degenerate spectral range")]:
+        with pytest.raises(ValueError, match=message):
+            gql_dos(op, probes, steps=3, bins=4, spectral_range=spectral_range)
+        with pytest.raises(ValueError, match=message):
+            gql_dos_pipeline(path3, operator="adjacency", steps=3, nz=2,
+                             bins=4, range_=spectral_range)

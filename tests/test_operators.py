@@ -227,6 +227,10 @@ def test_rescale_rejects_degenerate_range(path3):
             rescale_operator(op, spectral_range)
         with pytest.raises(ValueError, match="degenerate spectral range"):
             ScaleMap.onto_unit(spectral_range)
+    # the check is the map's own, made whenever one is built
+    for shift, scale in [(0.0, 0.0), (0.0, -1.0), (np.nan, 1.0), (0.0, np.inf)]:
+        with pytest.raises(ValueError, match="degenerate spectral range"):
+            ScaleMap(shift, scale)
 
 
 def test_rescale_rejects_a_range_its_entries_overflow(path3):
