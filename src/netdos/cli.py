@@ -3,18 +3,18 @@
 Subcommands: dos, pdos, gql, nd-pdos, motifs, exact, generate, hist.
 All randomness hangs off --seed, which the commands that draw probes (dos,
 pdos, gql) and generate declare; outputs carry no timestamps, and identical
-invocations produce byte-identical files. For gql that holds at a fixed BLAS
-thread count: its Lanczos runs orthogonalize through BLAS products whose
-summation order may follow the thread count.
+invocations produce byte-identical files at any BLAS thread count.
 
 Every command that scales or bins by a spectral range (dos, pdos, gql,
 nd-pdos, and exact with --bins) takes one rule: --range LO,HI if given, else
 `operators.estimate_spectral_range`, and writes it as lambda_min/lambda_max.
 The estimate is elementwise work from a fixed start, so it depends on
-neither --seed nor the thread count, and neither do the files of dos, pdos
-and nd-pdos. Without --range the bins of exact, dos and gql therefore
-coincide. A --range passes the one validity check, `ScaleMap`'s, and with
---bins the one too-narrow check, the bins' own, before any input is read.
+neither --seed nor the thread count. dos, pdos, gql and nd-pdos run on the
+operator with that range folded in (`pipeline.scaled_operator_for`); gql
+--node runs on the unscaled operator, since one node's rule needs no range.
+Without --range the bins of exact, dos and gql therefore coincide. A
+--range passes the one validity check, `ScaleMap`'s, and with --bins the
+one too-narrow check, the bins' own, before any input is read.
 
 Exit codes: 0 success, 1 runtime error (message on stderr), 2 usage error.
 """
@@ -214,15 +214,15 @@ def _cmd_gql(args):
         index = np.flatnonzero(node_ids == args.node)
         if index.size == 0:
             raise NetdosError(f"node {args.node} is not in {args.input}")
-        op = build_operator(g, OperatorKind(args.operator))
-        quad = gql_pdos(op, int(index[0]), args.moments)
+        # one node's Gauss rule needs no range: the operator stays unscaled
+        quad = gql_pdos(build_operator(g, args.operator), int(index[0]), args.moments)
         meta = _meta(args, g, "gql", node=args.node, steps=args.moments)
         return _write(args, fileio.quadrature_payload(quad, meta))
-    hist, spectral_range = pipeline.gql_dos_pipeline(
+    hist, sop = pipeline.gql_dos_pipeline(
         g, operator=args.operator, steps=args.moments, nz=args.probes,
         probe_kind=args.probe_kind, seed=args.seed, bins=args.bins,
         range_=args.range)
-    meta = _meta(args, g, "gql", spectral_range, steps=args.moments,
+    meta = _meta(args, g, "gql", sop.spectral_range, steps=args.moments,
                  nz=args.probes, probe_kind=args.probe_kind, seed=args.seed,
                  bins=args.bins)
     return _write(args, fileio.histogram_payload(hist, meta), hist)

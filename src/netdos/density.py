@@ -50,17 +50,18 @@ class SpectralHistogram:
         return int(self.edges.shape[0] - 1)
 
 
-def _unit_bins(smap, bins):
+def unit_bins(smap, bins):
     """(scaled, edges): `bins` equal bins of [-1, 1] and their image under
-    `smap`. Edges that do not increase raise ValueError naming `smap`, the
-    range judged: this is the one too-narrow check."""
+    `smap`. Every histogram here bins by this one call: a KPM series and a
+    scaled operator's Ritz values against `scaled`, and both report `edges`.
+    Edges that do not increase raise ValueError naming `smap`, the range
+    judged: this is the one too-narrow check."""
     if bins < 1:
         raise ValueError("bins must be >= 1")
     scaled = np.linspace(-1.0, 1.0, bins + 1)
     edges = smap.from_scaled(scaled)
     if not np.all(np.diff(edges) > 0.0):
-        raise ValueError(f"the scale map (shift {float(smap.shift)!r}, scale "
-                         f"{float(smap.scale)!r}) is too narrow for --bins "
+        raise ValueError(f"the scale map {smap} is too narrow for --bins "
                          f"{bins}: its bin edges do not increase")
     return scaled, edges
 
@@ -72,7 +73,7 @@ def bin_edges(lo, hi, bins) -> np.ndarray:
     histogram over the range share their edges. A range that ScaleMap
     refuses, or one too narrow for the bins, whose edges do not increase,
     raises ValueError, and so does bins < 1."""
-    return _unit_bins(ScaleMap.onto_unit((lo, hi)), bins)[1]
+    return unit_bins(ScaleMap.onto_unit((lo, hi)), bins)[1]
 
 
 def point_masses(edges, points, weights):
@@ -116,13 +117,13 @@ def histogram_from_moments(moments: ChebMoments, bins=BINS, damping=True,
     """Integrate the (optionally Jackson-damped) moment series over bins.
 
     The edges split the operator's scaled domain [-1, 1] into equal bins,
-    reported in original eigenvalue units, as `bin_edges` builds them; a
+    reported in original eigenvalue units, by `unit_bins`; a
     scale map too narrow for `bins` raises ValueError. A series of deflated
     probes carries its `adjustment`; with reinsert_spikes its masses are
     rescaled from the N - r deflated dimensions to all N, and the removed
     spike mass is re-inserted at its eigenvalues by `point_masses`, so
     displayed mass still totals the normalization. A removed eigenvalue
-    outside the edges raises ValueError.
+    outside the edges raises ValueError naming the scale map.
 
     A mass below -negativity_tol raises ValueError. With damping the
     tolerance defaults to 1e-3, checked on the node-averaged masses for
@@ -131,7 +132,7 @@ def histogram_from_moments(moments: ChebMoments, bins=BINS, damping=True,
     # the table is built on the scaled edges themselves: mapped out and
     # back, an outer edge can land an ulp inside ±1, which arccos turns
     # into about 1e-8 of lost mass
-    scaled, edges = _unit_bins(moments.scale_map, bins)
+    scaled, edges = unit_bins(moments.scale_map, bins)
     table = cheb_bin_masses(moments.m_max, scaled)
     coef = moments.values
     if damping:
@@ -150,8 +151,9 @@ def histogram_from_moments(moments: ChebMoments, bins=BINS, damping=True,
         spikes, outside = point_masses(edges, lams, counts / n_total)
         if outside.any():
             raise ValueError(f"removed eigenvalue {lams[outside][0]:g} lies "
-                             f"outside the bins [{edges[0]:g}, {edges[-1]:g}]; "
-                             "pass a --range that holds it")
+                             f"outside the bins [{edges[0]:g}, {edges[-1]:g}] "
+                             f"of the scale map {moments.scale_map}; the dos "
+                             "run that removed it needs a --range that holds it")
         share = (n_total - r) / n_total
         masses = masses * share + spikes
         normalization = normalization * share + r / n_total

@@ -6,6 +6,13 @@ rule for z^T f(H) z (`lanczos_quadrature`, behind GQL). The spectral range
 that KPM scales by is not read from here: `operators.estimate_spectral_range`
 takes a guaranteed bound instead of a Ritz interval.
 
+GQL runs on the operator KPM runs on, H = (op - shift) / scale from
+`rescale_operator`, and bins its Ritz values through H's scale map, by the
+one call `density.histogram_from_moments` bins a series with. The Gauss
+rule is affine-equivariant (Ubaru, Chen & Saad, SIMAX 38(4), 2017): H's
+Ritz values are op's mapped by the scale map, and its weights are op's. A
+one-node rule (`gql_pdos`) needs no range, so it runs on op unscaled.
+
 The Gauss rule keeps its basis semi-orthogonal, every |q_i^T q_k| below
 sqrt(eps), by partial reorthogonalization (Simon, "The Lanczos algorithm
 with partial reorthogonalization", Math. Comp. 42, 1984). Semi-orthogonality
@@ -21,20 +28,24 @@ against the whole basis, and the same pass on the next step, whose vector
 inherits the loss through the recurrence; both estimates are then reset to
 eps. A second pass follows only when the first shrank the residual below
 1/sqrt(2) of its norm (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30,
-1976). On the benchmark's 8,000-node tree under the Laplacian, 20 probes x
-50 steps made passes on 240 of the 980 steps that can make one (200-240
-over seeds 1-3), and on a 20,000-node
-preferential-attachment graph 160 (Laplacian) and 80 (normalized adjacency)
-at 50 steps, 720 and 240 of 2,980 at 150. A vanishing residual makes
-omega_{j+1,j} exceed sqrt(eps), so the breakdown test only ever judges a
-reorthogonalized residual; it is then treated as an exhausted Krylov space
-(the truncated rule is exact), not a failure.
+1976). On the benchmark's 8,000-node tree under the scaled Laplacian, 20
+probes x 50 steps made passes on 240 of the 980 steps that can make one
+(200-240 over seeds 1-3), and on a 20,000-node preferential-attachment
+graph 160 (Laplacian) and 80 (normalized adjacency) at 50 steps, 681 and
+240 of 2,980 at 150. A vanishing residual makes omega_{j+1,j} exceed
+sqrt(eps), so the breakdown test only ever judges a reorthogonalized
+residual; it is then treated as an exhausted Krylov space (the truncated
+rule is exact), not a failure.
 
 The Krylov basis is stored row-major, one row q_j per step, so each q_j and
 each leading block Q[:j+1] is contiguous and a Gram-Schmidt pass,
-w -= (Q w) Q, runs as two contiguous matrix-vector products. Those, and
-the norms, are BLAS products whose summation order may follow the BLAS
-thread count, so the last bits of a Gauss rule may too.
+w -= (Q w) Q, runs as two contiguous matrix-vector products. No sum here
+follows the BLAS thread count, so a Gauss rule is the same to the bit at
+any count: dots and norms are numpy's pairwise sums and Q w is an einsum,
+each in an order fixed by the lengths, and (Q w) Q, the one BLAS product
+left, gives each entry of w to one thread. On the 8,000-node tree, 20
+probes x 50 steps took 0.126 s against 0.114 s with BLAS dots, norms and
+Q w (best of 15, one BLAS thread, 2-CPU x86 host).
 
 Probes are run one after another, not in lockstep as one block. A lockstep
 batch keeps a basis per probe alive at once, nz times the memory, and its
@@ -48,11 +59,12 @@ eigensolved densely by ``numpy.linalg.eigh``, so Lanczos needs no scipy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .density import BINS, SpectralHistogram, bin_edges, point_masses
+from .density import BINS, SpectralHistogram, point_masses, unit_bins
 from .errors import SpectralRangeError
 from .probes import ProbeMatrix
 
@@ -70,9 +82,17 @@ PRO_DELTA = float(np.sqrt(EPS))
 PRO_ROUND = 0.3
 
 
+def _dot(x, y):
+    """x^T y by numpy's pairwise sum, whose order is fixed by the length
+    alone; BLAS's dot may split the sum by thread."""
+    return float(np.add.reduce(x * y))
+
+
 def _project_out(q_block, w):
-    """One classical Gram-Schmidt pass: w -= (Q w) Q over the rows Q of q_block."""
-    w -= (q_block @ w) @ q_block
+    """One classical Gram-Schmidt pass: w -= (Q w) Q over the rows Q of
+    q_block. Q w is summed in a fixed order by einsum, not BLAS; (Q w) Q
+    gives each entry of w to one BLAS thread, so its order is fixed already."""
+    w -= np.einsum("ji,i->j", q_block, w) @ q_block
 
 
 def _lanczos(op, z, steps):
@@ -84,7 +104,7 @@ def _lanczos(op, z, steps):
     if steps < 1:
         raise ValueError("steps must be >= 1")
     z = np.asarray(z, dtype=np.float64)
-    z_norm = float(np.linalg.norm(z))
+    z_norm = math.sqrt(_dot(z, z))
     if z_norm == 0.0:
         raise ValueError("starting vector must be nonzero")
 
@@ -105,7 +125,7 @@ def _lanczos(op, z, steps):
     for j in range(steps):
         q = basis[j]
         op.apply(q, out=w)
-        alphas[j] = float(q @ w)
+        alphas[j] = _dot(q, w)
         if not np.isfinite(alphas[j]):
             raise SpectralRangeError("NaN in Lanczos coefficients", iterations=j + 1)
         hnorm = max(hnorm, abs(alphas[j]) + (betas[j - 1] if j > 0 else 0.0))
@@ -118,7 +138,7 @@ def _lanczos(op, z, steps):
         if j > 0:
             w -= betas[j - 1] * basis[j - 1]
         w -= alphas[j] * q
-        beta = float(np.linalg.norm(w))
+        beta = math.sqrt(_dot(w, w))
         if not np.isfinite(beta):
             raise SpectralRangeError("NaN in Lanczos residual", iterations=j + 1)
         floor = max(hnorm, 1e-300)
@@ -138,10 +158,10 @@ def _lanczos(op, z, steps):
             before = beta
             q_block = basis[: j + 1]
             _project_out(q_block, w)
-            beta = float(np.linalg.norm(w))
+            beta = math.sqrt(_dot(w, w))
             if beta < REORTH_ETA * before:
                 _project_out(q_block, w)
-                beta = float(np.linalg.norm(w))
+                beta = math.sqrt(_dot(w, w))
             new[: j + 1] = EPS
             force = not force
         if beta <= BREAKDOWN_RTOL * floor:
@@ -199,22 +219,26 @@ def lanczos_quadrature(op, z, steps) -> RitzQuadrature:
                           z_norm_sq=z_norm ** 2, exhausted=exhausted)
 
 
-def gql_dos(op, probes: ProbeMatrix, steps, bins=BINS, *,
-            spectral_range) -> SpectralHistogram:
-    """Average per-probe Ritz point masses into a histogram of the density
-    over `spectral_range`, (lo, hi), in the `bins` bins of
-    `density.bin_edges`. A range too narrow for its bins raises ValueError
-    before any Lanczos step. Ritz values are placed by
-    `density.point_masses`; those outside the range, as for a window
-    narrower than the spectrum, are left out, and the normalization is the
-    weight of those kept."""
+def gql_dos(op, probes: ProbeMatrix, steps, bins=BINS) -> SpectralHistogram:
+    """Average per-probe Ritz point masses of a scaled operator H into a
+    histogram of the density, in the `bins` bins of `density.unit_bins`
+    under H's scale map, as `histogram_from_moments` bins a KPM series.
+
+    The Gauss rule is affine-equivariant, so H's Ritz values are the graph
+    operator's mapped onto [-1, 1], and are placed against the scaled edges
+    by `density.point_masses`; those outside, as for a window narrower than
+    the spectrum, are left out, and the normalization is the weight of those
+    kept. An operator that `rescale_operator` never scaled, or a scale map
+    too narrow for its bins, raises ValueError before any Lanczos step."""
+    if op.spectral_range is None:
+        raise ValueError("gql_dos needs an operator scaled by rescale_operator")
     if op.n != probes.n:
         raise ValueError("probe dimension does not match operator")
-    edges = bin_edges(*spectral_range, bins)
+    scaled, edges = unit_bins(op.scale_map, bins)
     quads = [lanczos_quadrature(op, z, steps) for z in probes.columns.T]
     nodes = np.concatenate([quad.nodes for quad in quads])
     weights = np.concatenate([quad.weights for quad in quads]) / probes.nz
-    masses, outside = point_masses(edges, nodes, weights)
+    masses, outside = point_masses(scaled, nodes, weights)
     return SpectralHistogram(edges=edges, masses=masses,
                              normalization=float(weights[~outside].sum()))
 

@@ -55,10 +55,11 @@ class ScaleMap:
 
     def __post_init__(self):
         if not (np.isfinite(self.shift) and 0.0 < self.scale < np.inf):
-            raise ValueError(
-                f"degenerate spectral range (shift {float(self.shift)!r}, "
-                f"scale {float(self.scale)!r}): the map onto [-1, 1] needs "
-                "a finite shift and a finite positive scale")
+            raise ValueError(f"degenerate spectral range {self}: the map onto "
+                             "[-1, 1] needs a finite shift and a finite positive scale")
+
+    def __str__(self):
+        return f"(shift {float(self.shift)!r}, scale {float(self.scale)!r})"
 
     @classmethod
     def onto_unit(cls, spectral_range):

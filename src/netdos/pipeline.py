@@ -35,17 +35,11 @@ class DosResult:
     scaled_op: SymmetricCSROperator
 
 
-def _operator_and_range(g, operator, range_):
-    """The unscaled operator and its spectral range (estimated unless given)."""
-    op = build_operator(g, OperatorKind(operator))
-    if range_ is None:
-        range_ = estimate_spectral_range(op)
-    return op, range_
-
-
 def scaled_operator_for(g, operator, range_=None) -> SymmetricCSROperator:
-    """The operator with its range folded in: spectrum inside [-1, 1]."""
-    return rescale_operator(*_operator_and_range(g, operator, range_))
+    """The operator with its range (estimated unless given) folded in:
+    spectrum inside [-1, 1]."""
+    op = build_operator(g, OperatorKind(operator))
+    return rescale_operator(op, range_ or estimate_spectral_range(op))
 
 
 def kpm_dos(g, operator=OPERATOR, m_max=KPM_MOMENTS, nz=PROBES,
@@ -81,12 +75,11 @@ def kpm_pdos(g, operator=OPERATOR, m_max=KPM_MOMENTS, nz=PROBES,
 
 def gql_dos_pipeline(g, operator=OPERATOR, steps=GQL_STEPS, nz=PROBES,
                      probe_kind=PROBE_KIND, seed=0, bins=BINS, range_=None):
-    """Histogram from averaged per-probe Ritz quadratures, and the range
-    (lo, hi) it was binned over (no rescaling needed, but the range pins the
-    bin edges)."""
-    op, range_ = _operator_and_range(g, operator, range_)
+    """Histogram from averaged per-probe Ritz quadratures of the scaled
+    operator, binned under its scale map, and that operator."""
+    sop = scaled_operator_for(g, operator, range_=range_)
     probes = make_probes(g.n, nz, kind=probe_kind, seed=seed)
-    return _gql_dos(op, probes, steps, bins=bins, spectral_range=range_), range_
+    return _gql_dos(sop, probes, steps, bins=bins), sop
 
 
 def nd_pdos_pipeline(g, operator=OPERATOR, m_max=ND_MOMENTS,

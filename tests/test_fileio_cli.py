@@ -971,6 +971,22 @@ def test_cli_hist_refuses_a_series_too_narrow_for_its_bins(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_hist_spike_outside_the_scale_map_is_refused(tmp_path, capsys):
+    # a hand-made record: a dos run refuses such a filter before writing it
+    path = tmp_path / "spike.json"
+    path.write_text(json.dumps(_moments_record(filter={
+        "removed": [[5.0, 1]], "deflated_dim": 1, "total_dim": 10})))
+    out = tmp_path / "h.json"
+    assert main(["hist", "--moments-file", str(path), "--bins", "4",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    # hist takes no --range: the message names the record's scale map
+    assert ("removed eigenvalue 5 lies outside the bins [-1, 1] of the scale "
+            "map (shift 0.0, scale 1.0)" in err)
+    assert "pass a --range" not in err
+    assert not out.exists()
+
+
 def test_cli_normalization_is_the_mass_placed(tmp_path):
     gpath = str(tmp_path / "pa.txt")
     assert main(["generate", "--model", "pa", "--n", "300", "--m", "1",
@@ -1216,6 +1232,30 @@ def test_estimated_range_runs_do_not_depend_on_the_blas_thread_count(
             assert proc.returncode == 0, proc.stderr
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1], command
+
+
+def test_gql_does_not_depend_on_the_blas_thread_count(tmp_path):
+    """`gql` and `gql --node` write the same bytes with one BLAS thread and
+    with two. The graph has 20,000 nodes: Lanczos products that reduced
+    through BLAS were seen to change their last bits with the thread count
+    there (at byte 1,346 and 154 of these files), while on smaller graphs
+    BLAS keeps each product on one thread."""
+    graph = tmp_path / "pa.txt"
+    assert main(["generate", "--model", "pa", "--n", "20000", "--m", "3",
+                 "--seed", "1", "--out", str(graph)]) == 0
+    src = str(Path(cli.__file__).parents[1])
+    for extra in (["--operator", "laplacian", "--probes", "2"], ["--node", "7"]):
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"gql-{threads}.json"
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run(
+                [sys.executable, "-m", "netdos.cli", "gql", "--input",
+                 str(graph), "--seed", "1", *extra, "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1], extra
 
 
 # The writer against json.dumps of the same payload with its arrays as

@@ -12,7 +12,8 @@ from netdos.lanczos import _lanczos
 from netdos.operators import OPERATOR
 from netdos.pipeline import gql_dos_pipeline, scaled_operator_for
 from netdos.testkit import (dense_matrix, erdos_renyi, exact_spectrum,
-                            oracle_histogram, preferential_attachment)
+                            oracle_histogram, preferential_attachment,
+                            small_world)
 
 from conftest import small_models
 from oracles import oracle_gauss_rule, oracle_lanczos
@@ -193,14 +194,14 @@ def test_gql_dos_pure_point_spectrum():
     g = build_csr([(0, 0), (1, 1), (2, 2)], allow_self_loops=True)
     op = build_operator(g, OperatorKind.ADJACENCY)
     probes = make_probes(3, 10, ProbeKind.RADEMACHER, seed=1)
-    hist = gql_dos(op, probes, steps=3, bins=5, spectral_range=(0.0, 2.0))
+    hist = gql_dos(rescale_operator(op, (0.0, 2.0)), probes, steps=3, bins=5)
     assert hist.masses[2] == pytest.approx(1.0, abs=1e-12)  # bin [0.8, 1.2)
 
 
 def test_gql_dos_k3_masses(triangle):
     op = build_operator(triangle, OperatorKind.NORMALIZED_ADJACENCY)
     probes = make_probes(3, 50, ProbeKind.RADEMACHER, seed=2)
-    hist = gql_dos(op, probes, steps=3, bins=5, spectral_range=(-1.0, 1.0))
+    hist = gql_dos(rescale_operator(op, (-1.0, 1.0)), probes, steps=3, bins=5)
     # eigenvalue -1/2 lies in bin 1 ([-0.6,-0.2)), eigenvalue 1 in the last bin
     assert hist.masses[1] == pytest.approx(2 / 3, abs=0.05)
     assert hist.masses[4] == pytest.approx(1 / 3, abs=0.05)
@@ -210,7 +211,7 @@ def test_gql_dos_bins_must_be_positive(triangle):
     op = build_operator(triangle, OperatorKind.ADJACENCY)
     probes = make_probes(3, 2, ProbeKind.RADEMACHER, seed=2)
     with pytest.raises(ValueError, match="bins"):
-        gql_dos(op, probes, steps=3, bins=0, spectral_range=(-2.0, 2.0))
+        gql_dos(rescale_operator(op, (-2.0, 2.0)), probes, steps=3, bins=0)
 
 
 def test_gql_dos_er_close_to_oracle():
@@ -219,10 +220,11 @@ def test_gql_dos_er_close_to_oracle():
     g = erdos_renyi(1000, 0.01, seed=31)
     op = build_operator(g, OperatorKind.NORMALIZED_ADJACENCY)
     ev = exact_spectrum(op).eigenvalues
+    sop = rescale_operator(op, (-1.0, 1.0))
     probes = make_probes(g.n, 20, ProbeKind.HADAMARD, seed=3)
     errs = {}
     for steps in (50, 120):
-        hist = gql_dos(op, probes, steps=steps, bins=50, spectral_range=(-1.0, 1.0))
+        hist = gql_dos(sop, probes, steps=steps, bins=50)
         errs[steps] = np.abs(hist.masses - oracle_histogram(ev, hist.edges)).sum()
     assert errs[50] < 0.2
     assert errs[120] < errs[50]
@@ -361,11 +363,11 @@ def test_gql_dos_memory_is_one_basis_at_a_time():
     probes = make_probes(g.n, 20, ProbeKind.HADAMARD, seed=1)
     steps = 50
     # Gershgorin: the Laplacian's spectrum lies in [0, 2 * max degree]
-    span = (0.0, 2.0 * float(g.degrees().max()))
-    gql_dos(op, probes, steps=3, bins=10, spectral_range=span)  # kernel set-up
+    sop = rescale_operator(op, (0.0, 2.0 * float(g.degrees().max())))
+    gql_dos(sop, probes, steps=3, bins=10)  # kernel set-up
     tracemalloc.start()
     try:
-        hist = gql_dos(op, probes, steps=steps, bins=50, spectral_range=span)
+        hist = gql_dos(sop, probes, steps=steps, bins=50)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -399,17 +401,58 @@ def test_gql_keeps_mass_at_the_range_edge():
 def test_gql_refuses_a_range_too_narrow_for_its_bins(path3, monkeypatch):
     # (0, 1e-323) splits into 4 bins with repeated edges, and (0, 5e-324)
     # has a half-span that underflows to 0: each is refused before any
-    # Lanczos step, as `main` refuses such a --range, not binned to zeros
+    # Lanczos step, as `main` refuses such a --range, not binned to zeros.
+    # Divided by 5e-324, path3's unit entries overflow, so `rescale_operator`
+    # refuses the first range itself; the edgeless graph's adjacency scales
+    # to a finite operator that only its bins refuse.
     def no_lanczos(*args, **kwargs):
         raise AssertionError("ran Lanczos over a range that bins nothing")
 
     monkeypatch.setattr(lanczos, "lanczos_quadrature", no_lanczos)
-    op = build_operator(path3, OperatorKind.ADJACENCY)
+    edgeless = build_operator(build_csr([], n=3), OperatorKind.ADJACENCY)
     probes = make_probes(3, 2, ProbeKind.RADEMACHER, seed=0)
-    for spectral_range, message in [((0.0, 1e-323), "too narrow for --bins 4"),
+    with pytest.raises(ValueError, match="too narrow for --bins 4"):
+        gql_dos(rescale_operator(edgeless, (0.0, 1e-323)), probes, steps=3,
+                bins=4)
+    for spectral_range, message in [((0.0, 1e-323), "too narrow for this operator"),
                                     ((0.0, 5e-324), "degenerate spectral range")]:
-        with pytest.raises(ValueError, match=message):
-            gql_dos(op, probes, steps=3, bins=4, spectral_range=spectral_range)
         with pytest.raises(ValueError, match=message):
             gql_dos_pipeline(path3, operator="adjacency", steps=3, nz=2,
                              bins=4, range_=spectral_range)
+
+
+def test_gql_refuses_an_operator_never_scaled(path3, monkeypatch):
+    # its bins are the scaled operator's: an unscaled one has no range to
+    # bin over, and is refused before any Lanczos step
+    def no_lanczos(*args, **kwargs):
+        raise AssertionError("ran Lanczos on an unscaled operator")
+
+    monkeypatch.setattr(lanczos, "lanczos_quadrature", no_lanczos)
+    probes = make_probes(3, 2, ProbeKind.RADEMACHER, seed=0)
+    for kind in OperatorKind:
+        with pytest.raises(ValueError, match="rescale_operator"):
+            gql_dos(build_operator(path3, kind), probes, steps=3)
+
+
+@pytest.mark.parametrize("kind", list(OperatorKind))
+@pytest.mark.parametrize("model", ["pa", "ws"])
+@settings(max_examples=5, deadline=None, derandomize=True, database=None)
+@given(steps=st.integers(1, 50), seed=st.integers(0, 1 << 16))
+def test_ritz_values_of_the_scaled_operator_map_back_to_the_graph_operators(
+        model, kind, steps, seed):
+    # The Gauss rule is affine-equivariant: on H = (op - shift) / scale the
+    # Ritz values, mapped back through H's scale map, and their weights are
+    # those of an independent Lanczos with full reorthogonalization on op.
+    # Up to gql's 50 steps they agreed to 1e-14; at 80 steps on the PA tree
+    # the two runs' roundoff alone moved them by 1e-10 of the span.
+    g = (preferential_attachment(300, 1, seed=1) if model == "pa"
+         else small_world(60, 4, 0.3, seed=2))
+    sop = scaled_operator_for(g, kind)
+    z = np.random.default_rng(seed).standard_normal(g.n)
+    quad = lanczos_quadrature(sop, z, steps)
+    nodes, weights = oracle_gauss_rule(dense_matrix(build_operator(g, kind)),
+                                       z, steps)
+    span = sop.spectral_range[1] - sop.spectral_range[0]
+    assert quad.nodes.shape == nodes.shape
+    assert np.abs(sop.scale_map.from_scaled(quad.nodes) - nodes).max() <= 1e-10 * span
+    assert np.abs(quad.weights - weights).max() <= 1e-10
