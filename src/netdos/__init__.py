@@ -6,8 +6,7 @@ or an exact nested-dissection recurrence, with motif detection/deflation to
 tame spectral spikes, plus a dense oracle and seeded graph generators.
 """
 
-from .density import (SmoothedDensity, SpectralHistogram, evaluate_density,
-                      histogram_from_moments)
+from .density import SpectralHistogram, evaluate_density, histogram_from_moments
 from .errors import (FileFormatError, GraphError, MotifError, NetdosError,
                      PartitionError, RecurrenceBlowupError, SpectralRangeError)
 from .fileio import parse_graph_file, write_graph_edgelist
@@ -33,7 +32,7 @@ __all__ = [
     "SymmetricCSROperator", "build_operator", "estimate_spectral_range",
     "rescale_operator", "ProbeKind", "ProbeMatrix", "make_probes",
     "ChebMoments", "chebyshev_values", "dos_moments", "pdos_moments",
-    "jackson_coefficients", "SpectralHistogram", "SmoothedDensity",
+    "jackson_coefficients", "SpectralHistogram",
     "histogram_from_moments", "evaluate_density", "RitzQuadrature",
     "lanczos_quadrature", "gql_dos", "gql_pdos", "MotifKind", "MotifInstance",
     "FilterAdjustment", "detect_motifs", "filter_probes",

@@ -245,8 +245,8 @@ def _cmd_nd_pdos(args):
 
 def _cmd_motifs(args):
     g, node_ids = _load_graph(args)
-    instances = detect_motifs(g, kinds={MotifKind(k) for k in args.kinds},
-                              operator=OperatorKind(args.operator))
+    instances = detect_motifs(g, build_operator(g, OperatorKind(args.operator)),
+                              kinds={MotifKind(k) for k in args.kinds})
     return _write(args, fileio.motifs_payload(instances, _meta(args, g),
                                               node_ids=node_ids))
 

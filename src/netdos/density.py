@@ -172,32 +172,22 @@ def histogram_from_moments(moments: ChebMoments, bins=BINS, damping=True,
     return SpectralHistogram(edges=edges, masses=masses, normalization=normalization)
 
 
-@dataclass
-class SmoothedDensity:
-    """Moment series convolved with a Gaussian mollifier of width sigma."""
-
-    moments: ChebMoments
-    sigma: float
-    damping: bool = True
-
-    def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
-        if self.moments.mode != MODE_GLOBAL:
-            raise ValueError("smoothed densities are defined for global moments")
-
-
-def evaluate_density(sd: SmoothedDensity, at) -> np.ndarray:
-    """Evaluate (K_sigma * mu)(lambda) at the given original-unit points.
+def evaluate_density(moments: ChebMoments, sigma, at, damping=True) -> np.ndarray:
+    """Evaluate (K_sigma * mu)(lambda), the global moment series convolved
+    with a Gaussian mollifier of width sigma > 0, at the given original-unit
+    points; `damping` applies the Jackson coefficients first.
 
     Substituting x = cos(theta) removes the endpoint weight singularity, so
     the series integrand is smooth and Gauss-Legendre quadrature in theta
     converges quickly; the node count scales with the series degree.
     """
-    moments = sd.moments
+    if sigma <= 0:
+        raise ValueError("sigma must be positive")
+    if moments.mode != MODE_GLOBAL:
+        raise ValueError("smoothed densities are defined for global moments")
     m_max = moments.m_max
     coef = moments.values.copy()
-    if sd.damping:
+    if damping:
         coef = coef * jackson_coefficients(m_max)
     coef *= 2.0 / np.pi
     coef[0] = moments.values[0] / np.pi
@@ -210,6 +200,6 @@ def evaluate_density(sd: SmoothedDensity, at) -> np.ndarray:
     smap = moments.scale_map
     lam_nodes = smap.from_scaled(np.cos(theta))
     at = np.atleast_1d(np.asarray(at, dtype=np.float64))
-    diff = (at[:, None] - lam_nodes[None, :]) / sd.sigma
-    kern = np.exp(-0.5 * diff * diff) / (sd.sigma * np.sqrt(2.0 * np.pi))
+    diff = (at[:, None] - lam_nodes[None, :]) / sigma
+    kern = np.exp(-0.5 * diff * diff) / (sigma * np.sqrt(2.0 * np.pi))
     return kern @ (weights * series)

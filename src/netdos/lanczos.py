@@ -95,11 +95,15 @@ def _project_out(q_block, w):
     w -= np.einsum("ji,i->j", q_block, w) @ q_block
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _lanczos(op, z, steps):
     """Run `steps` Lanczos iterations from z, keeping the basis semi-orthogonal.
 
     Returns the k x k tridiagonal T (k <= steps; fewer when the Krylov space
-    is exhausted first), ||z|| and whether it was exhausted.
+    is exhausted first), ||z|| and whether it was exhausted. A coefficient
+    that is not finite, as when the operator's entries overflow float64
+    products, raises SpectralRangeError naming it and its step; numpy
+    warns of no overflow.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -127,7 +131,7 @@ def _lanczos(op, z, steps):
         op.apply(q, out=w)
         alphas[j] = _dot(q, w)
         if not np.isfinite(alphas[j]):
-            raise SpectralRangeError("NaN in Lanczos coefficients", iterations=j + 1)
+            raise _overflow(op, f"coefficient alpha_{j + 1}", alphas[j], j + 1)
         hnorm = max(hnorm, abs(alphas[j]) + (betas[j - 1] if j > 0 else 0.0))
         k = j + 1
         if j == steps - 1:
@@ -140,7 +144,7 @@ def _lanczos(op, z, steps):
         w -= alphas[j] * q
         beta = math.sqrt(_dot(w, w))
         if not np.isfinite(beta):
-            raise SpectralRangeError("NaN in Lanczos residual", iterations=j + 1)
+            raise _overflow(op, f"residual norm beta_{j + 1}", beta, j + 1)
         floor = max(hnorm, 1e-300)
         # psi, the estimate against q_j: it exceeds PRO_DELTA whenever beta
         # is at the breakdown test's tolerance, so that test below only ever
@@ -176,6 +180,18 @@ def _lanczos(op, z, steps):
     alphas, betas = alphas[:k], betas[: k - 1]
     t = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
     return t, z_norm, exhausted
+
+
+def _overflow(op, what, value, step):
+    """The error for a Lanczos value that is not finite: the operator's
+    entries overflow float64 products, scaled by a range when op was."""
+    cause = "the operator's entries overflow float64 products"
+    if op.spectral_range is not None:
+        lo, hi = op.spectral_range
+        cause = (f"the operator's entries, scaled by the spectral range "
+                 f"{lo:g},{hi:g}, overflow float64 products; pass a wider --range")
+    return SpectralRangeError(f"Lanczos {what} is not finite ({value}) at "
+                              f"step {step}: {cause}", iterations=step)
 
 
 def _omega_step(new, omega, alphas, betas, j, beta):

@@ -1,22 +1,27 @@
 """Detection and deflation of spike-producing local symmetries.
 
-Three structures are detected, each carrying a known eigenvalue with
-eigenvectors supported only on the structure's nodes:
+Three structures are detected, each a set of classes of nodes whose
+eigenvectors are supported on the structure alone:
 
 * open twins -- nodes with identical neighbor lists (and not adjacent);
-  differences of their basis vectors are eigenvectors (eigenvalue 0 for the
-  adjacency kinds, the shared degree for the Laplacian, 1 for the
-  normalized Laplacian).
+  one class.
 * closed twins -- adjacent nodes whose remaining neighborhoods coincide;
-  difference vectors again, with the twin edge contributing (-w/d for the
-  normalized adjacency, so degree-2 twins sit at -1/2).
-* dangling two-chains -- pendant paths x - b - hub; amplitudes across the
-  chains of one hub that sum to zero give two eigenvector families, at
-  +-1/sqrt(2) for the normalized adjacency.
+  one class.
+* dangling two-chains -- pendant paths x - b - hub; two classes per hub,
+  its chains' leaves and their middles, in matching order.
 
-Every structure's eigenvectors span the vectors supported on it that sum to
-zero within each of its classes of nodes: a twin class is one class, and a
-hub's dangling chains are two, their leaves and their middles.
+The eigenvalues come from the operator by one rule. The classes and the
+rest of the nodes form an equitable partition of the operator (Godsil and
+Royle, Algebraic Graph Theory, section 9.3): on the vectors supported on a
+structure that sum to zero within each of its k classes, it acts as the
+k x k matrix B_ab = op[a_0, b_0] - op[a_0, b_1], a_i the i-th node of class
+a, because op[a_i, b_j] depends only on whether i = j. B's eigenvalues are
+the structure's, each with multiplicity |class| - 1. They are read from
+op's stored entries, so they hold for whichever operator is passed: a
+twin's is H_aa - H_ab (0 for open twins under the adjacency, -w/d for
+degree-d closed twins joined by weight w under the normalized adjacency),
+and a hub's chains give the 2 x 2 leaf-middle block's two (+-1/sqrt(2)
+under the normalized adjacency).
 
 Detection is exact and uses no randomness. Open twins are the classes of
 loop-free nodes whose CSR rows hold the same columns and bitwise the same
@@ -52,7 +57,7 @@ import numpy as np
 
 from .errors import MotifError
 from .graph import GraphCSR
-from .operators import OPERATOR, OperatorKind, quotient_operator
+from .operators import quotient_operator
 from .probes import ProbeMatrix
 
 
@@ -75,12 +80,14 @@ class MotifInstance:
     """One detected structure: classes of nodes, an eigenvalue and its
     multiplicity.
 
-    The structure's eigenvectors for the operator kind used at detection
-    lie in the vectors on `nodes` that sum to zero within each class. A
-    twin instance has one class, its nodes, and multiplicity |class| - 1. A
-    hub's dangling chains have two classes, the leaves and their middles
-    (the middle of leaves[i] at middles[i]), and split that space into two
-    modes, one instance each, of multiplicity (chains - 1). `nodes` is the
+    The structure's eigenvectors for the operator passed to `detect_motifs`
+    lie in the vectors on `nodes` that sum to zero within each class; the
+    eigenvalue is one of the matrix B's read from that operator's entries
+    (see the module docstring). A twin instance has one class, its nodes,
+    and multiplicity |class| - 1. A hub's dangling chains have two classes,
+    the leaves and their middles (the middle of leaves[i] at middles[i]),
+    and split that space into two modes, B's two eigenvalues, one instance
+    each, of multiplicity (chains - 1). `nodes` is the
     union of the classes, ascending. Checked when built: at least one
     class, each of two or more node ids (an id that is not an integer
     raises TypeError), and no node twice.
@@ -130,42 +137,6 @@ class FilterAdjustment:
         return int(sum(self.removed.values()))
 
 
-def _twin_modes(kind, motif, degree, weight):
-    """Eigenvalue of a twin-difference vector for each operator kind."""
-    kind = OperatorKind(kind)
-    if motif is MotifKind.OPEN_TWIN:
-        table = {OperatorKind.ADJACENCY: 0.0,
-                 OperatorKind.NORMALIZED_ADJACENCY: 0.0,
-                 OperatorKind.LAPLACIAN: degree,
-                 OperatorKind.NORMALIZED_LAPLACIAN: 1.0}
-    else:
-        if degree <= 0:
-            raise MotifError("closed twins require positive degree")
-        table = {OperatorKind.ADJACENCY: -weight,
-                 OperatorKind.NORMALIZED_ADJACENCY: -weight / degree,
-                 OperatorKind.LAPLACIAN: degree + weight,
-                 OperatorKind.NORMALIZED_LAPLACIAN: 1.0 + weight / degree}
-    return table[kind]
-
-
-def _chain_modes(kind):
-    """Eigenvalues of the two chain modes: those of the 2x2 restriction of
-    the operator to one pendant path (leaf, middle); the hub row vanishes
-    because chain amplitudes sum to zero."""
-    s2, r5 = 1.0 / np.sqrt(2.0), np.sqrt(5.0)
-    return {OperatorKind.ADJACENCY: (1.0, -1.0),
-            OperatorKind.NORMALIZED_ADJACENCY: (s2, -s2),
-            # the eigenvalues of [[1, -1], [-1, 2]]
-            OperatorKind.LAPLACIAN: ((3.0 - r5) / 2.0, (3.0 + r5) / 2.0),
-            OperatorKind.NORMALIZED_LAPLACIAN: (1.0 - s2, 1.0 + s2)}[OperatorKind(kind)]
-
-
-def _twin_instance(motif, members, operator, degree, weight=1.0):
-    return MotifInstance(motif, (members,),
-                         float(_twin_modes(operator, motif, degree, weight)),
-                         len(members) - 1)
-
-
 def _equal_rows(ptr, cols, vals, nodes):
     """Classes of two or more of `nodes` (ascending) whose rows hold the same
     columns and bitwise the same values, each class in ascending order.
@@ -209,33 +180,28 @@ def _closed_rows(g):
     return g.row_ptr + np.arange(g.n + 1), cols
 
 
-def _pair_weight(g, i, j):
-    """Weight of edge i-j if the rows of i and j, which share their closed
-    neighborhood, agree outside {i, j}; else None."""
+def _agree_outside(g, i, j):
+    """Whether the rows of i and j, which share their closed neighborhood,
+    hold the same weights outside {i, j}."""
     ids_i, w_i = g.neighbors(i), g.weights[g.neighbor_slice(i)]
     ids_j, w_j = g.neighbors(j), g.weights[g.neighbor_slice(j)]
-    if np.array_equal(w_i[ids_i != j], w_j[ids_j != i]):
-        return float(w_i[ids_i == j][0])
-    return None
+    return np.array_equal(w_i[ids_i != j], w_j[ids_j != i])
 
 
 def _closed_twin_classes(g, candidates):
-    """Split each class of equal closed rows into closed twins with their
-    pair weight. Being twins is transitive and forces one pair weight per
-    class, so comparing with each group's first member suffices."""
+    """Split each class of equal closed rows into closed twins. Being twins
+    is transitive, so comparing with each group's first member suffices."""
     classes = []
     for cand in candidates:
-        groups = []  # [members, pair weight]
+        groups = []
         for i in cand.tolist():
             for grp in groups:
-                w = _pair_weight(g, grp[0][0], i)
-                if w is not None:
-                    grp[0].append(i)
-                    grp[1] = w
+                if _agree_outside(g, grp[0], i):
+                    grp.append(i)
                     break
             else:
-                groups.append([[i], None])
-        classes += [grp for grp in groups if len(grp[0]) >= 2]
+                groups.append([i])
+        classes += [grp for grp in groups if len(grp) >= 2]
     return classes
 
 
@@ -257,35 +223,77 @@ def _dangling_chains(g):
                                    np.split(mid[order], cut)) if x.size >= 2]
 
 
-def detect_motifs(g: GraphCSR, kinds=None, operator=OPERATOR) -> list:
-    """Find motif instances, with eigenpairs stated for `operator`.
+def _entries(op, rows, cols):
+    """op[rows, cols] entry by entry, by one search of op's stored entries
+    in row-major order; an entry not stored reads 0."""
+    n = op.n
+    stored = np.repeat(np.arange(n), np.diff(op.indptr)) * n + op.indices
+    stored = np.append(stored, n * n)  # past every key: the search stays in bounds
+    key = rows * n + cols
+    at = np.searchsorted(stored, key)
+    return np.where(stored[at] == key, np.append(op.data, 0.0)[at], 0.0)
 
-    Detection is exact and deterministic: every class of nodes that meets a
-    motif's definition is reported, and nothing else.
+
+def _modes(op, found):
+    """Eigenvalues of each instance's k x k matrix B_ab = op[a_0, b_0] -
+    op[a_0, b_1], a_i the i-th node of its class a, mapped through
+    op.scale_map: one row per (motif kind, classes) in `found`, all with k
+    classes. For k = 2, B is symmetric, (p, q; q, r), and its eigenvalues
+    are (p + r)/2 -+ hypot((p - r)/2, q)."""
+    ends = np.array([[c[:2] for c in classes] for _, classes in found],
+                    dtype=np.int64)
+    k = ends.shape[1]
+    a0 = np.repeat(ends[:, :, :1], k, axis=1)  # row (a, b) of B: a_0
+    b = np.tile(ends, (1, k, 1))  # and (b_0, b_1)
+    e = _entries(op, np.broadcast_to(a0, b.shape), b)
+    mat = (e[..., 0] - e[..., 1]).reshape(-1, k, k)
+    if k == 1:
+        lams = mat[:, 0]
+    else:
+        p, q, r = mat[:, 0, 0], mat[:, 0, 1], mat[:, 1, 1]
+        mid, rad = (p + r) / 2.0, np.hypot((p - r) / 2.0, q)
+        lams = np.stack([mid - rad, mid + rad], axis=1)
+    return op.scale_map.from_scaled(lams)
+
+
+def detect_motifs(g: GraphCSR, op, kinds=None) -> list:
+    """Find motif instances, with eigenvalues those of `op`, an operator of
+    g such as `build_operator(g, kind)` gives.
+
+    Detection reads g alone, and is exact and deterministic: every class of
+    nodes that meets a motif's definition is reported, and nothing else.
+    An instance's eigenvalue is one of its matrix B's (module docstring),
+    read from op's stored entries and mapped through op.scale_map, so a
+    scaled operator states the unscaled eigenvalues too. An op whose order
+    is not g's raises ValueError.
     """
+    if op.n != g.n:
+        raise ValueError(f"operator dimension {op.n} does not match the "
+                         f"graph's {g.n} nodes")
     if kinds is None:
         kinds = MotifKind
     kinds = {MotifKind(k) for k in kinds}
 
-    degree = g.degrees()
     rows = np.repeat(np.arange(g.n), np.diff(g.row_ptr))
     loop_free = np.flatnonzero(
         np.bincount(rows[g.col_idx == rows], minlength=g.n) == 0)
-    out = []
+    twins, chains = [], []  # (motif kind, classes)
     if MotifKind.OPEN_TWIN in kinds:
-        out += [_twin_instance(MotifKind.OPEN_TWIN, m, operator, degree[m[0]])
-                for m in _equal_rows(g.row_ptr, g.col_idx, g.weights, loop_free)]
+        twins += [(MotifKind.OPEN_TWIN, (m,)) for m in
+                  _equal_rows(g.row_ptr, g.col_idx, g.weights, loop_free)]
     if MotifKind.CLOSED_TWIN in kinds:
         ptr, cols = _closed_rows(g)
         candidates = _equal_rows(ptr, cols, np.ones(cols.shape[0]), loop_free)
-        out += [_twin_instance(MotifKind.CLOSED_TWIN, m, operator, degree[m[0]], w)
-                for m, w in _closed_twin_classes(g, candidates)]
+        twins += [(MotifKind.CLOSED_TWIN, (m,))
+                  for m in _closed_twin_classes(g, candidates)]
     if MotifKind.DANGLING_TWO_CHAIN in kinds:
-        # two instances per hub of chains leaves[i] - middles[i] - hub
-        out += [MotifInstance(MotifKind.DANGLING_TWO_CHAIN, (leaves, middles),
-                              float(lam), leaves.size - 1)
-                for leaves, middles in _dangling_chains(g)
-                for lam in _chain_modes(operator)]
+        # leaves[i] - middles[i] - hub; two instances per hub
+        chains += [(MotifKind.DANGLING_TWO_CHAIN, pair)
+                   for pair in _dangling_chains(g)]
+    out = [MotifInstance(kind, classes, float(lam), len(classes[0]) - 1)
+           for found in (twins, chains) if found
+           for (kind, classes), lams in zip(found, _modes(op, found))
+           for lam in lams]
     out.sort(key=_rank)
     return out
 

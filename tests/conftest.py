@@ -7,7 +7,8 @@ import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from netdos import build_csr
+from netdos import build_csr, build_operator, detect_motifs
+from netdos.operators import OPERATOR
 from netdos.testkit import erdos_renyi, preferential_attachment, small_world
 
 # On a failing property test, hypothesis's pytest plugin imports this module
@@ -58,6 +59,11 @@ def grid_graph(rows, cols):
             if i + 1 < rows:
                 edges.append((i * cols + j, (i + 1) * cols + j))
     return build_csr(edges)
+
+
+def motifs_of(g, kind=OPERATOR, kinds=None):
+    """`detect_motifs` with eigenvalues read from the operator of `kind`."""
+    return detect_motifs(g, build_operator(g, kind), kinds)
 
 
 def dense_from_graph(g, kind):

@@ -11,7 +11,7 @@ import numpy as np
 import netdos as nd
 from netdos import pipeline, testkit
 from netdos.cli import main as cli_main
-from netdos.density import SmoothedDensity, evaluate_density, point_masses
+from netdos.density import evaluate_density, point_masses
 from netdos.kpm import chebyshev_values
 from netdos.probes import ProbeKind
 
@@ -53,7 +53,7 @@ def test_criterion_02_motif_filtering_improves_and_trace_identity():
     # trace decomposition with exact probes: N d_m = (N-r) d_m' + spikes
     sop = pipeline.scaled_operator_for(g, "normalized-adjacency")
     probes = nd.make_probes(g.n, g.n, ProbeKind.STANDARD_BASIS, seed=0)
-    insts = nd.detect_motifs(g)
+    insts = nd.detect_motifs(g, nd.build_operator(g, "normalized-adjacency"))
     m_unf = nd.dos_moments(sop, probes, 100)
     (q, filtered), adj = nd.filter_probes(sop, probes, insts)
     m_fil = nd.dos_moments(q, filtered, 100, adj)
@@ -171,7 +171,7 @@ def test_criterion_07_jackson_convergence():
     sup = {}
     for m in (50, 400):
         mom = nd.dos_moments(sop, probes, m)
-        est = evaluate_density(SmoothedDensity(mom, sigma=0.05), grid)
+        est = evaluate_density(mom, 0.05, grid)
         sup[m] = float(np.abs(est - oracle).max())
     assert sup[400] <= sup[50] / 2.0
     _report(7, f"sigma=0.05 smoothed density sup error: M=50 -> {sup[50]:.4f}, "

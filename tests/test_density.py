@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from netdos import (MotifError, ProbeKind, SmoothedDensity, build_operator,
+from netdos import (MotifError, ProbeKind, build_operator,
                     dos_moments, evaluate_density, histogram_from_moments,
                     make_probes)
 from netdos.density import SNAP_TOL, bin_edges, cheb_bin_masses, point_masses
@@ -221,27 +221,24 @@ def test_per_node_default_check_uses_node_average():
 
 
 def test_delta_density_peak_height():
-    sd = SmoothedDensity(_point_mass_moments(0.0, 800), sigma=0.1)
-    peak = evaluate_density(sd, [0.0])[0]
+    peak = evaluate_density(_point_mass_moments(0.0, 800), 0.1, [0.0])[0]
     assert peak == pytest.approx(1.0 / (0.1 * np.sqrt(2 * np.pi)), rel=2e-3)
 
 
 def test_density_symmetry(path3):
     sop = scaled_operator_for(path3, "normalized-adjacency")
     mom = dos_moments(sop, make_probes(3, 3, ProbeKind.STANDARD_BASIS, 0), 120)
-    sd = SmoothedDensity(mom, sigma=0.08)
     lam = np.linspace(0.05, 0.9, 9)
-    left = evaluate_density(sd, -lam)
-    right = evaluate_density(sd, lam)
+    left = evaluate_density(mom, 0.08, -lam)
+    right = evaluate_density(mom, 0.08, lam)
     assert np.abs(left - right).max() < 1e-6
 
 
 def test_density_integrates_to_one(path3):
     sop = scaled_operator_for(path3, "normalized-adjacency")
     mom = dos_moments(sop, make_probes(3, 3, ProbeKind.STANDARD_BASIS, 0), 300)
-    sd = SmoothedDensity(mom, sigma=0.05)
     grid = np.linspace(-2, 2, 8001)
-    total = np.trapezoid(evaluate_density(sd, grid), grid)
+    total = np.trapezoid(evaluate_density(mom, 0.05, grid), grid)
     assert total == pytest.approx(1.0, abs=1e-3)
 
 
@@ -249,16 +246,21 @@ def test_density_tracks_oracle():
     g = erdos_renyi(200, 0.05, seed=9)
     sop = scaled_operator_for(g, "normalized-adjacency")
     mom = dos_moments(sop, make_probes(g.n, g.n, ProbeKind.STANDARD_BASIS, 0), 300)
-    sd = SmoothedDensity(mom, sigma=0.05)
     grid = np.linspace(-1, 1, 101)
     ev = exact_spectrum(build_operator(g, "normalized-adjacency")).eigenvalues
     want = oracle_smoothed_density(ev, 0.05, grid)
-    assert np.abs(evaluate_density(sd, grid) - want).max() < 0.02
+    assert np.abs(evaluate_density(mom, 0.05, grid) - want).max() < 0.02
 
 
 def test_sigma_must_be_positive():
     with pytest.raises(ValueError, match="sigma"):
-        SmoothedDensity(_point_mass_moments(0.0, 10), sigma=0.0)
+        evaluate_density(_point_mass_moments(0.0, 10), 0.0, [0.0])
+
+
+def test_smoothed_density_needs_global_moments():
+    per_node = ChebMoments(np.ones((3, 11)), IDENTITY_MAP, {})
+    with pytest.raises(ValueError, match="global moments"):
+        evaluate_density(per_node, 0.1, [0.0])
 
 
 def test_bins_must_be_positive():

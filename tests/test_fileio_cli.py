@@ -429,6 +429,22 @@ def test_cli_gql_node_takes_the_file_id(tmp_path, capsys):
     assert not (tmp_path / "c.json").exists()
 
 
+def test_cli_gql_overflow_is_one_error_line(tmp_path):
+    # run as a command, where numpy would print its own RuntimeWarning line
+    graph = tmp_path / "path.txt"
+    graph.write_text("0 1 1e200\n1 2 1e200\n2 3 1e200\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "netdos.cli", "gql", "--input", str(graph),
+         "--node", "0", "--operator", "adjacency"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [
+        "netdos: error: Lanczos residual norm beta_1 is not finite (inf) at "
+        "step 1: the operator's entries overflow float64 products"]
+    assert proc.stdout == ""
+
+
 def test_cli_error_paths(tmp_path, capsys):
     missing = str(tmp_path / "nope.txt")
     assert main(["dos", "--input", missing, "--out", str(tmp_path / "o.json")]) == 1

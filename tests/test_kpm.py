@@ -103,7 +103,7 @@ def test_moment_exactness_against_eigenvalue_oracle():
         sop = _scaled(g, kind)
         (q, probes), adj = filter_probes(
             sop, make_probes(n, n, ProbeKind.STANDARD_BASIS, seed=0),
-            detect_motifs(g, operator=kind))
+            detect_motifs(g, build_operator(g, kind)))
         r = adj.deflated_dim
         assert r > 0
         ev = exact_spectrum(build_operator(g, kind)).eigenvalues

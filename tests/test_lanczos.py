@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netdos import (OperatorKind, ProbeKind, build_csr, build_operator,
-                    chebyshev_values, dos_moments, gql_dos, gql_pdos,
-                    lanczos, lanczos_quadrature, make_probes, rescale_operator)
+from netdos import (OperatorKind, ProbeKind, SpectralRangeError, build_csr,
+                    build_operator, chebyshev_values, dos_moments, gql_dos,
+                    gql_pdos, lanczos, lanczos_quadrature, make_probes,
+                    rescale_operator)
 from netdos.density import SNAP_TOL
 from netdos.fileio import parse_graph_file
 from netdos.lanczos import _lanczos
@@ -456,3 +457,31 @@ def test_ritz_values_of_the_scaled_operator_map_back_to_the_graph_operators(
     assert quad.nodes.shape == nodes.shape
     assert np.abs(sop.scale_map.from_scaled(quad.nodes) - nodes).max() <= 1e-10 * span
     assert np.abs(quad.weights - weights).max() <= 1e-10
+
+
+@pytest.mark.parametrize("edges, start, what", [
+    # w = H e_0 - alpha e_0 holds 1e200, and w^T w overflows
+    pytest.param([(0, 1, 1e200), (1, 2, 1e200), (2, 3, 1e200)], [1, 0, 0, 0],
+                 "residual norm beta_1", id="residual"),
+    # q^T H q sums two products of 1e308
+    pytest.param([(0, 0, 1e308), (0, 1, 1e308), (1, 1, 1e308)], [1, 1],
+                 "coefficient alpha_1", id="coefficient"),
+])
+def test_lanczos_overflow_names_its_cause(edges, start, what):
+    # numpy warns of no overflow (pytest makes a RuntimeWarning an error);
+    # the error names the value, its step and the operator's entries
+    op = build_operator(build_csr(edges, allow_self_loops=True), "adjacency")
+    with pytest.raises(SpectralRangeError) as err:
+        lanczos_quadrature(op, np.array(start, dtype=float), 3)
+    assert str(err.value) == (f"Lanczos {what} is not finite (inf) at step 1: "
+                              "the operator's entries overflow float64 products")
+    assert err.value.iterations == 1
+
+
+def test_lanczos_overflow_names_a_narrow_range():
+    g = build_csr([(0, 1, 1e10), (1, 2, 1e10)])
+    with pytest.raises(SpectralRangeError,
+                       match=r"beta_1 is not finite \(inf\) at step 1: the "
+                             r"operator's entries, scaled by the spectral range "
+                             r"0,1e-300, overflow .*pass a wider --range$"):
+        gql_dos_pipeline(g, steps=3, nz=2, range_=(0.0, 1e-300))

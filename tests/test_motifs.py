@@ -12,6 +12,7 @@ from netdos.pipeline import scaled_operator_for
 from netdos.testkit import (dense_matrix, erdos_renyi, preferential_attachment,
                            small_world)
 
+from conftest import motifs_of
 from oracles import brute_force_motifs, motif_eigenvectors, oracle_probe_moments
 
 
@@ -28,7 +29,7 @@ def _check_instance(inst, g, kind):
 
 
 def test_star_open_twin_class(star4):
-    insts = detect_motifs(star4)
+    insts = motifs_of(star4)
     twins = [i for i in insts if i.kind is MotifKind.OPEN_TWIN]
     assert len(twins) == 1
     assert twins[0].nodes == (1, 2, 3)
@@ -40,7 +41,7 @@ def test_star_open_twin_class(star4):
 def test_pendant_pair_difference_vector():
     # two pendants on one node: eigenvector (+1, -1)/sqrt(2), eigenvalue 0
     g = build_csr([(0, 1), (0, 2), (0, 3), (3, 4)])
-    insts = detect_motifs(g, kinds={MotifKind.OPEN_TWIN})
+    insts = motifs_of(g, kinds={MotifKind.OPEN_TWIN})
     assert len(insts) == 1
     inst = insts[0]
     assert inst.nodes == (1, 2)
@@ -52,7 +53,7 @@ def test_pendant_pair_difference_vector():
 
 def test_closed_twin_pendant_triangle():
     g = build_csr([(0, 1), (0, 2), (1, 2), (0, 3)])
-    insts = detect_motifs(g, kinds={MotifKind.CLOSED_TWIN})
+    insts = motifs_of(g, kinds={MotifKind.CLOSED_TWIN})
     assert len(insts) == 1
     inst = insts[0]
     assert inst.nodes == (1, 2)
@@ -63,7 +64,7 @@ def test_closed_twin_pendant_triangle():
 def test_dangling_chain_modes():
     # hub 0 with two pendant 2-chains and one extra neighbor
     g = build_csr([(0, 1), (1, 2), (0, 3), (3, 4), (0, 5)])
-    insts = detect_motifs(g, kinds={MotifKind.DANGLING_TWO_CHAIN})
+    insts = motifs_of(g, kinds={MotifKind.DANGLING_TWO_CHAIN})
     assert len(insts) == 2
     lams = sorted(i.eigenvalue for i in insts)
     assert lams == pytest.approx([-1 / np.sqrt(2), 1 / np.sqrt(2)])
@@ -77,25 +78,53 @@ def test_motif_eigenpairs_for_all_operator_kinds():
     g = build_csr([(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6), (5, 7),
                    (6, 7), (5, 8), (5, 9)])
     for kind in OperatorKind:
-        for inst in detect_motifs(g, operator=kind):
+        for inst in motifs_of(g, kind):
             _check_instance(inst, g, kind)
+
+
+@pytest.mark.parametrize("kind", list(OperatorKind))
+def test_eigenvalues_are_read_from_the_operator(kind):
+    # isolated nodes 5 and 6 are open twins whose diagonal is 0, and so not
+    # stored, except under the normalized Laplacian; 1 and 2 are closed
+    # twins of degree 5 joined by weight 3
+    g = build_csr([(0, 1, 2.0), (0, 2, 2.0), (1, 2, 3.0), (0, 3, 1.0),
+                   (3, 4, 0.5)], n=7)
+    op = build_operator(g, kind)
+    stored = op.indptr[7] - op.indptr[5]  # the isolated nodes' entries
+    assert stored == (2 if kind is OperatorKind.NORMALIZED_LAPLACIAN else 0)
+    insts = {inst.nodes: inst for inst in detect_motifs(g, op)}
+    assert sorted(insts) == [(1, 2), (5, 6)]
+    want = {OperatorKind.ADJACENCY: (0.0, -3.0),
+            OperatorKind.LAPLACIAN: (0.0, 8.0),
+            OperatorKind.NORMALIZED_ADJACENCY: (0.0, -0.6),
+            OperatorKind.NORMALIZED_LAPLACIAN: (1.0, 1.6)}[kind]
+    got = (insts[5, 6].eigenvalue, insts[1, 2].eigenvalue)
+    assert got == pytest.approx(want, abs=1e-15)
+    assert insts[1, 2].kind is MotifKind.CLOSED_TWIN
+    for inst in insts.values():
+        _check_instance(inst, g, kind)
+    # a scaled operator states the same eigenvalues through its scale map
+    sop = scaled_operator_for(g, kind)
+    scaled = {inst.nodes: inst.eigenvalue for inst in detect_motifs(g, sop)}
+    assert (scaled[5, 6], scaled[1, 2]) == pytest.approx(want, abs=1e-12)
+    with pytest.raises(ValueError, match="does not match"):
+        detect_motifs(build_csr([(0, 1)]), op)
 
 
 def test_weighted_twins_require_equal_weights():
     g = build_csr([(0, 1, 2.0), (0, 2, 2.0), (0, 3, 1.0)])
-    insts = detect_motifs(g, kinds={MotifKind.OPEN_TWIN})
+    insts = motifs_of(g, kinds={MotifKind.OPEN_TWIN})
     assert len(insts) == 1
     assert insts[0].nodes == (1, 2)
     _check_instance(insts[0], g, OperatorKind.NORMALIZED_ADJACENCY)
     # laplacian eigenvalue is the shared weighted degree
-    lap = detect_motifs(g, kinds={MotifKind.OPEN_TWIN},
-                        operator=OperatorKind.LAPLACIAN)
+    lap = motifs_of(g, OperatorKind.LAPLACIAN, kinds={MotifKind.OPEN_TWIN})
     assert lap[0].eigenvalue == pytest.approx(2.0)
 
 
 def test_no_motifs_in_clean_graph():
     c5 = build_csr([(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
-    assert detect_motifs(c5) == []
+    assert motifs_of(c5) == []
 
 
 def test_detection_complete_on_planted_pairs():
@@ -113,7 +142,7 @@ def test_detection_complete_on_planted_pairs():
             edges.append((h, n + 1))
         g = build_csr(edges)
         rng.integers(1 << 30)  # a spent draw keeps the later trials' graphs
-        insts = detect_motifs(g, kinds={MotifKind.OPEN_TWIN})
+        insts = motifs_of(g, kinds={MotifKind.OPEN_TWIN})
         planted = [i for i in insts if {n, n + 1} <= set(i.nodes)]
         assert len(planted) == 1
         found_all += 1
@@ -127,7 +156,7 @@ def test_detection_complete_on_planted_pairs():
 def test_filter_probes_annihilates_difference(star4):
     # the quotient keeps node 0 and the class {1, 2, 3}: P^T z sums the
     # class's rows over sqrt 3, and no component along their differences
-    insts = detect_motifs(star4, kinds={MotifKind.OPEN_TWIN})
+    insts = motifs_of(star4, kinds={MotifKind.OPEN_TWIN})
     sop = scaled_operator_for(star4, "normalized-adjacency")
     probes = make_probes(4, 6, ProbeKind.GAUSSIAN, seed=3)
     (q, filtered), adj = filter_probes(sop, probes, insts)
@@ -151,7 +180,7 @@ def test_filter_probes_empty_instances_noop():
 
 
 def test_star_filtered_moments_identity(star4):
-    insts = detect_motifs(star4, kinds={MotifKind.OPEN_TWIN})
+    insts = motifs_of(star4, kinds={MotifKind.OPEN_TWIN})
     sop = scaled_operator_for(star4, "normalized-adjacency")
     probes = make_probes(4, 4, ProbeKind.STANDARD_BASIS, seed=0)
     (q, filtered), adj = filter_probes(sop, probes, insts)
@@ -167,7 +196,7 @@ def test_deflated_moments_need_the_quotient_probes(star4):
     # one, would divide the trace by the wrong dimension
     sop = scaled_operator_for(star4, "normalized-adjacency")
     probes = make_probes(4, 2, ProbeKind.RADEMACHER, seed=0)
-    (q, filtered), adj = filter_probes(sop, probes, detect_motifs(star4))
+    (q, filtered), adj = filter_probes(sop, probes, motifs_of(star4))
     for op, p, a in [(sop, probes, adj), (q, filtered, None)]:
         with pytest.raises(ValueError, match=r"filter_probes \(n - r rows\)"):
             dos_moments(op, p, 4, a)
@@ -178,7 +207,7 @@ def test_trace_decomposition_on_planted_graphs():
     for trial in range(6):
         g = preferential_attachment(int(rng.integers(80, 300)), 1,
                                     seed=int(rng.integers(1 << 30)))
-        insts = detect_motifs(g)
+        insts = motifs_of(g)
         if not insts:
             continue
         sop = scaled_operator_for(g, "normalized-adjacency")
@@ -198,7 +227,7 @@ def test_trace_decomposition_on_planted_graphs():
 
 def test_overlapping_claims_resolved_deterministically():
     g = build_csr([(0, 1), (0, 2), (0, 3)])
-    twin = detect_motifs(g, kinds={MotifKind.OPEN_TWIN})[0]
+    twin = motifs_of(g, kinds={MotifKind.OPEN_TWIN})[0]
     fake = MotifInstance(kind=MotifKind.CLOSED_TWIN, classes=((2, 3),),
                          eigenvalue=0.25, multiplicity=1)
     sop = scaled_operator_for(g, "normalized-adjacency")
@@ -229,7 +258,7 @@ def test_lone_chain_mode_is_refused():
     g = build_csr([(0, 1), (1, 2), (0, 3), (3, 4), (0, 5)])
     sop = scaled_operator_for(g, "normalized-adjacency")
     probes = make_probes(g.n, 2, ProbeKind.GAUSSIAN, seed=0)
-    modes = detect_motifs(g, kinds={MotifKind.DANGLING_TWO_CHAIN})
+    modes = motifs_of(g, kinds={MotifKind.DANGLING_TWO_CHAIN})
     for mode in modes:
         with pytest.raises(MotifError, match=r"nodes \(1, 2, 3, 4\) need"):
             filter_probes(sop, probes, [mode])
@@ -294,7 +323,7 @@ def test_detected_keys_never_share_a_node(name):
     g = _deflation_graphs()[name]
     for kind in OperatorKind:
         owner = {}
-        for inst in detect_motifs(g, operator=kind):
+        for inst in motifs_of(g, kind):
             key = (inst.kind, inst.nodes)
             for x in inst.nodes:
                 assert owner.setdefault(x, key) == key
@@ -312,7 +341,7 @@ def test_filter_probes_matches_dense_projection(name):
     probes = make_probes(g.n, 6, ProbeKind.GAUSSIAN, seed=5)
     for kind in OperatorKind:
         sop = scaled_operator_for(g, kind)
-        insts = detect_motifs(g, operator=kind)
+        insts = motifs_of(g, kind)
         h = dense_matrix(build_operator(g, kind))
         dense = np.concatenate([motif_eigenvectors(inst, h) for inst in insts])
         del h
@@ -335,7 +364,7 @@ def test_chain_detection_skips_p3_components():
     # an isolated 3-path has two chain candidates on different hubs; neither
     # hub collects two chains, so no +-1/sqrt(2) instances may be reported
     g = build_csr([(0, 1), (1, 2), (10, 11)], n=12)
-    insts = detect_motifs(g, kinds={MotifKind.DANGLING_TWO_CHAIN})
+    insts = motifs_of(g, kinds={MotifKind.DANGLING_TWO_CHAIN})
     assert insts == []
 
 
@@ -374,7 +403,7 @@ def _small_graphs(draw):
 @given(g=_small_graphs(), kind=st.sampled_from(list(OperatorKind)))
 def test_detection_matches_brute_force(g, kind):
     # the example: a 4-cycle whose last row is followed by an isolated node
-    insts = detect_motifs(g, operator=kind)
+    insts = motifs_of(g, kind)
     got = sorted((i.kind.value, i.nodes, i.multiplicity) for i in insts)
     assert got == brute_force_motifs(g)
     for inst in insts:
@@ -405,7 +434,7 @@ def test_trace_identity_with_deflation(g):
         sop = scaled_operator_for(g, kind)
         plain = dos_moments(sop, probes, m_max)
         (q, filtered), adj = filter_probes(sop, probes,
-                                           detect_motifs(g, operator=kind))
+                                           motifs_of(g, kind))
         deflated = dos_moments(q, filtered, m_max, adj)
         r = deflated.adjustment.deflated_dim
         spikes = np.zeros(m_max + 1)
@@ -424,7 +453,7 @@ def test_quotient_spectrum_plus_spikes_is_the_spectrum(g):
     probes = make_probes(g.n, 1, ProbeKind.RADEMACHER, seed=0)
     for kind in OperatorKind:
         sop = scaled_operator_for(g, kind)
-        (q, _), adj = filter_probes(sop, probes, detect_motifs(g, operator=kind))
+        (q, _), adj = filter_probes(sop, probes, motifs_of(g, kind))
         qd = dense_matrix(q)
         assert np.array_equal(qd, qd.T), kind
         spikes = np.repeat(list(adj.removed), list(adj.removed.values()))

@@ -17,8 +17,9 @@ import subprocess
 import sys
 
 import netdos
-from netdos import (ProbeKind, build_partition_tree, detect_motifs, make_probes,
-                    nd_pdos_moments, pipeline, preferential_attachment)
+from netdos import (OperatorKind, ProbeKind, build_operator, build_partition_tree,
+                    detect_motifs, make_probes, nd_pdos_moments, pipeline,
+                    preferential_attachment)
 from netdos.cli import main
 from netdos.pipeline import scaled_operator_for
 
@@ -169,7 +170,7 @@ def test_benchmark_trace_counts_the_deflated_dimension():
     g = preferential_attachment(300, 1, seed=2)
     args = (scaled_operator_for(g, "laplacian"),
             make_probes(g.n, 7, ProbeKind.HADAMARD, seed=1),
-            detect_motifs(g, operator="laplacian"))
+            detect_motifs(g, build_operator(g, "laplacian")))
     result = pipeline.filter_probes(*args)
     tracer = _traced_module().Tracer()
     tracer.observe("filter_probes", args, result)
@@ -254,3 +255,16 @@ def test_bins_are_built_and_filled_in_density_only():
             found += [f"{os.path.basename(path)}:{line}"
                       for line in _names_used(fh.read(), names)]
     assert found and {f.split(":")[0] for f in found} == {"density.py"}, found
+
+
+def test_operator_kinds_are_named_in_operators_only():
+    """The four operator formulas live in `operators`: no other module
+    names an `OperatorKind` member, so none restates what one of them
+    evaluates to (motif eigenvalues are read from the operator's entries)."""
+    names = {f"OperatorKind.{k.name}" for k in OperatorKind}
+    found = []
+    for path in sorted(glob.glob(os.path.join(SRC, "netdos", "*.py"))):
+        with open(path) as fh:
+            found += [f"{os.path.basename(path)}:{line}"
+                      for line in _names_used(fh.read(), names)]
+    assert found and {f.split(":")[0] for f in found} == {"operators.py"}, found

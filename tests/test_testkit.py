@@ -114,7 +114,7 @@ def test_generator_parameter_validation():
 def test_pa_plants_detectable_spikes():
     g = preferential_attachment(5000, 1, seed=12)
     assert g.num_edges == 4999  # tree plus the K_2 seed
-    insts = detect_motifs(g)
+    insts = detect_motifs(g, build_operator(g, "normalized-adjacency"))
     lams = {round(i.eigenvalue, 6) for i in insts}
     assert 0.0 in lams
     assert round(1 / np.sqrt(2), 6) in lams
