@@ -33,8 +33,7 @@ from .kpm import MODE_PER_NODE
 from .lanczos import gql_pdos
 from .motifs import MotifKind, detect_motifs
 from .nested_dissection import LEAF_SIZE, load_partition, save_partition
-from .operators import (OPERATOR, OperatorKind, ScaleMap, build_operator,
-                        estimate_spectral_range)
+from .operators import OPERATOR, OperatorKind, ScaleMap
 from .probes import ProbeKind
 
 _OPERATORS = [k.value for k in OperatorKind]
@@ -215,7 +214,8 @@ def _cmd_gql(args):
         if index.size == 0:
             raise NetdosError(f"node {args.node} is not in {args.input}")
         # one node's Gauss rule needs no range: the operator stays unscaled
-        quad = gql_pdos(build_operator(g, args.operator), int(index[0]), args.moments)
+        quad = gql_pdos(pipeline.build_operator(g, args.operator),
+                        int(index[0]), args.moments)
         meta = _meta(args, g, "gql", node=args.node, steps=args.moments)
         return _write(args, fileio.quadrature_payload(quad, meta))
     hist, sop = pipeline.gql_dos_pipeline(
@@ -245,7 +245,7 @@ def _cmd_nd_pdos(args):
 
 def _cmd_motifs(args):
     g, node_ids = _load_graph(args)
-    instances = detect_motifs(g, build_operator(g, OperatorKind(args.operator)),
+    instances = detect_motifs(g, pipeline.build_operator(g, args.operator),
                               kinds={MotifKind(k) for k in args.kinds})
     return _write(args, fileio.motifs_payload(instances, _meta(args, g),
                                               node_ids=node_ids))
@@ -253,11 +253,11 @@ def _cmd_motifs(args):
 
 def _cmd_exact(args):
     g, _ = _load_graph(args)
-    op = build_operator(g, OperatorKind(args.operator))
+    op = pipeline.build_operator(g, args.operator)
     spec = testkit.exact_spectrum(op)
     rng = None
     if args.bins:  # the range dos and gql take, so their bins line up
-        rng = args.range or estimate_spectral_range(op)
+        rng = args.range or pipeline.estimate_spectral_range(op)
     payload = {"record": "exact", **_meta(args, g, spectral_range=rng),
                "eigenvalues": spec.eigenvalues.tolist()}
     if args.bins:

@@ -265,8 +265,9 @@ def quadrature_payload(quad: RitzQuadrature, meta=None) -> dict:
 
 
 def motifs_payload(instances, meta=None, node_ids=None) -> dict:
-    """Motif instances as a record; `node_ids` maps compact node ids back to
-    the input file's ids."""
+    """Motif instances as a record, one entry per (instance, eigenvalue)
+    with the instance's nodes and the eigenvalue's multiplicity; `node_ids`
+    maps compact node ids back to the input file's ids."""
     def node(x):
         return int(x if node_ids is None else node_ids[x])
 
@@ -275,8 +276,8 @@ def motifs_payload(instances, meta=None, node_ids=None) -> dict:
     out.update((k, v) for k, v in (meta or {}).items() if k != "record")
     out["instances"] = [
         {"kind": inst.kind.value, "nodes": [node(x) for x in inst.nodes],
-         "eigenvalue": float(inst.eigenvalue), "multiplicity": inst.multiplicity}
-        for inst in instances]
+         "eigenvalue": lam, "multiplicity": inst.multiplicity}
+        for inst in instances for lam in inst.eigenvalues]
     return out
 
 
@@ -387,10 +388,14 @@ def load_moments(path):
     only as the moments' array; a "filter" lives on as the moments'
     adjustment too. A file that holds no moments record, whose scale map or
     values do not describe a finite moment series, or whose filter is not a
-    valid adjustment of a global series, raises FileFormatError.
+    valid adjustment of a global series, raises FileFormatError; so does a
+    file that is not UTF-8 JSON.
     """
     with open(path) as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            raise FileFormatError(f"{path}: not a moments file ({exc})") from exc
     if (not isinstance(obj, dict) or obj.get("record") not in ("moments", "dos")
             or "values" not in obj):
         raise FileFormatError(f"{path}: not a moments file")

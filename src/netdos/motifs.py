@@ -34,14 +34,16 @@ the row lengths and grouped by hub. Deflating the eigenvectors lets the
 smooth remainder of the spectrum be approximated with far fewer moments;
 the removed spike mass is re-inserted at histogram time.
 
+A `MotifInstance` is one structure: its k classes, all of one size, and
+B's k eigenvalues. Detected instances never share a node.
+
 Deflation keeps the complement of those vectors, the vectors constant on
 each class. H maps it into itself, and its orthonormal basis 1_C/sqrt|C|,
-one column of P per class (and per unclaimed node), turns H on it into
-the quotient Q = P^T H P of an equitable partition (Godsil and Royle,
-Algebraic Graph Theory, section 9.3). For any probe z, z^T P P^T T_m(H)
-P P^T z = (P^T z)^T T_m(Q) (P^T z), so the recurrence runs on Q, of order
-n - r, with the probes P^T z. Instances are accepted greedily, one node
-claim per (kind, nodes) key. The removed multiplicities travel as a
+one column of P per class (and per node outside every instance), turns H
+on it into the quotient Q = P^T H P of an equitable partition (Godsil and
+Royle, Algebraic Graph Theory, section 9.3). For any probe z, z^T P P^T
+T_m(H) P P^T z = (P^T z)^T T_m(Q) (P^T z), so the recurrence runs on Q, of
+order n - r, with the probes P^T z. The removed multiplicities travel as a
 `FilterAdjustment`, which the moment series of the quotient carries
 (`kpm.dos_moments`).
 """
@@ -71,41 +73,47 @@ _KIND_RANK = {kind: i for i, kind in enumerate(MotifKind)}
 
 
 def _rank(inst):
-    """Report order of detect_motifs and claim order of filter_probes."""
-    return (_KIND_RANK[inst.kind], inst.nodes[0], inst.eigenvalue)
+    """Report order of detect_motifs."""
+    return (_KIND_RANK[inst.kind], inst.nodes[0])
 
 
 @dataclass
 class MotifInstance:
-    """One detected structure: classes of nodes, an eigenvalue and its
-    multiplicity.
+    """One detected structure: k classes of nodes, all of one size s, and
+    the k eigenvalues of its matrix B, each of multiplicity s - 1.
 
     The structure's eigenvectors for the operator passed to `detect_motifs`
-    lie in the vectors on `nodes` that sum to zero within each class; the
-    eigenvalue is one of the matrix B's read from that operator's entries
-    (see the module docstring). A twin instance has one class, its nodes,
-    and multiplicity |class| - 1. A hub's dangling chains have two classes,
-    the leaves and their middles (the middle of leaves[i] at middles[i]),
-    and split that space into two modes, B's two eigenvalues, one instance
-    each, of multiplicity (chains - 1). `nodes` is the
-    union of the classes, ascending. Checked when built: at least one
-    class, each of two or more node ids (an id that is not an integer
-    raises TypeError), and no node twice.
+    are the vectors on `nodes` that sum to zero within each class; B is
+    read from that operator's entries (see the module docstring). A twin
+    instance has one class, its nodes, and one eigenvalue. A hub's dangling
+    chains have two classes, the leaves and their middles (the middle of
+    leaves[i] at middles[i]), and two eigenvalues, one per mode of the 2 x 2
+    leaf-middle block. `nodes` is the union of the classes, ascending.
+    Checked when built: one eigenvalue per class, and at least one class,
+    all of one size of two or more node ids (an id that is not an integer
+    raises TypeError), with no node twice.
     """
 
     kind: MotifKind
     classes: tuple
-    eigenvalue: float
-    multiplicity: int
+    eigenvalues: tuple
     nodes: tuple = field(init=False)
 
     def __post_init__(self):
         self.classes = tuple(tuple(map(index, c)) for c in self.classes)
+        self.eigenvalues = tuple(map(float, self.eigenvalues))
         self.nodes = tuple(sorted(x for c in self.classes for x in c))
-        if (min(map(len, self.classes), default=0) < 2
-                or len(set(self.nodes)) != len(self.nodes)):
-            raise MotifError(f"classes {self.classes} need two or more nodes "
-                             "each and may not repeat a node")
+        sizes = set(map(len, self.classes))
+        if (len(sizes) != 1 or min(sizes) < 2 or len(set(self.nodes)) != len(self.nodes)
+                or len(self.eigenvalues) != len(self.classes)):
+            raise MotifError(f"classes {self.classes} need one size of two or more "
+                             "nodes each, may not repeat a node, and need one "
+                             f"eigenvalue each, got {self.eigenvalues}")
+
+    @property
+    def multiplicity(self) -> int:
+        """Each eigenvalue's multiplicity: the class size less one."""
+        return len(self.classes[0]) - 1
 
 
 @dataclass
@@ -257,15 +265,16 @@ def _modes(op, found):
 
 
 def detect_motifs(g: GraphCSR, op, kinds=None) -> list:
-    """Find motif instances, with eigenvalues those of `op`, an operator of
-    g such as `build_operator(g, kind)` gives.
+    """Find motif instances, one per structure, with eigenvalues those of
+    `op`, an operator of g such as `build_operator(g, kind)` gives.
 
     Detection reads g alone, and is exact and deterministic: every class of
-    nodes that meets a motif's definition is reported, and nothing else.
-    An instance's eigenvalue is one of its matrix B's (module docstring),
-    read from op's stored entries and mapped through op.scale_map, so a
-    scaled operator states the unscaled eigenvalues too. An op whose order
-    is not g's raises ValueError.
+    nodes that meets a motif's definition is reported, and nothing else, in
+    order of (kind, first node); no node lies in two instances. An
+    instance's eigenvalues are its matrix B's (module docstring), read from
+    op's stored entries and mapped through op.scale_map, so a scaled
+    operator states the unscaled eigenvalues too. An op whose order is not
+    g's raises ValueError.
     """
     if op.n != g.n:
         raise ValueError(f"operator dimension {op.n} does not match the "
@@ -287,13 +296,12 @@ def detect_motifs(g: GraphCSR, op, kinds=None) -> list:
         twins += [(MotifKind.CLOSED_TWIN, (m,))
                   for m in _closed_twin_classes(g, candidates)]
     if MotifKind.DANGLING_TWO_CHAIN in kinds:
-        # leaves[i] - middles[i] - hub; two instances per hub
+        # leaves[i] - middles[i] - hub
         chains += [(MotifKind.DANGLING_TWO_CHAIN, pair)
                    for pair in _dangling_chains(g)]
-    out = [MotifInstance(kind, classes, float(lam), len(classes[0]) - 1)
+    out = [MotifInstance(kind, classes, lams)
            for found in (twins, chains) if found
-           for (kind, classes), lams in zip(found, _modes(op, found))
-           for lam in lams]
+           for (kind, classes), lams in zip(found, _modes(op, found))]
     out.sort(key=_rank)
     return out
 
@@ -302,46 +310,33 @@ def filter_probes(sop, probes: ProbeMatrix, instances):
     """Deflate motif eigenvectors by passing to the quotient on their
     complement.
 
-    Overlapping instances are resolved by greedy acceptance in detection
-    order (kind, smallest node id, eigenvalue); instances with the same
-    (kind, nodes) key share one node claim and are co-accepted (the two
-    chain modes of one hub). A key's instances must state the same classes
-    and multiplicities totalling sum(|C| - 1) over them, else MotifError.
-    Returns ((Q, probes of Q), adjustment): Q = P^T sop P from
-    `operators.quotient_operator`, the probes P^T z with the metadata of
-    `probes`, and the per-eigenvalue multiplicities removed, out of
-    `probes.n` dimensions. With nothing accepted, (sop, probes) themselves.
-    Standard-basis probes on fewer than all n nodes raise MotifError once an
-    instance is accepted: their n/nz trace scale treats the first nz
-    diagonal entries of P P^T as representative, and those of nodes outside
-    every class are 1, not the mean (n - r)/n.
+    Every instance is deflated as given; instances that share a node raise
+    MotifError, naming the node. Returns ((Q, probes of Q), adjustment):
+    Q = P^T sop P from `operators.quotient_operator`, the probes P^T z with
+    the metadata of `probes`, and the per-eigenvalue multiplicities
+    removed, out of `probes.n` dimensions. With no instance, (sop, probes)
+    themselves. Standard-basis probes on fewer than all n nodes raise
+    MotifError once there is an instance: their n/nz trace scale treats
+    the first nz diagonal entries of P P^T as representative, and those of
+    nodes outside every class are 1, not the mean (n - r)/n.
     """
     if sop.n != probes.n:
         raise ValueError("probe dimension does not match operator")
-    claimed = set()
-    accepted = {}  # (kind, nodes) -> instances, in claim order
-    for inst in sorted(instances, key=_rank):
-        key = (inst.kind, inst.nodes)
-        if key in accepted:
-            accepted[key].append(inst)
-        elif claimed.isdisjoint(inst.nodes):
-            accepted[key] = [inst]
-            claimed.update(inst.nodes)
-
-    removed = defaultdict(int)
+    removed, members = defaultdict(int), []
     label = np.arange(probes.n)  # a class's nodes take its first node's id
-    for (_, nodes), group in accepted.items():
-        classes = group[0].classes
-        if (any(inst.classes != classes for inst in group)
-                or sum(i.multiplicity for i in group) != sum(len(c) - 1 for c in classes)):
-            raise MotifError(f"the instances on nodes {nodes} need the same classes "
-                             "and multiplicities totalling sum(|C| - 1)")
-        for inst in group:
-            removed[float(inst.eigenvalue)] += inst.multiplicity
-        for c in classes:
+    for inst in instances:
+        for lam in inst.eigenvalues:
+            removed[lam] += inst.multiplicity
+        for c in inst.classes:
             label[list(c)] = c[0]
+        members += inst.nodes
+    shared = np.flatnonzero(np.bincount(np.array(members, dtype=np.int64),
+                                        minlength=probes.n) > 1)
+    if shared.size:
+        raise MotifError(f"node {shared[0]} lies in two motif instances; "
+                         "instances may not share a node")
     adjustment = FilterAdjustment(removed=dict(removed), total_dim=probes.n)
-    if not accepted:
+    if not members:
         return (sop, probes), adjustment
     if probes.deterministic and probes.nz < probes.n:
         raise MotifError("deflation needs standard-basis probes on every node: "

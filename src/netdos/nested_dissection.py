@@ -249,9 +249,10 @@ def save_partition(tree: PartitionTree, path):
 
 def load_partition(path) -> PartitionTree:
     """Read `save_partition`'s lines; the `left:` and `right:` fields of
-    files written by earlier versions are read and ignored."""
+    files written by earlier versions are read and ignored. Bytes that are
+    not UTF-8 are read as escapes, so they make their line malformed."""
     nodes = {}
-    with open(path) as fh:
+    with open(path, errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:

@@ -77,14 +77,14 @@ def oracle_probe_moments(h, z, m_max) -> np.ndarray:
     return out
 
 
-def motif_eigenvectors(inst, h) -> np.ndarray:
-    """Orthonormal rows of length n spanning an instance's eigenvectors,
-    built from its classes alone. A twin's one class takes the Helmert rows
-    (orthonormal, summing to zero) on its nodes. A hub's chains, classes
-    (leaves, middles), take the Helmert rows on the leaves times the leaf
-    and middle amplitudes of the eigenvector of the dense 2x2 restriction
-    of the operator `h` to one path (leaf, middle) whose eigenvalue is
-    nearest the instance's."""
+def motif_eigenvectors(inst, h) -> list:
+    """Per eigenvalue of an instance, in its order, orthonormal rows of
+    length n spanning its eigenvectors, built from its classes alone. A
+    twin's one class takes the Helmert rows (orthonormal, summing to zero)
+    on its nodes. A hub's chains, classes (leaves, middles), take for each
+    stated eigenvalue the Helmert rows on the leaves times the leaf and
+    middle amplitudes of the eigenvector of the dense 2x2 restriction of the
+    operator `h` to one path (leaf, middle) whose eigenvalue is nearest."""
     first = inst.classes[0]
     size = len(first)
     amp = np.zeros((size - 1, size))
@@ -92,17 +92,21 @@ def motif_eigenvectors(inst, h) -> np.ndarray:
         amp[k - 1, :k] = 1.0
         amp[k - 1, k] = -float(k)
         amp[k - 1] /= np.sqrt(k * (k + 1.0))
-    out = np.zeros((size - 1, h.shape[0]))
     if len(inst.classes) == 1:
+        out = np.zeros((size - 1, h.shape[0]))
         out[:, list(first)] = amp
-        return out
+        return [out]
     leaves, middles = inst.classes
     path = [leaves[0], middles[0]]
     lam, vec = np.linalg.eigh(h[np.ix_(path, path)])
-    leaf_amp, middle_amp = vec[:, np.argmin(np.abs(lam - inst.eigenvalue))]
-    out[:, list(leaves)] = leaf_amp * amp
-    out[:, list(middles)] = middle_amp * amp
-    return out
+    blocks = []
+    for stated in inst.eigenvalues:
+        leaf_amp, middle_amp = vec[:, np.argmin(np.abs(lam - stated))]
+        out = np.zeros((size - 1, h.shape[0]))
+        out[:, list(leaves)] = leaf_amp * amp
+        out[:, list(middles)] = middle_amp * amp
+        blocks.append(out)
+    return blocks
 
 
 def wasserstein1(spec_a, spec_b) -> float:
@@ -222,7 +226,7 @@ def read_histogram_csv(path) -> SpectralHistogram:
 def brute_force_motifs(g):
     """The motifs of `g` straight from their definitions, pair by pair:
     sorted (kind, nodes, multiplicity) triples, one per instance that
-    `detect_motifs` reports (two per hub of dangling two-chains)."""
+    `detect_motifs` reports (one per hub of dangling two-chains)."""
     rows = [dict(zip(g.neighbors(i).tolist(),
                      g.weights[g.neighbor_slice(i)].tolist())) for i in range(g.n)]
     loop_free = [i for i in range(g.n) if i not in rows[i]]
@@ -257,5 +261,5 @@ def brute_force_motifs(g):
     for paths in chains.values():
         if len(paths) >= 2:
             nodes = tuple(sorted(x for path in paths for x in path))
-            out += [("dangling-two-chain", nodes, len(paths) - 1)] * 2
+            out.append(("dangling-two-chain", nodes, len(paths) - 1))
     return sorted(out)

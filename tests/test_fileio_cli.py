@@ -301,6 +301,25 @@ def test_cli_hist_refuses_malformed_moments(tmp_path, capsys, name):
     assert str(path) in str(exc.value)
 
 
+@pytest.mark.parametrize("data", [
+    pytest.param(b"0 1\n1 2\n", id="edge-list"),
+    pytest.param(b"\xff\xfe\x00\x01", id="binary"),
+])
+def test_unreadable_moments_file_is_named(tmp_path, capsys, data):
+    # a file that is not UTF-8 JSON is refused as a moments file, naming it
+    path = tmp_path / "m.dat"
+    path.write_bytes(data)
+    with pytest.raises(FileFormatError, match="not a moments file") as exc:
+        load_moments(path)
+    assert str(path) in str(exc.value)
+    out = tmp_path / "h.json"
+    assert main(["hist", "--moments-file", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("netdos: error: ") and err.count("\n") == 1
+    assert str(path) in err
+    assert not out.exists()
+
+
 def test_full_pipeline_files_identical(tmp_path):
     gpath = str(tmp_path / "g.txt")
     assert main(["generate", "--model", "er", "--n", "100", "--p", "0.1",

@@ -18,10 +18,14 @@ from oracles import brute_force_motifs, motif_eigenvectors, oracle_probe_moments
 
 def _check_instance(inst, g, kind):
     h = dense_matrix(build_operator(g, kind))
-    vecs = motif_eigenvectors(inst, h)
-    assert vecs.shape == (inst.multiplicity, g.n)
+    blocks = motif_eigenvectors(inst, h)
+    assert len(blocks) == len(inst.eigenvalues) == len(inst.classes)
+    for lam, block in zip(inst.eigenvalues, blocks):
+        assert block.shape == (inst.multiplicity, g.n)
+        for u in block:
+            assert np.linalg.norm(h @ u - lam * u) <= 1e-10
+    vecs = np.concatenate(blocks)
     for i, u in enumerate(vecs):
-        assert np.linalg.norm(h @ u - inst.eigenvalue * u) <= 1e-10
         assert abs(u @ u - 1.0) <= 1e-12
         for v in vecs[i + 1:]:
             assert abs(u @ v) <= 1e-12
@@ -33,7 +37,7 @@ def test_star_open_twin_class(star4):
     twins = [i for i in insts if i.kind is MotifKind.OPEN_TWIN]
     assert len(twins) == 1
     assert twins[0].nodes == (1, 2, 3)
-    assert twins[0].eigenvalue == 0.0
+    assert twins[0].eigenvalues == (0.0,)
     assert twins[0].multiplicity == 2
     _check_instance(twins[0], star4, OperatorKind.NORMALIZED_ADJACENCY)
 
@@ -46,7 +50,7 @@ def test_pendant_pair_difference_vector():
     inst = insts[0]
     assert inst.nodes == (1, 2)
     assert inst.classes == ((1, 2),)
-    assert inst.eigenvalue == 0.0
+    assert inst.eigenvalues == (0.0,)
     assert inst.multiplicity == 1
     _check_instance(inst, g, OperatorKind.NORMALIZED_ADJACENCY)
 
@@ -57,7 +61,7 @@ def test_closed_twin_pendant_triangle():
     assert len(insts) == 1
     inst = insts[0]
     assert inst.nodes == (1, 2)
-    assert inst.eigenvalue == pytest.approx(-0.5)
+    assert inst.eigenvalues == pytest.approx((-0.5,))
     _check_instance(inst, g, OperatorKind.NORMALIZED_ADJACENCY)
 
 
@@ -65,13 +69,13 @@ def test_dangling_chain_modes():
     # hub 0 with two pendant 2-chains and one extra neighbor
     g = build_csr([(0, 1), (1, 2), (0, 3), (3, 4), (0, 5)])
     insts = motifs_of(g, kinds={MotifKind.DANGLING_TWO_CHAIN})
-    assert len(insts) == 2
-    lams = sorted(i.eigenvalue for i in insts)
-    assert lams == pytest.approx([-1 / np.sqrt(2), 1 / np.sqrt(2)])
-    for inst in insts:
-        assert inst.nodes == (1, 2, 3, 4)
-        assert inst.classes == ((2, 4), (1, 3))  # leaves, then their middles
-        _check_instance(inst, g, OperatorKind.NORMALIZED_ADJACENCY)
+    assert len(insts) == 1  # one structure, both of its modes
+    inst = insts[0]
+    assert inst.eigenvalues == pytest.approx((-1 / np.sqrt(2), 1 / np.sqrt(2)))
+    assert inst.nodes == (1, 2, 3, 4)
+    assert inst.classes == ((2, 4), (1, 3))  # leaves, then their middles
+    assert inst.multiplicity == 1
+    _check_instance(inst, g, OperatorKind.NORMALIZED_ADJACENCY)
 
 
 def test_motif_eigenpairs_for_all_operator_kinds():
@@ -98,15 +102,15 @@ def test_eigenvalues_are_read_from_the_operator(kind):
             OperatorKind.LAPLACIAN: (0.0, 8.0),
             OperatorKind.NORMALIZED_ADJACENCY: (0.0, -0.6),
             OperatorKind.NORMALIZED_LAPLACIAN: (1.0, 1.6)}[kind]
-    got = (insts[5, 6].eigenvalue, insts[1, 2].eigenvalue)
+    got = insts[5, 6].eigenvalues + insts[1, 2].eigenvalues
     assert got == pytest.approx(want, abs=1e-15)
     assert insts[1, 2].kind is MotifKind.CLOSED_TWIN
     for inst in insts.values():
         _check_instance(inst, g, kind)
     # a scaled operator states the same eigenvalues through its scale map
     sop = scaled_operator_for(g, kind)
-    scaled = {inst.nodes: inst.eigenvalue for inst in detect_motifs(g, sop)}
-    assert (scaled[5, 6], scaled[1, 2]) == pytest.approx(want, abs=1e-12)
+    scaled = {inst.nodes: inst.eigenvalues for inst in detect_motifs(g, sop)}
+    assert scaled[5, 6] + scaled[1, 2] == pytest.approx(want, abs=1e-12)
     with pytest.raises(ValueError, match="does not match"):
         detect_motifs(build_csr([(0, 1)]), op)
 
@@ -119,7 +123,7 @@ def test_weighted_twins_require_equal_weights():
     _check_instance(insts[0], g, OperatorKind.NORMALIZED_ADJACENCY)
     # laplacian eigenvalue is the shared weighted degree
     lap = motifs_of(g, OperatorKind.LAPLACIAN, kinds={MotifKind.OPEN_TWIN})
-    assert lap[0].eigenvalue == pytest.approx(2.0)
+    assert lap[0].eigenvalues == pytest.approx((2.0,))
 
 
 def test_no_motifs_in_clean_graph():
@@ -225,15 +229,19 @@ def test_trace_decomposition_on_planted_graphs():
         assert np.abs(lhs - rhs).max() < 1e-8
 
 
-def test_overlapping_claims_resolved_deterministically():
+def test_overlapping_instances_are_refused():
+    # instances are deflated as given; one that shares a node with another
+    # is refused, naming the node, in whatever order they come
     g = build_csr([(0, 1), (0, 2), (0, 3)])
     twin = motifs_of(g, kinds={MotifKind.OPEN_TWIN})[0]
     fake = MotifInstance(kind=MotifKind.CLOSED_TWIN, classes=((2, 3),),
-                         eigenvalue=0.25, multiplicity=1)
+                         eigenvalues=(0.25,))
     sop = scaled_operator_for(g, "normalized-adjacency")
     probes = make_probes(4, 2, ProbeKind.GAUSSIAN, seed=0)
-    _, adj = filter_probes(sop, probes, [fake, twin])
-    # the open twin claims nodes 1..3 first; the closed-twin overlap is dropped
+    for insts, node in [([fake, twin], 2), ([twin, fake], 2), ([twin, twin], 1)]:
+        with pytest.raises(MotifError, match=f"node {node} lies in two"):
+            filter_probes(sop, probes, insts)
+    _, adj = filter_probes(sop, probes, [twin])
     assert adj.removed == {0.0: 2}
 
 
@@ -243,7 +251,7 @@ def test_custom_instance_deflation():
     # middle eigenvector of P3 (eigenvalue 0), the open twins 0 and 2,
     # supplied by hand
     inst = MotifInstance(kind=MotifKind.OPEN_TWIN, classes=((2, 0),),
-                         eigenvalue=0.0, multiplicity=1)
+                         eigenvalues=(0.0,))
     assert inst.nodes == (0, 2)
     probes = make_probes(3, 3, ProbeKind.STANDARD_BASIS, seed=0)
     (q, filtered), adj = filter_probes(sop, probes, [inst])
@@ -252,64 +260,30 @@ def test_custom_instance_deflation():
     assert np.abs(m_fil.values - want).max() < 1e-12
 
 
-def test_lone_chain_mode_is_refused():
-    # each chain mode removes half of the sum-zero vectors on the two
-    # classes; the quotient removes them all, so it needs both modes
-    g = build_csr([(0, 1), (1, 2), (0, 3), (3, 4), (0, 5)])
-    sop = scaled_operator_for(g, "normalized-adjacency")
-    probes = make_probes(g.n, 2, ProbeKind.GAUSSIAN, seed=0)
-    modes = motifs_of(g, kinds={MotifKind.DANGLING_TWO_CHAIN})
-    for mode in modes:
-        with pytest.raises(MotifError, match=r"nodes \(1, 2, 3, 4\) need"):
-            filter_probes(sop, probes, [mode])
-    (q, _), adj = filter_probes(sop, probes, modes)
-    assert q.n == g.n - 2 and adj.deflated_dim == 2
-
-
-@pytest.mark.parametrize("stated, ok", [
-    pytest.param([(((0, 1),), 0.0, 1), (((0, 1),), 0.5, 1)], False,
-                 id="two-instances-on-one-dimension"),
-    pytest.param([(((0, 1, 2),), 0.0, 1)], False, id="too-few"),
-    pytest.param([(((0, 1),), 0.0, 0)], False, id="zero-multiplicity"),
-    pytest.param([(((0, 1, 2, 3),), 0.0, 2), (((0, 1), (2, 3)), 0.5, 1)],
-                 False, id="different-classes"),
-    pytest.param([(((0, 1, 2),), 0.0, 1), (((0, 1, 2),), 0.5, 1)], True,
-                 id="two-modes-on-one-class"),
+@pytest.mark.parametrize("classes, eigenvalues, error, what", [
+    pytest.param((0, 1, 2), (0.0,), TypeError, "not iterable", id="flat"),
+    pytest.param(((0,),), (0.0,), MotifError, "two or more nodes",
+                 id="single-node"),
+    pytest.param((), (), MotifError, "two or more nodes", id="no-class"),
+    pytest.param(((0, 1.0),), (0.0,), TypeError, "integer", id="float-node"),
+    pytest.param(((0, 1, 2), (3, 4)), (0.0, 1.0), MotifError, "one size",
+                 id="unequal-sizes"),
+    pytest.param(((0, 1), (2, 3)), (0.0,), MotifError, "one eigenvalue each",
+                 id="eigenvalue-count"),
 ])
-def test_key_multiplicities_must_total_class_dimensions(stated, ok):
-    # instances on one node set share a claim: together they must remove
-    # every vector summing to zero on one set of classes, sum(|C| - 1)
-    g = build_csr([(0, 1), (1, 2), (2, 3), (3, 4)])
-    sop = scaled_operator_for(g, "normalized-adjacency")
-    probes = make_probes(g.n, 3, ProbeKind.GAUSSIAN, seed=2)
-    insts = [MotifInstance(MotifKind.OPEN_TWIN, classes, lam, mult)
-             for classes, lam, mult in stated]
-    if not ok:
-        with pytest.raises(MotifError, match=r"sum\(\|C\| - 1\)"):
-            filter_probes(sop, probes, insts)
-        return
-    (q, filtered), adj = filter_probes(sop, probes, insts)
-    assert q.n == filtered.columns.shape[0] == g.n - 2
-    assert adj.removed == {0.0: 1, 0.5: 1}
-
-
-@pytest.mark.parametrize("classes, error, what", [
-    pytest.param((0, 1, 2), TypeError, "not iterable", id="flat"),
-    pytest.param(((0,),), MotifError, "two or more nodes", id="single-node"),
-    pytest.param((), MotifError, "two or more nodes", id="no-class"),
-    pytest.param(((0, 1.0),), TypeError, "integer", id="float-node"),
-])
-def test_custom_class_shape_is_checked(classes, error, what):
-    # classes are sequences of two or more integer node ids
+def test_custom_class_shape_is_checked(classes, eigenvalues, error, what):
+    # k classes of one size s >= 2 of integer node ids, and k eigenvalues;
+    # a chain mode without its partner, or a class stated with fewer
+    # dimensions than s - 1, cannot be built
     with pytest.raises(error, match=what):
-        MotifInstance(kind=MotifKind.OPEN_TWIN, classes=classes, eigenvalue=0.0,
-                      multiplicity=1)
+        MotifInstance(kind=MotifKind.OPEN_TWIN, classes=classes,
+                      eigenvalues=eigenvalues)
 
 
 def test_custom_nodes_must_be_distinct():
     with pytest.raises(MotifError, match="repeat"):
         MotifInstance(kind=MotifKind.OPEN_TWIN, classes=((0, 1), (2, 0)),
-                      eigenvalue=0.0, multiplicity=1)
+                      eigenvalues=(0.0, 0.5))
 
 
 def _deflation_graphs():
@@ -322,18 +296,52 @@ def _deflation_graphs():
 def test_detected_keys_never_share_a_node(name):
     g = _deflation_graphs()[name]
     for kind in OperatorKind:
-        owner = {}
-        for inst in motifs_of(g, kind):
-            key = (inst.kind, inst.nodes)
-            for x in inst.nodes:
-                assert owner.setdefault(x, key) == key
-        assert owner, "the graph should have motifs"
+        insts = motifs_of(g, kind)
+        nodes = [x for inst in insts for x in inst.nodes]
+        assert nodes, "the graph should have motifs"
+        assert len(set(nodes)) == len(nodes)
+
+
+@st.composite
+def _weighted_loopy_graphs(draw):
+    """At most 12 nodes: up to 8 with up to 16 edges, then up to two pendant
+    paths on one hub; weights from {0.5, 1, 2}, self-loops allowed."""
+    n = draw(st.integers(1, 8))
+    weight = st.sampled_from([1.0, 1.0, 0.5, 2.0])
+    edges = {}
+    for u, v, w in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                           st.integers(0, n - 1), weight),
+                                 max_size=16)):
+        edges[min(u, v), max(u, v)] = w
+    hub = draw(st.integers(0, n - 1))
+    for _ in range(draw(st.integers(0, 2))):
+        edges[hub, n] = draw(weight)
+        edges[n, n + 1] = draw(weight)
+        n += 2
+    return build_csr([(u, v, w) for (u, v), w in edges.items()], n=n,
+                     allow_self_loops=True)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(g=_weighted_loopy_graphs(), kind=st.sampled_from(list(OperatorKind)))
+def test_detected_instances_are_disjoint_structures(g, kind):
+    # detection never puts a node in two instances, so filter_probes takes
+    # every detected list and removes k (s - 1) dimensions per instance
+    insts = motifs_of(g, kind)
+    nodes = [x for inst in insts for x in inst.nodes]
+    assert len(set(nodes)) == len(nodes)
+    sop = scaled_operator_for(g, kind)
+    probes = make_probes(g.n, 2, ProbeKind.RADEMACHER, seed=0)
+    (q, _), adj = filter_probes(sop, probes, insts)
+    assert adj.deflated_dim == sum(len(inst.classes) * (len(inst.classes[0]) - 1)
+                                   for inst in insts)
+    assert q.n == g.n - adj.deflated_dim
 
 
 @pytest.mark.parametrize("name", sorted(_deflation_graphs()))
 def test_filter_probes_matches_dense_projection(name):
-    # detected instances never share a node across keys, so every one is
-    # accepted; the reference runs the plain recurrence on the dense
+    # detected instances never share a node, so every one is deflated;
+    # the reference runs the plain recurrence on the dense
     # operator with (I - V V^T) Z, V from a dense QR of the oracle's
     # eigenvectors
     g = _deflation_graphs()[name]
@@ -343,7 +351,8 @@ def test_filter_probes_matches_dense_projection(name):
         sop = scaled_operator_for(g, kind)
         insts = motifs_of(g, kind)
         h = dense_matrix(build_operator(g, kind))
-        dense = np.concatenate([motif_eigenvectors(inst, h) for inst in insts])
+        dense = np.concatenate([block for inst in insts
+                                for block in motif_eigenvectors(inst, h)])
         del h
         v, _ = np.linalg.qr(dense.T)
         z = probes.columns
@@ -356,13 +365,14 @@ def test_filter_probes_matches_dense_projection(name):
         assert r == dense.shape[0]
         counts = {}
         for inst in insts:
-            counts[inst.eigenvalue] = counts.get(inst.eigenvalue, 0) + inst.multiplicity
+            for lam in inst.eigenvalues:
+                counts[lam] = counts.get(lam, 0) + inst.multiplicity
         assert adj.removed == counts
 
 
 def test_chain_detection_skips_p3_components():
     # an isolated 3-path has two chain candidates on different hubs; neither
-    # hub collects two chains, so no +-1/sqrt(2) instances may be reported
+    # hub collects two chains, so no +-1/sqrt(2) instance may be reported
     g = build_csr([(0, 1), (1, 2), (10, 11)], n=12)
     insts = motifs_of(g, kinds={MotifKind.DANGLING_TWO_CHAIN})
     assert insts == []

@@ -236,6 +236,21 @@ def test_partition_load_rejects_malformed(tmp_path):
         load_partition(path)
 
 
+def test_binary_partition_file_is_named(tmp_path, capsys):
+    path = tmp_path / "part.dat"
+    path.write_bytes(b"\xff\xfe\x00\x01")
+    with pytest.raises(PartitionError, match=":1: malformed partition line") as exc:
+        load_partition(path)
+    assert str(path) in str(exc.value)
+    gpath = tmp_path / "g.txt"
+    gpath.write_text(_PATH5)
+    assert main(["nd-pdos", "--input", str(gpath), "--partition", str(path),
+                 "--moments", "4", "--out", str(tmp_path / "nd.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("netdos: error: ") and err.count("\n") == 1
+    assert str(path) in err
+
+
 def test_inseparable_blob_becomes_one_leaf():
     # complete graph: BFS depth 1, no interior level set exists
     n = 12

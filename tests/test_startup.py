@@ -179,6 +179,30 @@ def test_benchmark_trace_counts_the_deflated_dimension():
     assert tracer.notes == []
 
 
+def test_commands_build_through_pipeline(tmp_path, monkeypatch):
+    """The traced benchmark times operator builds by wrapping
+    `pipeline.build_operator`; a command that imported the function by name
+    would build outside every `operators.build` span."""
+    calls = []
+    inner = pipeline.build_operator
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "build_operator", counting)
+    gpath = tmp_path / "g.txt"
+    gpath.write_text("0 1\n0 2\n0 3\n3 4\n")
+    common = ["--input", str(gpath), "--operator", "laplacian"]
+    runs = {"motifs": ["motifs", *common],
+            "exact": ["exact", *common, "--bins", "4"],
+            "gql --node": ["gql", *common, "--node", "0", "--moments", "3"]}
+    for name, argv in runs.items():
+        calls.clear()
+        assert main([*argv, "--out", str(tmp_path / "out.json")]) == 0
+        assert calls, f"{name} never called pipeline.build_operator"
+
+
 def _local_netdos_imports(source):
     """(line, statement) of each import of a netdos module made inside a
     function body of `source`."""
