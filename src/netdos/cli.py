@@ -174,9 +174,7 @@ def _write(args, payload, hist=None):
     if hist is not None and args.out_format == "csv":
         fileio.write_histogram_csv(hist, args.out)
         return 0
-    text = fileio.write_json(payload, args.out)
-    if text is not None:
-        print(text)
+    fileio.write_json(payload, args.out)
     return 0
 
 
@@ -268,21 +266,11 @@ def _cmd_exact(args):
 
 
 def _cmd_generate(args):
-    params = {"n": args.n}
-    model = args.model
-    if model in ("er",):
-        if args.p is None:
-            raise NetdosError("--model er needs --p")
-        params["p"] = args.p
-    elif model in ("pa", "ba"):
-        if args.m is None:
-            raise NetdosError(f"--model {model} needs --m")
-        params["m"] = args.m
-    else:
-        if args.k is None or args.p is None:
-            raise NetdosError("--model ws needs --k and --p")
-        params.update(k=args.k, p=args.p)
-    g = testkit.generate_graph(model, seed=args.seed, **params)
+    params = {name: getattr(args, name) for name in testkit.MODELS[args.model][1]}
+    missing = " and ".join(f"--{name}" for name, v in params.items() if v is None)
+    if missing:
+        raise NetdosError(f"--model {args.model} needs {missing}")
+    g = testkit.generate_graph(args.model, seed=args.seed, n=args.n, **params)
     fileio.write_graph_edgelist(g, args.out)
     return 0
 
@@ -356,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--range", type=_range_arg, default=None, metavar="LO,HI")
 
     p = sub.add_parser("generate", help="write a generated graph as an edge list")
-    p.add_argument("--model", choices=list(testkit._MODEL_ALIASES),
+    p.add_argument("--model", choices=list(testkit.MODELS),
                    required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=float, default=None)

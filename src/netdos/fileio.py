@@ -36,9 +36,10 @@ or of another dtype or rank, goes through `json` as a list.
 
 from __future__ import annotations
 
-import io
 import json
 import re
+import sys
+from contextlib import nullcontext
 from itertools import compress, repeat
 
 import numpy as np
@@ -358,17 +359,11 @@ def _emit_array(write, a, level):
 
 
 def write_json(payload: dict, path):
-    """Write json.dumps(payload, indent=1) and a newline to `path`, each
-    ndarray written as its .tolist() would be; with path None, return the
-    text without the newline."""
-    if path is None:
-        buf = io.StringIO()
-        _emit(buf.write, payload, 0)
-        return buf.getvalue()
-    with open(path, "w") as fh:
+    """Write json.dumps(payload, indent=1) and a newline to `path`, or to
+    stdout with path None, each ndarray written as its .tolist() would be."""
+    with nullcontext(sys.stdout) if path is None else open(path, "w") as fh:
         _emit(fh.write, payload, 0)
         fh.write("\n")
-    return None
 
 
 def write_histogram_csv(hist: SpectralHistogram, path):

@@ -310,21 +310,26 @@ def filter_probes(sop, probes: ProbeMatrix, instances):
     """Deflate motif eigenvectors by passing to the quotient on their
     complement.
 
-    Every instance is deflated as given; instances that share a node raise
-    MotifError, naming the node. Returns ((Q, probes of Q), adjustment):
-    Q = P^T sop P from `operators.quotient_operator`, the probes P^T z with
-    the metadata of `probes`, and the per-eigenvalue multiplicities
-    removed, out of `probes.n` dimensions. With no instance, (sop, probes)
-    themselves. Standard-basis probes on fewer than all n nodes raise
-    MotifError once there is an instance: their n/nz trace scale treats
-    the first nz diagonal entries of P P^T as representative, and those of
-    nodes outside every class are 1, not the mean (n - r)/n.
+    Every instance is deflated as given; instances that share a node, or
+    hold an id outside 0..n - 1, raise MotifError naming the node. Returns
+    ((Q, probes of Q), adjustment): Q = P^T sop P from
+    `operators.quotient_operator`, the probes P^T z with the metadata of
+    `probes`, and the per-eigenvalue multiplicities removed, out of
+    `probes.n` dimensions. With no instance, (sop, probes) themselves.
+    Standard-basis probes on fewer than all n nodes raise MotifError once
+    there is an instance: their n/nz trace scale treats the first nz
+    diagonal entries of P P^T as representative, and those of nodes
+    outside every class are 1, not the mean (n - r)/n.
     """
     if sop.n != probes.n:
         raise ValueError("probe dimension does not match operator")
     removed, members = defaultdict(int), []
     label = np.arange(probes.n)  # a class's nodes take its first node's id
     for inst in instances:
+        lo, hi = inst.nodes[0], inst.nodes[-1]
+        if lo < 0 or hi >= probes.n:
+            raise MotifError(f"node {lo if lo < 0 else hi} is not a node of the "
+                             f"graph: ids run 0..n - 1, n = {probes.n}")
         for lam in inst.eigenvalues:
             removed[lam] += inst.multiplicity
         for c in inst.classes:

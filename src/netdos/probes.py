@@ -1,8 +1,12 @@
 """Random probe vectors for the stochastic trace and diagonal estimates.
 
-Probe columns are generated from per-column counter-based PRNG streams
-(Philox keyed by (seed, column)), so column j is reproducible independently
-of the other columns and generation order.
+Each random column is drawn from its own counter-based PRNG stream,
+Philox keyed by (seed, column): column j of a Gaussian or Rademacher block
+is stream (seed, j), the same as child j of `SeedSequence(seed).spawn`, so
+it does not depend on nz or on the other columns. Hadamard probes draw
+their row signs from stream (seed, nz) and multiply the first nz columns of
+a Sylvester sign matrix, whose entry (i, j) = (-1)^popcount(i & j) repeats
+down the rows with period s = 2^ceil(log2 nz).
 
 The estimates themselves are the m = 1 moments of the probe recurrence in
 `kpm`: for H with its spectrum in [-1, 1], such as `rescale_operator`
@@ -63,20 +67,26 @@ class ProbeMatrix:
                 "exact": bool(self.deterministic and self.nz == self.n)}
 
 
-def _column_streams(seed, count):
-    return [np.random.Generator(np.random.Philox(ss))
-            for ss in np.random.SeedSequence(int(seed)).spawn(count)]
+def _stream(seed, column):
+    return np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(int(seed), spawn_key=(column,))))
+
+
+def _signs(rng, n):
+    return 1.0 - 2.0 * rng.integers(0, 2, size=n).astype(np.float64)
 
 
 def _sylvester_columns(n, nz):
-    """First nz columns of the 2^ceil(log2 n) Sylvester sign matrix, n rows."""
-    size = 1 << max(1, int(np.ceil(np.log2(max(n, 2)))))
+    """First nz columns of the 2^ceil(log2 n) Sylvester sign matrix, n rows.
+
+    For j < s = 2^ceil(log2 nz), entry (i, j) depends on i mod s only, so
+    the parity is taken for the first min(n, s) rows and repeated."""
+    size = 1 << max(1, (int(n) - 1).bit_length())
     if nz > size:
         raise ValueError(f"hadamard probes support at most {size} columns for n={n}")
-    i = np.arange(n, dtype=np.uint64)[:, None]
-    j = np.arange(nz, dtype=np.uint64)[None, :]
-    parity = np.bitwise_count(i & j) & np.uint64(1)
-    return 1.0 - 2.0 * parity.astype(np.float64)
+    i = np.arange(min(n, 1 << (int(nz) - 1).bit_length()), dtype=np.uint64)[:, None]
+    parity = np.bitwise_count(i & np.arange(nz, dtype=np.uint64)) & np.uint64(1)
+    return np.resize(1.0 - 2.0 * parity.astype(np.float64), (n, nz))
 
 
 def make_probes(n, nz, kind, seed=0) -> ProbeMatrix:
@@ -90,16 +100,13 @@ def make_probes(n, nz, kind, seed=0) -> ProbeMatrix:
         cols = np.zeros((n, nz))
         cols[np.arange(nz), np.arange(nz)] = 1.0
     elif kind is ProbeKind.HADAMARD:
-        streams = _column_streams(seed, nz + 1)
-        flips = 1.0 - 2.0 * streams[nz].integers(0, 2, size=n).astype(np.float64)
-        cols = flips[:, None] * _sylvester_columns(n, nz)
+        cols = _sylvester_columns(n, nz)
+        cols *= _signs(_stream(seed, nz), n)[:, None]
     else:
-        streams = _column_streams(seed, nz)
         cols = np.empty((n, nz))
-        for j, rng in enumerate(streams):
-            if kind is ProbeKind.GAUSSIAN:
-                cols[:, j] = rng.standard_normal(n)
-            else:
-                cols[:, j] = 1.0 - 2.0 * rng.integers(0, 2, size=n).astype(np.float64)
+        for j in range(nz):
+            rng = _stream(seed, j)
+            cols[:, j] = (rng.standard_normal(n) if kind is ProbeKind.GAUSSIAN
+                          else _signs(rng, n))
     return ProbeMatrix(n=n, nz=nz, kind=kind, seed=int(seed),
                        columns=np.ascontiguousarray(cols))

@@ -155,16 +155,17 @@ def small_world(n, k, p, seed=0) -> GraphCSR:
     return _csr_from_arrays(pairs[:, 0], pairs[:, 1], np.ones(pairs.shape[0]), n)
 
 
-# The model names `netdos generate --model` accepts ("ba" is a second name
-# for preferential attachment).
-_MODEL_ALIASES = {"er": erdos_renyi, "pa": preferential_attachment,
-                  "ba": preferential_attachment, "ws": small_world}
+# Each model `generate_graph` and `netdos generate --model` accept: its
+# generator and the parameters it needs beside n and seed ("ba" is a second
+# name for preferential attachment).
+MODELS = {"er": (erdos_renyi, ("p",)), "pa": (preferential_attachment, ("m",)),
+          "ba": (preferential_attachment, ("m",)), "ws": (small_world, ("k", "p"))}
 
 
 def generate_graph(model, seed=0, **params) -> GraphCSR:
-    """Dispatch on model name: er -> erdos_renyi(n, p), pa or ba ->
-    preferential_attachment(n, m), ws -> small_world(n, k, p)."""
-    fn = _MODEL_ALIASES.get(str(model).lower())
+    """Dispatch on model name through MODELS: er -> erdos_renyi(n, p), pa or
+    ba -> preferential_attachment(n, m), ws -> small_world(n, k, p)."""
+    fn, _ = MODELS.get(str(model).lower(), (None, ()))
     if fn is None:
         raise ValueError(f"unknown graph model {model!r}")
     return fn(seed=seed, **params)

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -100,3 +101,13 @@ def small_models(draw):
                         draw(st.sampled_from([0.0, 0.1, 0.5])), seed=seed)
     assume(g.nnz)
     return g
+
+
+def traced_peak(fn, *args):
+    """The `tracemalloc` peak, in bytes, of fn(*args)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -1,9 +1,11 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
+from contextlib import redirect_stdout
 from pathlib import Path
 from unittest import mock
 
@@ -25,6 +27,7 @@ from netdos.motifs import FilterAdjustment
 from netdos.operators import IDENTITY_MAP, OperatorKind
 from netdos.testkit import generate_graph
 
+from conftest import traced_peak
 from oracles import read_histogram_csv
 
 
@@ -90,6 +93,31 @@ def test_matrix_market_general_rejected(tmp_path):
     p.write_text("%%MatrixMarket matrix coordinate real general\n3 3 1\n1 2 1.0\n")
     with pytest.raises(FileFormatError, match="symmetric"):
         parse_graph_file(p)
+
+
+_MM = "%%MatrixMarket matrix coordinate real symmetric\n"
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("%%MatrixMarket matrix coordinate real\n2 2 1\n2 1 1\n", 1,
+     "not a MatrixMarket header"),
+    ("%%MatrixMarket matrix array real symmetric\n2 2\n1\n0\n1\n", 1,
+     "only coordinate matrices"),
+    ("%%MatrixMarket matrix coordinate complex symmetric\n2 2 1\n2 1 1 0\n", 1,
+     "unsupported field 'complex'"),
+    (_MM + "% a comment and no size line\n", None, "missing size line"),
+    (_MM + "2 x 1\n2 1 1\n", 2, "bad size line '2 x 1'"),
+    (_MM + "% rows, columns, entries\n2 3 1\n2 1 1\n", 3,
+     "matrix must be square, got 2x3"),
+], ids=["short-banner", "array", "complex", "no-size-line", "bad-size-line",
+        "non-square"])
+def test_matrix_market_header_refusals(tmp_path, capsys, text, line, message):
+    path = tmp_path / "g.mtx"
+    path.write_text(text)
+    assert main(["motifs", "--input", str(path)]) == 1
+    where = f"{path}:{line}: " if line else f"{path}: "
+    [err] = capsys.readouterr().err.splitlines()
+    assert err.startswith(f"netdos: error: {where}{message}")
 
 
 def test_edgelist_round_trip(tmp_path):
@@ -695,6 +723,17 @@ def test_cli_generate_names_the_model_missing_m(tmp_path, capsys):
         assert main(["generate", "--model", model, "--n", "10",
                      "--out", str(tmp_path / "g.txt")]) == 1
         assert f"--model {model} needs --m" in capsys.readouterr().err
+    assert not (tmp_path / "g.txt").exists()
+
+
+@pytest.mark.parametrize("given, missing", [(["--k", "4"], "--p"),
+                                            (["--p", "0.1"], "--k"),
+                                            ([], "--k and --p")])
+def test_cli_generate_names_only_the_missing_options(tmp_path, capsys, given,
+                                                     missing):
+    assert main(["generate", "--model", "ws", "--n", "10", *given,
+                 "--out", str(tmp_path / "g.txt")]) == 1
+    assert capsys.readouterr().err.endswith(f"--model ws needs {missing}\n")
     assert not (tmp_path / "g.txt").exists()
 
 
@@ -1344,7 +1383,22 @@ def test_write_json_matches_json_dumps(payload, chunk):
         write_json(payload, path)
         with open(path, "rb") as fh:
             assert fh.read() == (want + "\n").encode()
-        assert write_json(payload, None) == want
+        out = io.StringIO()
+        with redirect_stdout(out):
+            write_json(payload, None)
+        assert out.getvalue() == want + "\n"
+
+
+def test_write_json_streams_to_stdout_as_to_a_file(tmp_path):
+    # a per-node block of about 9 MiB of text: sent to stdout, as to a file,
+    # it is written a chunk at a time, never held whole
+    payload = {"record": "moments", "values": np.full((4000, 101), 1 / 3)}
+    path = tmp_path / "r.json"
+    to_file = traced_peak(write_json, payload, path)
+    assert path.stat().st_size > 8 << 20
+    with open(os.devnull, "w") as devnull, redirect_stdout(devnull):
+        to_stdout = traced_peak(write_json, payload, None)
+    assert to_stdout <= to_file + (1 << 20)
 
 
 def test_write_json_refuses_what_json_refuses(tmp_path):

@@ -245,6 +245,17 @@ def test_overlapping_instances_are_refused():
     assert adj.removed == {0.0: 2}
 
 
+@pytest.mark.parametrize("node", [-1, 9])
+def test_out_of_range_instance_nodes_are_refused(star4, node):
+    # a caller-built instance whose ids fall outside 0..n - 1 names the id and n
+    inst = MotifInstance(kind=MotifKind.OPEN_TWIN, classes=((node, 1),),
+                         eigenvalues=(0.0,))
+    sop = scaled_operator_for(star4, "normalized-adjacency")
+    probes = make_probes(4, 2, ProbeKind.GAUSSIAN, seed=0)
+    with pytest.raises(MotifError, match=f"node {node} is not a node.*n = 4"):
+        filter_probes(sop, probes, [inst])
+
+
 def test_custom_instance_deflation():
     g = build_csr([(0, 1), (1, 2)])
     sop = scaled_operator_for(g, "normalized-adjacency")

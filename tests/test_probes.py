@@ -8,6 +8,8 @@ from netdos import (OperatorKind, ProbeKind, RecurrenceBlowupError,
                     dos_moments, make_probes, pdos_moments)
 from netdos.testkit import dense_matrix, erdos_renyi
 
+from conftest import traced_peak
+
 
 def _dense_op(h):
     """The dense matrix h as the CSR operator the probe recurrence reads."""
@@ -57,6 +59,55 @@ def test_hadamard_entries_and_orthogonality():
     assert set(np.unique(p.columns)) <= {-1.0, 1.0}
     gram = p.columns.T @ p.columns
     assert np.array_equal(gram, 1024 * np.eye(8))  # full-size: exactly orthogonal
+
+
+def _philox(seed_sequence):
+    return np.random.Generator(np.random.Philox(seed_sequence))
+
+
+# (n, nz): n not a multiple of the period 2^ceil(log2 nz), nz a power of two
+# and not, nz at the column cap 2^ceil(log2 n), and n = 1
+@pytest.mark.parametrize("n, nz", [(1001, 20), (1000, 8), (1000, 3), (37, 1),
+                                   (1000, 1024), (12, 16), (1, 2), (257, 100)])
+def test_hadamard_probes_match_their_definition(n, nz):
+    # row flips drawn from child nz of SeedSequence(seed), times
+    # (-1)^popcount(i & j)
+    seed = 11
+    rng = _philox(np.random.SeedSequence(seed).spawn(nz + 1)[nz])
+    flips = 1 - 2 * rng.integers(0, 2, size=n)
+    signs = np.array([[(-1) ** (i & j).bit_count() for j in range(nz)]
+                      for i in range(n)])
+    got = make_probes(n, nz, ProbeKind.HADAMARD, seed).columns
+    assert got.flags.c_contiguous and got.dtype == np.float64
+    assert np.array_equal(got, flips[:, None] * signs)
+
+
+@pytest.mark.parametrize("kind", [ProbeKind.RADEMACHER, ProbeKind.GAUSSIAN])
+def test_random_columns_are_the_spawned_streams(kind):
+    # column j is drawn from child j of SeedSequence(seed), whatever nz is
+    want = []
+    for ss in np.random.SeedSequence(7).spawn(4):
+        rng = _philox(ss)
+        want.append(rng.standard_normal(50) if kind is ProbeKind.GAUSSIAN
+                    else 1 - 2 * rng.integers(0, 2, size=50))
+    for nz in (1, 4):
+        got = make_probes(50, nz, kind, seed=7).columns
+        assert np.array_equal(got, np.column_stack(want[:nz]))
+
+
+def test_hadamard_probes_build_only_their_block():
+    # the sign pattern repeats with period 32 down the rows; only that
+    # period and the row flips are built beside the block
+    block = 200_000 * 20 * 8
+    assert traced_peak(make_probes, 200_000, 20, ProbeKind.HADAMARD) <= 1.2 * block
+
+
+@pytest.mark.parametrize("n, nz, cap", [(1000, 1025, 1024), (100, 100_000, 128)])
+def test_hadamard_column_cap_is_checked_first(n, nz, cap):
+    def over_cap():
+        with pytest.raises(ValueError, match=f"at most {cap} columns for n={n}$"):
+            make_probes(n, nz, ProbeKind.HADAMARD)
+    assert traced_peak(over_cap) < 1 << 20
 
 
 def test_gaussian_column_means():
